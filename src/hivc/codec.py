@@ -43,7 +43,6 @@ from hivc.prediction import decode_intra, encode_intra, predict_inter
 from hivc.pseudodiff import (
     BLOCK,
     block_grid,
-    greens_eigenvalues_harmonic,
     reconstruct_blocks,
     solve_block_coefficients_batch,
 )
@@ -138,19 +137,44 @@ def _plan_group(planes, tiles, points):
 
 
 def _solve_coded(f_blocks, masks):
-    """Coefficient fits for coded blocks, batched by mask point count."""
+    """Coefficient fits for coded blocks, batched by mask point count.
+
+    masks: (n, 64) bool. Returns the weights scattered onto their mask
+    positions, (n, 64), and the constants, (n,).
+    """
     n = len(masks)
-    c_list = [None] * n
+    c = np.zeros((n, BLOCK * BLOCK))
     a = np.zeros(n)
-    ks = np.array([int(m.sum()) for m in masks])
-    mask_arr = np.asarray(masks)
+    ks = masks.sum(axis=1)
     for k in np.unique(ks):
         sel = np.flatnonzero(ks == k)
-        cs, as_ = solve_block_coefficients_batch(f_blocks[sel], mask_arr[sel])
-        for j, i in enumerate(sel):
-            c_list[i] = cs[j]
-        a[sel] = as_
-    return c_list, a
+        cs, a[sel] = solve_block_coefficients_batch(f_blocks[sel], masks[sel])
+        rows, cols = np.nonzero(masks[sel])
+        c[sel[rows], cols] = cs.ravel()
+    return c, a
+
+
+def _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam):
+    """Coded blocks whose decoded residual is worth their bits.
+
+    A block is kept when some index survived quantization and the error
+    drop from its decoded residual, summed over the group's planes,
+    exceeds lam times its bit cost: coarse dead zones can otherwise
+    paint a poorly fitted constant across the whole tile and add noise.
+    fb: (planes, n, 8, 8), masks: (n, 64), qc: (planes, n, 64), qa:
+    (planes, n).
+    """
+    nplanes, n = qa.shape
+    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
+    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
+    rec = reconstruct_blocks(mc.reshape(-1, BLOCK, BLOCK), a_hat.ravel()).reshape(fb.shape)
+    gain = np.zeros(n)
+    for r, u in zip(fb, rec):
+        gain += np.sum(r * r, axis=(1, 2)) - np.sum((r - u) ** 2, axis=(1, 2))
+    bits_per_sym = max(1, int(np.ceil(np.log2(levels))))
+    cost_bits = 8 + nplanes * (masks.sum(axis=1) + 1) * bits_per_sym
+    coded = qc.any(axis=(0, 2)) | qa.any(axis=0)
+    return np.flatnonzero(coded & (gain > lam * cost_bits))
 
 
 def _encode_residual(planes, points, levels, lam=0.0):
@@ -160,20 +184,15 @@ def _encode_residual(planes, points, levels, lam=0.0):
     groups = [[planes[0]]] + ([[planes[1], planes[2]]] if len(planes) == 3 else [])
 
     plans = []
-    all_c, all_a = [], []
     for gplanes in groups:
         coded, trees, masks = _plan_group(gplanes, tiles, points)
         fb = _tile_residuals(gplanes, [tiles[i] for i in coded])
-        per_plane = []
-        for ci in range(len(gplanes)):
-            c_list, a = (_solve_coded(fb[ci], masks) if coded else ([], np.zeros(0)))
-            per_plane.append((c_list, a))
-            all_c.extend(c_list)
-            all_a.append(a)
-        plans.append((coded, trees, masks, per_plane, fb))
+        masks = np.asarray(masks, dtype=bool).reshape(len(coded), BLOCK * BLOCK)
+        fits = [_solve_coded(f, masks) for f in fb] if coded else []
+        plans.append((np.asarray(coded, dtype=np.int64), trees, masks, fits, fb))
 
-    c_flat = np.concatenate(all_c) if all_c else np.zeros(0)
-    a_flat = np.concatenate(all_a) if all_a else np.zeros(0)
+    c_flat = np.concatenate([np.zeros(0)] + [c[m] for _, _, m, fits, _ in plans for c, _ in fits])
+    a_flat = np.concatenate([np.zeros(0)] + [a for *_, fits, _ in plans for _, a in fits])
     c_scale = coefficient_scale(c_flat) if c_flat.size else 1.0
     a_scale = coefficient_scale(a_flat) if a_flat.size else 1.0
     c_fp = min(int(round(c_scale * _SCALE_FP)), 0xFFFFFFFF) or 1
@@ -182,45 +201,22 @@ def _encode_residual(planes, points, levels, lam=0.0):
 
     kept_total = 0
     out = bytearray(struct.pack("<II", c_fp, a_fp))
-    for (coded, trees, masks, per_plane, fb), gplanes in zip(plans, groups):
-        # quantize, then drop blocks whose indices all collapse to zero
-        qc = [
-            [deadzone_quantize(map_coefficients(c_list[i], c_scale), levels) for i in range(len(coded))]
-            for c_list, _ in per_plane
-        ]
-        qa = [
-            deadzone_quantize(map_coefficients(a, a_scale), levels)
-            if a.size
+    for coded, trees, masks, fits, fb in plans:
+        nplanes = len(fb)
+        # quantized weights on their mask positions, (planes, n, 64)
+        qc = np.zeros((nplanes, len(coded), BLOCK * BLOCK), dtype=np.int64)
+        qa = np.zeros((nplanes, len(coded)), dtype=np.int64)
+        for ci, (c, a) in enumerate(fits):
+            qc[ci][masks] = deadzone_quantize(map_coefficients(c[masks], c_scale), levels)
+            qa[ci] = deadzone_quantize(map_coefficients(a, a_scale), levels)
+        keep = (
+            _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam)
+            if fits
             else np.zeros(0, dtype=np.int64)
-            for _, a in per_plane
-        ]
-        # keep a block only when the error drop from its decoded residual
-        # is worth the bits: coarse dead zones can otherwise paint a
-        # poorly fitted constant across the whole tile and add noise
-        bits_per_sym = max(1, int(np.ceil(np.log2(levels))))
-        keep = []
-        for i in range(len(coded)):
-            if not (any(q[i].any() for q in qc) or any(q[i] for q in qa)):
-                continue
-            gain = 0.0
-            k_i = int(masks[i].sum())
-            for ci, plane_q in enumerate(qc):
-                mc = np.zeros(BLOCK * BLOCK)
-                mc[masks[i].ravel()] = unmap_coefficients(
-                    deadzone_dequantize(plane_q[i], levels), c_scale
-                )
-                a_hat = unmap_coefficients(
-                    deadzone_dequantize(np.array([qa[ci][i]]), levels), a_scale
-                )[0]
-                rec = reconstruct_blocks(mc[None].reshape(1, BLOCK, BLOCK), np.array([a_hat]))[0]
-                r = fb[ci][i]
-                gain += float(np.sum(r * r) - np.sum((r - rec) ** 2))
-            cost_bits = 8 + len(qc) * (k_i + 1) * bits_per_sym
-            if gain > lam * cost_bits:
-                keep.append(i)
-        kept_total += len(keep)
+        )
+        kept_total += keep.size
         coded_bits = np.zeros(len(tiles), dtype=np.uint8)
-        coded_bits[[coded[i] for i in keep]] = 1
+        coded_bits[coded[keep]] = 1
         out += np.packbits(coded_bits).tobytes()
 
         tree_writer = BitWriter()
@@ -231,14 +227,8 @@ def _encode_residual(planes, points, levels, lam=0.0):
 
         # plane-major layout: all of one plane's block coefficients, then
         # the next plane's, so the decoder can scatter without a loop
-        c_sym, a_sym = [], []
-        for ci in range(len(gplanes)):
-            for i in keep:
-                c_sym.append(qc[ci][i])
-            a_sym.extend(int(qa[ci][i]) for i in keep)
-        c_sym = np.concatenate(c_sym) if c_sym else np.zeros(0, dtype=np.int64)
-        out += entropy.encode_signed_values(c_sym)
-        out += entropy.encode_signed_values(np.asarray(a_sym, dtype=np.int64))
+        out += entropy.encode_signed_values(qc[:, keep][:, masks[keep]].ravel())
+        out += entropy.encode_signed_values(qa[:, keep].ravel())
     if kept_total == 0:
         # nothing survived quantization anywhere: 1-byte empty marker
         return b"\x00"
@@ -276,7 +266,6 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
     c_scale, a_scale = c_fp / _SCALE_FP, a_fp / _SCALE_FP
 
     planes = []
-    eig = greens_eigenvalues_harmonic()
     groups = [1] + ([2] if channels == 3 else [])
     for nplanes in groups:
         t0 = time.perf_counter()
@@ -323,7 +312,7 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         nbx = -(-w // BLOCK)
         nby = -(-h // BLOCK)
         rec = (
-            reconstruct_blocks(mc, a_vals, eig).reshape(nplanes, len(coded), BLOCK, BLOCK)
+            reconstruct_blocks(mc, a_vals).reshape(nplanes, len(coded), BLOCK, BLOCK)
             if len(coded)
             else None
         )

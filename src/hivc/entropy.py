@@ -49,17 +49,6 @@ def to_category(v: int):
     return k, v + (1 << k) - 1
 
 
-def from_category(category: int, extra: int) -> int:
-    if category == 0:
-        return 0
-    if category > 16:
-        raise EntropyError(f"bad category {category}")
-    half = 1 << (category - 1)
-    if extra >= half:
-        return extra
-    return extra - (1 << category) + 1
-
-
 # ---------------------------------------------------------------------------
 # tANS tables
 # ---------------------------------------------------------------------------
@@ -139,10 +128,6 @@ class FseTable:
                 for i, (s, x) in enumerate(zip(self.decode_sym, self.decode_x))
             }
         return self._slot_of
-
-
-def fse_build_table(histogram, table_log: int = DEFAULT_TABLE_LOG) -> FseTable:
-    return FseTable(normalize_counts(histogram, table_log), table_log)
 
 
 def fse_encode(symbols, table: FseTable):
@@ -236,7 +221,10 @@ def _decode_header(data: bytes, pos: int):
         raise EntropyError("bad alphabet size")
     counts = np.empty(nsym, dtype=np.int64)
     for i in range(nsym):
-        counts[i], pos = read_uvarint(data, pos)
+        c, pos = read_uvarint(data, pos)
+        if c > (1 << table_log):
+            raise EntropyError("normalized count exceeds table size")
+        counts[i] = c
     return counts, table_log, pos
 
 

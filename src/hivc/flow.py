@@ -366,25 +366,3 @@ def decompress_flow(data: bytes, pos: int, shape, quant_levels: int):
     u, pos = _decompress_plane(data, pos, shape, quant_levels)
     v, pos = _decompress_plane(data, pos, shape, quant_levels)
     return FlowField(u, v), pos
-
-
-def flow_to_color(flow: FlowField) -> np.ndarray:
-    """Color-coded flow visualization (hue = direction, saturation = magnitude).
-
-    Returns an (h, w, 3) uint8 RGB image for debugging dumps.
-    """
-    mag = np.hypot(flow.u, flow.v)
-    ang = np.arctan2(-flow.v, -flow.u) / np.pi  # [-1, 1]
-    vmax = max(float(mag.max()), 1e-9)
-    hue = (ang + 1.0) / 2.0
-    sat = np.clip(mag / vmax, 0, 1)
-    i = np.floor(hue * 6).astype(int) % 6
-    f = hue * 6 - np.floor(hue * 6)
-    p = 1 - sat
-    q = 1 - f * sat
-    t = 1 - (1 - f) * sat
-    one = np.ones_like(sat)
-    r = np.choose(i, [one, q, p, p, t, one])
-    g = np.choose(i, [t, one, one, q, p, p])
-    b = np.choose(i, [p, p, t, one, one, q])
-    return (np.stack([r, g, b], axis=-1) * 255).astype(np.uint8)

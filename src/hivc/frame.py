@@ -113,11 +113,6 @@ def psnr(a: Frame, b: Frame) -> float:
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
 
 
-def to_float_planes(frame: Frame):
-    """Planes as float64 arrays (working domain of the solvers)."""
-    return [p.astype(np.float64) for p in frame.planes]
-
-
 def clip_plane(values: np.ndarray, channel_index: int, colorspace: str) -> np.ndarray:
     """Round and clip a real-valued plane back to its legal integer range."""
     if colorspace == "yuv" and channel_index > 0:

@@ -228,35 +228,3 @@ def solve_homogeneous(
         if denom > 0 and rel > tol:
             raise ConvergenceError(f"relative residual {rel:.3e} > tol {tol:.3e}")
     return u
-
-
-def solve_dense(f: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Direct dense solve of the inpainting system (oracle, small planes only)."""
-    f = np.asarray(f, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    h, w = f.shape
-    n = h * w
-    if n > 64 * 64:
-        raise InpaintingError("dense solve limited to small planes")
-    lap = dense_laplacian(w, h)
-    m = mask.ravel().astype(np.float64)
-    # M(u - f) - (I - M) A u = 0 with A = -L  =>  (M + (I - M) L) u = M f
-    system = np.diag(m) + (np.eye(n) - np.diag(m)) @ lap
-    rhs = m * f.ravel()
-    u = np.linalg.solve(system, rhs)
-    return u.reshape(h, w)
-
-
-def dense_laplacian(width: int, height: int) -> np.ndarray:
-    """Dense 5-point reflecting-boundary Laplacian matrix (row-major pixels)."""
-    n = width * height
-    lap = np.zeros((n, n))
-    for yy in range(height):
-        for xx in range(width):
-            i = yy * width + xx
-            for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ny, nx = yy + dy, xx + dx
-                if 0 <= ny < height and 0 <= nx < width:
-                    lap[i, ny * width + nx] += 1.0
-                    lap[i, i] -= 1.0
-    return lap

@@ -208,15 +208,6 @@ def _inpaint_from_values(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     )
 
 
-def predict_intra(planes, luma_budget: int, levels: int):
-    """Closed-loop intra prediction: encode, then decode our own payload."""
-    payload = encode_intra(planes, luma_budget, levels)
-    shape = np.asarray(planes[0]).shape
-    pred, consumed = decode_intra(payload, 0, shape, len(planes), levels)
-    assert consumed == len(payload)
-    return pred, payload
-
-
 def predict_inter(prev_planes, flow: FlowField):
     """Motion-compensated prediction: sample the previous reconstruction
     at (x + u, y + v) per channel, bilinear with border clamping."""

@@ -3,12 +3,15 @@
 The harmonic inpainting solution of an 8x8 block is a weighted sum of
 discrete Green's functions at the mask points plus a constant:
 u = G M c + a, where G is the Moore-Penrose pseudo-inverse of the
-negated reflecting-boundary Laplacian. G is diagonalized by the
-orthonormal 2-D DCT-II, so the decoder reconstructs a block with two
-fast cosine transforms (AAN factorization), 64 multiplications by the
-Green's-function eigenvalues, and 64 additions of the constant.
+negated reflecting-boundary Laplacian, M scatters the K weights c onto
+the mask pixels, and a is the constant. G is diagonalized by the
+orthonormal 2-D DCT-II, so the 64x64 matrix is built once from that
+eigendecomposition: G = C^T diag(lambda) C, with C the 2-D DCT and
+lambda the reciprocal Laplacian eigenvalues (zero for the constant
+mode). Encoder and decoder share this one matrix; a batch of blocks is
+reconstructed as a single matrix product.
 
-The encoder obtains the coefficients c and the constant a from the
+The encoder obtains the weights c and the constant a from the
 bordered (K+1) x (K+1) system over the K mask points: the K x K
 submatrix of G, a ones row/column, and a zero corner; the side
 condition sum(c) = 0 removes the constant null-space mode.
@@ -17,105 +20,11 @@ condition sum(c) = 0 removes the constant null-space mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from hivc.homogeneous import dense_laplacian
-
-
-class PseudodiffError(ValueError):
-    pass
-
-
 BLOCK = 8
-
-# ---------------------------------------------------------------------------
-# AAN fast DCT (Arai/Agui/Nakajima factorization, float variant).
-# Each 1-D length-8 pass uses 5 multiplications and 29 additions; the
-# remaining per-coefficient scaling is folded into one diagonal factor,
-# derived once at import against the exact orthonormal DCT-II matrix.
-# ---------------------------------------------------------------------------
-
-_A1 = 0.70710678118654752440  # cos(pi/4)
-_A2 = 0.54119610014619698439  # cos(3pi/8) * sqrt(2) terms of the factorization
-_A3 = _A1
-_A4 = 1.30656296487637652785
-_A5 = 0.38268343236508977173
-
-
-def _fdct_pass(x: np.ndarray) -> np.ndarray:
-    """Unscaled forward AAN butterfly along the last axis (..., 8)."""
-    x0, x1, x2, x3, x4, x5, x6, x7 = (x[..., i] for i in range(8))
-    t0 = x0 + x7
-    t7 = x0 - x7
-    t1 = x1 + x6
-    t6 = x1 - x6
-    t2 = x2 + x5
-    t5 = x2 - x5
-    t3 = x3 + x4
-    t4 = x3 - x4
-
-    t10 = t0 + t3
-    t13 = t0 - t3
-    t11 = t1 + t2
-    t12 = t1 - t2
-    y0 = t10 + t11
-    y4 = t10 - t11
-    z1 = (t12 + t13) * _A1
-    y2 = t13 + z1
-    y6 = t13 - z1
-
-    t10 = t4 + t5
-    t11 = t5 + t6
-    t12 = t6 + t7
-    z5 = (t10 - t12) * _A5
-    z2 = _A2 * t10 + z5
-    z4 = _A4 * t12 + z5
-    z3 = t11 * _A3
-    z11 = t7 + z3
-    z13 = t7 - z3
-    y5 = z13 + z2
-    y3 = z13 - z2
-    y1 = z11 + z4
-    y7 = z11 - z4
-    return np.stack([y0, y1, y2, y3, y4, y5, y6, y7], axis=-1)
-
-
-_B1 = 1.41421356237309504880  # 2 cos(pi/4)
-_B2 = 1.84775906502257351226  # 2 cos(pi/8)
-_B3 = 1.08239220029239396879  # 1 / cos(pi/8)
-_B4 = 2.61312592975275305571  # 1 / cos(3pi/8)
-
-
-def _idct_pass(x: np.ndarray) -> np.ndarray:
-    """Unscaled inverse AAN butterfly along the last axis (..., 8)."""
-    x0, x1, x2, x3, x4, x5, x6, x7 = (x[..., i] for i in range(8))
-    t10 = x0 + x4
-    t11 = x0 - x4
-    t13 = x2 + x6
-    t12 = (x2 - x6) * _B1 - t13
-    t0 = t10 + t13
-    t3 = t10 - t13
-    t1 = t11 + t12
-    t2 = t11 - t12
-
-    z13 = x5 + x3
-    z10 = x5 - x3
-    z11 = x1 + x7
-    z12 = x1 - x7
-    t7 = z11 + z13
-    t11 = (z11 - z13) * _B1
-    z5 = (z10 + z12) * _B2
-    t10 = _B3 * z12 - z5
-    t12 = -_B4 * z10 + z5
-    t6 = t12 - t7
-    t5 = t11 - t6
-    t4 = t10 + t5
-    return np.stack(
-        [t0 + t7, t1 + t6, t2 + t5, t3 - t4, t3 + t4, t2 - t5, t1 - t6, t0 - t7], axis=-1
-    )
 
 
 def _dct_matrix_1d() -> np.ndarray:
@@ -126,36 +35,6 @@ def _dct_matrix_1d() -> np.ndarray:
     c[0, :] *= math.sqrt(1.0 / 8.0)
     c[1:, :] *= math.sqrt(2.0 / 8.0)
     return c
-
-
-_C1 = _dct_matrix_1d()
-# AAN pass matrices from basis vectors; the orthonormal transform equals
-# the butterfly pass times a diagonal scale on each side.
-_FWD_MAT = _fdct_pass(np.eye(8)).T
-_FSCALE = np.diag(_C1 @ np.linalg.inv(_FWD_MAT))
-_INV_MAT = _idct_pass(np.eye(8)).T
-_ISCALE = np.diag(np.linalg.inv(_INV_MAT) @ _C1.T)
-_FSCALE2 = np.outer(_FSCALE, _FSCALE)
-_ISCALE2 = np.outer(_ISCALE, _ISCALE)
-
-
-def dct2_aan_8x8(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of one or many 8x8 blocks (..., 8, 8)."""
-    y = _fdct_pass(block)
-    y = _fdct_pass(np.swapaxes(y, -1, -2))
-    return np.swapaxes(y, -1, -2) * _FSCALE2
-
-
-def idct2_aan_8x8(coef: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-III (inverse) of one or many 8x8 blocks."""
-    y = _idct_pass(coef * _ISCALE2)
-    y = _idct_pass(np.swapaxes(y, -1, -2))
-    return np.swapaxes(y, -1, -2)
-
-
-# ---------------------------------------------------------------------------
-# Green's-function eigenvalues and the dense oracle matrix.
-# ---------------------------------------------------------------------------
 
 
 def greens_eigenvalues_harmonic() -> np.ndarray:
@@ -172,80 +51,23 @@ def greens_eigenvalues_harmonic() -> np.ndarray:
     return lam
 
 
-def greens_eigenvalues_biharmonic() -> np.ndarray:
-    """Eigenvalue swap for the biharmonic operator: reciprocal squared sums."""
-    lam = greens_eigenvalues_harmonic()
-    return lam * lam
-
-
-def greens_matrix_dense(width: int, height: int) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of -L (dense oracle, test-scale only)."""
-    if width * height > 256:
-        raise PseudodiffError("dense Green's matrix limited to 256 pixels")
-    return np.linalg.pinv(-dense_laplacian(width, height))
-
-
-_G8 = None
-
-
+@lru_cache(maxsize=1)
 def _greens_block_matrix() -> np.ndarray:
-    """64x64 Green's matrix of the 8x8 block, built through the DCT path.
-
-    Using the same eigenvalues as the decoder keeps the encoder's
-    coefficient fit and the decoder's reconstruction mutually exact.
-    """
-    global _G8
-    if _G8 is None:
-        c2 = np.kron(_C1, _C1)  # row-major (y, x) pixel ordering
-        lam = greens_eigenvalues_harmonic().reshape(-1)
-        _G8 = (c2.T * lam) @ c2
-    return _G8
-
-
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """Green's-function weights of one 8x8 block: K coefficients plus a constant."""
-
-    block_index: tuple
-    mask: np.ndarray  # 8x8 bool
-    c: np.ndarray  # K coefficients, sum(c) == 0
-    a: float
-
-    @property
-    def k(self):
-        return int(self.c.size)
-
-
-def solve_block_coefficients(f_block: np.ndarray, mask: np.ndarray, block_index=(0, 0)) -> BlockCoefficients:
-    """Fit coefficients so the reconstruction interpolates f at the mask points.
-
-    Solves the bordered system [[G_KK, 1], [1^T, 0]] [c; a] = [f_K; 0].
-    """
-    if f_block.shape != (BLOCK, BLOCK) or mask.shape != (BLOCK, BLOCK):
-        raise PseudodiffError("expected 8x8 block and mask")
-    pos = np.flatnonzero(mask.ravel())
-    k = pos.size
-    if k < 1:
-        raise PseudodiffError("block mask needs at least one point")
-    g = _greens_block_matrix()
-    system = np.empty((k + 1, k + 1))
-    system[:k, :k] = g[np.ix_(pos, pos)]
-    system[:k, k] = 1.0
-    system[k, :k] = 1.0
-    system[k, k] = 0.0
-    rhs = np.concatenate([f_block.ravel()[pos], [0.0]])
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PseudodiffError(f"singular coefficient system (K={k})") from exc
-    return BlockCoefficients(block_index, mask.copy(), sol[:k], float(sol[k]))
+    """64x64 Green's matrix of the 8x8 block (row-major pixel order)."""
+    c2 = np.kron(_dct_matrix_1d(), _dct_matrix_1d())
+    lam = greens_eigenvalues_harmonic().reshape(-1)
+    g = (c2.T * lam) @ c2
+    g.flags.writeable = False  # one cached array serves every caller
+    return g
 
 
 def solve_block_coefficients_batch(f_blocks: np.ndarray, masks: np.ndarray):
-    """Vectorized coefficient fit for blocks sharing one mask point count K.
+    """Fit weights so each reconstruction interpolates f at its mask points.
 
-    f_blocks: (n, 8, 8), masks: (n, 8, 8) bool with identical popcount.
-    Returns (c: (n, K), a: (n,)).
+    Solves [[G_KK, 1], [1^T, 0]] [c; a] = [f_K; 0] for blocks sharing one
+    mask point count K. f_blocks: (n, 8, 8), masks: (n, 8, 8) bool with
+    identical popcount. Returns (c: (n, K) in raster order of the mask
+    points, a: (n,)).
     """
     n = f_blocks.shape[0]
     flat_masks = masks.reshape(n, 64)
@@ -264,28 +86,12 @@ def solve_block_coefficients_batch(f_blocks: np.ndarray, masks: np.ndarray):
     return sol[:, :k], sol[:, k]
 
 
-def reconstruct_block(coeffs: BlockCoefficients, eig: np.ndarray | None = None) -> np.ndarray:
-    """Decode one block: u = IDCT(eig * DCT(scatter(M c))) + a."""
-    if eig is None:
-        eig = greens_eigenvalues_harmonic()
-    mc = np.zeros((BLOCK, BLOCK))
-    mc[coeffs.mask] = coeffs.c
-    return idct2_aan_8x8(eig * dct2_aan_8x8(mc)) + coeffs.a
-
-
-def reconstruct_blocks(mc: np.ndarray, a: np.ndarray, eig: np.ndarray | None = None) -> np.ndarray:
-    """Batched decode of scattered coefficient blocks (n, 8, 8) + constants (n,)."""
-    if eig is None:
-        eig = greens_eigenvalues_harmonic()
-    return idct2_aan_8x8(eig * dct2_aan_8x8(mc)) + a[:, None, None]
-
-
-def reconstruct_block_dense(coeffs: BlockCoefficients) -> np.ndarray:
-    """Oracle decode through the dense Green's matrix: G M c + a."""
-    mc = np.zeros(BLOCK * BLOCK)
-    mc[np.flatnonzero(coeffs.mask.ravel())] = coeffs.c
-    u = _greens_block_matrix() @ mc + coeffs.a
-    return u.reshape(BLOCK, BLOCK)
+def reconstruct_blocks(mc: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """u = G M c + a for scattered weight blocks (n, 8, 8) and constants (n,)."""
+    n = mc.shape[0]
+    # G is symmetric only to rounding, so the transpose is what G M c needs
+    u = mc.reshape(n, BLOCK * BLOCK) @ _greens_block_matrix().T
+    return u.reshape(n, BLOCK, BLOCK) + a[:, None, None]
 
 
 @lru_cache(maxsize=8)
@@ -296,31 +102,3 @@ def block_grid(height: int, width: int):
         for y0 in range(0, height, BLOCK)
         for x0 in range(0, width, BLOCK)
     )
-
-
-def inpaint_plane_blockwise(residual: np.ndarray, block_masks) -> tuple:
-    """Independent per-block fit + reconstruction over a tiled plane.
-
-    `block_masks` maps tile index (in raster order) to an 8x8 bool mask,
-    or None for skip blocks (reconstructed as zero). Edge tiles are
-    embedded top-left into an 8x8 block (only true pixels may carry mask
-    points: padding values are never read because interpolation
-    conditions exist only at mask points) and cropped afterwards.
-    Returns (list of BlockCoefficients or None, reconstruction plane).
-    """
-    h, w = residual.shape
-    recon = np.zeros((h, w))
-    out = []
-    for idx, (y0, x0, bh, bw) in enumerate(block_grid(h, w)):
-        mask = block_masks[idx] if idx < len(block_masks) else None
-        if mask is None or not mask.any():
-            out.append(None)
-            continue
-        if mask[bh:].any() or mask[:, bw:].any():
-            raise PseudodiffError("mask point outside true pixels of edge block")
-        fb = np.zeros((BLOCK, BLOCK))
-        fb[:bh, :bw] = residual[y0 : y0 + bh, x0 : x0 + bw]
-        coeffs = solve_block_coefficients(fb, mask, block_index=(y0 // BLOCK, x0 // BLOCK))
-        out.append(coeffs)
-        recon[y0 : y0 + bh, x0 : x0 + bw] = reconstruct_block(coeffs)[:bh, :bw]
-    return out, recon

@@ -170,11 +170,6 @@ def paint_leaf_values(tree: SubdivisionTree, values) -> np.ndarray:
     return out
 
 
-def piecewise_constant_from_tree(tree: SubdivisionTree, plane: np.ndarray) -> np.ndarray:
-    """Region-average approximation of `plane` on the tree's leaves."""
-    return paint_leaf_values(tree, leaf_means(tree, plane))
-
-
 def serialize_tree(tree: SubdivisionTree, writer: BitWriter):
     for b in tree.bits:
         writer.write_bit(b)

@@ -28,14 +28,10 @@ from hivc.flow import (
     warp_planes,
 )
 from hivc.frame import Frame, psnr, rct_forward, rct_inverse
-from hivc.homogeneous import dense_laplacian, solve_homogeneous
-from hivc.pseudodiff import (
-    greens_matrix_dense,
-    reconstruct_block,
-    reconstruct_block_dense,
-    solve_block_coefficients,
-)
+from hivc.homogeneous import solve_homogeneous
+from hivc.pseudodiff import reconstruct_blocks, solve_block_coefficients_batch
 from hivc.quantize import deadzone_dequantize, deadzone_quantize, map_coefficients
+from oracles import dense_laplacian, greens_matrix_dense
 
 
 def _verdict(num, name, ok, detail=""):
@@ -54,7 +50,10 @@ def _dense_inpaint_8x8(f_block, mask):
 
 
 def test_criterion_01_dct_dense_oracle_equivalence():
+    # the codec's fit and reconstruction, one block at a time, against
+    # G M c + a with G = pinv(-L) and against a direct dense inpainting
     rng = np.random.default_rng(101)
+    g_dense = greens_matrix_dense(8, 8)
     t0 = time.perf_counter()
     max_dev = 0.0
     max_rms = 0.0
@@ -63,10 +62,12 @@ def test_criterion_01_dct_dense_oracle_equivalence():
         k = int(rng.integers(1, 65))
         mask = np.zeros(64, dtype=bool)
         mask[rng.permutation(64)[:k]] = True
+        c, a = solve_block_coefficients_batch(f[None], mask.reshape(1, 8, 8))
+        mc = np.zeros((1, 64))
+        mc[0, mask] = c[0]
+        via_dct = reconstruct_blocks(mc.reshape(1, 8, 8), a)[0]
+        via_dense = (g_dense @ mc[0] + a[0]).reshape(8, 8)
         mask = mask.reshape(8, 8)
-        co = solve_block_coefficients(f, mask)
-        via_dct = reconstruct_block(co)
-        via_dense = reconstruct_block_dense(co)
         max_dev = max(max_dev, float(np.max(np.abs(via_dct - via_dense))))
         ref = _dense_inpaint_8x8(f, mask)
         max_rms = max(max_rms, float(np.sqrt(np.mean((via_dct - ref) ** 2))))

@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import moving_clip
 from hivc import runtime, video_io
+from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
+from test_entropy import huge_count_payload
 
 
 def _report_dict(path):
@@ -101,6 +105,17 @@ def test_inspect_truncated_stream_exits_corrupt(tmp_path, clip_y4m):
     trunc.write_bytes(data[:-10])
     assert main(["inspect", str(trunc)]) == 4
     assert main(["decode", str(trunc), str(tmp_path / "o.y4m")]) == 4
+
+
+def test_decode_huge_entropy_count_fails_without_traceback(tmp_path, capsys):
+    # a 1x1 gray intra frame whose luma value stream claims a 2^63 count
+    header = StreamHeader(1, 1, 1, 25, 1, 1, 1, 256, 256, 63)
+    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + huge_count_payload()
+    gop = struct.pack("<HBI", 1, 0, len(pred)) + pred + struct.pack("<I", 1) + b"\x00"
+    stream = tmp_path / "huge.hivc"
+    stream.write_bytes(write_stream(header, [gop]))
+    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) != 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_input_exits_io(tmp_path):

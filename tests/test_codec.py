@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import moving_clip, static_clip
+from hivc import codec
 from hivc.bitstream import BitstreamError, Truncated, read_stream
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.frame import Frame, FrameError, psnr
+from hivc.quantize import deadzone_dequantize, unmap_coefficients
 
 
 LOSSLESS = EncoderConfig(
@@ -200,3 +202,54 @@ def test_decode_timings_structure(bench_clip):
 def test_empty_stream_rejected():
     with pytest.raises(BitstreamError):
         decode(b"")
+
+
+def test_residual_keep_step_reconstructs_each_channel_group_once(monkeypatch):
+    calls = []
+    real = codec.reconstruct_blocks
+
+    def counting(mc, a):
+        calls.append(len(mc))
+        return real(mc, a)
+
+    monkeypatch.setattr(codec, "reconstruct_blocks", counting)
+    rng = np.random.default_rng(12)
+    planes = [rng.integers(-30, 31, (20, 27)) for _ in range(3)]
+    assert codec._encode_residual(planes, 4, 63, 0.0)[0] == 1
+    assert calls == [12, 24]  # Y's 12 tiles, then U and V together
+
+
+@pytest.mark.parametrize("lam", [0.0, 20.0, 100.0])
+def test_residual_keep_step_matches_per_block_decisions(lam):
+    # one block and one plane at a time, as the decisions are defined
+    rng = np.random.default_rng(13)
+    nplanes, n, levels, c_scale, a_scale = 2, 40, 15, 3.5, 20.0
+    masks = rng.uniform(size=(n, 64)) < rng.uniform(0.02, 0.3, (n, 1))
+    masks[:, 0] = True
+    qc = rng.integers(-2, 3, (nplanes, n, 64)) * masks
+    qa = rng.integers(-3, 4, (nplanes, n))
+    qc[:, ::5] = 0
+    qa[:, ::10] = 0  # nothing survived quantization in these blocks
+    # residuals near each block's own reconstruction, noisier in some
+    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
+    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
+    rec = codec.reconstruct_blocks(mc.reshape(-1, 8, 8), a_hat.ravel()).reshape(nplanes, n, 8, 8)
+    fb = np.rint(rec + 4 * rng.normal(0, 1, (nplanes, n, 1, 1)) * rng.normal(0, 1, rec.shape))
+    keep = codec._keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam)
+
+    expect = []
+    for i in range(n):
+        if not (qc[:, i].any() or qa[:, i].any()):
+            continue
+        gain = 0.0
+        for ci in range(nplanes):
+            mc = unmap_coefficients(deadzone_dequantize(qc[ci, i], levels), c_scale)
+            a_hat = unmap_coefficients(deadzone_dequantize(qa[ci, i : i + 1], levels), a_scale)
+            rec = codec.reconstruct_blocks(mc.reshape(1, 8, 8), a_hat)[0]
+            r = fb[ci, i]
+            gain += float(np.sum(r * r) - np.sum((r - rec) ** 2))
+        cost_bits = 8 + nplanes * (int(masks[i].sum()) + 1) * 4
+        if gain > lam * cost_bits:
+            expect.append(i)
+    assert keep.tolist() == expect
+    assert 0 < len(expect) < n

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import TruncatedStream
+from hivc.bits import TruncatedStream, write_uvarint
 from hivc.entropy import (
     EntropyError,
     MAX_MAGNITUDE,
@@ -13,11 +13,10 @@ from hivc.entropy import (
     decode_symbols,
     encode_signed_values,
     encode_symbols,
-    from_category,
-    fse_build_table,
     normalize_counts,
     to_category,
 )
+from oracles import from_category, fse_build_table
 
 
 def test_category_known_values():
@@ -137,3 +136,20 @@ def test_table_invariants():
     table = fse_build_table(np.array([900, 90, 10], dtype=np.int64), 8)
     assert table.counts.sum() == 256
     assert np.all(table.counts >= 1)
+
+
+def huge_count_payload(count=1 << 63):
+    """Entropy payload whose header claims an impossible normalized count."""
+    out = bytearray([8])
+    write_uvarint(out, 2)
+    write_uvarint(out, count)
+    write_uvarint(out, 1)
+    out += struct.pack("<IHI", 1, 256, 0)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("count", [257, (1 << 63) - 1, 1 << 63, (1 << 64) - 1])
+def test_decoder_rejects_count_above_table_size(count):
+    with pytest.raises(EntropyError):
+        decode_symbols(huge_count_payload(count))
+

@@ -10,7 +10,6 @@ from hivc.flow import (
     decompress_flow,
     flow_brox,
     flow_horn_schunck,
-    flow_to_color,
     warp_planes,
 )
 
@@ -204,10 +203,3 @@ def test_compress_flow_decode_is_deterministic():
     a, _ = decompress_flow(data, 0, (24, 24), 256)
     b, _ = decompress_flow(data, 0, (24, 24), 256)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-
-
-def test_flow_to_color_shape():
-    flow = FlowField(np.zeros((10, 12)), np.zeros((10, 12)))
-    img = flow_to_color(flow)
-    assert img.shape == (10, 12, 3)
-    assert img.dtype == np.uint8

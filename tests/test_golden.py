@@ -85,6 +85,7 @@ def _openblas_corename():
         for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
             fn = getattr(handle, sym, None)
             if fn is not None:
+                fn.argtypes = []
                 fn.restype = ctypes.c_char_p
                 return fn().decode()
     return None

@@ -11,8 +11,8 @@ from hivc.prediction import (
     decode_intra,
     encode_intra,
     predict_inter,
-    predict_intra,
 )
+from oracles import predict_intra
 
 
 def _yuv_planes(seed, h=32, w=32):

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from hivc.homogeneous import dense_laplacian, solve_dense
+from hivc.codec import _plan_group
 from hivc.pseudodiff import (
-    BLOCK,
-    PseudodiffError,
+    _dct_matrix_1d,
+    _greens_block_matrix,
     block_grid,
-    dct2_aan_8x8,
-    greens_eigenvalues_biharmonic,
     greens_eigenvalues_harmonic,
-    greens_matrix_dense,
-    idct2_aan_8x8,
-    inpaint_plane_blockwise,
-    reconstruct_block,
-    reconstruct_block_dense,
     reconstruct_blocks,
-    solve_block_coefficients,
     solve_block_coefficients_batch,
+)
+from oracles import (
+    dense_laplacian,
+    fit_and_reconstruct,
+    greens_matrix_dense,
+    inpaint_plane_blockwise,
+    reconstruct_block_dense,
+    solve_block_coefficients,
+    solve_dense,
 )
 
 
@@ -30,38 +31,52 @@ def _naive_dct2(x):
     return c @ x @ c.T
 
 
+def _dct2(x):
+    c = _dct_matrix_1d()
+    return c @ x @ c.T
+
+
+def _random_mask(rng, k):
+    mask = np.zeros(64, dtype=bool)
+    mask[rng.permutation(64)[:k]] = True
+    return mask.reshape(8, 8)
+
+
 def test_dct_constant_block_is_dc_only():
-    out = dct2_aan_8x8(np.full((8, 8), 3.0))
+    out = _dct2(np.full((8, 8), 3.0))
     expect = np.zeros((8, 8))
     expect[0, 0] = 8 * 3.0
     assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_dct_zero_block():
-    assert np.allclose(dct2_aan_8x8(np.zeros((8, 8))), 0.0)
+    # zero weights and a zero constant decode to exact zeros
+    assert not reconstruct_blocks(np.zeros((3, 8, 8)), np.zeros(3)).any()
 
 
 def test_dct_matches_naive_definition_and_round_trips():
     rng = np.random.default_rng(0)
+    c = _dct_matrix_1d()
     for _ in range(20):
         x = rng.standard_normal((8, 8))
-        fwd = dct2_aan_8x8(x)
+        fwd = _dct2(x)
         assert np.max(np.abs(fwd - _naive_dct2(x))) <= 1e-10
-        assert np.max(np.abs(idct2_aan_8x8(fwd) - x)) <= 1e-10
+        assert np.max(np.abs(c.T @ fwd @ c - x)) <= 1e-10
 
 
 def test_harmonic_eigenvalues_against_dense_eigendecomposition():
-    # The derived closed form must match an explicit eigendecomposition
-    # of the dense 64x64 operator.
+    # The closed-form eigenvalues, through the matrix the codec builds
+    # from them, must match an explicit pseudo-inverse of the dense operator.
     lam = greens_eigenvalues_harmonic()
     assert lam[0, 0] == 0.0
     assert np.all(lam.ravel()[1:] > 0.0)
     g = greens_matrix_dense(8, 8)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((8, 8))
-    via_dct = idct2_aan_8x8(lam * dct2_aan_8x8(x))
+    via_dct = reconstruct_blocks(x[None], np.zeros(1))[0]
     via_dense = (g @ x.ravel()).reshape(8, 8)
     assert np.max(np.abs(via_dct - via_dense)) <= 1e-8
+    assert np.max(np.abs(_greens_block_matrix() - g)) <= 1e-8
 
 
 def test_greens_dense_pseudo_inverse_identities_4x4():
@@ -74,7 +89,7 @@ def test_greens_dense_pseudo_inverse_identities_4x4():
 
 
 def test_greens_dense_size_cap():
-    with pytest.raises(PseudodiffError):
+    with pytest.raises(ValueError):
         greens_matrix_dense(17, 17)
 
 
@@ -83,17 +98,17 @@ def test_single_point_solve_is_constant():
     f[2, 5] = 42.0
     mask = np.zeros((8, 8), dtype=bool)
     mask[2, 5] = True
-    co = solve_block_coefficients(f, mask)
-    assert co.c.tolist() == [0.0]
-    assert co.a == pytest.approx(42.0)
-    assert np.allclose(reconstruct_block(co), 42.0, atol=1e-9)
+    c, a, rec = fit_and_reconstruct(f, mask)
+    assert c.tolist() == [0.0]
+    assert a == pytest.approx(42.0)
+    assert np.allclose(rec, 42.0, atol=1e-9)
 
 
 def test_full_mask_reconstructs_exactly():
     rng = np.random.default_rng(2)
     f = rng.uniform(-100, 100, (8, 8))
-    co = solve_block_coefficients(f, np.ones((8, 8), dtype=bool))
-    assert np.max(np.abs(reconstruct_block(co) - f)) <= 1e-8
+    _, _, rec = fit_and_reconstruct(f, np.ones((8, 8), dtype=bool))
+    assert np.max(np.abs(rec - f)) <= 1e-8
 
 
 def test_two_point_block_matches_dense_inpainting_solve():
@@ -102,8 +117,7 @@ def test_two_point_block_matches_dense_inpainting_solve():
     mask = np.zeros((8, 8), dtype=bool)
     mask[0, 0] = True
     mask[7, 0] = True
-    co = solve_block_coefficients(f, mask)
-    rec = reconstruct_block(co)
+    _, _, rec = fit_and_reconstruct(f, mask)
     ref = solve_dense(f, mask)
     assert np.sqrt(np.mean((rec - ref) ** 2)) <= 1e-6
 
@@ -112,26 +126,23 @@ def test_coefficients_sum_to_zero_and_interpolate():
     rng = np.random.default_rng(3)
     for _ in range(30):
         f = rng.uniform(-127, 127, (8, 8))
-        k = int(rng.integers(1, 65))
-        mask = np.zeros(64, dtype=bool)
-        mask[rng.permutation(64)[:k]] = True
-        mask = mask.reshape(8, 8)
-        co = solve_block_coefficients(f, mask)
-        assert abs(co.c.sum()) <= 1e-8 * max(1.0, np.abs(co.c).max())
-        rec = reconstruct_block(co)
+        mask = _random_mask(rng, int(rng.integers(1, 65)))
+        c, _, rec = fit_and_reconstruct(f, mask)
+        assert abs(c.sum()) <= 1e-8 * max(1.0, np.abs(c).max())
         assert np.max(np.abs(rec[mask] - f[mask])) <= 1e-6
 
 
 def test_dct_path_equals_dense_path():
+    # the codec's fit and reconstruction against a fit and G M c + a
+    # that use only pinv(-L)
     rng = np.random.default_rng(4)
+    g = greens_matrix_dense(8, 8)
     for _ in range(50):
         f = rng.uniform(-127, 127, (8, 8))
-        k = int(rng.integers(1, 65))
-        mask = np.zeros(64, dtype=bool)
-        mask[rng.permutation(64)[:k]] = True
-        mask = mask.reshape(8, 8)
-        co = solve_block_coefficients(f, mask)
-        assert np.max(np.abs(reconstruct_block(co) - reconstruct_block_dense(co))) <= 1e-8
+        mask = _random_mask(rng, int(rng.integers(1, 65)))
+        _, _, rec = fit_and_reconstruct(f, mask)
+        oracle = reconstruct_block_dense(solve_block_coefficients(f, mask, g), g)
+        assert np.max(np.abs(rec - oracle)) <= 1e-8
 
 
 def test_batch_solver_matches_single():
@@ -139,13 +150,10 @@ def test_batch_solver_matches_single():
     k = 6
     n = 12
     blocks = rng.uniform(-50, 50, (n, 8, 8))
-    masks = np.zeros((n, 64), dtype=bool)
-    for i in range(n):
-        masks[i, rng.permutation(64)[:k]] = True
-    masks = masks.reshape(n, 8, 8)
+    masks = np.stack([_random_mask(rng, k) for _ in range(n)])
     c, a = solve_block_coefficients_batch(blocks, masks)
     for i in range(n):
-        co = solve_block_coefficients(blocks[i], masks[i])
+        co = solve_block_coefficients(blocks[i], masks[i], _greens_block_matrix())
         assert np.allclose(c[i], co.c, atol=1e-10)
         assert a[i] == pytest.approx(co.a, abs=1e-10)
 
@@ -156,8 +164,9 @@ def test_batched_reconstruction_matches_single():
     mc = rng.standard_normal((n, 8, 8))
     a = rng.standard_normal(n)
     batched = reconstruct_blocks(mc, a)
+    g = greens_matrix_dense(8, 8)
     for i in range(n):
-        single = idct2_aan_8x8(greens_eigenvalues_harmonic() * dct2_aan_8x8(mc[i])) + a[i]
+        single = (g @ mc[i].ravel()).reshape(8, 8) + a[i]
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -165,21 +174,6 @@ def test_constant_reconstruction_from_zero_coefficients():
     mc = np.zeros((1, 8, 8))
     out = reconstruct_blocks(mc, np.array([7.0]))
     assert np.allclose(out, 7.0, atol=1e-12)
-
-
-def test_biharmonic_swap_changes_output_not_interface():
-    rng = np.random.default_rng(7)
-    f = rng.uniform(-50, 50, (8, 8))
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[::3, ::3] = True
-    co = solve_block_coefficients(f, mask)
-    harm = reconstruct_block(co, greens_eigenvalues_harmonic())
-    biharm = reconstruct_block(co, greens_eigenvalues_biharmonic())
-    assert harm.shape == biharm.shape
-    assert not np.allclose(harm, biharm)
-    lam = greens_eigenvalues_biharmonic()
-    assert lam[0, 0] == 0.0
-    assert np.all(lam.ravel()[1:] > 0.0)
 
 
 def test_block_grid_covers_plane():
@@ -191,30 +185,25 @@ def test_block_grid_covers_plane():
 
 
 def test_blockwise_zero_plane_all_skip():
-    coeffs, rec = inpaint_plane_blockwise(np.zeros((16, 16)), [None] * 4)
-    assert coeffs == [None] * 4
+    rec = inpaint_plane_blockwise(np.zeros((16, 16)), [None] * 4)
     assert np.allclose(rec, 0.0)
 
 
 def test_blockwise_constant_plane_single_point_each():
     mask = np.zeros((8, 8), dtype=bool)
     mask[4, 4] = True
-    coeffs, rec = inpaint_plane_blockwise(np.full((16, 16), 50.0), [mask] * 4)
+    rec = inpaint_plane_blockwise(np.full((16, 16), 50.0), [mask] * 4)
     assert np.allclose(rec, 50.0, atol=1e-9)
 
 
 def test_blockwise_matches_dense_oracle():
     rng = np.random.default_rng(8)
     plane = rng.uniform(-100, 100, (16, 16))
-    masks = []
-    for _ in range(4):
-        m = np.zeros(64, dtype=bool)
-        m[rng.permutation(64)[:4]] = True
-        masks.append(m.reshape(8, 8))
-    coeffs, rec = inpaint_plane_blockwise(plane, masks)
+    masks = [_random_mask(rng, 4) for _ in range(4)]
+    rec = inpaint_plane_blockwise(plane, masks)
     oracle = np.zeros((16, 16))
-    for co, (y0, x0, bh, bw) in zip(coeffs, block_grid(16, 16)):
-        oracle[y0 : y0 + bh, x0 : x0 + bw] = reconstruct_block_dense(co)[:bh, :bw]
+    for mask, (y0, x0, bh, bw) in zip(masks, block_grid(16, 16)):
+        oracle[y0 : y0 + bh, x0 : x0 + bw] = solve_dense(plane[y0 : y0 + bh, x0 : x0 + bw], mask)
     assert np.sqrt(np.mean((rec - oracle) ** 2)) <= 1e-6
 
 
@@ -223,16 +212,24 @@ def test_block_independence():
     plane = rng.uniform(-100, 100, (16, 16))
     mask = np.zeros((8, 8), dtype=bool)
     mask[1, 1] = mask[6, 6] = True
-    _, rec_a = inpaint_plane_blockwise(plane, [mask] * 4)
+    rec_a = inpaint_plane_blockwise(plane, [mask] * 4)
     mutated = plane.copy()
     mutated[:8, :8] += 25.0
-    _, rec_b = inpaint_plane_blockwise(mutated, [mask] * 4)
+    rec_b = inpaint_plane_blockwise(mutated, [mask] * 4)
     assert np.allclose(rec_a[:8, 8:], rec_b[:8, 8:])
     assert np.allclose(rec_a[8:, :], rec_b[8:, :])
 
 
-def test_edge_block_mask_outside_true_pixels_rejected():
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[7, 7] = True
-    with pytest.raises(PseudodiffError):
-        inpaint_plane_blockwise(np.zeros((4, 4)), [mask])
+def test_edge_tile_masks_stay_inside_true_pixels():
+    # the codec embeds edge tiles top-left in an 8x8 block; its masks may
+    # only mark true pixels, since the padding carries no residual
+    rng = np.random.default_rng(10)
+    plane = rng.integers(-20, 21, (13, 11))
+    tiles = block_grid(13, 11)
+    for points in (1, 4, 48):
+        coded, _, masks = _plan_group([plane], tiles, points)
+        assert coded
+        for ti, mask in zip(coded, masks):
+            _, _, bh, bw = tiles[ti]
+            assert mask[:bh, :bw].sum() == min(points, bh * bw)
+            assert not mask[bh:].any() and not mask[:, bw:].any()

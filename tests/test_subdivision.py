@@ -9,11 +9,11 @@ from hivc.subdivision import (
     deserialize_tree,
     mask_from_tree,
     parse_mask,
-    piecewise_constant_from_tree,
     serialize_tree,
     split_children,
     subdivide_by_error,
 )
+from oracles import piecewise_constant_from_tree
 
 
 def _leaf_areas(tree):
