@@ -157,12 +157,13 @@ def _solve_coded(f_blocks, masks):
 def _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam):
     """Coded blocks whose decoded residual is worth their bits.
 
-    A block is kept when some index survived quantization and the error
-    drop from its decoded residual, summed over the group's planes,
-    exceeds lam times its bit cost: coarse dead zones can otherwise
-    paint a poorly fitted constant across the whole tile and add noise.
-    fb: (planes, n, 8, 8), masks: (n, 64), qc: (planes, n, 64), qa:
-    (planes, n).
+    A block is kept when the error drop from its decoded residual,
+    summed over the group's planes, exceeds lam times its bit cost:
+    coarse dead zones can otherwise paint a poorly fitted constant
+    across the whole tile and add noise. A block whose indices all
+    quantized to zero decodes to exact zeros, so its gain is exactly 0
+    and it is dropped for any lam >= 0. fb: (planes, n, 8, 8), masks:
+    (n, 64), qc: (planes, n, 64), qa: (planes, n).
     """
     nplanes, n = qa.shape
     mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
@@ -173,8 +174,7 @@ def _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam):
         gain += np.sum(r * r, axis=(1, 2)) - np.sum((r - u) ** 2, axis=(1, 2))
     bits_per_sym = max(1, int(np.ceil(np.log2(levels))))
     cost_bits = 8 + nplanes * (masks.sum(axis=1) + 1) * bits_per_sym
-    coded = qc.any(axis=(0, 2)) | qa.any(axis=0)
-    return np.flatnonzero(coded & (gain > lam * cost_bits))
+    return np.flatnonzero(gain > lam * cost_bits)
 
 
 def _encode_residual(planes, points, levels, lam=0.0):
