@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-
-class TruncatedStream(ValueError):
-    """Raised when a reader runs past the end of its buffer."""
+from hivc.bitstream import Truncated
 
 
 class BitWriter:
@@ -46,7 +44,7 @@ class BitReader:
         self._pos = 0
         self._limit = len(data) * 8 if bit_length is None else bit_length
         if self._limit > len(data) * 8:
-            raise TruncatedStream("bit length exceeds buffer")
+            raise Truncated("bit length exceeds buffer")
         self._acc = 0
         self._have = 0
         self._byte = 0
@@ -58,7 +56,7 @@ class BitReader:
     def read_bit(self) -> int:
         # read_bits(1) without its loop; the tree parsers call this per bit
         if self._pos >= self._limit:
-            raise TruncatedStream("bit stream exhausted")
+            raise Truncated("bit stream exhausted")
         have = self._have
         if have:
             acc = self._acc
@@ -76,7 +74,7 @@ class BitReader:
         if count == 0:
             return 0
         if self._pos + count > self._limit:
-            raise TruncatedStream("bit stream exhausted")
+            raise Truncated("bit stream exhausted")
         acc, have, b = self._acc, self._have, self._byte
         data = self._data
         while have < count:
@@ -111,7 +109,7 @@ def read_uvarint(data: bytes, pos: int):
     shift = 0
     while True:
         if pos >= len(data):
-            raise TruncatedStream("varint runs past end of buffer")
+            raise Truncated("varint runs past end of buffer")
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift

@@ -20,8 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from hivc import bitstream, codec, runtime, video_io
-from hivc.frame import FrameError, psnr
-from hivc.homogeneous import ConvergenceError
+from hivc.frame import psnr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,8 +87,6 @@ def _parse_config_file(path):
                 out[key] = value.lower() in ("1", "true", "yes", "on")
             elif key in _INT_KEYS:
                 out[key] = int(value)
-            elif key == "flow_method":
-                out[key] = value
             else:
                 out[key] = float(value)
     return out
@@ -97,7 +94,6 @@ def _parse_config_file(path):
 
 def _build_parser():
     p = _Parser(prog="hivc", description="Inpainting-based video codec")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (or HIVC_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="compress a y4m/pnm input")
@@ -111,7 +107,6 @@ def _build_parser():
     enc.add_argument("--intra-levels", type=int, dest="intra_levels")
     enc.add_argument("--flow-levels", type=int, dest="flow_levels")
     enc.add_argument("--residual-levels", type=int, dest="residual_levels")
-    enc.add_argument("--flow-method", choices=("brox", "horn-schunck"), dest="flow_method")
     enc.add_argument("--target-ratio", type=float, help="search budgets for this ratio")
     enc.add_argument("--self-check", action="store_true", help="decode and verify while encoding")
     enc.add_argument("--report", help="write the run report to a file")
@@ -288,10 +283,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    previous_threads = runtime.get_num_threads()
     try:
         args = parser.parse_args(argv)
-        runtime.set_num_threads(args.threads or runtime.default_threads())
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -299,14 +292,12 @@ def main(argv=None) -> int:
     except (bitstream.BitstreamError, struct.error) as e:
         print(f"corrupt stream: {e}", file=sys.stderr)
         return EXIT_CORRUPT
-    except (FrameError, ConvergenceError, ValueError) as e:
+    except ValueError as e:
         print(f"codec error: {e}", file=sys.stderr)
         return EXIT_CODEC
     except (OSError, video_io.VideoIOError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        runtime.set_num_threads(previous_threads)
 
 
 if __name__ == "__main__":

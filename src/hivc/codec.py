@@ -37,7 +37,7 @@ from hivc.bitstream import (
     read_stream,
     write_stream,
 )
-from hivc.flow import BroxParams, compress_flow, decompress_flow, flow_brox, flow_horn_schunck
+from hivc.flow import BroxParams, compress_flow, decompress_flow, flow_brox
 from hivc.frame import Frame, FrameError, clip_plane, rct_forward, rct_inverse
 from hivc.prediction import decode_intra, encode_intra, predict_inter
 from hivc.pseudodiff import (
@@ -81,7 +81,6 @@ class EncoderConfig:
     residual_lambda: float = 1.0
     fps_num: int = 25
     fps_den: int = 1
-    flow_method: str = "brox"
     self_check: bool = False
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class EncoderConfig:
             raise ValueError(f"residual_points must lie in [1, {MAX_RESIDUAL_POINTS}]")
         if self.flow_points < 1:
             raise ValueError("flow_points must be >= 1")
-        if self.flow_method not in ("brox", "horn-schunck"):
-            raise ValueError(f"unknown flow method {self.flow_method!r}")
         if self.gop_size < 1 or self.gop_size > 255:
             raise ValueError("gop_size must lie in [1, 255]")
         if self.residual_lambda < 0.0:
@@ -356,12 +353,6 @@ def _code_frame(planes, pred_planes, cfg, colorspace):
     return payload, _reconstruct(pred_int, res_dec, colorspace)
 
 
-def _estimate_flow(y_t, y_prev, method):
-    if method == "horn-schunck":
-        return flow_horn_schunck(y_t, y_prev)
-    return flow_brox(y_t, y_prev, BroxParams())
-
-
 def _encode_gop(frames_planes, cfg, colorspace, flows_raw):
     """Encode one group; returns (payload, reconstructed planes per frame)."""
     h, w = frames_planes[0][0].shape
@@ -402,15 +393,10 @@ def _to_yuv_planes(frame):
 
 def _compute_gop_flows(y_planes, cfg):
     """Flow fields between consecutive source frames, one list per group."""
-    flows = []
-    for s, e in _split_gops(len(y_planes), cfg.gop_size):
-        flows.append(
-            [
-                _estimate_flow(y_planes[i], y_planes[i - 1], cfg.flow_method)
-                for i in range(s + 1, e)
-            ]
-        )
-    return flows
+    return [
+        [flow_brox(y_planes[i], y_planes[i - 1], BroxParams()) for i in range(s + 1, e)]
+        for s, e in _split_gops(len(y_planes), cfg.gop_size)
+    ]
 
 
 def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
@@ -470,9 +456,25 @@ def _finalize_frame(recon_planes, channels) -> Frame:
 
 
 def decode(data: bytes, timings: dict | None = None):
-    """Decode a stream into output frames (RGB or gray)."""
+    """Decode a stream into output frames (RGB or gray).
+
+    Malformed bytes raise a BitstreamError subtype.
+    """
     t_all = time.perf_counter()
     header, payloads = read_stream(data)
+    try:
+        frames = _decode_groups(header, payloads, timings)
+    except ValueError as e:  # entropy, subdivision, quantizer, colour range
+        raise CodecError(str(e)) from e
+    if len(frames) != header.frame_count:
+        raise CodecError(
+            f"decoded {len(frames)} frames, header promised {header.frame_count}"
+        )
+    _bump(timings, "total", t_all)
+    return frames
+
+
+def _decode_groups(header, payloads, timings):
     colorspace = "yuv" if header.channels == 3 else "gray"
     shape = (header.height, header.width)
     frames = []
@@ -545,11 +547,6 @@ def decode(data: bytes, timings: dict | None = None):
             _bump(timings, "finalize", t0)
         if pos != len(payload):
             raise CodecError(f"trailing bytes in group {gi}")
-    if len(frames) != header.frame_count:
-        raise CodecError(
-            f"decoded {len(frames)} frames, header promised {header.frame_count}"
-        )
-    _bump(timings, "total", t_all)
     return frames
 
 

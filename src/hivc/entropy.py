@@ -21,7 +21,8 @@ import struct
 
 import numpy as np
 
-from hivc.bits import BitReader, BitWriter, TruncatedStream, read_uvarint, write_uvarint
+from hivc.bits import BitReader, BitWriter, read_uvarint, write_uvarint
+from hivc.bitstream import Truncated
 
 MAX_MAGNITUDE = (1 << 15) - 1
 DEFAULT_TABLE_LOG = 10
@@ -178,7 +179,7 @@ def fse_decode(reader: BitReader, state: int, count: int, table: FseTable):
             if nb:
                 pos += nb
                 if pos > limit:
-                    raise TruncatedStream("bit stream exhausted")
+                    raise Truncated("bit stream exhausted")
                 while have < nb:
                     acc = (acc << 8) | data[b]
                     b += 1
@@ -211,7 +212,7 @@ def _encode_header(counts: np.ndarray, table_log: int) -> bytearray:
 
 def _decode_header(data: bytes, pos: int):
     if pos >= len(data):
-        raise TruncatedStream("entropy payload truncated")
+        raise Truncated("entropy payload truncated")
     table_log = data[pos]
     pos += 1
     if not 5 <= table_log <= 12:
@@ -265,14 +266,14 @@ def decode_symbols(data: bytes, pos: int = 0):
     """Inverse of encode_symbols; returns (symbols, next position)."""
     counts, table_log, pos = _decode_header(data, pos)
     if pos + 10 > len(data):
-        raise TruncatedStream("entropy payload truncated")
+        raise Truncated("entropy payload truncated")
     count, state, bit_len = struct.unpack_from("<IHI", data, pos)
     pos += 10
     if count > MAX_STREAM_SYMBOLS:
         raise EntropyError(f"implausible symbol count {count}")
     nbytes = (bit_len + 7) // 8
     if pos + nbytes > len(data):
-        raise TruncatedStream("entropy payload truncated")
+        raise Truncated("entropy payload truncated")
     table = FseTable(counts, table_log)
     reader = BitReader(data[pos : pos + nbytes], bit_len)
     symbols = fse_decode(reader, state, count, table) if count else np.empty(0, dtype=np.int64)
@@ -300,12 +301,12 @@ def decode_signed_values(data: bytes, pos: int = 0):
     """Inverse of encode_signed_values; returns (values, next position)."""
     cats, pos = decode_symbols(data, pos)
     if pos + 4 > len(data):
-        raise TruncatedStream("entropy payload truncated")
+        raise Truncated("entropy payload truncated")
     (bit_len,) = struct.unpack_from("<I", data, pos)
     pos += 4
     nbytes = (bit_len + 7) // 8
     if pos + nbytes > len(data):
-        raise TruncatedStream("entropy payload truncated")
+        raise Truncated("entropy payload truncated")
     if np.any(cats > 16):
         raise EntropyError("bad category in stream")
     if int(cats.sum()) != bit_len:

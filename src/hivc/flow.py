@@ -3,7 +3,8 @@
 The primary estimator is a coarse-to-fine warping variational method
 with Charbonnier-robustified brightness and gradient constancy data
 terms and a robust smoothness term (the design of Brox-style flow).
-A classical Horn-Schunck solver is kept as the comparison baseline.
+The classical Horn-Schunck baseline it is compared against lives in
+the tests (`tests/oracles.py`).
 
 A flow field here is backward: it points from the current frame to the
 previous one, so prediction(x) = previous(x + w(x)). Compression uses
@@ -21,7 +22,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, median_filter
 
 from hivc import entropy
-from hivc.bits import BitReader, BitWriter, TruncatedStream
+from hivc.bits import BitReader, BitWriter
+from hivc.bitstream import Truncated
 from hivc.homogeneous import bilinear_resize
 from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
@@ -274,44 +276,6 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
     return FlowField(np.clip(u, -bound, bound), np.clip(v, -bound, bound))
 
 
-def flow_horn_schunck(
-    frame_t: np.ndarray, frame_prev: np.ndarray, alpha: float = 15.0, iterations: int = 400
-) -> FlowField:
-    """Classical quadratic-penalty flow, Jacobi iterations on the
-    Euler-Lagrange equations. Baseline only."""
-    im1 = np.asarray(frame_t, dtype=np.float64)
-    im2 = np.asarray(frame_prev, dtype=np.float64)
-    if im1.shape != im2.shape:
-        raise FlowError("frame shape mismatch")
-    if not (np.isfinite(im1).all() and np.isfinite(im2).all()):
-        raise FlowError("non-finite input planes")
-    fx = 0.5 * (_dx(im1) + _dx(im2))
-    fy = 0.5 * (_dy(im1) + _dy(im2))
-    ft = im2 - im1
-    u = np.zeros_like(im1)
-    v = np.zeros_like(im1)
-    kernel_avg = np.array([[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]])
-
-    def local_avg(a):
-        p = np.pad(a, 1, mode="edge")
-        out = np.zeros_like(a)
-        for dy in range(3):
-            for dx in range(3):
-                k = kernel_avg[dy, dx]
-                if k:
-                    out += k * p[dy : dy + a.shape[0], dx : dx + a.shape[1]]
-        return out
-
-    denom = alpha * alpha + fx * fx + fy * fy
-    for _ in range(iterations):
-        ua = local_avg(u)
-        va = local_avg(v)
-        common = (fx * ua + fy * va + ft) / denom
-        u = ua - fx * common
-        v = va - fy * common
-    return FlowField(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Flow compression: subdivision trees with quantized region averages
 # ---------------------------------------------------------------------------
@@ -338,12 +302,12 @@ def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
 
 def _decompress_plane(data: bytes, pos: int, shape, levels: int):
     if pos + 12 > len(data):
-        raise TruncatedStream("flow payload truncated")
+        raise Truncated("flow payload truncated")
     lo, hi, nbits = struct.unpack_from("<ffI", data, pos)
     pos += 12
     nbytes = (nbits + 7) // 8
     if pos + nbytes > len(data):
-        raise TruncatedStream("flow payload truncated")
+        raise Truncated("flow payload truncated")
     reader = BitReader(data[pos : pos + nbytes], nbits)
     tree = deserialize_tree(reader, 0, 0, shape[1], shape[0])
     pos += nbytes

@@ -20,10 +20,6 @@ class InpaintingError(ValueError):
     pass
 
 
-class ConvergenceError(RuntimeError):
-    """Solver failed to reach the requested tolerance within max_iter."""
-
-
 def laplacian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """5-point discrete Laplacian with reflecting boundaries.
 
@@ -54,15 +50,6 @@ def laplacian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     flat_out[:-1] += flat_u[1:]
     out[:, -1] = edge
     return out
-
-
-def apply_inpainting_operator(u: np.ndarray, mask: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Residual of the inpainting equation: u - f on the mask, Laplacian off it."""
-    if u.shape != f.shape or u.shape != mask.shape:
-        raise InpaintingError("plane/mask shape mismatch")
-    if not mask.any():
-        raise InpaintingError("empty inpainting mask")
-    return np.where(mask, u - f, laplacian(u))
 
 
 def _masked_cg(f, mask, x0, tol, max_iter, denom=None):
@@ -177,16 +164,14 @@ def solve_homogeneous(
     mask: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 10000,
-    strict: bool = True,
     stats: dict | None = None,
 ):
     """Cascadic coarse-to-fine CG solve of homogeneous diffusion inpainting.
 
-    Returns u with the relative residual of the inpainting equation
-    (L2, against ||f restricted to mask||) at most `tol`. With
-    strict=False the iteration budget is simply exhausted without a
-    convergence check, which makes decode-side work deterministic and
-    time-bounded. `stats`, if given, collects per-level iteration counts.
+    Each pyramid level stops at relative residual `tol` (at least
+    LEVEL_TOL below the finest) or after `max_iter` CG iterations, so
+    the work is bounded. `stats`, if given, collects per-level
+    iteration counts.
     """
     f = np.asarray(f, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -194,8 +179,6 @@ def solve_homogeneous(
         raise InpaintingError("plane/mask shape mismatch")
     if not mask.any():
         raise InpaintingError("empty inpainting mask")
-    if strict and tol <= 0:
-        raise InpaintingError("tol must be positive")
 
     levels = build_pyramid(f, mask)
     u = None
@@ -220,11 +203,4 @@ def solve_homogeneous(
         iters.append((fv.size, it))
     if stats is not None:
         stats["level_iterations"] = iters
-
-    if strict:
-        res = apply_inpainting_operator(u, mask, f)
-        denom = float(np.linalg.norm(f[mask]))
-        rel = float(np.linalg.norm(res)) / denom if denom > 0 else float(np.linalg.norm(res))
-        if denom > 0 and rel > tol:
-            raise ConvergenceError(f"relative residual {rel:.3e} > tol {tol:.3e}")
     return u

@@ -18,8 +18,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
-from hivc import entropy, runtime
-from hivc.bits import BitReader, BitWriter, TruncatedStream
+from hivc import entropy
+from hivc.bits import BitReader, BitWriter
+from hivc.bitstream import Truncated
 from hivc.flow import FlowField, warp_planes
 from hivc.homogeneous import solve_homogeneous
 from hivc.quantize import uniform_dequantize, uniform_quantize
@@ -132,7 +133,7 @@ def _encode_plane_values(values: np.ndarray, levels: int, out: bytearray):
 
 def _decode_plane_values(data: bytes, pos: int, levels: int):
     if pos + 4 > len(data):
-        raise TruncatedStream("intra payload truncated")
+        raise Truncated("intra payload truncated")
     lo, hi = struct.unpack_from("<hh", data, pos)
     pos += 4
     idx, pos = entropy.decode_symbols(data, pos)
@@ -148,12 +149,12 @@ def _write_tree(tree, out: bytearray):
 
 def _read_tree(data: bytes, pos: int, width: int, height: int):
     if pos + 4 > len(data):
-        raise TruncatedStream("intra payload truncated")
+        raise Truncated("intra payload truncated")
     (nbits,) = struct.unpack_from("<I", data, pos)
     pos += 4
     nbytes = (nbits + 7) // 8
     if pos + nbytes > len(data):
-        raise TruncatedStream("intra payload truncated")
+        raise Truncated("intra payload truncated")
     reader = BitReader(data[pos : pos + nbytes], nbits)
     mask = parse_mask(reader, width, height)
     return mask, pos + nbytes
@@ -196,16 +197,14 @@ def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
         for _ in range(2):
             vals, pos = _decode_plane_values(data, pos, chroma_levels(levels))
             jobs.append((mask_c, vals))
-    planes = runtime.map_tasks(lambda j: _inpaint_from_values(*j), jobs)
+    planes = [_inpaint_from_values(mask, vals) for mask, vals in jobs]
     return planes, pos
 
 
 def _inpaint_from_values(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     f = np.zeros(mask.shape)
     f.ravel()[_mask_points(mask)] = values
-    return solve_homogeneous(
-        f, mask, tol=INTRA_SOLVE_TOL, max_iter=INTRA_SOLVE_ITERS, strict=False
-    )
+    return solve_homogeneous(f, mask, tol=INTRA_SOLVE_TOL, max_iter=INTRA_SOLVE_ITERS)
 
 
 def predict_inter(prev_planes, flow: FlowField):

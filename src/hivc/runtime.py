@@ -1,49 +1,10 @@
-"""Process-wide knobs: worker thread count for per-channel work.
+"""hivc runs on one thread.
 
-The count is 1 unless `--threads` or HIVC_THREADS asks for more. Only
-the intra decode uses it: `map_tasks` then solves a frame's planes in
-a thread pool. On a 2-core machine the pool measured slower, not
-faster: decoding the 8-frame 480x205 bench stream at 100:1 took
-about 1.6 times as long with 2 workers as with 1, because the CG's
-BLAS calls start threads of their own that compete with the pool. With
-OPENBLAS_NUM_THREADS=1 the two counts ran equally fast. Decoded bits
-do not depend on the count.
+A per-plane thread pool for the intra solve measured slower on 2 cores,
+because the CG's BLAS calls start threads of their own.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_num_threads = 1
-
-
-def set_num_threads(n: int):
-    global _num_threads
-    if n < 1:
-        raise ValueError("thread count must be >= 1")
-    _num_threads = int(n)
 
 
 def get_num_threads() -> int:
-    return _num_threads
-
-
-def default_threads() -> int:
-    """Resolve the startup default from the HIVC_THREADS variable."""
-    env = os.environ.get("HIVC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Worker threads hivc uses, as reports print it."""
     return 1
-
-
-def map_tasks(fn, items):
-    """Apply fn over items, threaded when more than one worker is set."""
-    items = list(items)
-    if _num_threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(_num_threads, len(items))) as pool:
-        return list(pool.map(fn, items))

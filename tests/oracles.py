@@ -2,6 +2,7 @@
 
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
+The Horn-Schunck flow is the classical baseline for Brox flow.
 """
 
 from dataclasses import dataclass
@@ -9,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hivc.entropy import DEFAULT_TABLE_LOG, EntropyError, FseTable, normalize_counts
+from hivc.flow import FlowError, FlowField, _dx, _dy
+from hivc.homogeneous import InpaintingError, laplacian
 from hivc.prediction import decode_intra, encode_intra
 from hivc.pseudodiff import BLOCK, block_grid, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.subdivision import leaf_means, paint_leaf_values
@@ -48,6 +51,15 @@ def solve_dense(f: np.ndarray, mask: np.ndarray) -> np.ndarray:
     rhs = m * f.ravel()
     u = np.linalg.solve(system, rhs)
     return u.reshape(h, w)
+
+
+def apply_inpainting_operator(u: np.ndarray, mask: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Residual of the inpainting equation: u - f on the mask, Laplacian off it."""
+    if u.shape != f.shape or u.shape != mask.shape:
+        raise InpaintingError("plane/mask shape mismatch")
+    if not mask.any():
+        raise InpaintingError("empty inpainting mask")
+    return np.where(mask, u - f, laplacian(u))
 
 
 def greens_matrix_dense(width: int, height: int) -> np.ndarray:
@@ -150,3 +162,46 @@ def from_category(category: int, extra: int) -> int:
     if extra >= half:
         return extra
     return extra - (1 << category) + 1
+
+
+# ---------------------------------------------------------------------------
+# Flow baseline
+# ---------------------------------------------------------------------------
+
+
+def flow_horn_schunck(
+    frame_t: np.ndarray, frame_prev: np.ndarray, alpha: float = 15.0, iterations: int = 400
+) -> FlowField:
+    """Classical quadratic-penalty flow, Jacobi iterations on the
+    Euler-Lagrange equations."""
+    im1 = np.asarray(frame_t, dtype=np.float64)
+    im2 = np.asarray(frame_prev, dtype=np.float64)
+    if im1.shape != im2.shape:
+        raise FlowError("frame shape mismatch")
+    if not (np.isfinite(im1).all() and np.isfinite(im2).all()):
+        raise FlowError("non-finite input planes")
+    fx = 0.5 * (_dx(im1) + _dx(im2))
+    fy = 0.5 * (_dy(im1) + _dy(im2))
+    ft = im2 - im1
+    u = np.zeros_like(im1)
+    v = np.zeros_like(im1)
+    kernel_avg = np.array([[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]])
+
+    def local_avg(a):
+        p = np.pad(a, 1, mode="edge")
+        out = np.zeros_like(a)
+        for dy in range(3):
+            for dx in range(3):
+                k = kernel_avg[dy, dx]
+                if k:
+                    out += k * p[dy : dy + a.shape[0], dx : dx + a.shape[1]]
+        return out
+
+    denom = alpha * alpha + fx * fx + fy * fy
+    for _ in range(iterations):
+        ua = local_avg(u)
+        va = local_avg(v)
+        common = (fx * ua + fy * va + ft) / denom
+        u = ua - fx * common
+        v = va - fy * common
+    return FlowField(u, v)

@@ -24,14 +24,13 @@ from hivc.flow import (
     compress_flow,
     decompress_flow,
     flow_brox,
-    flow_horn_schunck,
     warp_planes,
 )
 from hivc.frame import Frame, psnr, rct_forward, rct_inverse
 from hivc.homogeneous import solve_homogeneous
 from hivc.pseudodiff import reconstruct_blocks, solve_block_coefficients_batch
 from hivc.quantize import deadzone_dequantize, deadzone_quantize, map_coefficients
-from oracles import dense_laplacian, greens_matrix_dense
+from oracles import dense_laplacian, flow_horn_schunck, greens_matrix_dense
 
 
 def _verdict(num, name, ok, detail=""):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import BitReader, BitWriter, TruncatedStream, read_uvarint, write_uvarint
+from hivc.bits import BitReader, BitWriter, read_uvarint, write_uvarint
+from hivc.bitstream import Truncated
 
 
 @settings(max_examples=60, deadline=None)
@@ -39,7 +40,7 @@ def test_read_bit_interleaves_with_read_bits(counts, data):
     pos = 0
     for c in counts:
         if pos + c > len(bits):
-            with pytest.raises(TruncatedStream):
+            with pytest.raises(Truncated):
                 r.read_bit() if c == 1 else r.read_bits(c)
             return
         got = r.read_bit() if c == 1 else r.read_bits(c)
@@ -51,7 +52,7 @@ def test_read_bit_interleaves_with_read_bits(counts, data):
 def test_reader_truncation():
     r = BitReader(b"\xff")
     r.read_bits(8)
-    with pytest.raises(TruncatedStream):
+    with pytest.raises(Truncated):
         r.read_bits(1)
 
 
@@ -71,5 +72,5 @@ def test_uvarint_round_trip(values):
 def test_uvarint_truncation():
     out = bytearray()
     write_uvarint(out, 300)
-    with pytest.raises(TruncatedStream):
+    with pytest.raises(Truncated):
         read_uvarint(bytes(out[:1]), 0)

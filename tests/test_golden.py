@@ -2,10 +2,11 @@
 
 Each clip below is encoded with its config and must reproduce the
 committed stream in `tests/golden/` byte for byte; decoding it must
-reproduce the committed SHA-256 of the decoded frames. A second test
-decodes every stream in subprocesses under several OpenBLAS kernels and
-requires the same frame hashes, since the residual reconstruction and
-the intra solver run through BLAS.
+reproduce the committed SHA-256 of the decoded frames. Two more tests
+decode every stream in subprocesses, under several OpenBLAS kernels and
+with numpy's optional SIMD kernels disabled, and require the same frame
+hashes, since the residual reconstruction and the intra solver run
+through BLAS and numpy's vector loops.
 
 A change to these files is a change of the format's bits. Regenerate
 them with `python tests/test_golden.py write` only together with a
@@ -100,30 +101,54 @@ def test_golden_stream_reencodes_and_decodes(name):
     assert frames_sha256(decode(stream)) == expect["frames_sha256"]
 
 
+def _expected_frame_hashes():
+    return {name: h["frames_sha256"] for name, h in _load_hashes().items()}
+
+
+def _simd_extensions():
+    return np.show_config(mode="dicts")["SIMD Extensions"]
+
+
+def _decode_in_subprocess(**env_vars):
+    """Decode every golden stream in a fresh interpreter; returns its report."""
+    src = str(Path(__import__("hivc").__file__).resolve().parent.parent)
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, __file__, "decode"], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def test_golden_decode_is_the_same_under_every_blas_kernel():
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
 
-    expect = {name: h["frames_sha256"] for name, h in _load_hashes().items()}
-    src = str(Path(__import__("hivc").__file__).resolve().parent.parent)
+    expect = _expected_frame_hashes()
     cores = set()
     for core in CORETYPES:
         if not __cpu_features__.get(_CORE_FEATURE[core], False):
             continue
-        env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, __file__, "decode"], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert out.returncode == 0, out.stderr
-        report = json.loads(out.stdout)
+        report = _decode_in_subprocess(OPENBLAS_CORETYPE=core)
         assert report["hashes"] == expect, core
         cores.add(report["core"])
     # the forced kernels really ran: each reports its own name
     if None not in cores:
         assert len(cores) == sum(__cpu_features__.get(_CORE_FEATURE[c], False) for c in CORETYPES)
+
+
+def test_golden_decode_is_the_same_under_baseline_simd():
+    # every optional kernel numpy dispatches to on this CPU, switched off
+    dispatched = _simd_extensions().get("found", [])
+    if not dispatched:
+        pytest.skip("numpy dispatches no optional SIMD kernels on this CPU")
+    report = _decode_in_subprocess(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    assert report["hashes"] == _expected_frame_hashes()
+    # the child really ran on the baseline kernels
+    assert set(dispatched) <= set(report["simd_not_found"])
 
 
 def _write():
@@ -144,6 +169,11 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["write"]:
         _write()
     elif sys.argv[1:] == ["decode"]:
-        print(json.dumps({"core": _openblas_corename(), "hashes": _decode_all()}))
+        report = {
+            "core": _openblas_corename(),
+            "simd_not_found": _simd_extensions().get("not found", []),
+            "hashes": _decode_all(),
+        }
+        print(json.dumps(report))
     else:
         sys.exit("usage: python tests/test_golden.py {write|decode}")

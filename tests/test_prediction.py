@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_texture
-from hivc.bits import TruncatedStream
+from hivc.bitstream import Truncated
 from hivc.flow import FlowField, bilinear_warp
 from hivc.frame import Frame, psnr, rct_forward
 from hivc.prediction import (
@@ -92,7 +92,7 @@ def test_intra_budget_monotonicity_median():
 def test_intra_payload_truncation_reported():
     planes = _yuv_planes(3)
     payload = encode_intra(planes, 30, 256)
-    with pytest.raises((TruncatedStream, ValueError)):
+    with pytest.raises((Truncated, ValueError)):
         decode_intra(payload[: len(payload) // 3], 0, planes[0].shape, 3, 256)
 
 
