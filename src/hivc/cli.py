@@ -237,6 +237,9 @@ def _cmd_metrics(args):
 def _cmd_inspect(args):
     with open(args.input, "rb") as fh:
         data = fh.read()
+    # a full decode vets every payload, so a corrupt stream exits 4
+    # before any byte share is reported
+    codec.decode(data)
     header, payloads = bitstream.read_stream(data)
     lines = _common_lines(args) + [
         ("width", header.width),

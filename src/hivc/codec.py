@@ -288,11 +288,9 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
             y0, x0, bh, bw = tiles[ti]
             masks[bi, :bh, :bw] = parse_mask(reader, bw, bh)
 
-        c_sym, pos = entropy.decode_signed_values(data, pos)
-        a_sym, pos = entropy.decode_signed_values(data, pos)
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))
-        if c_sym.size != rows.size * nplanes or a_sym.size != len(coded) * nplanes:
-            raise CodecError("residual payload inconsistent with block masks")
+        c_sym, pos = entropy.decode_signed_values(data, pos, rows.size * nplanes)
+        a_sym, pos = entropy.decode_signed_values(data, pos, len(coded) * nplanes)
         if timings is not None:
             timings["residual_parse"] = timings.get("residual_parse", 0.0) + (
                 time.perf_counter() - t0
@@ -482,6 +480,8 @@ def _decode_groups(header, payloads, timings):
         if len(payload) < 2:
             raise Truncated(f"group {gi} payload too small")
         (nframes,) = struct.unpack_from("<H", payload, 0)
+        if not 1 <= nframes <= header.gop_size or len(frames) + nframes > header.frame_count:
+            raise CodecError(f"group {gi} claims {nframes} frames")
         pos = 2
         prev = None
         for fi in range(nframes):

@@ -26,7 +26,6 @@ from hivc.bitstream import Truncated
 
 MAX_MAGNITUDE = (1 << 15) - 1
 DEFAULT_TABLE_LOG = 10
-MAX_STREAM_SYMBOLS = 1 << 28  # corrupt-count guard; far above any real payload
 
 
 class EntropyError(ValueError):
@@ -262,15 +261,20 @@ def encode_symbols(symbols, table_log: int | None = None) -> bytes:
     return bytes(out)
 
 
-def decode_symbols(data: bytes, pos: int = 0):
-    """Inverse of encode_symbols; returns (symbols, next position)."""
+def decode_symbols(data: bytes, pos: int, expected: int):
+    """Inverse of encode_symbols; returns (symbols, next position).
+
+    `expected` is the symbol count the caller knows from the payload's
+    structure (mask points, tree leaves, coded blocks). A stream that
+    claims another count is rejected before anything is allocated for it.
+    """
     counts, table_log, pos = _decode_header(data, pos)
     if pos + 10 > len(data):
         raise Truncated("entropy payload truncated")
     count, state, bit_len = struct.unpack_from("<IHI", data, pos)
     pos += 10
-    if count > MAX_STREAM_SYMBOLS:
-        raise EntropyError(f"implausible symbol count {count}")
+    if count != expected:
+        raise EntropyError(f"stream claims {count} symbols, {expected} expected")
     nbytes = (bit_len + 7) // 8
     if pos + nbytes > len(data):
         raise Truncated("entropy payload truncated")
@@ -297,9 +301,12 @@ def encode_signed_values(values, table_log: int | None = None) -> bytes:
     return bytes(payload)
 
 
-def decode_signed_values(data: bytes, pos: int = 0):
-    """Inverse of encode_signed_values; returns (values, next position)."""
-    cats, pos = decode_symbols(data, pos)
+def decode_signed_values(data: bytes, pos: int, expected: int):
+    """Inverse of encode_signed_values; returns (values, next position).
+
+    `expected` is the value count, as for decode_symbols.
+    """
+    cats, pos = decode_symbols(data, pos, expected)
     if pos + 4 > len(data):
         raise Truncated("entropy payload truncated")
     (bit_len,) = struct.unpack_from("<I", data, pos)

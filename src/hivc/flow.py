@@ -157,33 +157,54 @@ def _pyramid_shapes(h, w, scale, min_size):
     return shapes
 
 
-def _neighbor_sums(field, weights_n, weights_s, weights_w, weights_e):
-    """Sum of w_nb * field_nb over the 4-neighborhood (reflecting edges)."""
-    p = np.pad(field, 1, mode="edge")
-    return (
-        weights_n * p[:-2, 1:-1]
-        + weights_s * p[2:, 1:-1]
-        + weights_w * p[1:-1, :-2]
-        + weights_e * p[1:-1, 2:]
-    )
+def _neighbor_sums(field, wn, ws, ww, we, out, tmp):
+    """wn * n + ws * s + ww * w + we * e, summed left to right, into `out`.
+
+    n, s, w and e are the field's four neighbours, with the field
+    repeated at the image edges (np.pad's "edge" mode). Each product is
+    formed from shifted views: rows for n and s, the flattened plane for
+    w and e, whose wrapped-around first or last column is then redone.
+    """
+    np.multiply(wn[1:], field[:-1], out=out[1:])
+    np.multiply(wn[0], field[0], out=out[0])
+    np.multiply(ws[:-1], field[1:], out=tmp[:-1])
+    np.multiply(ws[-1], field[-1], out=tmp[-1])
+    out += tmp
+    flat, tmp_flat = field.ravel(), tmp.ravel()
+    np.multiply(ww.ravel()[1:], flat[:-1], out=tmp_flat[1:])
+    np.multiply(ww[:, 0], field[:, 0], out=tmp[:, 0])
+    out += tmp
+    np.multiply(we.ravel()[:-1], flat[1:], out=tmp_flat[:-1])
+    np.multiply(we[:, -1], field[:, -1], out=tmp[:, -1])
+    out += tmp
+    return out
 
 
-def _half_point_weights(psi):
-    p = np.pad(psi, 1, mode="edge")
-    wn = 0.5 * (psi + p[:-2, 1:-1])
-    ws = 0.5 * (psi + p[2:, 1:-1])
-    ww = 0.5 * (psi + p[1:-1, :-2])
-    we = 0.5 * (psi + p[1:-1, 2:])
-    # no flux across the image border
+def _half_point_weights(psi, out):
+    """Diffusivity halfway to each neighbour, 0.5 * (psi + psi_nb), into
+    out[0:4] as (n, s, w, e); zero across the image border (no flux)."""
+    wn, ws, ww, we = out
+    np.add(psi[1:], psi[:-1], out=wn[1:])
+    np.add(psi[:-1], psi[1:], out=ws[:-1])
+    flat = psi.ravel()
+    np.add(flat[1:], flat[:-1], out=ww.ravel()[1:])
+    np.add(flat[:-1], flat[1:], out=we.ravel()[:-1])
     wn[0, :] = 0.0
     ws[-1, :] = 0.0
     ww[:, 0] = 0.0
     we[:, -1] = 0.0
+    out *= 0.5
     return wn, ws, ww, we
 
 
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | None = None) -> FlowField:
-    """Backward flow from frame_t to frame_prev, coarse-to-fine with warping."""
+    """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
+
+    Each fixed-point step solves its linear system with damped Jacobi
+    sweeps. The sweeps run in place, in work planes allocated once per
+    pyramid level, and take neighbours from shifted views instead of an
+    edge-padded copy of the field.
+    """
     if params is None:
         params = BroxParams()
     f1 = np.asarray(frame_t, dtype=np.float64)
@@ -205,6 +226,8 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
         refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
         tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
     eps2 = params.eps * params.eps
+    alpha = params.alpha
+    det_guard = 1e-12
     u = v = None
     for lvl in range(len(shapes) - 1, -1, -1):
         h, w = shapes[lvl]
@@ -216,19 +239,32 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
         else:
             u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
             v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
+        # per-level work planes of the Jacobi sweep
+        du, dv, su, sv, b1, b2, du_new, dv_new, tmp = np.empty((9, h, w))
+        weights = np.empty((4, h, w))
+        ref_dx = _dx(ref)
+        ref_dy = _dy(ref)
 
         for _ in range(params.warps):
             warped = bilinear_warp(tgt, u, v)
-            ix = 0.5 * (_dx(warped) + _dx(ref))
-            iy = 0.5 * (_dy(warped) + _dy(ref))
+            warped_dx = _dx(warped)
+            warped_dy = _dy(warped)
+            ix = 0.5 * (warped_dx + ref_dx)
+            iy = 0.5 * (warped_dy + ref_dy)
             iz = warped - ref
             ixx = _dx(ix)
             ixy = _dy(ix)
             iyy = _dy(iy)
-            ixz = _dx(warped) - _dx(ref)
-            iyz = _dy(warped) - _dy(ref)
-            du = np.zeros_like(u)
-            dv = np.zeros_like(v)
+            ixz = warped_dx - ref_dx
+            iyz = warped_dy - ref_dy
+            # gradient-constancy products that no fixed-point step changes
+            g11 = ixx * ixx + ixy * ixy
+            g12 = ixx * ixy + ixy * iyy
+            g22 = ixy * ixy + iyy * iyy
+            gb1 = ixx * ixz + ixy * iyz
+            gb2 = ixy * ixz + iyy * iyz
+            du.fill(0.0)
+            dv.fill(0.0)
             for _ in range(params.fixed_point_iters):
                 r_b = iz + ix * du + iy * dv
                 psi_d = 1.0 / np.sqrt(r_b * r_b + eps2)
@@ -241,27 +277,45 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
                 # diffusivity floor prevents the TV outlier spiral where a
                 # single pixel decouples from its neighborhood
                 psi_s = np.maximum(1.0 / np.sqrt(grad2 + eps2), 0.05)
-                wn, ws, ww, we = _half_point_weights(psi_s)
+                wn, ws, ww, we = _half_point_weights(psi_s, weights)
                 wsum = wn + ws + ww + we
 
-                a11 = psi_d * ix * ix + psi_g * (ixx * ixx + ixy * ixy) + params.alpha * wsum
-                a12 = psi_d * ix * iy + psi_g * (ixx * ixy + ixy * iyy)
-                a22 = psi_d * iy * iy + psi_g * (ixy * ixy + iyy * iyy) + params.alpha * wsum
-                b1_fix = -psi_d * ix * iz - psi_g * (ixx * ixz + ixy * iyz)
-                b2_fix = -psi_d * iy * iz - psi_g * (ixy * ixz + iyy * iyz)
-                su = _neighbor_sums(u, wn, ws, ww, we) - wsum * u
-                sv = _neighbor_sums(v, wn, ws, ww, we) - wsum * v
+                a11 = psi_d * ix * ix + psi_g * g11 + alpha * wsum
+                a12 = psi_d * ix * iy + psi_g * g12
+                a22 = psi_d * iy * iy + psi_g * g22 + alpha * wsum
+                b1_fix = -psi_d * ix * iz - psi_g * gb1
+                b2_fix = -psi_d * iy * iz - psi_g * gb2
+                _neighbor_sums(u, wn, ws, ww, we, su, tmp)
+                su -= np.multiply(wsum, u, out=tmp)
+                _neighbor_sums(v, wn, ws, ww, we, sv, tmp)
+                sv -= np.multiply(wsum, v, out=tmp)
+                det = a11 * a22 - a12 * a12
+                det = np.where(np.abs(det) < det_guard, det_guard, det)
 
-                det_guard = 1e-12
                 for _ in range(params.solver_iters):
-                    b1 = b1_fix + params.alpha * (su + _neighbor_sums(du, wn, ws, ww, we))
-                    b2 = b2_fix + params.alpha * (sv + _neighbor_sums(dv, wn, ws, ww, we))
-                    det = a11 * a22 - a12 * a12
-                    det = np.where(np.abs(det) < det_guard, det_guard, det)
-                    du_new = (a22 * b1 - a12 * b2) / det
-                    dv_new = (a11 * b2 - a12 * b1) / det
-                    du = 0.5 * du + 0.5 * du_new  # damped Jacobi
-                    dv = 0.5 * dv + 0.5 * dv_new
+                    # b = b_fix + alpha * (s + neighbour sums of the increment)
+                    _neighbor_sums(du, wn, ws, ww, we, b1, tmp)
+                    b1 += su
+                    b1 *= alpha
+                    b1 += b1_fix
+                    _neighbor_sums(dv, wn, ws, ww, we, b2, tmp)
+                    b2 += sv
+                    b2 *= alpha
+                    b2 += b2_fix
+                    # du_new = (a22 * b1 - a12 * b2) / det, likewise dv_new
+                    np.multiply(a22, b1, out=du_new)
+                    du_new -= np.multiply(a12, b2, out=tmp)
+                    du_new /= det
+                    np.multiply(a11, b2, out=dv_new)
+                    dv_new -= np.multiply(a12, b1, out=tmp)
+                    dv_new /= det
+                    # damped Jacobi: d = 0.5 * d + 0.5 * d_new
+                    du *= 0.5
+                    du_new *= 0.5
+                    du += du_new
+                    dv *= 0.5
+                    dv_new *= 0.5
+                    dv += dv_new
                 # the linearized data terms are only valid near the
                 # expansion point; keep increments inside that range
                 np.clip(du, -1.0, 1.0, out=du)
@@ -311,7 +365,7 @@ def _decompress_plane(data: bytes, pos: int, shape, levels: int):
     reader = BitReader(data[pos : pos + nbytes], nbits)
     tree = deserialize_tree(reader, 0, 0, shape[1], shape[0])
     pos += nbytes
-    idx, pos = entropy.decode_symbols(data, pos)
+    idx, pos = entropy.decode_symbols(data, pos, tree.leaf_count)
     values = uniform_dequantize(idx, float(lo), float(hi), levels)
     return paint_leaf_values(tree, values), pos
 

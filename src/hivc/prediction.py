@@ -131,12 +131,12 @@ def _encode_plane_values(values: np.ndarray, levels: int, out: bytearray):
     out += entropy.encode_symbols(idx)
 
 
-def _decode_plane_values(data: bytes, pos: int, levels: int):
+def _decode_plane_values(data: bytes, pos: int, levels: int, count: int):
     if pos + 4 > len(data):
         raise Truncated("intra payload truncated")
     lo, hi = struct.unpack_from("<hh", data, pos)
     pos += 4
-    idx, pos = entropy.decode_symbols(data, pos)
+    idx, pos = entropy.decode_symbols(data, pos, count)
     return uniform_dequantize(idx, float(lo), float(hi), levels), pos
 
 
@@ -190,12 +190,13 @@ def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
     """
     h, w = shape
     mask_y, pos = _read_tree(data, pos, w, h)
-    vals_y, pos = _decode_plane_values(data, pos, levels)
+    vals_y, pos = _decode_plane_values(data, pos, levels, int(np.count_nonzero(mask_y)))
     jobs = [(mask_y, vals_y)]
     if channels == 3:
         mask_c, pos = _read_tree(data, pos, w, h)
+        n_c = int(np.count_nonzero(mask_c))
         for _ in range(2):
-            vals, pos = _decode_plane_values(data, pos, chroma_levels(levels))
+            vals, pos = _decode_plane_values(data, pos, chroma_levels(levels), n_c)
             jobs.append((mask_c, vals))
     planes = [_inpaint_from_values(mask, vals) for mask, vals in jobs]
     return planes, pos

@@ -90,31 +90,30 @@ def subdivide_by_error(
         raise SubdivisionError("target_points must be >= 1")
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
+    if target_points == 1:
+        return SubdivisionTree(0, 0, w_img, h_img, (0,))
     if error_fn is None:
         error_fn = region_ssd
 
-    def priority(rect, seq):
+    def entry(rect, seq):
         x, y, w, h = rect
         err = -1.0 if (w == 1 and h == 1) else float(error_fn(plane, x, y, w, h))
-        return (-err, y, x, seq)
+        return (-err, y, x, seq, rect)
 
+    root = (0, 0, w_img, h_img)
+    # the root is split first whatever its error, so only the stopping
+    # rule ever reads it
+    heap = [entry(root, 0) if min_error is not None else (0.0, 0, 0, 0, root)]
     # nodes: rect -> (first_rect, second_rect) for internal nodes
     children = {}
-    root = (0, 0, w_img, h_img)
-    seq = 0
-    heap = [(*priority(root, seq), root)]
-    n_leaves = 1
-    while n_leaves < target_points:
-        neg_err, *_, rect = heapq.heappop(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    for seq in range(1, 2 * target_points - 1, 2):
+        neg_err, _, _, _, rect = pop(heap)
         if min_error is not None and -neg_err <= min_error:
             break
-        first, second = split_children(*rect)
-        children[rect] = (first, second)
-        seq += 1
-        heapq.heappush(heap, (*priority(first, seq), first))
-        seq += 1
-        heapq.heappush(heap, (*priority(second, seq), second))
-        n_leaves += 1
+        first, second = children[rect] = split_children(*rect)
+        push(heap, entry(first, seq))
+        push(heap, entry(second, seq + 1))
 
     bits = []
     stack = [root]
@@ -131,15 +130,23 @@ def subdivide_by_error(
 
 
 def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
+    """Sum of squared deviations from the region mean.
+
+    The same reductions as float(np.sum((region - region.mean()) ** 2)),
+    called directly: this runs hundreds of thousands of times per encode,
+    and the wrappers around them cost more than the arithmetic.
+    """
     region = plane[y : y + h, x : x + w]
-    return float(np.sum((region - region.mean()) ** 2))
+    dev = region - np.add.reduce(region, axis=None, dtype=np.float64) / region.size
+    return float(np.add.reduce(np.multiply(dev, dev, out=dev), axis=None))
 
 
 def joint_ssd_error(planes):
-    """Error function summing region SSD over several planes (chroma rule)."""
+    """Error function adding the region SSDs of two planes (chroma rule)."""
+    a, b = planes
 
     def fn(_plane, x, y, w, h):
-        return sum(region_ssd(p, x, y, w, h) for p in planes)
+        return region_ssd(a, x, y, w, h) + region_ssd(b, x, y, w, h)
 
     return fn
 

@@ -2,19 +2,37 @@
 
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
-The Horn-Schunck flow is the classical baseline for Brox flow.
+The Horn-Schunck flow is the classical baseline for Brox flow. The
+plain-expression Brox solver and subdivision search at the end are the
+reference the in-place production versions must match bit for bit.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import gaussian_filter, median_filter
 
 from hivc.entropy import DEFAULT_TABLE_LOG, EntropyError, FseTable, normalize_counts
-from hivc.flow import FlowError, FlowField, _dx, _dy
-from hivc.homogeneous import InpaintingError, laplacian
+from hivc.flow import (
+    BroxParams,
+    FlowError,
+    FlowField,
+    _dx,
+    _dy,
+    _pyramid_shapes,
+    bilinear_warp,
+)
+from hivc.homogeneous import InpaintingError, bilinear_resize, laplacian
 from hivc.prediction import decode_intra, encode_intra
 from hivc.pseudodiff import BLOCK, block_grid, reconstruct_blocks, solve_block_coefficients_batch
-from hivc.subdivision import leaf_means, paint_leaf_values
+from hivc.subdivision import (
+    SubdivisionError,
+    SubdivisionTree,
+    leaf_means,
+    paint_leaf_values,
+    split_children,
+)
 
 # ---------------------------------------------------------------------------
 # Dense inpainting and Green's functions
@@ -205,3 +223,198 @@ def flow_horn_schunck(
         u = ua - fx * common
         v = va - fy * common
     return FlowField(u, v)
+
+
+# ---------------------------------------------------------------------------
+# Brox flow and subdivision search, as plain expressions
+# ---------------------------------------------------------------------------
+
+
+def _neighbor_sums(field, weights_n, weights_s, weights_w, weights_e):
+    """Sum of w_nb * field_nb over the 4-neighborhood (reflecting edges)."""
+    p = np.pad(field, 1, mode="edge")
+    return (
+        weights_n * p[:-2, 1:-1]
+        + weights_s * p[2:, 1:-1]
+        + weights_w * p[1:-1, :-2]
+        + weights_e * p[1:-1, 2:]
+    )
+
+
+def _half_point_weights(psi):
+    p = np.pad(psi, 1, mode="edge")
+    wn = 0.5 * (psi + p[:-2, 1:-1])
+    ws = 0.5 * (psi + p[2:, 1:-1])
+    ww = 0.5 * (psi + p[1:-1, :-2])
+    we = 0.5 * (psi + p[1:-1, 2:])
+    # no flux across the image border
+    wn[0, :] = 0.0
+    ws[-1, :] = 0.0
+    ww[:, 0] = 0.0
+    we[:, -1] = 0.0
+    return wn, ws, ww, we
+
+
+def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | None = None) -> FlowField:
+    """Backward flow from frame_t to frame_prev, coarse-to-fine with warping."""
+    if params is None:
+        params = BroxParams()
+    f1 = np.asarray(frame_t, dtype=np.float64)
+    f0 = np.asarray(frame_prev, dtype=np.float64)
+    if f1.shape != f0.shape:
+        raise FlowError("frame shape mismatch")
+    if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
+        raise FlowError("non-finite input planes")
+    if params.presmooth_sigma > 0:
+        f1 = gaussian_filter(f1, params.presmooth_sigma)
+        f0 = gaussian_filter(f0, params.presmooth_sigma)
+
+    shapes = _pyramid_shapes(*f1.shape, params.pyramid_scale, params.min_size)
+    # recursive pyramid: each level smooths the previous one before resampling
+    refs = [f1]
+    tgts = [f0]
+    anti_alias = 0.5 / params.pyramid_scale
+    for h, w in shapes[1:]:
+        refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
+        tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
+    eps2 = params.eps * params.eps
+    u = v = None
+    for lvl in range(len(shapes) - 1, -1, -1):
+        h, w = shapes[lvl]
+        ref = refs[lvl]
+        tgt = tgts[lvl]
+        if u is None:
+            u = np.zeros((h, w))
+            v = np.zeros((h, w))
+        else:
+            u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
+            v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
+
+        for _ in range(params.warps):
+            warped = bilinear_warp(tgt, u, v)
+            ix = 0.5 * (_dx(warped) + _dx(ref))
+            iy = 0.5 * (_dy(warped) + _dy(ref))
+            iz = warped - ref
+            ixx = _dx(ix)
+            ixy = _dy(ix)
+            iyy = _dy(iy)
+            ixz = _dx(warped) - _dx(ref)
+            iyz = _dy(warped) - _dy(ref)
+            du = np.zeros_like(u)
+            dv = np.zeros_like(v)
+            for _ in range(params.fixed_point_iters):
+                r_b = iz + ix * du + iy * dv
+                psi_d = 1.0 / np.sqrt(r_b * r_b + eps2)
+                r_gx = ixz + ixx * du + ixy * dv
+                r_gy = iyz + ixy * du + iyy * dv
+                psi_g = params.gamma / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
+                ut = u + du
+                vt = v + dv
+                grad2 = _dx(ut) ** 2 + _dy(ut) ** 2 + _dx(vt) ** 2 + _dy(vt) ** 2
+                # diffusivity floor prevents the TV outlier spiral where a
+                # single pixel decouples from its neighborhood
+                psi_s = np.maximum(1.0 / np.sqrt(grad2 + eps2), 0.05)
+                wn, ws, ww, we = _half_point_weights(psi_s)
+                wsum = wn + ws + ww + we
+
+                a11 = psi_d * ix * ix + psi_g * (ixx * ixx + ixy * ixy) + params.alpha * wsum
+                a12 = psi_d * ix * iy + psi_g * (ixx * ixy + ixy * iyy)
+                a22 = psi_d * iy * iy + psi_g * (ixy * ixy + iyy * iyy) + params.alpha * wsum
+                b1_fix = -psi_d * ix * iz - psi_g * (ixx * ixz + ixy * iyz)
+                b2_fix = -psi_d * iy * iz - psi_g * (ixy * ixz + iyy * iyz)
+                su = _neighbor_sums(u, wn, ws, ww, we) - wsum * u
+                sv = _neighbor_sums(v, wn, ws, ww, we) - wsum * v
+
+                det_guard = 1e-12
+                for _ in range(params.solver_iters):
+                    b1 = b1_fix + params.alpha * (su + _neighbor_sums(du, wn, ws, ww, we))
+                    b2 = b2_fix + params.alpha * (sv + _neighbor_sums(dv, wn, ws, ww, we))
+                    det = a11 * a22 - a12 * a12
+                    det = np.where(np.abs(det) < det_guard, det_guard, det)
+                    du_new = (a22 * b1 - a12 * b2) / det
+                    dv_new = (a11 * b2 - a12 * b1) / det
+                    du = 0.5 * du + 0.5 * du_new  # damped Jacobi
+                    dv = 0.5 * dv + 0.5 * dv_new
+                # the linearized data terms are only valid near the
+                # expansion point; keep increments inside that range
+                np.clip(du, -1.0, 1.0, out=du)
+                np.clip(dv, -1.0, 1.0, out=dv)
+            u = u + du
+            v = v + dv
+            # median filtering after each warp removes isolated outliers
+            # while preserving motion discontinuities
+            u = median_filter(u, size=3, mode="nearest")
+            v = median_filter(v, size=3, mode="nearest")
+    bound = float(max(f1.shape))
+    return FlowField(np.clip(u, -bound, bound), np.clip(v, -bound, bound))
+
+
+def subdivide_by_error(
+    plane: np.ndarray, target_points: int, error_fn=None, min_error=None
+) -> SubdivisionTree:
+    """Greedy split of the worst-error leaf until `target_points` leaves exist.
+
+    `error_fn(plane, x, y, w, h)` defaults to the sum of squared
+    deviations from the region mean. Ties break deterministically by
+    (y, x, creation order). Single-pixel leaves sink to the bottom of
+    the queue since they cannot be split. With `min_error` set, splitting
+    stops early once the worst leaf error drops to that value or below,
+    so exactly representable planes yield small trees.
+    """
+    h_img, w_img = plane.shape
+    if target_points < 1:
+        raise SubdivisionError("target_points must be >= 1")
+    if target_points > w_img * h_img:
+        raise SubdivisionError("target_points exceeds pixel count")
+    if error_fn is None:
+        error_fn = region_ssd
+
+    def priority(rect, seq):
+        x, y, w, h = rect
+        err = -1.0 if (w == 1 and h == 1) else float(error_fn(plane, x, y, w, h))
+        return (-err, y, x, seq)
+
+    # nodes: rect -> (first_rect, second_rect) for internal nodes
+    children = {}
+    root = (0, 0, w_img, h_img)
+    seq = 0
+    heap = [(*priority(root, seq), root)]
+    n_leaves = 1
+    while n_leaves < target_points:
+        neg_err, *_, rect = heapq.heappop(heap)
+        if min_error is not None and -neg_err <= min_error:
+            break
+        first, second = split_children(*rect)
+        children[rect] = (first, second)
+        seq += 1
+        heapq.heappush(heap, (*priority(first, seq), first))
+        seq += 1
+        heapq.heappush(heap, (*priority(second, seq), second))
+        n_leaves += 1
+
+    bits = []
+    stack = [root]
+    while stack:
+        rect = stack.pop()
+        kids = children.get(rect)
+        if kids is None:
+            bits.append(0)
+        else:
+            bits.append(1)
+            stack.append(kids[1])
+            stack.append(kids[0])
+    return SubdivisionTree(0, 0, w_img, h_img, tuple(bits))
+
+
+def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
+    region = plane[y : y + h, x : x + w]
+    return float(np.sum((region - region.mean()) ** 2))
+
+
+def joint_ssd_error(planes):
+    """Error function summing region SSD over several planes (chroma rule)."""
+
+    def fn(_plane, x, y, w, h):
+        return sum(region_ssd(p, x, y, w, h) for p in planes)
+
+    return fn

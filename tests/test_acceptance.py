@@ -138,11 +138,11 @@ def test_criterion_05_entropy_round_trip_and_rate():
         n = int(rng.integers(0, 120))
         if i % 2 == 0:
             syms = rng.integers(0, int(rng.integers(1, 64)), n)
-            dec, _ = entropy.decode_symbols(entropy.encode_symbols(syms.tolist()))
+            dec, _ = entropy.decode_symbols(entropy.encode_symbols(syms.tolist()), 0, n)
         else:
             bound = int(rng.choice([1, 7, 255, entropy.MAX_MAGNITUDE]))
             syms = rng.integers(-bound, bound + 1, n)
-            dec, _ = entropy.decode_signed_values(entropy.encode_signed_values(syms))
+            dec, _ = entropy.decode_signed_values(entropy.encode_signed_values(syms), 0, n)
         if dec.tolist() != syms.tolist():
             failures += 1
 

@@ -1,13 +1,14 @@
 import struct
+import time
 
 import numpy as np
 import pytest
 
 from conftest import moving_clip
-from hivc import video_io
+from hivc import codec, video_io
 from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
-from test_entropy import huge_count_payload
+from test_entropy import claimed_count_payload, huge_count_payload
 
 
 def _report_dict(path):
@@ -107,14 +108,35 @@ def test_inspect_truncated_stream_exits_corrupt(tmp_path, clip_y4m):
     assert main(["decode", str(trunc), str(tmp_path / "o.y4m")]) == 4
 
 
+def _one_pixel_stream(values_payload):
+    """A 1x1 gray intra stream whose luma value stream is `values_payload`."""
+    header = StreamHeader(1, 1, 1, 25, 1, 1, 1, 256, 256, 63)
+    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + values_payload
+    gop = struct.pack("<HBI", 1, 0, len(pred)) + pred + struct.pack("<I", 1) + b"\x00"
+    return write_stream(header, [gop])
+
+
 def test_decode_huge_entropy_count_fails_without_traceback(tmp_path, capsys):
     # a 1x1 gray intra frame whose luma value stream claims a 2^63 count
-    header = StreamHeader(1, 1, 1, 25, 1, 1, 1, 256, 256, 63)
-    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + huge_count_payload()
-    gop = struct.pack("<HBI", 1, 0, len(pred)) + pred + struct.pack("<I", 1) + b"\x00"
     stream = tmp_path / "huge.hivc"
-    stream.write_bytes(write_stream(header, [gop]))
+    stream.write_bytes(_one_pixel_stream(huge_count_payload()))
     assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+    assert main(["inspect", str(stream)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_decode_rejects_claimed_symbol_count_before_allocating(tmp_path, capsys):
+    # the one mask point needs one value; the stream claims 2^28 - 1
+    assert codec.decode(_one_pixel_stream(claimed_count_payload(1)))[0].planes[0].shape == (1, 1)
+    data = _one_pixel_stream(claimed_count_payload((1 << 28) - 1))
+    t0 = time.perf_counter()
+    with pytest.raises(codec.CodecError, match="expected"):
+        codec.decode(data)
+    assert time.perf_counter() - t0 < 5.0
+    stream = tmp_path / "claim.hivc"
+    stream.write_bytes(data)
+    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+    assert main(["inspect", str(stream)]) == 4
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import moving_clip, static_clip
 from hivc import codec
-from hivc.bitstream import BitstreamError, Truncated, read_stream
+from hivc.bitstream import HEADER_SIZE, BitstreamError, Truncated, read_stream
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.frame import Frame, FrameError, psnr
 from hivc.quantize import deadzone_dequantize, unmap_coefficients
@@ -181,6 +183,31 @@ def test_corrupt_interior_never_hangs():
             decode(bytes(mutated))
         except BitstreamError:
             pass
+
+
+def _group_count_offsets(stream):
+    """Byte offset of each group's u16 frame count."""
+    offsets, pos = [], HEADER_SIZE
+    while pos < len(stream):
+        (length,) = struct.unpack_from("<I", stream, pos)
+        offsets.append(pos + 4)
+        pos += 4 + length
+    return offsets
+
+
+# 3 frames in groups of 2 and 1: zero, more than gop_size, past frame_count
+@pytest.mark.parametrize("group,count", [(0, 0), (0, 3), (0, 0xFFFF), (1, 0), (1, 2)])
+def test_decode_checks_group_frame_count_first(monkeypatch, group, count):
+    stream = encode(moving_clip(3, 16, 24, seed=3), EncoderConfig(gop_size=2))
+    data = bytearray(stream)
+    struct.pack_into("<H", data, _group_count_offsets(stream)[group], count)
+    intra_calls = []
+    real = codec.decode_intra
+    monkeypatch.setattr(codec, "decode_intra", lambda *a: intra_calls.append(1) or real(*a))
+    with pytest.raises(CodecError, match=f"group {group} claims {count} frames"):
+        decode(bytes(data))
+    # rejected before any frame of the group was decoded
+    assert len(intra_calls) == group
 
 
 def test_decode_timings_structure(bench_clip):

@@ -59,13 +59,13 @@ def test_normalize_counts_rejects_empty():
 def test_single_symbol_stream_is_small():
     data = encode_symbols([7] * 4000)
     assert len(data) < 64
-    decoded, _ = decode_symbols(data)
+    decoded, _ = decode_symbols(data, 0, 4000)
     assert decoded.tolist() == [7] * 4000
 
 
 def test_empty_stream_round_trip():
     data = encode_symbols([])
-    decoded, pos = decode_symbols(data)
+    decoded, pos = decode_symbols(data, 0, 0)
     assert decoded.size == 0
     assert pos == len(data)
 
@@ -76,7 +76,7 @@ def test_symbols_round_trip_random():
         n = int(rng.integers(0, 3000))
         syms = rng.integers(0, int(rng.integers(1, 40)), n)
         data = encode_symbols(syms.tolist())
-        decoded, pos = decode_symbols(data)
+        decoded, pos = decode_symbols(data, 0, n)
         assert decoded.tolist() == syms.tolist()
         assert pos == len(data)
 
@@ -87,7 +87,7 @@ def test_signed_values_round_trip_random():
         n = int(rng.integers(0, 2000))
         vals = rng.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE + 1, n)
         data = encode_signed_values(vals)
-        decoded, pos = decode_signed_values(data)
+        decoded, pos = decode_signed_values(data, 0, n)
         assert decoded.tolist() == vals.tolist()
         assert pos == len(data)
 
@@ -95,7 +95,8 @@ def test_signed_values_round_trip_random():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE), max_size=200))
 def test_signed_values_round_trip_property(values):
-    decoded, _ = decode_signed_values(encode_signed_values(np.array(values, dtype=np.int64)))
+    data = encode_signed_values(np.array(values, dtype=np.int64))
+    decoded, _ = decode_signed_values(data, 0, len(values))
     assert decoded.tolist() == values
 
 
@@ -119,7 +120,7 @@ def test_decoder_rejects_corrupt_streams():
         i = int(rng.integers(len(mutated)))
         mutated[i] ^= int(rng.integers(1, 256))
         try:
-            decoded, _ = decode_symbols(bytes(mutated))
+            decoded, _ = decode_symbols(bytes(mutated), 0, syms.size)
         except (EntropyError, Truncated, ValueError, struct.error):
             continue
         assert isinstance(decoded, np.ndarray)  # wrong data allowed, crash is not
@@ -130,7 +131,7 @@ def test_decoder_rejects_truncation():
     data = encode_symbols(syms)
     for cut in (1, len(data) // 2, len(data) - 1):
         with pytest.raises((EntropyError, Truncated)):
-            decode_symbols(data[:cut])
+            decode_symbols(data[:cut], 0, len(syms))
 
 
 def test_table_invariants():
@@ -149,8 +150,26 @@ def huge_count_payload(count=1 << 63):
     return bytes(out)
 
 
+def claimed_count_payload(count):
+    """Entropy payload of a single symbol 0 whose count field says `count`."""
+    out = bytearray([8])
+    write_uvarint(out, 1)
+    write_uvarint(out, 256)
+    out += struct.pack("<IHI", count, 256, 0)
+    return bytes(out)
+
+
+def test_decoder_rejects_count_other_than_expected():
+    assert decode_symbols(claimed_count_payload(1), 0, 1)[0].tolist() == [0]
+    for count in (0, 2, (1 << 28) - 1, (1 << 32) - 1):
+        with pytest.raises(EntropyError, match="expected"):
+            decode_symbols(claimed_count_payload(count), 0, 1)
+        with pytest.raises(EntropyError, match="expected"):
+            decode_signed_values(claimed_count_payload(count), 0, 1)
+
+
 @pytest.mark.parametrize("count", [257, (1 << 63) - 1, 1 << 63, (1 << 64) - 1])
 def test_decoder_rejects_count_above_table_size(count):
     with pytest.raises(EntropyError):
-        decode_symbols(huge_count_payload(count))
+        decode_symbols(huge_count_payload(count), 0, 1)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import shifted_pair, smooth_texture
+import oracles
+from conftest import moving_clip, shifted_pair, smooth_texture
 from hivc.flow import (
     FlowError,
     FlowField,
@@ -109,6 +110,26 @@ def test_brox_backward_warp_prediction_quality():
     err = (pred - cur)[8:-8, 8:-8]
     mse = float(np.mean(err * err))
     assert 10 * np.log10(255.0**2 / max(mse, 1e-12)) >= 35.0
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # the benchmark's pan at 336x144: five pyramid levels
+        lambda: [f.planes[0] for f in moving_clip(2, 144, 336, seed=11)][::-1],
+        # odd sides on every level
+        lambda: shifted_pair(29, 37, 1, 1, seed=4),
+        # a single pyramid level
+        lambda: shifted_pair(16, 16, 1, 0, seed=5),
+    ],
+    ids=["pan-336x144", "37x29", "16x16"],
+)
+def test_brox_bit_identical_to_plain_expression_oracle(pair):
+    cur, prev = pair()
+    fast = flow_brox(cur, prev)
+    ref = oracles.flow_brox(cur, prev)
+    assert fast.u.tobytes() == ref.u.tobytes()
+    assert fast.v.tobytes() == ref.v.tobytes()
 
 
 def test_horn_schunck_identical_frames():

@@ -7,12 +7,15 @@ from hivc.bits import BitReader, BitWriter
 from hivc.subdivision import (
     SubdivisionError,
     deserialize_tree,
+    joint_ssd_error,
     mask_from_tree,
     parse_mask,
+    region_ssd,
     serialize_tree,
     split_children,
     subdivide_by_error,
 )
+import oracles
 from oracles import piecewise_constant_from_tree
 
 
@@ -169,3 +172,58 @@ def test_subdivision_invariants_property(w, h, target, seed):
     wr = BitWriter()
     serialize_tree(tree, wr)
     assert deserialize_tree(BitReader(wr.getvalue()), 0, 0, w, h).leaves() == leaves
+
+
+def _random_planes(seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "int": rng.integers(-40, 41, (23, 37)),
+        "real": rng.normal(0.0, 30.0, (23, 37)),
+        "smooth": rng.uniform(0, 255, (23, 37)).cumsum(axis=1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["int", "real", "smooth"])
+def test_region_ssd_bit_identical_to_oracle(kind):
+    plane = _random_planes(1)[kind]
+    h, w = plane.shape
+    rng = np.random.default_rng(2)
+    rects = [(0, 0, w, h), (0, 5, w, 3), (4, 6, 1, 1), (w - 1, h - 1, 1, 1), (3, 0, 1, h)]
+    for _ in range(300):
+        x, y = int(rng.integers(w)), int(rng.integers(h))
+        rects.append((x, y, int(rng.integers(1, w - x + 1)), int(rng.integers(1, h - y + 1))))
+    for rect in rects:
+        fast = region_ssd(plane, *rect)
+        ref = oracles.region_ssd(plane, *rect)
+        assert type(fast) is float
+        assert np.float64(fast).tobytes() == np.float64(ref).tobytes(), rect
+
+
+@pytest.mark.parametrize("target", range(1, 9))
+def test_subdivision_trees_match_oracle_search(target):
+    planes = _random_planes(target)
+    for plane in planes.values():
+        for sub in (plane, plane[:8, :8], plane[3:6, 2:9]):
+            sub = np.asarray(sub, dtype=np.float64)
+            if target > sub.size:
+                continue
+            assert subdivide_by_error(sub, target) == oracles.subdivide_by_error(sub, target)
+    a, b = planes["int"][:8, :8], planes["real"][:8, :8]
+    fast = subdivide_by_error(a.astype(np.float64), target, error_fn=joint_ssd_error([a, b]))
+    ref = oracles.subdivide_by_error(
+        a.astype(np.float64), target, error_fn=oracles.joint_ssd_error([a, b])
+    )
+    assert fast == ref
+
+
+@pytest.mark.parametrize("target", [1, 2, 5, 8, 40, 200])
+def test_subdivision_min_error_stop_matches_oracle(target):
+    rng = np.random.default_rng(target)
+    constant = np.full((12, 20), 1.25)
+    steps = np.repeat(np.repeat(rng.normal(0.0, 2.0, (3, 4)), 4, axis=0), 5, axis=1)
+    noisy = rng.normal(0.0, 1.0, (12, 20))
+    for plane in (constant, steps, noisy):
+        fast = subdivide_by_error(plane, target, min_error=0.0)
+        assert fast == oracles.subdivide_by_error(plane, target, min_error=0.0)
+    # a constant plane stops at the root
+    assert subdivide_by_error(constant, target, min_error=0.0).leaf_count == 1
