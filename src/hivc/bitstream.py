@@ -30,6 +30,9 @@ from dataclasses import dataclass
 
 MAGIC = b"HIVC"
 VERSION = 1
+# largest frame a stream may declare: the 4K UHD frame, which covers the
+# FullHD target with margin; checked before any plane is allocated
+MAX_PIXELS = 3840 * 2160
 _HEADER_FMT = "<4sBHHIHHBBBBB"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
@@ -70,6 +73,10 @@ class StreamHeader:
     def __post_init__(self):
         if not (1 <= self.width <= 65535 and 1 <= self.height <= 65535):
             raise BitstreamError("bad frame dimensions")
+        if self.width * self.height > MAX_PIXELS:
+            raise BitstreamError(
+                f"{self.width}x{self.height} frames exceed the {MAX_PIXELS}-pixel limit"
+            )
         if self.channels not in (1, 3):
             raise BitstreamError("channels must be 1 or 3")
         if self.gop_size < 1 or self.gop_size > 255:

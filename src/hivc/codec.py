@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hivc import entropy
+from hivc import bitstream, entropy
 from hivc.bits import BitReader, BitWriter
 from hivc.bitstream import (
     BitstreamError,
@@ -124,7 +124,7 @@ def _plan_group(planes, tiles, points):
             continue
         target = min(points, bh * bw)
         err_fn = joint_ssd_error(subs) if len(subs) > 1 else None
-        tree = subdivide_by_error(np.asarray(subs[0], dtype=np.float64), target, error_fn=err_fn)
+        tree = subdivide_by_error(subs[0], target, error_fn=err_fn)
         m = np.zeros((BLOCK, BLOCK), dtype=bool)
         m[:bh, :bw] = mask_from_tree(tree)
         coded.append(ti)
@@ -397,9 +397,9 @@ def _compute_gop_flows(y_planes, cfg):
     ]
 
 
-def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
-    """Compress a frame sequence into a self-contained byte stream."""
-    cfg = cfg or EncoderConfig()
+def _check_frames(frames) -> Frame:
+    """Reject input the stream cannot hold before any work; returns the
+    first frame."""
     if not frames:
         raise FrameError("nothing to encode")
     first = frames[0]
@@ -410,6 +410,17 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
         raise FrameError("all frames must share geometry and channel count")
     if first.colorspace not in ("rgb", "gray"):
         raise FrameError(f"unsupported input colorspace {first.colorspace!r}")
+    if first.width * first.height > bitstream.MAX_PIXELS:
+        raise FrameError(
+            f"{first.width}x{first.height} frames exceed the {bitstream.MAX_PIXELS}-pixel limit"
+        )
+    return first
+
+
+def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
+    """Compress a frame sequence into a self-contained byte stream."""
+    cfg = cfg or EncoderConfig()
+    first = _check_frames(frames)
     colorspace = "yuv" if first.channels == 3 else "gray"
 
     yuv = [_to_yuv_planes(f) for f in frames]
@@ -596,7 +607,7 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, tol=0.0
     """
     if target_ratio <= 1.0:
         raise ValueError("target ratio must exceed 1")
-    first = frames[0]
+    first = _check_frames(frames)
     raw = len(frames) * first.width * first.height * first.channels
     pixels = first.width * first.height
     yuv_y = [

@@ -41,26 +41,51 @@ INTRA_SOLVE_TOL = 1e-4
 TONAL_ITERS = 12
 
 
-def _sparse_inpainting_system(mask: np.ndarray):
-    """Sparse inpainting system matrix: identity rows on the mask,
-    reflecting-boundary 5-point Laplacian rows elsewhere."""
-    h, w = mask.shape
-    n = h * w
-    idx = np.arange(n).reshape(h, w)
-    rows, cols, vals = [], [], []
-    for a, b in (
-        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
-        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-    ):
-        one = np.ones(a.size)
-        rows += [a, b, a, b]
-        cols += [b, a, a, b]
-        vals += [one, one, -one, -one]
-    lap = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    d = mask.ravel().astype(np.float64)
-    return (sparse.diags(d) + sparse.diags(1.0 - d) @ lap).tocsc()
+def _path_laplacian(n: int):
+    """Reflecting-boundary 3-point Laplacian on a line of n pixels."""
+    one = np.ones(n - 1)
+    deg = np.zeros(n)
+    deg[1:] += one
+    deg[:-1] += one
+    return sparse.diags([one, -deg, one], [-1, 0, 1])
+
+
+def _laplacian_matrix(h: int, w: int):
+    """Reflecting-boundary 5-point Laplacian on row-major pixels: the line
+    Laplacian along each row plus the one along each column."""
+    return sparse.kronsum(_path_laplacian(w), _path_laplacian(h), format="csr")
+
+
+def _inpainting_operator(mask: np.ndarray) -> LinearOperator:
+    """M, the map from mask values (raster order) to the inpainted plane.
+
+    With K the mask pixels, I the rest and L the Laplacian, M v = v on K
+    and (-L_II)^-1 L_IK v on I. -L_II is symmetric positive definite, so
+    M^T r = r_K + L_IK^T (-L_II)^-1 r_I needs the same solve, and one
+    symmetric factorization of the interior block serves both.
+    """
+    pts = _mask_points(mask)
+    inner = np.flatnonzero(~mask.ravel())
+    lap_i = _laplacian_matrix(*mask.shape)[inner]
+    lap_ik = lap_i[:, pts]
+    lap_ki = lap_ik.T.tocsr()
+    lu = splu(
+        -lap_i[:, inner].tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+    def matvec(v):
+        u = np.empty(mask.size)
+        u[pts] = v
+        u[inner] = lu.solve(lap_ik @ v)
+        return u
+
+    def rmatvec(r):
+        return r[pts] + lap_ki @ lu.solve(r[inner])
+
+    return LinearOperator((mask.size, pts.size), matvec=matvec, rmatvec=rmatvec, dtype=np.float64)
 
 
 def optimize_mask_values(planes, mask: np.ndarray):
@@ -75,18 +100,7 @@ def optimize_mask_values(planes, mask: np.ndarray):
     samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
     if mask.all():
         return samples
-    n = mask.size
-    lu = splu(_sparse_inpainting_system(mask))
-
-    def matvec(v):
-        f = np.zeros(n)
-        f[pts] = v
-        return lu.solve(f)
-
-    def rmatvec(w):
-        return lu.solve(w, trans="T")[pts]
-
-    op = LinearOperator((n, pts.size), matvec=matvec, rmatvec=rmatvec)
+    op = _inpainting_operator(mask)
     out = []
     for plane, x0 in zip(planes, samples):
         target = np.asarray(plane, dtype=np.float64).ravel()

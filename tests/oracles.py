@@ -2,8 +2,9 @@
 
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
-The Horn-Schunck flow is the classical baseline for Brox flow. The
-plain-expression Brox solver and subdivision search at the end are the
+The tonal fit through an LU of the full inpainting system is the
+reference for the codec's interior factorization. The Horn-Schunck flow
+is the classical baseline for Brox flow. The plain-expression Brox solver and subdivision search at the end are the
 reference the in-place production versions must match bit for bit.
 """
 
@@ -11,8 +12,11 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.ndimage import gaussian_filter, median_filter
+from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
+from hivc import subdivision
 from hivc.entropy import DEFAULT_TABLE_LOG, EntropyError, FseTable, normalize_counts
 from hivc.flow import (
     BroxParams,
@@ -24,12 +28,13 @@ from hivc.flow import (
     bilinear_warp,
 )
 from hivc.homogeneous import InpaintingError, bilinear_resize, laplacian
-from hivc.prediction import decode_intra, encode_intra
+from hivc.prediction import TONAL_ITERS, _mask_points, decode_intra, encode_intra
 from hivc.pseudodiff import BLOCK, block_grid, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.subdivision import (
     SubdivisionError,
     SubdivisionTree,
     leaf_means,
+    mask_from_tree,
     paint_leaf_values,
     split_children,
 )
@@ -147,6 +152,27 @@ def inpaint_plane_blockwise(residual, block_masks):
     return recon
 
 
+def plan_group(planes, tiles, points):
+    """Coded tiles, trees and 8x8 masks of one channel group, searched by
+    the codec's subdivision on a float64 copy of each tile's first plane."""
+    coded, trees, masks = [], [], []
+    for ti, (y0, x0, bh, bw) in enumerate(tiles):
+        subs = [p[y0 : y0 + bh, x0 : x0 + bw] for p in planes]
+        if all(not s.any() for s in subs):
+            continue
+        target = min(points, bh * bw)
+        err_fn = subdivision.joint_ssd_error(subs) if len(subs) > 1 else None
+        tree = subdivision.subdivide_by_error(
+            np.asarray(subs[0], dtype=np.float64), target, error_fn=err_fn
+        )
+        m = np.zeros((BLOCK, BLOCK), dtype=bool)
+        m[:bh, :bw] = mask_from_tree(tree)
+        coded.append(ti)
+        trees.append(tree)
+        masks.append(m)
+    return coded, trees, masks
+
+
 # ---------------------------------------------------------------------------
 # Prediction, subdivision and entropy references
 # ---------------------------------------------------------------------------
@@ -159,6 +185,57 @@ def predict_intra(planes, luma_budget: int, levels: int):
     pred, consumed = decode_intra(payload, 0, shape, len(planes), levels)
     assert consumed == len(payload)
     return pred, payload
+
+
+def _sparse_inpainting_system(mask: np.ndarray):
+    """Sparse inpainting system matrix: identity rows on the mask,
+    reflecting-boundary 5-point Laplacian rows elsewhere."""
+    h, w = mask.shape
+    n = h * w
+    idx = np.arange(n).reshape(h, w)
+    rows, cols, vals = [], [], []
+    for a, b in (
+        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
+        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
+    ):
+        one = np.ones(a.size)
+        rows += [a, b, a, b]
+        cols += [b, a, a, b]
+        vals += [one, one, -one, -one]
+    lap = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    d = mask.ravel().astype(np.float64)
+    return (sparse.diags(d) + sparse.diags(1.0 - d) @ lap).tocsc()
+
+
+def optimize_mask_values(planes, mask: np.ndarray):
+    """Tonal fit through an LU of the full n x n inpainting system, with
+    a transposed solve for the adjoint."""
+    pts = _mask_points(mask)
+    samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
+    if mask.all():
+        return samples
+    n = mask.size
+    lu = splu(_sparse_inpainting_system(mask))
+
+    def matvec(v):
+        f = np.zeros(n)
+        f[pts] = v
+        return lu.solve(f)
+
+    def rmatvec(w):
+        return lu.solve(w, trans="T")[pts]
+
+    op = LinearOperator((n, pts.size), matvec=matvec, rmatvec=rmatvec)
+    out = []
+    for plane, x0 in zip(planes, samples):
+        target = np.asarray(plane, dtype=np.float64).ravel()
+        v = lsqr(op, target, iter_lim=TONAL_ITERS, x0=x0.copy())[0]
+        # box projection keeps the quantizer span tight and the
+        # reconstruction within the source dynamic range
+        out.append(np.clip(v, target.min(), target.max()))
+    return out
 
 
 def piecewise_constant_from_tree(tree, plane) -> np.ndarray:

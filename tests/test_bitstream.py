@@ -1,5 +1,6 @@
 import pytest
 
+from hivc import bitstream
 from hivc.bitstream import (
     HEADER_SIZE,
     BadMagic,
@@ -46,6 +47,22 @@ def test_header_validation():
         _header(residual_levels=64)
     with pytest.raises(BitstreamError):
         _header(gop_size=0)
+
+
+def test_header_pixel_limit_covers_4k_and_no_more():
+    assert bitstream.MAX_PIXELS == 3840 * 2160
+    _header(width=3840, height=2160)
+    for width, height in ((3840, 2161), (65535, 65535)):
+        with pytest.raises(BitstreamError, match="pixel limit"):
+            _header(width=width, height=height)
+
+
+def test_unpack_rejects_header_over_pixel_limit(monkeypatch):
+    data = _header(height=49).pack()
+    monkeypatch.setattr(bitstream, "MAX_PIXELS", 64 * 48)
+    assert unpack_header(_header().pack()) == _header()  # at the limit
+    with pytest.raises(BitstreamError, match="pixel limit"):
+        unpack_header(data)
 
 
 def test_empty_video_header_only_round_trip():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import moving_clip
-from hivc import codec, video_io
+from hivc import bitstream, codec, video_io
 from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
 from test_entropy import claimed_count_payload, huge_count_payload
@@ -137,6 +137,18 @@ def test_decode_rejects_claimed_symbol_count_before_allocating(tmp_path, capsys)
     stream.write_bytes(data)
     assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
     assert main(["inspect", str(stream)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stream_over_pixel_limit_exits_corrupt(tmp_path, clip_y4m, monkeypatch, capsys):
+    src, _ = clip_y4m
+    stream = tmp_path / "s.hivc"
+    assert main(["encode", str(src), str(stream), "--gop-size", "4"]) == 0
+    monkeypatch.setattr(bitstream, "MAX_PIXELS", 32 * 48 - 1)
+    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+    assert main(["inspect", str(stream)]) == 4
+    # an oversize input frame is a codec error, not a corrupt stream
+    assert main(["encode", str(src), str(tmp_path / "t.hivc")]) == 3
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -3,11 +3,13 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import moving_clip, static_clip
-from hivc import codec
+import oracles
+from conftest import moving_clip, smooth_texture, static_clip
+from hivc import bitstream, codec, prediction
 from hivc.bitstream import HEADER_SIZE, BitstreamError, Truncated, read_stream
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.frame import Frame, FrameError, psnr
+from hivc.pseudodiff import block_grid
 from hivc.quantize import deadzone_dequantize, unmap_coefficients
 
 
@@ -40,6 +42,32 @@ def test_encode_rejects_empty_and_mixed_geometry():
     b = moving_clip(1, 16, 24)[0]
     with pytest.raises(FrameError):
         encode([a, b])
+
+
+def test_encode_rejects_frames_over_pixel_limit_before_flows(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("flow computed for a frame the stream cannot hold")
+
+    monkeypatch.setattr(codec, "flow_brox", no_flow)
+    monkeypatch.setattr(bitstream, "MAX_PIXELS", 16 * 16 - 1)
+    clip = moving_clip(2, 16, 16)
+    with pytest.raises(FrameError, match="pixel limit"):
+        encode(clip, EncoderConfig(gop_size=2))
+    with pytest.raises(FrameError, match="pixel limit"):
+        encode_target_ratio(clip, EncoderConfig(gop_size=2), 10.0)
+
+
+def test_decode_rejects_header_over_pixel_limit_before_parsing(monkeypatch):
+    stream = encode(moving_clip(1, 16, 16), EncoderConfig(gop_size=1))
+
+    def no_parse(*args):
+        raise AssertionError("mask parsed for a frame the stream cannot hold")
+
+    monkeypatch.setattr(prediction, "parse_mask", no_parse)
+    monkeypatch.setattr(codec, "parse_mask", no_parse)
+    monkeypatch.setattr(bitstream, "MAX_PIXELS", 16 * 16 - 1)
+    with pytest.raises(BitstreamError, match="pixel limit"):
+        decode(stream)
 
 
 def test_lossless_round_trip_three_frames():
@@ -274,3 +302,21 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
             expect.append(i)
     assert keep.tolist() == expect
     assert 0 < len(expect) < n
+
+
+@pytest.mark.parametrize("points", [1, 4, 48])
+def test_plan_group_trees_match_float_copy_oracle(points):
+    # integer residuals with untouched regions, so some tiles are skipped
+    h, w = 37, 45
+    planes = []
+    for c in range(3):
+        r = np.rint(smooth_texture(h, w, 40 + c, sigma=1.0, lo=-40, hi=40)).astype(np.int64)
+        r[: h // 3, : w // 2] = 0
+        planes.append(r)
+    tiles = block_grid(h, w)
+    for group in ([planes[0]], planes[1:]):
+        got = codec._plan_group(group, tiles, points)
+        want = oracles.plan_group(group, tiles, points)
+        assert got[0] == want[0] and 0 < len(got[0]) < len(tiles)
+        assert got[1] == want[1]
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))

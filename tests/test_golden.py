@@ -2,17 +2,18 @@
 
 Each clip below is encoded with its config and must reproduce the
 committed stream in `tests/golden/` byte for byte; decoding it must
-reproduce the committed SHA-256 of the decoded frames. Two more tests
-decode every stream in subprocesses, under several OpenBLAS kernels and
-with numpy's optional SIMD kernels disabled, and require the same frame
-hashes, since the residual reconstruction and the intra solver run
-through BLAS and numpy's vector loops.
+reproduce the committed SHA-256 of the decoded frames. Three more tests
+decode every stream in subprocesses, under several OpenBLAS kernels, with
+one OpenBLAS thread and with numpy's optional SIMD kernels disabled, and
+require the same frame hashes, since the residual reconstruction and the
+intra solver run through BLAS and numpy's vector loops.
 
 A change to these files is a change of the format's bits. Regenerate
 them with `python tests/test_golden.py write` only together with a
 `VERSION` bump and a note in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -76,20 +77,29 @@ def _decode_all():
     return {name: frames_sha256(decode((GOLDEN / f"{name}.hivc").read_bytes())) for name in CLIPS}
 
 
-def _openblas_corename():
-    """Name of the kernel numpy's bundled OpenBLAS runs, or None if unknown."""
-    import ctypes
-
+def _openblas_query(name, restype):
+    """Call `<prefix>get_<name>` of numpy's bundled OpenBLAS; None if unknown."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in libs.glob("*openblas*"):
         handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+        for sym in (f"scipy_openblas_get_{name}64_", f"openblas_get_{name}64_", f"openblas_get_{name}"):
             fn = getattr(handle, sym, None)
             if fn is not None:
                 fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
+                fn.restype = restype
+                return fn()
     return None
+
+
+def _openblas_corename():
+    """Name of the kernel numpy's bundled OpenBLAS runs, or None if unknown."""
+    name = _openblas_query("corename", ctypes.c_char_p)
+    return None if name is None else name.decode()
+
+
+def _openblas_threads():
+    """Thread count numpy's bundled OpenBLAS uses, or None if unknown."""
+    return _openblas_query("num_threads", ctypes.c_int)
 
 
 @pytest.mark.parametrize("name", sorted(CLIPS))
@@ -140,6 +150,13 @@ def test_golden_decode_is_the_same_under_every_blas_kernel():
         assert len(cores) == sum(__cpu_features__.get(_CORE_FEATURE[c], False) for c in CORETYPES)
 
 
+def test_golden_decode_is_the_same_with_one_blas_thread():
+    report = _decode_in_subprocess(OPENBLAS_NUM_THREADS="1")
+    assert report["hashes"] == _expected_frame_hashes()
+    # the child really ran single-threaded
+    assert report["blas_threads"] in (1, None)
+
+
 def test_golden_decode_is_the_same_under_baseline_simd():
     # every optional kernel numpy dispatches to on this CPU, switched off
     dispatched = _simd_extensions().get("found", [])
@@ -171,6 +188,7 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["decode"]:
         report = {
             "core": _openblas_corename(),
+            "blas_threads": _openblas_threads(),
             "simd_not_found": _simd_extensions().get("not found", []),
             "hashes": _decode_all(),
         }

@@ -5,13 +5,18 @@ from conftest import smooth_texture
 from hivc.bitstream import Truncated
 from hivc.flow import FlowField, bilinear_warp
 from hivc.frame import Frame, psnr, rct_forward
+import oracles
+from hivc import prediction
+from hivc.codec import _to_yuv_planes
 from hivc.prediction import (
     chroma_budget,
     chroma_levels,
     decode_intra,
     encode_intra,
+    optimize_mask_values,
     predict_inter,
 )
+from hivc.subdivision import joint_ssd_error, mask_from_tree, subdivide_by_error
 from oracles import predict_intra
 
 
@@ -116,3 +121,155 @@ def test_inter_matches_per_plane_warp():
     pred = predict_inter(planes, flow)
     for got, p in zip(pred, planes):
         assert np.allclose(got, bilinear_warp(p, flow.u, flow.v), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Tonal fit: interior factorization against the full-system LU oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_mask(h, w, density, seed):
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    mask.flat[seed % mask.size] = True
+    return mask
+
+
+def _cut_mask(h, w):
+    """A full row and a full column of mask points: four interior parts
+    that touch each other nowhere."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[h // 3, :] = True
+    mask[:, w // 2] = True
+    return mask
+
+
+def _border_mask(h, w):
+    mask = np.ones((h, w), dtype=bool)
+    mask[1:-1, 1:-1] = False
+    return mask
+
+
+def _point_mask(h, w, y, x):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[y, x] = True
+    return mask
+
+
+def _top_row_mask(h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[0, :] = True
+    return mask
+
+
+# name -> (plane height, width, mask factory)
+TONAL_MASKS = {
+    "random-sparse": (23, 31, lambda h, w: _random_mask(h, w, 0.05, 1)),
+    "random-dense": (23, 31, lambda h, w: _random_mask(h, w, 0.4, 2)),
+    "random-wide": (12, 57, lambda h, w: _random_mask(h, w, 0.1, 3)),
+    "single-point": (17, 19, lambda h, w: _point_mask(h, w, 5, 11)),
+    "single-corner": (17, 19, lambda h, w: _point_mask(h, w, 0, 0)),
+    "border": (20, 24, _border_mask),
+    "top-row": (20, 24, _top_row_mask),
+    "1xN": (1, 40, lambda h, w: _random_mask(h, w, 0.1, 4)),
+    "1xN-one-point": (1, 40, lambda h, w: _point_mask(h, w, 0, 17)),
+    "Nx1": (40, 1, lambda h, w: _random_mask(h, w, 0.1, 5)),
+    "Nx1-ends": (40, 1, lambda h, w: _border_mask(h, w)),
+    "cut": (24, 30, _cut_mask),
+}
+
+
+def _tonal_planes(h, w, count, seed):
+    return [smooth_texture(h, w, seed + c, sigma=1.5) for c in range(count)]
+
+
+def _payload(values, levels):
+    """Quantizer bounds and entropy-coded uniform_quantize indices, as the
+    intra payload stores them."""
+    out = bytearray()
+    prediction._encode_plane_values(values, levels, out)
+    return bytes(out)
+
+
+def _assert_fits_agree(planes, mask):
+    got = optimize_mask_values(planes, mask)
+    want = oracles.optimize_mask_values(planes, mask)
+    assert len(got) == len(want) == len(planes)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape == (int(mask.sum()),)
+        # relative to the values: with a single mask row, 12 LSQR steps
+        # amplify roundoff so much that the oracle itself moves by 5e-9
+        # under another column ordering of its LU
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+        for levels in (16, 256):
+            assert _payload(a, levels) == _payload(b, levels)
+
+
+@pytest.mark.parametrize("name", sorted(TONAL_MASKS))
+@pytest.mark.parametrize("nplanes", [1, 2])
+def test_tonal_fit_matches_full_system_oracle(name, nplanes):
+    h, w, make = TONAL_MASKS[name]
+    _assert_fits_agree(_tonal_planes(h, w, nplanes, seed=len(name)), make(h, w))
+
+
+def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
+    y, u, v = [p.astype(np.float64) for p in _to_yuv_planes(bench_clip[0])]
+    budget = int(round(0.09 * y.size))
+    tree_y = subdivide_by_error(y, budget)
+    tree_c = subdivide_by_error(
+        u, chroma_budget(budget, u.size), error_fn=joint_ssd_error([u, v])
+    )
+    _assert_fits_agree([y], mask_from_tree(tree_y))
+    _assert_fits_agree([u, v], mask_from_tree(tree_c))
+
+
+def test_tonal_fit_full_mask_returns_samples():
+    planes = _tonal_planes(9, 13, 2, seed=6)
+    mask = np.ones((9, 13), dtype=bool)
+    got = optimize_mask_values(planes, mask)
+    for a, b, p in zip(got, oracles.optimize_mask_values(planes, mask), planes):
+        assert np.array_equal(a, p.ravel())
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (6, 8)])
+def test_laplacian_bands_match_dense_laplacian(shape):
+    h, w = shape
+    got = prediction._laplacian_matrix(h, w).toarray()
+    assert np.array_equal(got, oracles.dense_laplacian(w, h))
+
+
+@pytest.mark.parametrize("name", sorted(TONAL_MASKS))
+def test_inpainting_operator_adjoint_and_forward_map(name):
+    h, w, make = TONAL_MASKS[name]
+    mask = make(h, w)
+    op = prediction._inpainting_operator(mask)
+    k = int(mask.sum())
+    rng = np.random.default_rng(len(name))
+    for _ in range(3):
+        v = rng.normal(size=k)
+        r = rng.normal(size=h * w)
+        mv = op.matvec(v)
+        lhs, rhs = mv @ r, v @ op.rmatvec(r)
+        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(mv) * np.linalg.norm(r)
+    # M v is the inpainting of the values v placed on the mask
+    f = np.zeros((h, w))
+    f[mask] = v
+    assert np.allclose(mv.reshape(h, w), oracles.solve_dense(f, mask), rtol=0, atol=1e-9)
+
+
+def test_tonal_fit_factors_once_per_mask(monkeypatch):
+    calls = []
+    real = prediction.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prediction, "splu", counting)
+    planes = _yuv_planes(8)
+    encode_intra(planes, 60, 256)
+    # one factorization for the luma mask, one for the shared chroma mask
+    assert len(calls) == 2
+    calls.clear()
+    optimize_mask_values(planes[1:], _random_mask(32, 32, 0.1, 9))
+    assert len(calls) == 1
