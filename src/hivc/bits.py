@@ -1,6 +1,13 @@
-"""Bit-level and varint serialization helpers."""
+"""Bit-level and varint serialization helpers.
+
+Every run of bits in a stream (subdivision trees, FSE bits, extra bits)
+is stored as one bit section: a u32 bit count, then the bits MSB first,
+zero-padded to whole bytes.
+"""
 
 from __future__ import annotations
+
+import struct
 
 from hivc.bitstream import Truncated
 
@@ -36,58 +43,23 @@ class BitWriter:
         return bytes(out)
 
 
-class BitReader:
-    """MSB-first bit reader over a byte string."""
+def write_section(out: bytearray, writer: BitWriter):
+    """Append a bit section: its bit count as a u32, then the bits,
+    zero-padded to whole bytes."""
+    out += struct.pack("<I", len(writer))
+    out += writer.getvalue()
 
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        self._data = data
-        self._pos = 0
-        self._limit = len(data) * 8 if bit_length is None else bit_length
-        if self._limit > len(data) * 8:
-            raise Truncated("bit length exceeds buffer")
-        self._acc = 0
-        self._have = 0
-        self._byte = 0
 
-    @property
-    def position(self):
-        return self._pos
-
-    def read_bit(self) -> int:
-        # read_bits(1) without its loop; the tree parsers call this per bit
-        if self._pos >= self._limit:
-            raise Truncated("bit stream exhausted")
-        have = self._have
-        if have:
-            acc = self._acc
-        else:
-            acc = self._data[self._byte]
-            self._byte += 1
-            have = 8
-        have -= 1
-        self._acc = acc & ((1 << have) - 1)
-        self._have = have
-        self._pos += 1
-        return acc >> have
-
-    def read_bits(self, count: int) -> int:
-        if count == 0:
-            return 0
-        if self._pos + count > self._limit:
-            raise Truncated("bit stream exhausted")
-        acc, have, b = self._acc, self._have, self._byte
-        data = self._data
-        while have < count:
-            acc = (acc << 8) | data[b]
-            b += 1
-            have += 8
-        have -= count
-        value = acc >> have
-        self._acc = acc & ((1 << have) - 1)
-        self._have = have
-        self._byte = b
-        self._pos += count
-        return value
+def read_section(data: bytes, pos: int):
+    """Inverse of write_section; returns (bytes, bit count, next position)."""
+    if pos + 4 > len(data):
+        raise Truncated("bit section length cut short")
+    (nbits,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    end = pos + (nbits + 7) // 8
+    if end > len(data):
+        raise Truncated("bit section cut short")
+    return data[pos:end], nbits, end
 
 
 def write_uvarint(out: bytearray, value: int):

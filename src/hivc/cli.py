@@ -56,18 +56,13 @@ def _report(lines, path):
         sys.stdout.write(text)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(codec.EncoderConfig)}
-_BOOL_KEYS = {"self_check"}
-_INT_KEYS = {
-    "gop_size",
-    "residual_points",
-    "flow_points",
-    "intra_levels",
-    "flow_levels",
-    "residual_levels",
-    "fps_num",
-    "fps_den",
+# key -> converter of its text value, from EncoderConfig's annotations
+_CONVERTERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda v: v.lower() in ("1", "true", "yes", "on"),
 }
+_CONFIG_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(codec.EncoderConfig)}
 
 
 def _parse_config_file(path):
@@ -83,12 +78,7 @@ def _parse_config_file(path):
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            if key in _BOOL_KEYS:
-                out[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            else:
-                out[key] = float(value)
+            out[key] = _CONFIG_TYPES[key](value)
     return out
 
 
@@ -129,8 +119,12 @@ def _build_parser():
     return p
 
 
-def _encoder_config(args) -> codec.EncoderConfig:
-    kv = _parse_config_file(args.config) if args.config else {}
+def _encoder_config(args, fps) -> codec.EncoderConfig:
+    """The input's frame rate, overridden by the config file, overridden
+    by the flags."""
+    kv = {"fps_num": fps[0], "fps_den": fps[1]}
+    if args.config:
+        kv.update(_parse_config_file(args.config))
     for key in _CONFIG_TYPES:
         if key != "self_check" and getattr(args, key, None) is not None:
             kv[key] = getattr(args, key)
@@ -144,9 +138,7 @@ def _encoder_config(args) -> codec.EncoderConfig:
 
 def _cmd_encode(args):
     frames, fps = video_io.read_frames(args.input)
-    cfg = _encoder_config(args)
-    if "fps_num" not in (_parse_config_file(args.config) if args.config else {}):
-        cfg = codec.EncoderConfig(**{**_cfg_dict(cfg), "fps_num": fps[0], "fps_den": fps[1]})
+    cfg = _encoder_config(args, fps)
     t0 = time.perf_counter()
     if args.target_ratio:
         stream, ratio, cfg = codec.encode_target_ratio(frames, cfg, args.target_ratio)
@@ -257,17 +249,11 @@ def _cmd_inspect(args):
     shares = {"intra": 0, "flow": 0, "residual": 0, "framing": bitstream.HEADER_SIZE}
     for gi, payload in enumerate(payloads):
         lines.append((f"group_{gi}_bytes", len(payload)))
-        shares["framing"] += 4
-        pos, nframes = 2, struct.unpack_from("<H", payload, 0)[0]
-        shares["framing"] += 2
-        for _ in range(nframes):
-            ftype, pred_len = struct.unpack_from("<BI", payload, pos)
-            pos += 5
-            shares["intra" if ftype == 0 else "flow"] += pred_len
-            pos += pred_len
-            (res_len,) = struct.unpack_from("<I", payload, pos)
-            pos += 4 + res_len
-            shares["residual"] += res_len
+        # group length prefix and frame count
+        shares["framing"] += 4 + 2
+        for ftype, pred, res in codec.frame_records(payload, header.gop_size, gi):
+            shares["intra" if ftype == 0 else "flow"] += len(pred)
+            shares["residual"] += len(res)
             shares["framing"] += 9
     for k, v in shares.items():
         lines.append((f"bytes_{k}", v))

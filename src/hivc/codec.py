@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hivc import bitstream, entropy
-from hivc.bits import BitReader, BitWriter
 from hivc.bitstream import (
     BitstreamError,
     StreamHeader,
@@ -54,11 +53,13 @@ from hivc.quantize import (
     unmap_coefficients,
 )
 from hivc.subdivision import (
+    end_of_trees,
     joint_ssd_error,
     mask_from_tree,
     parse_mask,
-    serialize_tree,
+    read_tree_bits,
     subdivide_by_error,
+    write_trees,
 )
 
 MAX_RESIDUAL_POINTS = 48
@@ -216,11 +217,7 @@ def _encode_residual(planes, points, levels, lam=0.0):
         coded_bits[coded[keep]] = 1
         out += np.packbits(coded_bits).tobytes()
 
-        tree_writer = BitWriter()
-        for i in keep:
-            serialize_tree(trees[i], tree_writer)
-        out += struct.pack("<I", len(tree_writer))
-        out += tree_writer.getvalue()
+        write_trees(out, [trees[i] for i in keep])
 
         # plane-major layout: all of one plane's block coefficients, then
         # the next plane's, so the decoder can scatter without a loop
@@ -274,19 +271,12 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         pos += nbytes_skip
         coded = np.flatnonzero(coded_bits)
 
-        if pos + 4 > len(data):
-            raise Truncated("residual payload truncated")
-        (tree_bits,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        tree_nbytes = (tree_bits + 7) // 8
-        if pos + tree_nbytes > len(data):
-            raise Truncated("residual payload truncated")
-        reader = BitReader(data[pos : pos + tree_nbytes], tree_bits)
-        pos += tree_nbytes
+        bits, pos = read_tree_bits(data, pos, len(coded) * (2 * BLOCK * BLOCK - 1))
         masks = np.zeros((len(coded), BLOCK, BLOCK), dtype=bool)
         for bi, ti in enumerate(coded):
             y0, x0, bh, bw = tiles[ti]
-            masks[bi, :bh, :bw] = parse_mask(reader, bw, bh)
+            masks[bi, :bh, :bw] = parse_mask(bits, bw, bh)
+        end_of_trees(bits)
 
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))
         c_sym, pos = entropy.decode_signed_values(data, pos, rows.size * nplanes)
@@ -483,30 +473,48 @@ def decode(data: bytes, timings: dict | None = None):
     return frames
 
 
+def frame_records(payload: bytes, max_frames: int, gi: int):
+    """Yield (ftype, pred, res) for each frame record of group `gi`'s payload.
+
+    The frame count must lie in [1, max_frames] and is checked before the
+    first record is read; every length is checked against the payload,
+    and bytes after the last record are rejected.
+    """
+    if len(payload) < 2:
+        raise Truncated(f"group {gi} payload too small")
+    (nframes,) = struct.unpack_from("<H", payload, 0)
+    if not 1 <= nframes <= max_frames:
+        raise CodecError(f"group {gi} claims {nframes} frames")
+    pos = 2
+    for _ in range(nframes):
+        if pos + 5 > len(payload):
+            raise Truncated(f"frame record cut short in group {gi}")
+        ftype, pred_len = struct.unpack_from("<BI", payload, pos)
+        pos += 5
+        if ftype not in (0, 1):
+            raise CodecError(f"unknown frame type {ftype}")
+        if pos + pred_len + 4 > len(payload):
+            raise Truncated(f"frame record cut short in group {gi}")
+        pred = payload[pos : pos + pred_len]
+        (res_len,) = struct.unpack_from("<I", payload, pos + pred_len)
+        pos += pred_len + 4
+        if pos + res_len > len(payload):
+            raise Truncated(f"residual payload cut short in group {gi}")
+        res = payload[pos : pos + res_len]
+        pos += res_len
+        yield ftype, pred, res
+    if pos != len(payload):
+        raise CodecError(f"trailing bytes in group {gi}")
+
+
 def _decode_groups(header, payloads, timings):
     colorspace = "yuv" if header.channels == 3 else "gray"
     shape = (header.height, header.width)
     frames = []
     for gi, payload in enumerate(payloads):
-        if len(payload) < 2:
-            raise Truncated(f"group {gi} payload too small")
-        (nframes,) = struct.unpack_from("<H", payload, 0)
-        if not 1 <= nframes <= header.gop_size or len(frames) + nframes > header.frame_count:
-            raise CodecError(f"group {gi} claims {nframes} frames")
-        pos = 2
         prev = None
-        for fi in range(nframes):
-            if pos + 5 > len(payload):
-                raise Truncated(f"frame record cut short in group {gi}")
-            ftype, pred_len = struct.unpack_from("<BI", payload, pos)
-            pos += 5
-            if ftype not in (0, 1):
-                raise CodecError(f"unknown frame type {ftype}")
-            if pos + pred_len > len(payload):
-                raise Truncated(f"prediction payload cut short in group {gi}")
-            pred_data = payload[pos : pos + pred_len]
-            pos += pred_len
-
+        max_frames = min(header.gop_size, header.frame_count - len(frames))
+        for ftype, pred_data, res_data in frame_records(payload, max_frames, gi):
             t0 = time.perf_counter()
             if ftype == 0:
                 pred, used = decode_intra(
@@ -521,26 +529,14 @@ def _decode_groups(header, payloads, timings):
                 t0 = time.perf_counter()
                 pred = predict_inter(prev, flow)
                 _bump(timings, "warp", t0)
-            if used != pred_len:
+            if used != len(pred_data):
                 raise CodecError(f"prediction payload length mismatch in group {gi}")
 
-            if pos + 4 > len(payload):
-                raise Truncated(f"frame record cut short in group {gi}")
-            (res_len,) = struct.unpack_from("<I", payload, pos)
-            pos += 4
-            if pos + res_len > len(payload):
-                raise Truncated(f"residual payload cut short in group {gi}")
             res, used = _decode_residual(
-                payload[pos : pos + res_len],
-                0,
-                shape,
-                header.channels,
-                header.residual_levels,
-                timings,
+                res_data, 0, shape, header.channels, header.residual_levels, timings
             )
-            if used != res_len:
+            if used != len(res_data):
                 raise CodecError(f"residual payload length mismatch in group {gi}")
-            pos += res_len
 
             t0 = time.perf_counter()
             # whole numbers kept as floats: adding the float residual
@@ -556,8 +552,6 @@ def _decode_groups(header, payloads, timings):
             prev = recon
             frames.append(_finalize_frame(recon, header.channels))
             _bump(timings, "finalize", t0)
-        if pos != len(payload):
-            raise CodecError(f"trailing bytes in group {gi}")
     return frames
 
 

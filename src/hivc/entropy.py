@@ -11,8 +11,9 @@ walks forward. Extra bits are appended raw after the coded stream.
 
 Payload layout (see also the container format notes in the README):
   [table_log: 1 byte][alphabet size + normalized counts: varints]
-  [symbol count: u32][final state: u16][FSE bit length: u32][FSE bits]
-  [extra-bits length: u32][extra bits]
+  [symbol count: u32][final state: u16][FSE bits: bit section]
+  [extra bits: bit section]
+where a bit section is a u32 bit count and the bits (see hivc.bits).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import struct
 
 import numpy as np
 
-from hivc.bits import BitReader, BitWriter, read_uvarint, write_uvarint
+from hivc.bits import BitWriter, read_section, read_uvarint, write_section, write_uvarint
 from hivc.bitstream import Truncated
 
 MAX_MAGNITUDE = (1 << 15) - 1
@@ -157,8 +158,9 @@ def fse_encode(symbols, table: FseTable):
     return writer, state
 
 
-def fse_decode(reader: BitReader, state: int, count: int, table: FseTable):
-    """Decode `count` symbols starting from the stored final encoder state."""
+def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable):
+    """Decode `count` symbols from the first `nbits` bits of `data`,
+    starting from the stored final encoder state."""
     size = 1 << table.table_log
     if not size <= state < 2 * size:
         raise EntropyError("corrupt stream: initial state out of range")
@@ -166,31 +168,25 @@ def fse_decode(reader: BitReader, state: int, count: int, table: FseTable):
     xs = table.decode_x.tolist()
     nbs = table.decode_nb.tolist()
     out = [0] * count
-    # the bit reader is inlined here; this loop dominates decode time
-    data = reader._data
-    acc, have, b = reader._acc, reader._have, reader._byte
-    pos, limit = reader._pos, reader._limit
-    try:
-        for i in range(count):
-            slot = state - size
-            out[i] = sym[slot]
-            nb = nbs[slot]
-            if nb:
-                pos += nb
-                if pos > limit:
-                    raise Truncated("bit stream exhausted")
-                while have < nb:
-                    acc = (acc << 8) | data[b]
-                    b += 1
-                    have += 8
-                have -= nb
-                state = (xs[slot] << nb) | (acc >> have)
-                acc &= (1 << have) - 1
-            else:
-                state = xs[slot]
-    finally:
-        reader._acc, reader._have, reader._byte = acc, have, b
-        reader._pos = pos
+    # MSB-first bit reading inlined; this loop dominates decode time
+    acc = have = b = pos = 0
+    for i in range(count):
+        slot = state - size
+        out[i] = sym[slot]
+        nb = nbs[slot]
+        if nb:
+            pos += nb
+            if pos > nbits:
+                raise Truncated("bit stream exhausted")
+            while have < nb:
+                acc = (acc << 8) | data[b]
+                b += 1
+                have += 8
+            have -= nb
+            state = (xs[slot] << nb) | (acc >> have)
+            acc &= (1 << have) - 1
+        else:
+            state = xs[slot]
     if state != size:
         raise EntropyError("corrupt stream: final state mismatch")
     return np.asarray(out, dtype=np.int64)
@@ -254,10 +250,9 @@ def encode_symbols(symbols, table_log: int | None = None) -> bytes:
         writer, state = fse_encode(symbols, table)
     else:
         writer, state = BitWriter(), 1 << table_log
-    fse_bits = writer.getvalue()
     out = _encode_header(counts, table_log)
-    out += struct.pack("<IHI", symbols.size, state, len(writer))
-    out += fse_bits
+    out += struct.pack("<IH", symbols.size, state)
+    write_section(out, writer)
     return bytes(out)
 
 
@@ -269,19 +264,15 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     claims another count is rejected before anything is allocated for it.
     """
     counts, table_log, pos = _decode_header(data, pos)
-    if pos + 10 > len(data):
+    if pos + 6 > len(data):
         raise Truncated("entropy payload truncated")
-    count, state, bit_len = struct.unpack_from("<IHI", data, pos)
-    pos += 10
+    count, state = struct.unpack_from("<IH", data, pos)
     if count != expected:
         raise EntropyError(f"stream claims {count} symbols, {expected} expected")
-    nbytes = (bit_len + 7) // 8
-    if pos + nbytes > len(data):
-        raise Truncated("entropy payload truncated")
+    body, nbits, pos = read_section(data, pos + 6)
     table = FseTable(counts, table_log)
-    reader = BitReader(data[pos : pos + nbytes], bit_len)
-    symbols = fse_decode(reader, state, count, table) if count else np.empty(0, dtype=np.int64)
-    return symbols, pos + nbytes
+    symbols = fse_decode(body, nbits, state, count, table) if count else np.empty(0, dtype=np.int64)
+    return symbols, pos
 
 
 def encode_signed_values(values, table_log: int | None = None) -> bytes:
@@ -295,9 +286,7 @@ def encode_signed_values(values, table_log: int | None = None) -> bytes:
         if k:
             extra.write_bits(bits, k)
     payload = bytearray(encode_symbols(cats, table_log))
-    extra_bytes = extra.getvalue()
-    payload += struct.pack("<I", len(extra))
-    payload += extra_bytes
+    write_section(payload, extra)
     return bytes(payload)
 
 
@@ -307,19 +296,12 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
     `expected` is the value count, as for decode_symbols.
     """
     cats, pos = decode_symbols(data, pos, expected)
-    if pos + 4 > len(data):
-        raise Truncated("entropy payload truncated")
-    (bit_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    nbytes = (bit_len + 7) // 8
-    if pos + nbytes > len(data):
-        raise Truncated("entropy payload truncated")
+    body, bit_len, pos = read_section(data, pos)
     if np.any(cats > 16):
         raise EntropyError("bad category in stream")
     if int(cats.sum()) != bit_len:
         raise EntropyError("extra-bits length mismatch")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
-    bits = bits[:bit_len].astype(np.int64)
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:bit_len].astype(np.int64)
     ends = np.cumsum(cats)
     starts = ends - cats
     values = np.zeros(cats.size, dtype=np.int64)
@@ -331,4 +313,4 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
         extra = bits[starts[sel][:, None] + np.arange(k)] @ (1 << np.arange(k - 1, -1, -1))
         half = 1 << (k - 1)
         values[sel] = np.where(extra >= half, extra, extra - (1 << k) + 1)
-    return values, pos + nbytes
+    return values, pos

@@ -22,17 +22,17 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, median_filter
 
 from hivc import entropy
-from hivc.bits import BitReader, BitWriter
 from hivc.bitstream import Truncated
 from hivc.homogeneous import bilinear_resize
 from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
-    SubdivisionTree,
     deserialize_tree,
+    end_of_trees,
     leaf_means,
     paint_leaf_values,
-    serialize_tree,
+    read_tree_bits,
     subdivide_by_error,
+    write_trees,
 )
 
 
@@ -345,29 +345,22 @@ def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
     if hi <= lo:
         hi = lo + 1e-6
     idx = uniform_quantize(means, lo, hi, levels)
-    writer = BitWriter()
-    serialize_tree(tree, writer)
-    tree_bytes = writer.getvalue()
-    out = bytearray(struct.pack("<ffI", lo, hi, len(writer)))
-    out += tree_bytes
+    out = bytearray(struct.pack("<ff", lo, hi))
+    write_trees(out, [tree])
     out += entropy.encode_symbols(idx, table_log=8)
     return bytes(out)
 
 
 def _decompress_plane(data: bytes, pos: int, shape, levels: int):
-    if pos + 12 > len(data):
+    if pos + 8 > len(data):
         raise Truncated("flow payload truncated")
-    lo, hi, nbits = struct.unpack_from("<ffI", data, pos)
-    pos += 12
-    nbytes = (nbits + 7) // 8
-    if pos + nbytes > len(data):
-        raise Truncated("flow payload truncated")
-    reader = BitReader(data[pos : pos + nbytes], nbits)
-    tree = deserialize_tree(reader, 0, 0, shape[1], shape[0])
-    pos += nbytes
-    idx, pos = entropy.decode_symbols(data, pos, tree.leaf_count)
+    lo, hi = struct.unpack_from("<ff", data, pos)
+    bits, pos = read_tree_bits(data, pos + 8, 2 * shape[0] * shape[1] - 1)
+    leaves = deserialize_tree(bits, shape[1], shape[0])
+    end_of_trees(bits)
+    idx, pos = entropy.decode_symbols(data, pos, len(leaves))
     values = uniform_dequantize(idx, float(lo), float(hi), levels)
-    return paint_leaf_values(tree, values), pos
+    return paint_leaf_values(leaves, values, shape), pos
 
 
 def compress_flow(flow: FlowField, points_budget: int, quant_levels: int) -> bytes:

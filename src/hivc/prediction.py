@@ -19,17 +19,18 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
 from hivc import entropy
-from hivc.bits import BitReader, BitWriter
 from hivc.bitstream import Truncated
 from hivc.flow import FlowField, warp_planes
 from hivc.homogeneous import solve_homogeneous
 from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
+    end_of_trees,
     joint_ssd_error,
     mask_from_tree,
     parse_mask,
-    serialize_tree,
+    read_tree_bits,
     subdivide_by_error,
+    write_trees,
 )
 
 # fixed iteration budget keeps decode deterministic and time-bounded
@@ -154,24 +155,11 @@ def _decode_plane_values(data: bytes, pos: int, levels: int, count: int):
     return uniform_dequantize(idx, float(lo), float(hi), levels), pos
 
 
-def _write_tree(tree, out: bytearray):
-    writer = BitWriter()
-    serialize_tree(tree, writer)
-    out += struct.pack("<I", len(writer))
-    out += writer.getvalue()
-
-
 def _read_tree(data: bytes, pos: int, width: int, height: int):
-    if pos + 4 > len(data):
-        raise Truncated("intra payload truncated")
-    (nbits,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    nbytes = (nbits + 7) // 8
-    if pos + nbytes > len(data):
-        raise Truncated("intra payload truncated")
-    reader = BitReader(data[pos : pos + nbytes], nbits)
-    mask = parse_mask(reader, width, height)
-    return mask, pos + nbytes
+    bits, pos = read_tree_bits(data, pos, 2 * width * height - 1)
+    mask = parse_mask(bits, width, height)
+    end_of_trees(bits)
+    return mask, pos
 
 
 def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
@@ -181,7 +169,7 @@ def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
     y = np.asarray(planes[0], dtype=np.float64)
     out = bytearray()
     tree_y = subdivide_by_error(y, min(luma_budget, y.size))
-    _write_tree(tree_y, out)
+    write_trees(out, [tree_y])
     (vals_y,) = optimize_mask_values([y], mask_from_tree(tree_y))
     _encode_plane_values(vals_y, levels, out)
     if len(planes) == 3:
@@ -190,7 +178,7 @@ def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
         tree_c = subdivide_by_error(
             u, chroma_budget(min(luma_budget, y.size), u.size), error_fn=joint_ssd_error([u, v])
         )
-        _write_tree(tree_c, out)
+        write_trees(out, [tree_c])
         vals_u, vals_v = optimize_mask_values([u, v], mask_from_tree(tree_c))
         _encode_plane_values(vals_u, chroma_levels(levels), out)
         _encode_plane_values(vals_v, chroma_levels(levels), out)

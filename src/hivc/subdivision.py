@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hivc.bits import BitReader, BitWriter
+from hivc.bits import BitWriter, read_section, write_section
+from hivc.bitstream import Truncated
 
 
 class SubdivisionError(ValueError):
@@ -37,8 +38,6 @@ def split_children(x: int, y: int, w: int, h: int):
 
 @dataclass(frozen=True)
 class SubdivisionTree:
-    x: int
-    y: int
     w: int
     h: int
     bits: tuple
@@ -46,31 +45,12 @@ class SubdivisionTree:
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
 
-    @property
-    def root(self):
-        return (self.x, self.y, self.w, self.h)
-
     def leaves(self):
         """Leaf rectangles (x, y, w, h) in preorder."""
-        out = []
-        stack = [self.root]
-        for bit in self.bits:
-            if not stack:
-                raise SubdivisionError("excess bits after tree completed")
-            rect = stack.pop()
-            if bit:
-                first, second = split_children(*rect)
-                stack.append(second)
-                stack.append(first)
-            else:
-                out.append(rect)
-        if stack:
-            raise SubdivisionError("truncated tree bits")
+        bits = iter(self.bits)
+        out = deserialize_tree(bits, self.w, self.h)
+        end_of_trees(bits)
         return out
-
-    @property
-    def leaf_count(self):
-        return sum(1 for b in self.bits if b == 0)
 
 
 def subdivide_by_error(
@@ -91,7 +71,7 @@ def subdivide_by_error(
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
     if target_points == 1:
-        return SubdivisionTree(0, 0, w_img, h_img, (0,))
+        return SubdivisionTree(w_img, h_img, (0,))
     if error_fn is None:
         error_fn = region_ssd
 
@@ -126,7 +106,7 @@ def subdivide_by_error(
             bits.append(1)
             stack.append(kids[1])
             stack.append(kids[0])
-    return SubdivisionTree(0, 0, w_img, h_img, tuple(bits))
+    return SubdivisionTree(w_img, h_img, tuple(bits))
 
 
 def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
@@ -151,12 +131,15 @@ def joint_ssd_error(planes):
     return fn
 
 
-def mask_from_tree(tree: SubdivisionTree) -> np.ndarray:
+def leaf_mask(leaves, width: int, height: int) -> np.ndarray:
     """Boolean mask with one point at the floor midpoint of each leaf."""
-    mask = np.zeros((tree.h, tree.w), dtype=bool)
-    for x, y, w, h in tree.leaves():
-        mask[y + h // 2, x + w // 2] = True
+    mask = np.zeros((height, width), dtype=bool)
+    mask[[y + h // 2 for _, y, _, h in leaves], [x + w // 2 for x, _, w, _ in leaves]] = True
     return mask
+
+
+def mask_from_tree(tree: SubdivisionTree) -> np.ndarray:
+    return leaf_mask(tree.leaves(), tree.w, tree.h)
 
 
 def leaf_means(tree: SubdivisionTree, plane: np.ndarray) -> np.ndarray:
@@ -166,63 +149,68 @@ def leaf_means(tree: SubdivisionTree, plane: np.ndarray) -> np.ndarray:
     )
 
 
-def paint_leaf_values(tree: SubdivisionTree, values) -> np.ndarray:
-    """Plane that is constant on each leaf, from preorder leaf values."""
-    out = np.empty((tree.h, tree.w), dtype=np.float64)
-    rects = tree.leaves()
-    if len(values) != len(rects):
+def paint_leaf_values(leaves, values, shape) -> np.ndarray:
+    """Plane of `shape` that is constant on each leaf, from preorder leaf values."""
+    if len(values) != len(leaves):
         raise SubdivisionError("leaf value count mismatch")
-    for (x, y, w, h), v in zip(rects, values):
+    out = np.empty(shape, dtype=np.float64)
+    for (x, y, w, h), v in zip(leaves, values):
         out[y : y + h, x : x + w] = v
     return out
 
 
-def serialize_tree(tree: SubdivisionTree, writer: BitWriter):
-    for b in tree.bits:
-        writer.write_bit(b)
+def write_trees(out: bytearray, trees):
+    """Append one bit section holding the preorder bits of `trees`."""
+    writer = BitWriter()
+    for tree in trees:
+        for b in tree.bits:
+            writer.write_bit(b)
+    write_section(out, writer)
 
 
-def deserialize_tree(reader: BitReader, x: int, y: int, w: int, h: int) -> SubdivisionTree:
-    """Parse preorder bits; validates that every split is geometrically legal."""
-    bits = []
-    stack = [(x, y, w, h)]
-    while stack:
-        rect = stack.pop()
-        bit = reader.read_bit()
-        bits.append(bit)
-        if bit:
-            first, second = split_children(*rect)
-            stack.append(second)
-            stack.append(first)
-    return SubdivisionTree(x, y, w, h, tuple(bits))
+def read_tree_bits(data: bytes, pos: int, max_bits: int):
+    """Bits of the tree section at `pos`; returns (bit iterator, next position).
 
-
-def parse_mask(reader: BitReader, width: int, height: int) -> np.ndarray:
-    """Leaf mask of a serialized tree, parsed without building tree nodes.
-
-    Equivalent to mask_from_tree(deserialize_tree(...)) minus the
-    validation; decode hot path.
+    Walk each tree of the section with deserialize_tree or parse_mask,
+    then call end_of_trees. `max_bits` is the most its trees can hold (a
+    tree over n pixels has at most 2n - 1 nodes); a longer section is
+    rejected before it is unpacked.
     """
-    read_bit = reader.read_bit
+    body, nbits, pos = read_section(data, pos)
+    if nbits > max_bits:
+        raise SubdivisionError(f"tree section of {nbits} bits, at most {max_bits} fit")
+    return iter(np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:nbits].tolist()), pos
+
+
+def end_of_trees(bits):
+    """Reject a tree section that holds bits after its last tree."""
+    if next(bits, None) is not None:
+        raise SubdivisionError("excess bits after the last tree")
+
+
+def deserialize_tree(bits, width: int, height: int):
+    """Leaf rectangles (x, y, w, h) of the next tree in `bits`, in preorder.
+
+    `bits` is an iterator of preorder bits (1 = split, 0 = leaf); the
+    walk consumes exactly one tree. A split of a single pixel raises
+    SubdivisionError, and bits that run out raise Truncated.
+    """
+    leaves = []
     stack = [(0, 0, width, height)]
     push, pop = stack.append, stack.pop
-    rows, cols = [], []
-    while stack:
-        x, y, w, h = pop()
-        if read_bit():
-            if w == 1 and h == 1:
-                raise SubdivisionError("split of a single pixel")
-            if h > w:
-                half = (h + 1) // 2
-                push((x, y + half, w, h - half))
-                push((x, y, w, half))
-            else:
-                half = (w + 1) // 2
-                push((x + half, y, w - half, h))
-                push((x, y, half, h))
+    for bit in bits:
+        rect = pop()
+        if bit:
+            first, second = split_children(*rect)
+            push(second)
+            push(first)
         else:
-            rows.append(y + h // 2)
-            cols.append(x + w // 2)
-    mask = np.zeros((height, width), dtype=bool)
-    mask[rows, cols] = True
-    return mask
+            leaves.append(rect)
+        if not stack:
+            return leaves
+    raise Truncated("tree bits run out")
+
+
+def parse_mask(bits, width: int, height: int) -> np.ndarray:
+    """Leaf mask of the next tree in `bits` (see deserialize_tree)."""
+    return leaf_mask(deserialize_tree(bits, width, height), width, height)

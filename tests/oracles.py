@@ -5,7 +5,8 @@ batched production paths so the tests can check one against the other.
 The tonal fit through an LU of the full inpainting system is the
 reference for the codec's interior factorization. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox solver and subdivision search at the end are the
-reference the in-place production versions must match bit for bit.
+reference the in-place production versions must match bit for bit, and
+the recursive leaf enumerator is the reference for the tree walker.
 """
 
 import heapq
@@ -240,7 +241,7 @@ def optimize_mask_values(planes, mask: np.ndarray):
 
 def piecewise_constant_from_tree(tree, plane) -> np.ndarray:
     """Region-average approximation of `plane` on the tree's leaves."""
-    return paint_leaf_values(tree, leaf_means(tree, plane))
+    return paint_leaf_values(tree.leaves(), leaf_means(tree, plane), plane.shape)
 
 
 def fse_build_table(histogram, table_log: int = DEFAULT_TABLE_LOG) -> FseTable:
@@ -480,7 +481,33 @@ def subdivide_by_error(
             bits.append(1)
             stack.append(kids[1])
             stack.append(kids[0])
-    return SubdivisionTree(0, 0, w_img, h_img, tuple(bits))
+    return SubdivisionTree(w_img, h_img, tuple(bits))
+
+
+def tree_leaves(bits, width: int, height: int):
+    """Leaf rectangles of a tree whose preorder bits are exactly `bits`.
+
+    Recursive, on split_children, and independent of the codec's tree
+    walker. Raises IndexError when the bits run out and ValueError when
+    bits remain after the tree.
+    """
+    leaves = []
+    pos = 0
+
+    def walk(rect):
+        nonlocal pos
+        bit = bits[pos]
+        pos += 1
+        if bit:
+            for child in split_children(*rect):
+                walk(child)
+        else:
+            leaves.append(rect)
+
+    walk((0, 0, width, height))
+    if pos != len(bits):
+        raise ValueError("bits left after the tree")
+    return leaves
 
 
 def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:

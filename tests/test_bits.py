@@ -1,59 +1,79 @@
-import numpy as np
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import BitReader, BitWriter, read_uvarint, write_uvarint
+from hivc.bits import BitWriter, read_section, read_uvarint, write_section, write_uvarint
 from hivc.bitstream import Truncated
+
+
+def _bits_of(data: bytes, nbits: int) -> str:
+    return "".join(f"{byte:08b}" for byte in data)[:nbits]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, (1 << 24) - 1)), max_size=80))
 def test_bit_round_trip(chunks):
     w = BitWriter()
-    expected = []
+    expected = ""
     for nbits, value in chunks:
-        value &= (1 << nbits) - 1 if nbits else 0
+        value &= (1 << nbits) - 1
         w.write_bits(value, nbits)
-        expected.append((nbits, value))
+        expected += f"{value:0{nbits}b}" if nbits else ""
     data = w.getvalue()
-    r = BitReader(data)
-    for nbits, value in expected:
-        assert r.read_bits(nbits) == value
+    assert len(w) == len(expected)
+    assert len(data) == (len(expected) + 7) // 8
+    assert _bits_of(data, len(w)) == expected
+    # the final partial byte is zero-padded
+    assert set("".join(f"{b:08b}" for b in data)[len(expected) :]) <= {"0"}
 
 
 def test_single_bits_and_padding():
     w = BitWriter()
     for b in (1, 0, 1, 1, 0):
         w.write_bit(b)
-    data = w.getvalue()
-    assert len(data) == 1
-    r = BitReader(data)
-    assert [r.read_bit() for _ in range(5)] == [1, 0, 1, 1, 0]
+    assert w.getvalue() == bytes([0b10110000])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 9), max_size=60), st.binary(max_size=12))
-def test_read_bit_interleaves_with_read_bits(counts, data):
-    bits = "".join(f"{byte:08b}" for byte in data)
-    r = BitReader(data)
-    pos = 0
-    for c in counts:
-        if pos + c > len(bits):
-            with pytest.raises(Truncated):
-                r.read_bit() if c == 1 else r.read_bits(c)
-            return
-        got = r.read_bit() if c == 1 else r.read_bits(c)
-        assert got == int(bits[pos : pos + c] or "0", 2)
-        pos += c
-        assert r.position == pos
+@given(
+    st.lists(st.lists(st.integers(0, 1), max_size=70), max_size=6),
+    st.binary(max_size=5),
+    st.binary(max_size=5),
+)
+def test_section_round_trip(sections, head, tail):
+    out = bytearray(head)
+    for bits in sections:
+        w = BitWriter()
+        for b in bits:
+            w.write_bit(b)
+        write_section(out, w)
+    out += tail
+    data = bytes(out)
+    pos = len(head)
+    for bits in sections:
+        body, nbits, nxt = read_section(data, pos)
+        assert nbits == len(bits)
+        assert nxt == pos + 4 + (nbits + 7) // 8
+        assert _bits_of(body, nbits) == "".join(map(str, bits))
+        pos = nxt
+    assert data[pos:] == tail
 
 
-def test_reader_truncation():
-    r = BitReader(b"\xff")
-    r.read_bits(8)
+@pytest.mark.parametrize("cut", [0, 1, 3])
+def test_section_truncated_in_length_prefix(cut):
     with pytest.raises(Truncated):
-        r.read_bits(1)
+        read_section(b"\x00" * cut, 0)
+    with pytest.raises(Truncated):
+        read_section(b"\xff" + struct.pack("<I", 9)[:cut], 1)
+
+
+@pytest.mark.parametrize("nbits,present", [(1, 0), (8, 0), (9, 1), (17, 2), (2**32 - 1, 64)])
+def test_section_truncated_in_body(nbits, present):
+    data = struct.pack("<I", nbits) + b"\xaa" * present
+    with pytest.raises(Truncated):
+        read_section(data, 0)
 
 
 @settings(max_examples=60, deadline=None)

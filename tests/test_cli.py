@@ -196,6 +196,20 @@ def test_flag_overrides_config(tmp_path, clip_y4m):
     assert _report_dict(report)["config_gop_size"] == "4"
 
 
+@pytest.mark.parametrize(
+    "text,rate", [("", (30, 1)), ("fps_den=2\n", (30, 2)), ("fps_num=24\n", (24, 1))]
+)
+def test_config_file_frame_rate_overrides_input_rate_key_by_key(tmp_path, text, rate):
+    src = tmp_path / "in.y4m"
+    video_io.write_y4m(src, moving_clip(1, 16, 16, seed=23), fps=(30, 1))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    stream = tmp_path / "s.hivc"
+    assert main(["encode", str(src), str(stream), "--config", str(cfg), "--gop-size", "1"]) == 0
+    header = bitstream.unpack_header(stream.read_bytes())
+    assert (header.fps_num, header.fps_den) == rate
+
+
 def test_target_ratio_flag(tmp_path):
     clip = moving_clip(4, 48, 96, seed=21)
     src = tmp_path / "in.y4m"

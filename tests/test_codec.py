@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from conftest import moving_clip, smooth_texture, static_clip
 from hivc import bitstream, codec, prediction
 from hivc.bitstream import HEADER_SIZE, BitstreamError, Truncated, read_stream
+from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.frame import Frame, FrameError, psnr
 from hivc.pseudodiff import block_grid
@@ -128,18 +130,9 @@ def test_static_video_inter_frames_nearly_free():
     cfg = EncoderConfig(gop_size=2, intra_mask_fraction=0.1, self_check=True)
     stream = encode(clip, cfg)
     _, gops = read_stream(stream)
-    payload = gops[0]
-    import struct
-
-    pos = 2
-    frame_bytes = []
-    for _ in range(2):
-        _, pred_len = struct.unpack_from("<BI", payload, pos)
-        pos += 5 + pred_len
-        (res_len,) = struct.unpack_from("<I", payload, pos)
-        pos += 4 + res_len
-        frame_bytes.append(5 + pred_len + 4 + res_len)
-    intra_bytes, inter_bytes = frame_bytes
+    intra_bytes, inter_bytes = (
+        9 + len(pred) + len(res) for _, pred, res in codec.frame_records(gops[0], 2, 0)
+    )
     assert inter_bytes < 0.10 * intra_bytes
 
 
@@ -211,6 +204,57 @@ def test_corrupt_interior_never_hangs():
             decode(bytes(mutated))
         except BitstreamError:
             pass
+
+
+def _edit_records(stream, edit):
+    """Stream rebuilt from its frame records, passed through
+    edit(frame index, ftype, pred, res) -> (pred, res)."""
+    header, payloads = read_stream(stream)
+    groups = []
+    for gi, payload in enumerate(payloads):
+        records = list(codec.frame_records(payload, header.gop_size, gi))
+        group = bytearray(struct.pack("<H", len(records)))
+        for fi, (ftype, pred, res) in enumerate(records):
+            pred, res = edit(fi, ftype, bytearray(pred), bytearray(res))
+            group += struct.pack("<BI", ftype, len(pred)) + pred
+            group += struct.pack("<I", len(res)) + res
+        groups.append(bytes(group))
+    return bitstream.write_stream(header, groups)
+
+
+# frame, where its first tree section starts: the intra payload's luma
+# trees, the inter payload's u flow tree after `<ff`, and the luma
+# residual trees after the marker, the two scales and the skip map
+_TREE_SECTIONS = {
+    "intra": (0, lambda pred, res: (pred, 0)),
+    "flow": (1, lambda pred, res: (pred, 8)),
+    "residual": (1, lambda pred, res: (res, 1 + 8 + (len(block_grid(24, 32)) + 7) // 8)),
+}
+
+
+@pytest.mark.parametrize("section", sorted(_TREE_SECTIONS))
+def test_tree_section_with_a_bit_past_its_trees_is_rejected(tmp_path, section):
+    # the 24x32 golden colour stream: 3 frames, coded residual blocks
+    stream = (Path(__file__).resolve().parent / "golden" / "color.hivc").read_bytes()
+    assert _edit_records(stream, lambda fi, ft, pred, res: (pred, res)) == stream
+    frame, locate = _TREE_SECTIONS[section]
+
+    def one_more_bit(fi, ftype, pred, res):
+        if fi == frame:
+            buf, pos = locate(pred, res)
+            (nbits,) = struct.unpack_from("<I", buf, pos)
+            # the extra bit lies in the padding of the section's last byte
+            assert nbits % 8
+            struct.pack_into("<I", buf, pos, nbits + 1)
+        return pred, res
+
+    mutated = _edit_records(stream, one_more_bit)
+    assert len(mutated) == len(stream) and mutated != stream
+    with pytest.raises(CodecError, match="excess bits"):
+        decode(mutated)
+    path = tmp_path / "m.hivc"
+    path.write_bytes(mutated)
+    assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
 
 
 def _group_count_offsets(stream):

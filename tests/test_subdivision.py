@@ -1,19 +1,24 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import BitReader, BitWriter
+from hivc.bitstream import Truncated
 from hivc.subdivision import (
     SubdivisionError,
+    SubdivisionTree,
     deserialize_tree,
+    end_of_trees,
     joint_ssd_error,
     mask_from_tree,
     parse_mask,
+    read_tree_bits,
     region_ssd,
-    serialize_tree,
     split_children,
     subdivide_by_error,
+    write_trees,
 )
 import oracles
 from oracles import piecewise_constant_from_tree
@@ -110,16 +115,18 @@ def test_budget_monotonicity_of_approximation_error():
     assert errs == sorted(errs, reverse=True)
 
 
+def _section(trees):
+    out = bytearray()
+    write_trees(out, trees)
+    return bytes(out)
+
+
 def test_serialize_known_bit_patterns():
     plane = np.zeros((8, 8))
-    w = BitWriter()
-    serialize_tree(subdivide_by_error(plane, 1), w)
-    assert w.getvalue() == bytes([0])
+    assert _section([subdivide_by_error(plane, 1)]) == bytes([1, 0, 0, 0, 0])
     plane[:, 4:] = 255.0
-    w = BitWriter()
-    serialize_tree(subdivide_by_error(plane, 2), w)
-    # Preorder: split root, then two leaves -> bits 1,0,0.
-    assert w.getvalue()[0] >> 5 == 0b100
+    # preorder: split root, then two leaves -> bits 1,0,0
+    assert _section([subdivide_by_error(plane, 2)]) == bytes([3, 0, 0, 0, 0b10000000])
 
 
 def _random_tree(rng, w, h, splits):
@@ -128,30 +135,88 @@ def _random_tree(rng, w, h, splits):
     return subdivide_by_error(plane, target)
 
 
-def test_serialize_round_trip_random_trees():
+def _random_bits(rng, w, h, p_split):
+    """Preorder bits of a random legal tree that splits with p_split."""
+    bits = []
+    stack = [(0, 0, w, h)]
+    while stack:
+        rect = stack.pop()
+        split = rect[2] * rect[3] > 1 and rng.random() < p_split
+        bits.append(int(split))
+        if split:
+            first, second = split_children(*rect)
+            stack += [second, first]
+    return bits
+
+
+def test_walker_matches_recursive_oracle_on_random_trees():
     rng = np.random.default_rng(4)
-    for _ in range(60):
+    for _ in range(200):
         w = int(rng.integers(1, 40))
         h = int(rng.integers(1, 40))
-        tree = _random_tree(rng, w, h, int(rng.integers(1, 50)))
-        wr = BitWriter()
-        serialize_tree(tree, wr)
-        rd = BitReader(wr.getvalue())
-        back = deserialize_tree(rd, 0, 0, w, h)
-        assert back.leaves() == tree.leaves()
+        bits = _random_bits(rng, w, h, float(rng.uniform(0.3, 0.95)))
+        expected = oracles.tree_leaves(bits, w, h)
+        assert deserialize_tree(iter(bits), w, h) == expected
+        assert SubdivisionTree(w, h, bits).leaves() == expected
+        mask = np.zeros((h, w), dtype=bool)
+        for x, y, lw, lh in expected:
+            mask[y + lh // 2, x + lw // 2] = True
+        assert np.array_equal(parse_mask(iter(bits), w, h), mask)
 
 
-def test_parse_mask_matches_tree_path():
+def test_serialize_round_trip_random_trees():
     rng = np.random.default_rng(5)
-    for _ in range(120):
-        w = int(rng.integers(1, 33))
-        h = int(rng.integers(1, 33))
-        tree = _random_tree(rng, w, h, int(rng.integers(1, 64)))
-        wr = BitWriter()
-        serialize_tree(tree, wr)
-        fast = parse_mask(BitReader(wr.getvalue()), w, h)
-        slow = mask_from_tree(deserialize_tree(BitReader(wr.getvalue()), 0, 0, w, h))
-        assert np.array_equal(fast, slow)
+    for _ in range(60):
+        sizes = [(int(rng.integers(1, 33)), int(rng.integers(1, 33))) for _ in range(3)]
+        trees = [_random_tree(rng, w, h, int(rng.integers(1, 64))) for w, h in sizes]
+        data = _section(trees) + b"tail"
+        bits, pos = read_tree_bits(data, 0, sum(len(t.bits) for t in trees))
+        for tree, (w, h) in zip(trees, sizes):
+            assert deserialize_tree(bits, w, h) == oracles.tree_leaves(tree.bits, w, h)
+        end_of_trees(bits)
+        assert data[pos:] == b"tail"
+
+
+def test_split_of_single_pixel_rejected():
+    with pytest.raises(SubdivisionError):
+        deserialize_tree(iter([1]), 1, 1)
+    # 2x1 splits into two single pixels; splitting the first is illegal
+    with pytest.raises(SubdivisionError):
+        parse_mask(iter([1, 1, 0, 0]), 2, 1)
+    with pytest.raises(SubdivisionError):
+        SubdivisionTree(2, 1, (1, 0, 1)).leaves()
+
+
+@pytest.mark.parametrize("bits", [[], [1], [1, 0], [1, 1, 0, 0]])
+def test_bits_that_run_out_are_truncated(bits):
+    with pytest.raises(Truncated):
+        deserialize_tree(iter(bits), 4, 4)
+    with pytest.raises(Truncated):
+        parse_mask(iter(bits), 4, 4)
+    with pytest.raises(Truncated):
+        SubdivisionTree(4, 4, bits).leaves()
+
+
+def test_excess_bits_after_last_tree_rejected():
+    with pytest.raises(SubdivisionError, match="excess"):
+        SubdivisionTree(4, 4, (1, 0, 0, 0)).leaves()
+    tree = subdivide_by_error(np.arange(16.0).reshape(4, 4), 3)
+    data = bytearray(_section([tree]))
+    # one more bit in the count, still inside the padded last byte
+    assert len(tree.bits) % 8
+    data[0] += 1
+    bits, _ = read_tree_bits(bytes(data), 0, 2 * 16 - 1)
+    assert len(deserialize_tree(bits, 4, 4)) == 3
+    with pytest.raises(SubdivisionError, match="excess"):
+        end_of_trees(bits)
+
+
+def test_tree_section_longer_than_its_trees_can_be_is_rejected():
+    # a 4x4 tree has at most 31 nodes
+    data = struct.pack("<I", 32) + bytes(4)
+    assert read_tree_bits(data, 0, 32)[1] == len(data)
+    with pytest.raises(SubdivisionError, match="at most 31"):
+        read_tree_bits(data, 0, 31)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,9 +234,10 @@ def test_subdivision_invariants_property(w, h, target, seed):
     leaves = tree.leaves()
     assert len(leaves) == target
     assert sum(lw * lh for (_, _, lw, lh) in leaves) == w * h
-    wr = BitWriter()
-    serialize_tree(tree, wr)
-    assert deserialize_tree(BitReader(wr.getvalue()), 0, 0, w, h).leaves() == leaves
+    assert leaves == oracles.tree_leaves(tree.bits, w, h)
+    bits, _ = read_tree_bits(_section([tree]), 0, 2 * w * h - 1)
+    assert deserialize_tree(bits, w, h) == leaves
+    end_of_trees(bits)
 
 
 def _random_planes(seed):
@@ -226,4 +292,4 @@ def test_subdivision_min_error_stop_matches_oracle(target):
         fast = subdivide_by_error(plane, target, min_error=0.0)
         assert fast == oracles.subdivide_by_error(plane, target, min_error=0.0)
     # a constant plane stops at the root
-    assert subdivide_by_error(constant, target, min_error=0.0).leaf_count == 1
+    assert len(subdivide_by_error(constant, target, min_error=0.0).leaves()) == 1
