@@ -78,7 +78,10 @@ def _parse_config_file(path):
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            out[key] = _CONFIG_TYPES[key](value)
+            try:
+                out[key] = _CONFIG_TYPES[key](value)
+            except ValueError as e:
+                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from e
     return out
 
 

@@ -189,6 +189,8 @@ def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable)
             state = xs[slot]
     if state != size:
         raise EntropyError("corrupt stream: final state mismatch")
+    if pos != nbits:
+        raise EntropyError(f"corrupt stream: {nbits - pos} unused FSE bits")
     return np.asarray(out, dtype=np.int64)
 
 
@@ -270,8 +272,11 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     if count != expected:
         raise EntropyError(f"stream claims {count} symbols, {expected} expected")
     body, nbits, pos = read_section(data, pos + 6)
-    table = FseTable(counts, table_log)
-    symbols = fse_decode(body, nbits, state, count, table) if count else np.empty(0, dtype=np.int64)
+    if not count:
+        if nbits:
+            raise EntropyError(f"corrupt stream: {nbits} FSE bits for no symbols")
+        return np.empty(0, dtype=np.int64), pos
+    symbols = fse_decode(body, nbits, state, count, FseTable(counts, table_log))
     return symbols, pos
 
 

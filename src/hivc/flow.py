@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, median_filter
 
 from hivc import entropy
 from hivc.bitstream import Truncated
@@ -205,6 +204,10 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
     pyramid level, and take neighbours from shifted views instead of an
     edge-padded copy of the field.
     """
+    # Brox flow runs only in the encoder; importing SciPy here keeps it
+    # off the decode path, which needs only NumPy.
+    from scipy.ndimage import gaussian_filter, median_filter
+
     if params is None:
         params = BroxParams()
     f1 = np.asarray(frame_t, dtype=np.float64)

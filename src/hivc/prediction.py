@@ -15,8 +15,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
 from hivc import entropy
 from hivc.bitstream import Truncated
@@ -41,9 +39,14 @@ INTRA_SOLVE_TOL = 1e-4
 # a handful of iterations and plateaus well before 20
 TONAL_ITERS = 12
 
+# The tonal fit runs only in the encoder, so its functions import SciPy
+# themselves: importing hivc or decoding a stream loads only NumPy.
+
 
 def _path_laplacian(n: int):
     """Reflecting-boundary 3-point Laplacian on a line of n pixels."""
+    import scipy.sparse as sparse
+
     one = np.ones(n - 1)
     deg = np.zeros(n)
     deg[1:] += one
@@ -54,10 +57,12 @@ def _path_laplacian(n: int):
 def _laplacian_matrix(h: int, w: int):
     """Reflecting-boundary 5-point Laplacian on row-major pixels: the line
     Laplacian along each row plus the one along each column."""
+    import scipy.sparse as sparse
+
     return sparse.kronsum(_path_laplacian(w), _path_laplacian(h), format="csr")
 
 
-def _inpainting_operator(mask: np.ndarray) -> LinearOperator:
+def _inpainting_operator(mask: np.ndarray):
     """M, the map from mask values (raster order) to the inpainted plane.
 
     With K the mask pixels, I the rest and L the Laplacian, M v = v on K
@@ -65,6 +70,8 @@ def _inpainting_operator(mask: np.ndarray) -> LinearOperator:
     M^T r = r_K + L_IK^T (-L_II)^-1 r_I needs the same solve, and one
     symmetric factorization of the interior block serves both.
     """
+    from scipy.sparse.linalg import LinearOperator, splu
+
     pts = _mask_points(mask)
     inner = np.flatnonzero(~mask.ravel())
     lap_i = _laplacian_matrix(*mask.shape)[inner]
@@ -97,6 +104,8 @@ def optimize_mask_values(planes, mask: np.ndarray):
     values. A full mask is returned verbatim to keep pure-quantization
     configurations exact.
     """
+    from scipy.sparse.linalg import lsqr
+
     pts = _mask_points(mask)
     samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
     if mask.all():

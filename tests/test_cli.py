@@ -1,5 +1,10 @@
+import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +170,7 @@ def test_usage_errors(tmp_path):
     assert main(["encode", "in.y4m", "out.hivc", "--flow-method", "brox"]) == 1
 
 
-def test_config_file_applies_and_rejects_unknown_keys(tmp_path, clip_y4m):
+def test_config_file_applies_and_rejects_unknown_keys(tmp_path, clip_y4m, capsys):
     src, _ = clip_y4m
     good = tmp_path / "good.cfg"
     good.write_text("gop_size=2\nintra_mask_fraction=0.2  # comment\nself_check=true\n")
@@ -183,6 +188,13 @@ def test_config_file_applies_and_rejects_unknown_keys(tmp_path, clip_y4m):
     assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
     bad.write_text("flow_method=brox\n")
     assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
+    for line in ("gop_size=two", "intra_mask_fraction=abc"):
+        capsys.readouterr()
+        bad.write_text(f"self_check=true\n{line}\n")
+        assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {bad}:2: ")
+        assert repr(line.split("=")[0]) in err
 
 
 def test_flag_overrides_config(tmp_path, clip_y4m):
@@ -231,3 +243,34 @@ def test_single_frame_pnm_pipeline(tmp_path):
     out = tmp_path / "o.ppm"
     assert main(["decode", str(stream), str(out)]) == 0
     assert video_io.read_pnm(out) == f
+
+
+def _scipy_modules_in_child(code, cwd):
+    """Run `code` in a fresh interpreter that imports hivc from this
+    checkout; returns the names of the scipy modules loaded at its end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_only_encoding_loads_scipy(tmp_path):
+    # the golden colour stream has inter frames: flow decoding and warping run
+    stream = Path(__file__).parent / "golden" / "color.hivc"
+    code = (
+        "from hivc import cli\n"
+        f"assert cli.main(['decode', {str(stream)!r}, 'out.y4m']) == 0\n"
+        f"assert cli.main(['inspect', {str(stream)!r}]) == 0\n"
+    )
+    assert _scipy_modules_in_child(code, tmp_path) == []
+    assert len(video_io.read_y4m(tmp_path / "out.y4m")[0]) == 3
+
+    video_io.write_y4m(tmp_path / "in.y4m", moving_clip(2, 16, 24, seed=3), fps=(25, 1))
+    code = "from hivc import cli\nassert cli.main(['encode', 'in.y4m', 'out.hivc', '--gop-size', '2']) == 0\n"
+    assert {"scipy.ndimage", "scipy.sparse.linalg"} <= set(_scipy_modules_in_child(code, tmp_path))

@@ -10,6 +10,7 @@ from hivc.bitstream import Truncated
 from hivc.entropy import (
     EntropyError,
     MAX_MAGNITUDE,
+    _decode_header,
     decode_signed_values,
     decode_symbols,
     encode_signed_values,
@@ -132,6 +133,30 @@ def test_decoder_rejects_truncation():
     for cut in (1, len(data) // 2, len(data) - 1):
         with pytest.raises((EntropyError, Truncated)):
             decode_symbols(data[:cut], 0, len(syms))
+
+
+def _with_fse_bit_count(payload, nbits):
+    """`payload` with its FSE section relabelled as `nbits` bits long,
+    zero bytes appended to the section as far as the new count needs."""
+    _, _, at = _decode_header(payload, 0)
+    at += 6  # symbol count and final state
+    (old,) = struct.unpack_from("<I", payload, at)
+    end = at + 4 + (old + 7) // 8
+    body = payload[at + 4 : end].ljust((nbits + 7) // 8, b"\0")
+    return payload[:at] + struct.pack("<I", nbits) + body + payload[end:]
+
+
+def test_decoder_rejects_unused_fse_bits():
+    syms = [1, 2, 3, 1, 1, 2, 0, 5, 1, 1]
+    data = encode_symbols(syms)
+    assert _with_fse_bit_count(data, 19) == data
+    for nbits in (20, 27, 40):
+        with pytest.raises(EntropyError, match="unused"):
+            decode_symbols(_with_fse_bit_count(data, nbits), 0, len(syms))
+    # a stream of no symbols holds no FSE bits
+    for nbits in (1, 8):
+        with pytest.raises(EntropyError):
+            decode_symbols(_with_fse_bit_count(encode_symbols([]), nbits), 0, 0)
 
 
 def test_table_invariants():

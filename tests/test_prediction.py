@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import smooth_texture
 from hivc.bitstream import Truncated
@@ -259,13 +260,14 @@ def test_inpainting_operator_adjoint_and_forward_map(name):
 
 def test_tonal_fit_factors_once_per_mask(monkeypatch):
     calls = []
-    real = prediction.splu
+    real = scipy.sparse.linalg.splu
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(prediction, "splu", counting)
+    # the fit imports splu from SciPy when it runs
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     planes = _yuv_planes(8)
     encode_intra(planes, 60, 256)
     # one factorization for the luma mask, one for the shared chroma mask
