@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 
-from hivc.bitstream import Truncated
+from hivc.bitstream import LengthMismatch, Truncated
 
 
 class BitWriter:
@@ -51,7 +51,11 @@ def write_section(out: bytearray, writer: BitWriter):
 
 
 def read_section(data: bytes, pos: int):
-    """Inverse of write_section; returns (bytes, bit count, next position)."""
+    """Inverse of write_section; returns (bytes, bit count, next position).
+
+    Padding bits after the last counted bit must be zero, as the writer
+    leaves them.
+    """
     if pos + 4 > len(data):
         raise Truncated("bit section length cut short")
     (nbits,) = struct.unpack_from("<I", data, pos)
@@ -59,6 +63,8 @@ def read_section(data: bytes, pos: int):
     end = pos + (nbits + 7) // 8
     if end > len(data):
         raise Truncated("bit section cut short")
+    if nbits % 8 and data[end - 1] & (0xFF >> nbits % 8):
+        raise LengthMismatch(f"bits set after the {nbits} bits of a section")
     return data[pos:end], nbits, end
 
 

@@ -272,10 +272,8 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         coded = np.flatnonzero(coded_bits)
 
         bits, pos = read_tree_bits(data, pos, len(coded) * (2 * BLOCK * BLOCK - 1))
-        masks = np.zeros((len(coded), BLOCK, BLOCK), dtype=bool)
-        for bi, ti in enumerate(coded):
-            y0, x0, bh, bw = tiles[ti]
-            masks[bi, :bh, :bw] = parse_mask(bits, bw, bh)
+        sizes = [(tiles[ti][3], tiles[ti][2]) for ti in coded]
+        masks = parse_mask(bits, sizes, (BLOCK, BLOCK))
         end_of_trees(bits)
 
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))

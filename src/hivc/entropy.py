@@ -275,6 +275,8 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     if not count:
         if nbits:
             raise EntropyError(f"corrupt stream: {nbits} FSE bits for no symbols")
+        if state != 1 << table_log:
+            raise EntropyError("corrupt stream: final state mismatch")
         return np.empty(0, dtype=np.int64), pos
     symbols = fse_decode(body, nbits, state, count, FseTable(counts, table_log))
     return symbols, pos

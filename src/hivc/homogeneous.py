@@ -10,10 +10,14 @@ bilinearly, refine on the next finer level.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 COARSEST_SIZE = 16
 LEVEL_TOL = 1e-4  # relative residual at intermediate pyramid levels
+# values per BLAS dot in the CG; OpenBLAS threads a dot of over 10,000
+DOT_RUN = 4096
 
 
 class InpaintingError(ValueError):
@@ -52,6 +56,32 @@ def laplacian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _runs(a: np.ndarray):
+    """A C-contiguous plane as _dot reads it: views of its values in
+    rows of DOT_RUN, and of the values left over."""
+    flat = a.reshape(-1)
+    n = flat.size - flat.size % DOT_RUN
+    return flat[:n].reshape(-1, DOT_RUN), flat[n:]
+
+
+def _dot(a, b) -> float:
+    """Sum of a * b over two planes of one shape, given as _runs views.
+
+    One BLAS dot per run of DOT_RUN values and one for the rest, then
+    the sum of those. Each dot is shorter than the length at which
+    OpenBLAS splits a dot across threads, so the sum has one order
+    whatever the BLAS thread count, and no BLAS worker spins between the
+    CG's array passes. The views stay valid while the CG updates its
+    planes in place, so it makes them once per level.
+    """
+    return float(np.add.reduce(np.vecdot(a[0], b[0])) + np.vecdot(a[1], b[1]))
+
+
+def _norm(a: np.ndarray) -> float:
+    runs = _runs(a)
+    return math.sqrt(_dot(runs, runs))
+
+
 def _masked_cg(f, mask, x0, tol, max_iter, denom=None):
     """CG on the interior (non-mask) unknowns with Dirichlet mask values.
 
@@ -76,21 +106,22 @@ def _masked_cg(f, mask, x0, tol, max_iter, denom=None):
 
     x = x0 * interior
     r = b - matvec(x)
-    b_norm = float(np.linalg.norm(b)) if denom is None else denom
+    b_norm = _norm(b) if denom is None else denom
     if b_norm == 0.0:
         return u_d + x, 0
     p = r.copy()
-    rs = float(np.vdot(r, r))
+    r_runs, p_runs, ap_runs = _runs(r), _runs(p), _runs(ap)
+    rs = _dot(r_runs, r_runs)
     it = 0
     for it in range(1, max_iter + 1):
         matvec(p)
-        denom = float(np.vdot(p, ap))
+        denom = _dot(p_runs, ap_runs)
         if denom <= 0.0 or rs < 1e-300:
             break
         alpha = rs / denom
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
-        rs_new = float(np.vdot(r, r))
+        rs_new = _dot(r_runs, r_runs)
         if np.sqrt(rs_new) <= tol * b_norm:
             rs = rs_new
             break
@@ -195,8 +226,10 @@ def solve_homogeneous(
             continue
         level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
         # The finest level stops against the contract denominator
-        # ||f restricted to mask|| rather than the CG right-hand side.
-        denom = float(np.linalg.norm(fv[mv])) if lvl == 0 else None
+        # ||f restricted to mask|| rather than the CG right-hand side;
+        # it is the norm of a plane that is zero off the mask, so that
+        # it is summed as every other norm is.
+        denom = _norm(np.where(mv, fv, 0.0)) if lvl == 0 else None
         if denom == 0.0:
             denom = None
         u, it = _masked_cg(fv, mv, x0, level_tol, max_iter, denom=denom)

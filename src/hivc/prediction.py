@@ -166,7 +166,7 @@ def _decode_plane_values(data: bytes, pos: int, levels: int, count: int):
 
 def _read_tree(data: bytes, pos: int, width: int, height: int):
     bits, pos = read_tree_bits(data, pos, 2 * width * height - 1)
-    mask = parse_mask(bits, width, height)
+    (mask,) = parse_mask(bits, [(width, height)], (height, width))
     end_of_trees(bits)
     return mask, pos
 

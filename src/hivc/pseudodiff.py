@@ -25,6 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 BLOCK = 8
+# rows per residual product: 63 x 64 x 64 multiply-adds stay below the
+# 4 x 65536 at which OpenBLAS runs a GEMM on more than one thread
+GEMM_ROWS = 63
 
 
 def _dct_matrix_1d() -> np.ndarray:
@@ -87,11 +90,22 @@ def solve_block_coefficients_batch(f_blocks: np.ndarray, masks: np.ndarray):
 
 
 def reconstruct_blocks(mc: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """u = G M c + a for scattered weight blocks (n, 8, 8) and constants (n,)."""
+    """u = G M c + a for scattered weight blocks (n, 8, 8) and constants (n,).
+
+    The product runs GEMM_ROWS blocks at a time, into one output. Each
+    output value is the same k-ordered sum however the rows are grouped,
+    and no product is large enough for OpenBLAS to start threads.
+    """
     n = mc.shape[0]
     # G is symmetric only to rounding, so the transpose is what G M c needs
-    u = mc.reshape(n, BLOCK * BLOCK) @ _greens_block_matrix().T
-    return u.reshape(n, BLOCK, BLOCK) + a[:, None, None]
+    g_t = _greens_block_matrix().T
+    flat = mc.reshape(n, BLOCK * BLOCK)
+    u = np.empty((n, BLOCK * BLOCK))
+    for start in range(0, n, GEMM_ROWS):
+        np.matmul(flat[start : start + GEMM_ROWS], g_t, out=u[start : start + GEMM_ROWS])
+    u = u.reshape(n, BLOCK, BLOCK)
+    u += a[:, None, None]
+    return u
 
 
 @lru_cache(maxsize=8)

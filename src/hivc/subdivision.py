@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,25 +193,53 @@ def deserialize_tree(bits, width: int, height: int):
     """Leaf rectangles (x, y, w, h) of the next tree in `bits`, in preorder.
 
     `bits` is an iterator of preorder bits (1 = split, 0 = leaf); the
-    walk consumes exactly one tree. A split of a single pixel raises
-    SubdivisionError, and bits that run out raise Truncated.
+    walk consumes exactly one tree. A degenerate root or a split of a
+    single pixel raises SubdivisionError, and bits that run out raise
+    Truncated. Splits are split_children's, inlined: a split descends
+    into the first child at once and stacks the second, and no child of
+    a rectangle of at least one pixel is degenerate.
     """
+    if width < 1 or height < 1:
+        raise SubdivisionError(f"degenerate rectangle {width}x{height}")
     leaves = []
-    stack = [(0, 0, width, height)]
+    stack = []
     push, pop = stack.append, stack.pop
+    rect = (0, 0, width, height)
     for bit in bits:
-        rect = pop()
         if bit:
-            first, second = split_children(*rect)
-            push(second)
-            push(first)
+            x, y, w, h = rect
+            if h > w:
+                h1 = (h + 1) // 2
+                push((x, y + h1, w, h - h1))
+                rect = (x, y, w, h1)
+            elif w > 1:
+                w1 = (w + 1) // 2
+                push((x + w1, y, w - w1, h))
+                rect = (x, y, w1, h)
+            else:
+                raise SubdivisionError("cannot split a single pixel")
         else:
             leaves.append(rect)
-        if not stack:
-            return leaves
+            if not stack:
+                return leaves
+            rect = pop()
     raise Truncated("tree bits run out")
 
 
-def parse_mask(bits, width: int, height: int) -> np.ndarray:
-    """Leaf mask of the next tree in `bits` (see deserialize_tree)."""
-    return leaf_mask(deserialize_tree(bits, width, height), width, height)
+def parse_mask(bits, sizes, shape) -> np.ndarray:
+    """Leaf masks of the next len(sizes) trees in `bits`, as one array.
+
+    Tree i covers sizes[i] = (width, height) at the top-left of a mask
+    of `shape`; the result has shape (len(sizes), *shape) and holds one
+    point at the floor midpoint of each leaf (see deserialize_tree).
+    """
+    leaves, counts = [], []
+    for width, height in sizes:
+        tree = deserialize_tree(bits, width, height)
+        leaves += tree
+        counts.append(len(tree))
+    flat = np.fromiter(chain.from_iterable(leaves), dtype=np.intp, count=4 * len(leaves))
+    x, y, w, h = flat.reshape(-1, 4).T
+    masks = np.zeros((len(counts), *shape), dtype=bool)
+    masks[np.repeat(np.arange(len(counts)), counts), y + h // 2, x + w // 2] = True
+    return masks

@@ -5,8 +5,10 @@ batched production paths so the tests can check one against the other.
 The tonal fit through an LU of the full inpainting system is the
 reference for the codec's interior factorization. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox solver and subdivision search at the end are the
-reference the in-place production versions must match bit for bit, and
-the recursive leaf enumerator is the reference for the tree walker.
+reference the in-place production versions must match bit for bit, the
+recursive leaf enumerator is the reference for the tree walker, and the
+tile-by-tile mask walk is the reference for the residual decoder's
+batched one.
 """
 
 import heapq
@@ -18,6 +20,7 @@ from scipy.ndimage import gaussian_filter, median_filter
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
 from hivc import subdivision
+from hivc.bitstream import Truncated
 from hivc.entropy import DEFAULT_TABLE_LOG, EntropyError, FseTable, normalize_counts
 from hivc.flow import (
     BroxParams,
@@ -508,6 +511,31 @@ def tree_leaves(bits, width: int, height: int):
     if pos != len(bits):
         raise ValueError("bits left after the tree")
     return leaves
+
+
+def tile_masks(bits, sizes) -> np.ndarray:
+    """Residual tile masks read one tile at a time, one mask per tile.
+
+    For each (width, height) in `sizes`, walks the next tree of the bit
+    iterator `bits` on split_children and sets each leaf's floor
+    midpoint in that tile's own (8, 8) mask. Raises SubdivisionError on
+    a split of a single pixel and Truncated when the bits run out, as
+    the codec's walker does.
+    """
+    masks = np.zeros((len(sizes), BLOCK, BLOCK), dtype=bool)
+    for mask, (width, height) in zip(masks, sizes):
+        stack = [(0, 0, width, height)]
+        while stack:
+            bit = next(bits, None)
+            if bit is None:
+                raise Truncated("tree bits run out")
+            x, y, w, h = stack.pop()
+            if bit:
+                first, second = split_children(x, y, w, h)
+                stack += [second, first]
+            else:
+                mask[y + h // 2, x + w // 2] = True
+    return masks
 
 
 def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:

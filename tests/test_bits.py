@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivc.bits import BitWriter, read_section, read_uvarint, write_section, write_uvarint
-from hivc.bitstream import Truncated
+from hivc.bitstream import BitstreamError, Truncated
+from hivc.entropy import decode_symbols, encode_symbols
 
 
 def _bits_of(data: bytes, nbits: int) -> str:
@@ -74,6 +75,30 @@ def test_section_truncated_in_body(nbits, present):
     data = struct.pack("<I", nbits) + b"\xaa" * present
     with pytest.raises(Truncated):
         read_section(data, 0)
+
+
+@pytest.mark.parametrize("nbits", [1, 3, 7, 9, 15, 21])
+def test_section_rejects_set_padding_bits(nbits):
+    w = BitWriter()
+    w.write_bits((1 << nbits) - 1, nbits)
+    out = bytearray()
+    write_section(out, w)
+    assert read_section(bytes(out), 0)[1] == nbits
+    for pad in range(8 - nbits % 8):
+        bad = bytearray(out)
+        bad[-1] |= 1 << pad
+        with pytest.raises(BitstreamError):
+            read_section(bytes(bad), 0)
+
+
+def test_fse_section_with_a_set_padding_bit_is_rejected():
+    # 19 FSE bits: the last byte holds 3 of them and 5 padding bits
+    syms = [1, 2, 3, 1, 1, 2, 0, 5, 1, 1]
+    data = bytearray(encode_symbols(syms))
+    assert decode_symbols(bytes(data), 0, len(syms))[0].tolist() == syms
+    data[-1] |= 1
+    with pytest.raises(BitstreamError):
+        decode_symbols(bytes(data), 0, len(syms))
 
 
 @settings(max_examples=60, deadline=None)

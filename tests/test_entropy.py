@@ -71,6 +71,18 @@ def test_empty_stream_round_trip():
     assert pos == len(data)
 
 
+def test_empty_stream_rejects_a_final_state_other_than_the_table_size():
+    data = encode_symbols([])
+    table_log = data[0]
+    at = len(data) - 4 - 2  # the u16 state, then an empty FSE section
+    assert struct.unpack_from("<H", data, at) == (1 << table_log,)
+    for state in (7, (1 << table_log) + 1, 0xFFFF):
+        bad = bytearray(data)
+        struct.pack_into("<H", bad, at, state)
+        with pytest.raises(EntropyError, match="final state"):
+            decode_symbols(bytes(bad), 0, 0)
+
+
 def test_symbols_round_trip_random():
     rng = np.random.default_rng(0)
     for _ in range(40):

@@ -21,6 +21,7 @@ from hivc.subdivision import (
     write_trees,
 )
 import oracles
+from hivc.pseudodiff import BLOCK, block_grid
 from oracles import piecewise_constant_from_tree
 
 
@@ -161,7 +162,7 @@ def test_walker_matches_recursive_oracle_on_random_trees():
         mask = np.zeros((h, w), dtype=bool)
         for x, y, lw, lh in expected:
             mask[y + lh // 2, x + lw // 2] = True
-        assert np.array_equal(parse_mask(iter(bits), w, h), mask)
+        assert np.array_equal(parse_mask(iter(bits), [(w, h)], (h, w))[0], mask)
 
 
 def test_serialize_round_trip_random_trees():
@@ -182,9 +183,15 @@ def test_split_of_single_pixel_rejected():
         deserialize_tree(iter([1]), 1, 1)
     # 2x1 splits into two single pixels; splitting the first is illegal
     with pytest.raises(SubdivisionError):
-        parse_mask(iter([1, 1, 0, 0]), 2, 1)
+        parse_mask(iter([1, 1, 0, 0]), [(2, 1)], (1, 2))
     with pytest.raises(SubdivisionError):
         SubdivisionTree(2, 1, (1, 0, 1)).leaves()
+
+
+@pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-1, 1)])
+def test_degenerate_root_rejected(width, height):
+    with pytest.raises(SubdivisionError, match="degenerate"):
+        deserialize_tree(iter([0]), width, height)
 
 
 @pytest.mark.parametrize("bits", [[], [1], [1, 0], [1, 1, 0, 0]])
@@ -192,9 +199,76 @@ def test_bits_that_run_out_are_truncated(bits):
     with pytest.raises(Truncated):
         deserialize_tree(iter(bits), 4, 4)
     with pytest.raises(Truncated):
-        parse_mask(iter(bits), 4, 4)
+        parse_mask(iter(bits), [(4, 4)], (4, 4))
     with pytest.raises(Truncated):
         SubdivisionTree(4, 4, bits).leaves()
+
+
+def _tile_sections(rng, width, height):
+    """Tile sizes and preorder bits of random legal trees for a random
+    subset of the residual tiles of a width x height frame."""
+    tiles = block_grid(height, width)
+    coded = np.flatnonzero(rng.random(len(tiles)) < 0.6)
+    sizes = [(tiles[ti][3], tiles[ti][2]) for ti in coded]
+    trees = [_random_bits(rng, w, h, float(rng.uniform(0.2, 0.9))) for w, h in sizes]
+    return sizes, trees
+
+
+def _walk_both(bits, sizes):
+    """Masks, or (error type, message), of the batched walk and of the oracle."""
+    results = []
+    for walk in (parse_mask, lambda it, sizes, _: oracles.tile_masks(it, sizes)):
+        it = iter(bits)
+        try:
+            masks = walk(it, sizes, (BLOCK, BLOCK))
+            end_of_trees(it)
+        except (SubdivisionError, Truncated) as e:
+            results.append((type(e), str(e)))
+        else:
+            results.append(masks)
+    return results
+
+
+def test_batched_tile_walk_matches_per_tile_oracle():
+    rng = np.random.default_rng(6)
+    # odd sizes give edge tiles of 1, 3, 5 and 7 pixels
+    for width, height in ((37, 29), (33, 25), (16, 8), (7, 3), (41, 17)):
+        for _ in range(10):
+            sizes, trees = _tile_sections(rng, width, height)
+            data = _section([SubdivisionTree(w, h, t) for (w, h), t in zip(sizes, trees)])
+            section, _ = read_tree_bits(data, 0, len(sizes) * (2 * BLOCK * BLOCK - 1))
+            masks = parse_mask(section, sizes, (BLOCK, BLOCK))
+            end_of_trees(section)
+            bits = [b for tree in trees for b in tree]
+            assert np.array_equal(masks, oracles.tile_masks(iter(bits), sizes))
+            assert masks.shape == (len(sizes), BLOCK, BLOCK)
+            assert masks.sum() == sum(tree.count(0) for tree in trees)
+
+
+def test_batched_tile_walk_rejects_corrupt_sections_like_the_oracle():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(40):
+        sizes, trees = _tile_sections(rng, 33, 25)
+        if not sizes:
+            continue
+        bits = [b for tree in trees for b in tree]
+        cases = (
+            ("excess", bits + [0], sizes),
+            ("run out", bits[:-1], sizes),
+            # a 1x1 tile, as the corner of a 33x25 frame has, may not split
+            ("single pixel", bits + [1, 0, 0], sizes + [(1, 1)]),
+        )
+        for name, case_bits, case_sizes in cases:
+            batched, oracle = _walk_both(case_bits, case_sizes)
+            assert isinstance(batched, tuple), name
+            assert batched == oracle
+            seen.add((name, batched[0]))
+    assert seen == {
+        ("excess", SubdivisionError),
+        ("run out", Truncated),
+        ("single pixel", SubdivisionError),
+    }
 
 
 def test_excess_bits_after_last_tree_rejected():
