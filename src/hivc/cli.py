@@ -10,6 +10,7 @@ failure, 4 corrupt or truncated stream.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import statistics
 import struct
@@ -173,24 +174,45 @@ def _raw_size(frames):
     return len(frames) * frames[0].width * frames[0].height * frames[0].channels
 
 
+def _write_replacing(path, write):
+    """Call write(tmp) on a file beside `path`, then move it to `path`;
+    on any failure no file is left. Returns what write returned."""
+    path = os.path.realpath(path)  # through a symlink to its target
+    if os.path.exists(path) and not os.path.isfile(path):
+        return write(path)  # a device or a pipe: nothing to replace
+    tmp = f"{path}.{os.getpid()}.part"
+    try:
+        result = write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return result
+
+
 def _cmd_decode(args):
     with open(args.input, "rb") as fh:
         data = fh.read()
-    timings = {}
-    frames = codec.decode(data, timings)
     header = bitstream.unpack_header(data)
-    if args.output.endswith(".y4m"):
-        video_io.write_y4m(args.output, frames, (header.fps_num, header.fps_den))
+    to_y4m = args.output.endswith(".y4m")
+    if not to_y4m and header.frame_count != 1:
+        raise UsageError("multi-frame stream needs a .y4m output")
+    timings = {}
+    frames = codec.iter_decode(data, timings)
+    if to_y4m:
+        fps = (header.fps_num, header.fps_den)
+        count = _write_replacing(args.output, lambda tmp: video_io.write_y4m(tmp, frames, fps))
     else:
-        if len(frames) != 1:
-            raise UsageError("multi-frame stream needs a .y4m output")
-        video_io.write_pnm(args.output, frames[0])
+        (frame,) = frames  # the header promised one; this also ends the decode
+        _write_replacing(args.output, lambda tmp: video_io.write_pnm(tmp, frame))
+        count = 1
     lines = _common_lines(args) + [
-        ("frames", len(frames)),
+        ("frames", count),
         ("width", header.width),
         ("height", header.height),
         ("decode_seconds", f"{timings['total']:.4f}"),
-        ("decode_fps", f"{len(frames) / timings['total']:.2f}"),
+        ("decode_fps", f"{count / timings['total']:.2f}"),
     ]
     for k in sorted(timings):
         if k != "total":
@@ -202,7 +224,7 @@ def _cmd_decode(args):
         for _ in range(runs):
             t = {}
             codec.decode(data, t)
-            samples.append(len(frames) / t["total"])
+            samples.append(count / t["total"])
             for k, v in t.items():
                 stage_acc[k] = stage_acc.get(k, 0.0) + v
         lines.append(("bench_runs", runs))
@@ -233,8 +255,9 @@ def _cmd_inspect(args):
     with open(args.input, "rb") as fh:
         data = fh.read()
     # a full decode vets every payload, so a corrupt stream exits 4
-    # before any byte share is reported
-    codec.decode(data)
+    # before any byte share is reported; no frame is kept
+    for _ in codec.iter_decode(data):
+        pass
     header, payloads = bitstream.read_stream(data)
     lines = _common_lines(args) + [
         ("width", header.width),
@@ -254,7 +277,7 @@ def _cmd_inspect(args):
         lines.append((f"group_{gi}_bytes", len(payload)))
         # group length prefix and frame count
         shares["framing"] += 4 + 2
-        for ftype, pred, res in codec.frame_records(payload, header.gop_size, gi):
+        for ftype, pred, res in codec.frame_records(header, payload, gi):
             shares["intra" if ftype == 0 else "flow"] += len(pred)
             shares["residual"] += len(res)
             shares["framing"] += 9

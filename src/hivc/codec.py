@@ -7,11 +7,12 @@ frames), then blockwise coding of the integer prediction residual with
 Green's function interpolation, dead-zone quantization and entropy
 coding.
 
-The encoder reconstructs every frame through the exact decoder code
-path, so predictions never drift: decoding a stream reproduces the
-encoder's reconstructions bit for bit.
+The encoder reconstructs every frame with the decoder's own two
+steps, `_predict` and `_add_residual`, so predictions never drift:
+decoding a stream reproduces the encoder's reconstructions bit for bit.
 
-Frame record layout inside a group payload (after a u16 frame count):
+Frame record layout inside a group payload, after a u16 frame count
+that is min(gop_size, frames left):
 
     type      u8    0 intra, 1 inter
     pred_len  u32   intra payload or compressed flow field
@@ -234,6 +235,7 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
     h, w = shape
     tiles = block_grid(h, w)
     nbytes_skip = (len(tiles) + 7) // 8
+    t0 = time.perf_counter()
     if pos + 1 > len(data):
         raise Truncated("residual payload truncated")
     marker = data[pos]
@@ -241,13 +243,9 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
     if marker == 0:
         # plane synthesis counts as transform work, matching the coded
         # path where output assembly is timed apart from payload reads
-        t0 = time.perf_counter()
+        t0 = _bump(timings, "residual_parse", t0)
         planes = [np.zeros((h, w)) for _ in range(channels)]
-        if timings is not None:
-            timings["residual_transform"] = timings.get("residual_transform", 0.0) + (
-                time.perf_counter() - t0
-            )
-            timings.setdefault("residual_parse", 0.0)
+        _bump(timings, "residual_transform", t0)
         return planes, pos
     if marker != 1:
         raise CodecError("bad residual payload marker")
@@ -262,7 +260,6 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
     planes = []
     groups = [1] + ([2] if channels == 3 else [])
     for nplanes in groups:
-        t0 = time.perf_counter()
         if pos + nbytes_skip > len(data):
             raise Truncated("residual payload truncated")
         coded_bits = np.unpackbits(
@@ -279,12 +276,8 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))
         c_sym, pos = entropy.decode_signed_values(data, pos, rows.size * nplanes)
         a_sym, pos = entropy.decode_signed_values(data, pos, len(coded) * nplanes)
-        if timings is not None:
-            timings["residual_parse"] = timings.get("residual_parse", 0.0) + (
-                time.perf_counter() - t0
-            )
+        t0 = _bump(timings, "residual_parse", t0)
 
-        t0 = time.perf_counter()
         c_vals = unmap_coefficients(deadzone_dequantize(c_sym, levels), c_scale)
         a_vals = unmap_coefficients(deadzone_dequantize(a_sym, levels), a_scale)
         mc = np.zeros((nplanes, len(coded), BLOCK * BLOCK))
@@ -305,65 +298,83 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
                 view = padded.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
                 view[coded // nbx, coded % nbx] = rec[ci]
             planes.append(padded[:h, :w])
-        if timings is not None:
-            timings["residual_transform"] = timings.get("residual_transform", 0.0) + (
-                time.perf_counter() - t0
-            )
+        t0 = _bump(timings, "residual_transform", t0)
     return planes, pos
 
 
 # ---------------------------------------------------------------------------
-# Frame and group coding
+# Frame and group coding: one decode step pair serves both sides
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct(pred, res_planes, colorspace):
-    """Rounded predictions (whole numbers, int or float) plus residuals."""
-    return [
-        clip_plane(p + r, ci, colorspace)
-        for ci, (p, r) in enumerate(zip(pred, res_planes))
-    ]
+def _bump(timings, key, t0):
+    """Add the seconds since t0 to timings[key]; returns the time now."""
+    t1 = time.perf_counter()
+    if timings is not None:
+        timings[key] = timings.get(key, 0.0) + (t1 - t0)
+    return t1
 
 
-def _code_frame(planes, pred_planes, cfg, colorspace):
-    """Residual-code one frame against its prediction; closed loop."""
-    pred_int = [np.rint(p).astype(np.int64) for p in pred_planes]
-    residual = [o.astype(np.int64) - p for o, p in zip(planes, pred_int)]
-    payload = _encode_residual(
-        residual, cfg.residual_points, cfg.residual_levels, cfg.residual_lambda
-    )
-    res_dec, consumed = _decode_residual(
-        payload, 0, planes[0].shape, len(planes), cfg.residual_levels
-    )
-    assert consumed == len(payload)
-    return payload, _reconstruct(pred_int, res_dec, colorspace)
+def _predict(header, ftype, data, prev, timings=None):
+    """Rounded prediction of one frame record, as whole-number floats: the
+    intra inpainting, or `prev`, the group's last reconstruction, warped."""
+    shape = (header.height, header.width)
+    t0 = time.perf_counter()
+    if ftype == 0:
+        pred, used = decode_intra(data, 0, shape, header.channels, header.intra_levels)
+        t0 = _bump(timings, "intra_solve", t0)
+    else:
+        if prev is None:
+            raise CodecError("group starts with an inter frame")
+        flow, used = decompress_flow(data, 0, shape, header.flow_levels)
+        t0 = _bump(timings, "flow_parse", t0)
+        pred = predict_inter(prev, flow)
+        t0 = _bump(timings, "warp", t0)
+    if used != len(data):
+        raise CodecError("prediction payload length mismatch")
+    pred = [np.rint(p) for p in pred]
+    _bump(timings, "finalize", t0)
+    return pred
 
 
-def _encode_gop(frames_planes, cfg, colorspace, flows_raw):
-    """Encode one group; returns (payload, reconstructed planes per frame)."""
-    h, w = frames_planes[0][0].shape
-    luma_budget = max(1, int(round(cfg.intra_mask_fraction * h * w)))
+def _add_residual(header, pred, data, timings=None):
+    """Reconstruction of one frame: its rounded prediction plus the
+    decoded residual, clipped to each plane's range (int32 planes)."""
+    shape = (header.height, header.width)
+    res, used = _decode_residual(data, 0, shape, header.channels, header.residual_levels, timings)
+    if used != len(data):
+        raise CodecError("residual payload length mismatch")
+    # applying the residual to the prediction is the add half of the
+    # residual pipeline, so it counts as transform work
+    t0 = time.perf_counter()
+    colorspace = "yuv" if header.channels == 3 else "gray"
+    recon = [clip_plane(p + r, ci, colorspace) for ci, (p, r) in enumerate(zip(pred, res))]
+    _bump(timings, "residual_transform", t0)
+    return recon
+
+
+def _encode_gop(header, frames_planes, cfg, flows_raw):
+    """Encode one group; returns (payload, reconstructed planes per frame).
+    Closed loop: each frame is predicted and rebuilt by the decoder's steps."""
+    luma_budget = max(1, int(round(cfg.intra_mask_fraction * header.height * header.width)))
     out = bytearray(struct.pack("<H", len(frames_planes)))
     recons = []
     for i, planes in enumerate(frames_planes):
         if i == 0:
-            pred_payload = encode_intra(planes, luma_budget, cfg.intra_levels)
-            pred, consumed = decode_intra(
-                pred_payload, 0, (h, w), len(planes), cfg.intra_levels
-            )
-            assert consumed == len(pred_payload)
-            ftype = 0
+            ftype, pred_payload = 0, encode_intra(planes, luma_budget, cfg.intra_levels)
         else:
-            pred_payload = compress_flow(flows_raw[i - 1], cfg.flow_points, cfg.flow_levels)
-            flow_dec, _ = decompress_flow(pred_payload, 0, (h, w), cfg.flow_levels)
-            pred = predict_inter(recons[-1], flow_dec)
             ftype = 1
-        res_payload, recon = _code_frame(planes, pred, cfg, colorspace)
-        recons.append(recon)
-        out += struct.pack("<BI", ftype, len(pred_payload))
-        out += pred_payload
-        out += struct.pack("<I", len(res_payload))
-        out += res_payload
+            pred_payload = compress_flow(flows_raw[i - 1], cfg.flow_points, cfg.flow_levels)
+        pred = _predict(header, ftype, pred_payload, recons[-1] if recons else None)
+        # whole numbers, so the int64 residual is exact and the decoder's
+        # float sum in _add_residual gives the encoder's reconstruction
+        residual = [o - p.astype(np.int64) for o, p in zip(planes, pred)]
+        res_payload = _encode_residual(
+            residual, cfg.residual_points, cfg.residual_levels, cfg.residual_lambda
+        )
+        recons.append(_add_residual(header, pred, res_payload))
+        out += struct.pack("<BI", ftype, len(pred_payload)) + pred_payload
+        out += struct.pack("<I", len(res_payload)) + res_payload
     return bytes(out), recons
 
 
@@ -409,8 +420,6 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
     """Compress a frame sequence into a self-contained byte stream."""
     cfg = cfg or EncoderConfig()
     first = _check_frames(frames)
-    colorspace = "yuv" if first.channels == 3 else "gray"
-
     yuv = [_to_yuv_planes(f) for f in frames]
     if _flows is None:
         _flows = _compute_gop_flows([p[0].astype(np.float64) for p in yuv], cfg)
@@ -427,19 +436,16 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
         flow_levels=cfg.flow_levels,
         residual_levels=cfg.residual_levels,
     )
-    payloads = []
-    all_recons = []
+    payloads, recons = [], []
     for gi, (s, e) in enumerate(_split_gops(len(frames), cfg.gop_size)):
-        payload, recons = _encode_gop(yuv[s:e], cfg, colorspace, _flows[gi])
+        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi])
         payloads.append(payload)
-        all_recons.extend(recons)
+        recons.extend(group_recons)
     stream = write_stream(header, payloads)
 
     if cfg.self_check:
-        decoded = decode(stream)
-        for i, frame in enumerate(decoded):
-            expect = _finalize_frame(all_recons[i], first.channels)
-            if frame != expect:
+        for i, (frame, recon) in enumerate(zip(iter_decode(stream), recons, strict=True)):
+            if frame != _finalize_frame(recon, first.channels):
                 raise CodecError(f"self-check failed at frame {i}")
     return stream
 
@@ -452,37 +458,53 @@ def _finalize_frame(recon_planes, channels) -> Frame:
     return Frame(tuple(np.clip(p, 0, 255) for p in rgb.planes), colorspace="rgb")
 
 
-def decode(data: bytes, timings: dict | None = None):
-    """Decode a stream into output frames (RGB or gray).
+def iter_decode(data: bytes, timings: dict | None = None):
+    """Yield a stream's output frames (RGB or gray) one at a time.
 
-    Malformed bytes raise a BitstreamError subtype.
+    Between frames only the group's last reconstruction is kept, so
+    memory does not grow with the stream. `timings` gathers the
+    decoder's own seconds per stage and in all (`total`), without the
+    time the caller spends between frames. Malformed bytes raise a
+    BitstreamError subtype, at the latest when the iterator ends.
     """
-    t_all = time.perf_counter()
+    t0 = time.perf_counter()
     header, payloads = read_stream(data)
     try:
-        frames = _decode_groups(header, payloads, timings)
+        for gi, payload in enumerate(payloads):
+            recon = None
+            for ftype, pred_data, res_data in frame_records(header, payload, gi):
+                pred = _predict(header, ftype, pred_data, recon, timings)
+                recon = _add_residual(header, pred, res_data, timings)
+                t1 = time.perf_counter()
+                frame = _finalize_frame(recon, header.channels)
+                _bump(timings, "finalize", t1)
+                _bump(timings, "total", t0)
+                yield frame
+                t0 = time.perf_counter()
     except ValueError as e:  # entropy, subdivision, quantizer, colour range
         raise CodecError(str(e)) from e
-    if len(frames) != header.frame_count:
-        raise CodecError(
-            f"decoded {len(frames)} frames, header promised {header.frame_count}"
-        )
-    _bump(timings, "total", t_all)
-    return frames
+    _bump(timings, "total", t0)
 
 
-def frame_records(payload: bytes, max_frames: int, gi: int):
+def decode(data: bytes, timings: dict | None = None):
+    """Decode a stream into a list of output frames; see iter_decode."""
+    return list(iter_decode(data, timings))
+
+
+def frame_records(header: StreamHeader, payload: bytes, gi: int):
     """Yield (ftype, pred, res) for each frame record of group `gi`'s payload.
 
-    The frame count must lie in [1, max_frames] and is checked before the
-    first record is read; every length is checked against the payload,
-    and bytes after the last record are rejected.
+    The group must hold min(gop_size, frames left) records, the only
+    partition an encoder writes; its count is checked before the first
+    record is read. Every length is checked against the payload, and
+    bytes after the last record are rejected.
     """
     if len(payload) < 2:
         raise Truncated(f"group {gi} payload too small")
     (nframes,) = struct.unpack_from("<H", payload, 0)
-    if not 1 <= nframes <= max_frames:
-        raise CodecError(f"group {gi} claims {nframes} frames")
+    expected = min(header.gop_size, header.frame_count - gi * header.gop_size)
+    if nframes != expected:
+        raise CodecError(f"group {gi} claims {nframes} frames, expected {expected}")
     pos = 2
     for _ in range(nframes):
         if pos + 5 > len(payload):
@@ -503,59 +525,6 @@ def frame_records(payload: bytes, max_frames: int, gi: int):
         yield ftype, pred, res
     if pos != len(payload):
         raise CodecError(f"trailing bytes in group {gi}")
-
-
-def _decode_groups(header, payloads, timings):
-    colorspace = "yuv" if header.channels == 3 else "gray"
-    shape = (header.height, header.width)
-    frames = []
-    for gi, payload in enumerate(payloads):
-        prev = None
-        max_frames = min(header.gop_size, header.frame_count - len(frames))
-        for ftype, pred_data, res_data in frame_records(payload, max_frames, gi):
-            t0 = time.perf_counter()
-            if ftype == 0:
-                pred, used = decode_intra(
-                    pred_data, 0, shape, header.channels, header.intra_levels
-                )
-                _bump(timings, "intra_solve", t0)
-            else:
-                if prev is None:
-                    raise CodecError(f"group {gi} starts with an inter frame")
-                flow, used = decompress_flow(pred_data, 0, shape, header.flow_levels)
-                _bump(timings, "flow_parse", t0)
-                t0 = time.perf_counter()
-                pred = predict_inter(prev, flow)
-                _bump(timings, "warp", t0)
-            if used != len(pred_data):
-                raise CodecError(f"prediction payload length mismatch in group {gi}")
-
-            res, used = _decode_residual(
-                res_data, 0, shape, header.channels, header.residual_levels, timings
-            )
-            if used != len(res_data):
-                raise CodecError(f"residual payload length mismatch in group {gi}")
-
-            t0 = time.perf_counter()
-            # whole numbers kept as floats: adding the float residual
-            # gives the same sums as the encoder's int64 predictions
-            pred_round = [np.rint(p) for p in pred]
-            _bump(timings, "finalize", t0)
-            # applying the residual to the prediction is the add half of
-            # the residual pipeline, so it counts as transform work
-            t0 = time.perf_counter()
-            recon = _reconstruct(pred_round, res, colorspace)
-            _bump(timings, "residual_transform", t0)
-            t0 = time.perf_counter()
-            prev = recon
-            frames.append(_finalize_frame(recon, header.channels))
-            _bump(timings, "finalize", t0)
-    return frames
-
-
-def _bump(timings, key, t0):
-    if timings is not None:
-        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ its own reversible color transform internally.
 from __future__ import annotations
 
 import glob
+import itertools
 import os
 import re
 
@@ -90,21 +91,25 @@ _Y4M_MAGIC = b"YUV4MPEG2"
 
 
 def write_y4m(path, frames, fps=(25, 1)):
-    if not frames:
+    """Write frames from any iterable as they come; returns how many."""
+    frames = iter(frames)
+    frame = next(frames, None)
+    if frame is None:
         raise VideoIOError("no frames to write")
-    f0 = frames[0]
-    cs = b"C444 XCS=RGB" if f0.channels == 3 else b"Cmono"
+    geometry = (frame.width, frame.height, frame.channels)
+    cs = b"C444 XCS=RGB" if frame.channels == 3 else b"Cmono"
     with open(path, "wb") as fh:
         fh.write(
             _Y4M_MAGIC
-            + b" W%d H%d F%d:%d Ip A1:1 %s\n" % (f0.width, f0.height, fps[0], fps[1], cs)
+            + b" W%d H%d F%d:%d Ip A1:1 %s\n" % (frame.width, frame.height, fps[0], fps[1], cs)
         )
-        for frame in frames:
-            if frame.width != f0.width or frame.height != f0.height or frame.channels != f0.channels:
+        for count, frame in enumerate(itertools.chain([frame], frames), 1):
+            if (frame.width, frame.height, frame.channels) != geometry:
                 raise VideoIOError("frame geometry mismatch")
             fh.write(b"FRAME\n")
             for p in frame.planes:
                 fh.write(np.ascontiguousarray(p, dtype=np.uint8).tobytes())
+    return count
 
 
 def read_y4m(path):

@@ -1,8 +1,10 @@
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -111,6 +113,76 @@ def test_inspect_truncated_stream_exits_corrupt(tmp_path, clip_y4m):
     trunc.write_bytes(data[:-10])
     assert main(["inspect", str(trunc)]) == 4
     assert main(["decode", str(trunc), str(tmp_path / "o.y4m")]) == 4
+
+
+def _two_gop_stream(tmp_path):
+    """A 4-frame colour stream in two groups of two, on disk."""
+    stream = tmp_path / "s.hivc"
+    clip = moving_clip(4, 16, 24, seed=24)
+    stream.write_bytes(codec.encode(clip, codec.EncoderConfig(gop_size=2)))
+    return stream
+
+
+def test_decode_failing_in_the_last_group_leaves_no_file(tmp_path, monkeypatch, capsys):
+    stream = _two_gop_stream(tmp_path)
+    data = bytearray(stream.read_bytes())
+    header, payloads = bitstream.read_stream(bytes(data))
+    *_, (_, _, res) = codec.frame_records(header, payloads[-1], len(payloads) - 1)
+    # the last residual payload ends the stream; its marker becomes invalid
+    data[len(data) - len(res)] = 2
+    stream.write_bytes(bytes(data))
+    written = []
+    real = video_io.write_y4m
+
+    def spying(path, frames, fps):
+        return real(path, (written.append(f) or f for f in frames), fps)
+
+    monkeypatch.setattr(video_io, "write_y4m", spying)
+    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+    assert "bad residual payload marker" in capsys.readouterr().err
+    # the three good frames were written as they came, then discarded
+    assert len(written) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.hivc"]
+
+
+def test_decode_to_an_image_needs_a_one_frame_stream(tmp_path, monkeypatch):
+    stream = _two_gop_stream(tmp_path)
+    calls = []
+    real = codec.decode_intra
+    monkeypatch.setattr(codec, "decode_intra", lambda *a: calls.append(1) or real(*a))
+    for name in ("o.ppm", "o.pgm"):
+        assert main(["decode", str(stream), str(tmp_path / name)]) == 1
+    assert calls == []  # refused before anything was decoded
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.hivc"]
+
+
+def test_decode_output_replaces_an_old_file_with_the_usual_mode(tmp_path):
+    stream = _two_gop_stream(tmp_path)
+    out = tmp_path / "o.y4m"
+    out.write_bytes(b"old")
+    assert main(["decode", str(stream), str(out)]) == 0
+    assert len(video_io.read_y4m(out)[0]) == 4
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.y4m", "s.hivc"]
+
+
+def test_decode_writes_through_a_fifo_and_a_symlink_without_replacing_them(tmp_path):
+    stream = _two_gop_stream(tmp_path)
+    fifo = tmp_path / "player.y4m"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["decode", str(stream), str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and got
+    target, link = tmp_path / "target.y4m", tmp_path / "link.y4m"
+    link.symlink_to(target)
+    assert main(["decode", str(stream), str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == got[0]
+    assert len(video_io.read_y4m(target)[0]) == 4
 
 
 def _one_pixel_stream(values_payload):

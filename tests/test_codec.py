@@ -1,4 +1,6 @@
+import collections
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,15 @@ import pytest
 import oracles
 from conftest import moving_clip, smooth_texture, static_clip
 from hivc import bitstream, codec, prediction
-from hivc.bitstream import HEADER_SIZE, BitstreamError, Truncated, read_stream
+from hivc.bitstream import HEADER_SIZE, BitstreamError, StreamHeader, Truncated, read_stream
 from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
+from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
 from hivc.pseudodiff import block_grid
 from hivc.quantize import deadzone_dequantize, unmap_coefficients
+from hivc.video_io import read_y4m
+from test_entropy import claimed_count_payload
 
 
 LOSSLESS = EncoderConfig(
@@ -129,9 +134,9 @@ def test_static_video_inter_frames_nearly_free():
     clip = [flat, flat]
     cfg = EncoderConfig(gop_size=2, intra_mask_fraction=0.1, self_check=True)
     stream = encode(clip, cfg)
-    _, gops = read_stream(stream)
+    header, gops = read_stream(stream)
     intra_bytes, inter_bytes = (
-        9 + len(pred) + len(res) for _, pred, res in codec.frame_records(gops[0], 2, 0)
+        9 + len(pred) + len(res) for _, pred, res in codec.frame_records(header, gops[0], 0)
     )
     assert inter_bytes < 0.10 * intra_bytes
 
@@ -212,7 +217,7 @@ def _edit_records(stream, edit):
     header, payloads = read_stream(stream)
     groups = []
     for gi, payload in enumerate(payloads):
-        records = list(codec.frame_records(payload, header.gop_size, gi))
+        records = list(codec.frame_records(header, payload, gi))
         group = bytearray(struct.pack("<H", len(records)))
         for fi, (ftype, pred, res) in enumerate(records):
             pred, res = edit(fi, ftype, bytearray(pred), bytearray(res))
@@ -267,8 +272,11 @@ def _group_count_offsets(stream):
     return offsets
 
 
-# 3 frames in groups of 2 and 1: zero, more than gop_size, past frame_count
-@pytest.mark.parametrize("group,count", [(0, 0), (0, 3), (0, 0xFFFF), (1, 0), (1, 2)])
+# 3 frames in groups of 2 and 1: zero, fewer than gop_size with frames
+# left, more than gop_size, past frame_count
+@pytest.mark.parametrize(
+    "group,count", [(0, 0), (0, 1), (0, 3), (0, 0xFFFF), (1, 0), (1, 2)]
+)
 def test_decode_checks_group_frame_count_first(monkeypatch, group, count):
     stream = encode(moving_clip(3, 16, 24, seed=3), EncoderConfig(gop_size=2))
     data = bytearray(stream)
@@ -364,3 +372,46 @@ def test_plan_group_trees_match_float_copy_oracle(points):
         assert got[0] == want[0] and 0 < len(got[0]) < len(tiles)
         assert got[1] == want[1]
         assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+
+
+def _still_stream(n):
+    """A 64x48 gray stream of n frames in one group: an intra record with
+    a one-leaf tree and one value, then n - 1 copies of one inter record
+    with zero flow and an empty residual."""
+    h, w = 48, 64
+    intra = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + claimed_count_payload(1)
+    flow = compress_flow(FlowField(np.zeros((h, w)), np.zeros((h, w))), 1, 256)
+    empty_residual = struct.pack("<IB", 1, 0)  # length 1, marker 0
+    record = lambda ftype, pred: struct.pack("<BI", ftype, len(pred)) + pred + empty_residual
+    group = struct.pack("<H", n) + record(0, intra) + record(1, flow) * (n - 1)
+    return bitstream.write_stream(StreamHeader(w, h, n, 25, 1, 255, 1, 256, 256, 63), [group])
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_decode_memory_does_not_grow_with_the_stream(tmp_path):
+    frame_bytes = 48 * 64 * 8  # the frame as one float64 plane
+    peaks = {}
+    for n in (4, 64):
+        data = _still_stream(n)
+        path = tmp_path / f"still{n}.hivc"
+        path.write_bytes(data)
+        out = tmp_path / f"still{n}.y4m"
+        report = tmp_path / "report.txt"
+        argv = ["decode", str(path), str(out), "--report", str(report)]
+        assert main(argv) == 0  # warm: imports and caches are not counted
+        assert len(read_y4m(out)[0]) == n
+        peaks[n] = (
+            _traced_peak(lambda: collections.deque(codec.iter_decode(data), maxlen=0)),
+            _traced_peak(lambda: main(argv)),
+        )
+    (lib4, cli4), (lib64, cli64) = peaks[4], peaks[64]
+    assert abs(lib64 - lib4) <= frame_bytes
+    assert abs(cli64 - cli4) <= frame_bytes

@@ -67,6 +67,20 @@ def test_y4m_round_trip_gray(tmp_path):
     assert all(a == b for a, b in zip(frames, clip))
 
 
+def test_y4m_writes_any_iterable_and_counts_its_frames(tmp_path):
+    clip = moving_clip(3, 16, 24, seed=5)
+    path = tmp_path / "gen.y4m"
+    assert write_y4m(path, (f for f in clip)) == 3
+    frames, _ = read_y4m(path)
+    assert all(a == b for a, b in zip(frames, clip, strict=True))
+    with pytest.raises(VideoIOError, match="no frames"):
+        write_y4m(tmp_path / "empty.y4m", (f for f in ()))
+    assert not (tmp_path / "empty.y4m").exists()
+    smaller = moving_clip(1, 8, 24, seed=6)[0]
+    with pytest.raises(VideoIOError, match="geometry"):
+        write_y4m(tmp_path / "mixed.y4m", iter([*clip[:2], smaller]))
+
+
 def test_y4m_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.y4m"
     path.write_bytes(b"NOTY4M stuff\n")
