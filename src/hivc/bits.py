@@ -9,45 +9,26 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from hivc.bitstream import LengthMismatch, Truncated
 
 
-class BitWriter:
-    """MSB-first bit accumulator."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bit(self, bit: int):
-        self.write_bits(bit & 1, 1)
-
-    def write_bits(self, value: int, count: int):
-        acc = (self._acc << count) | (value & ((1 << count) - 1))
-        nbits = self._nbits + count
-        while nbits >= 8:
-            nbits -= 8
-            self._bytes.append((acc >> nbits) & 0xFF)
-        self._acc = acc & ((1 << nbits) - 1)
-        self._nbits = nbits
-
-    def __len__(self):
-        return len(self._bytes) * 8 + self._nbits
-
-    def getvalue(self) -> bytes:
-        """Byte string, final partial byte zero-padded."""
-        out = bytearray(self._bytes)
-        if self._nbits:
-            out.append(self._acc << (8 - self._nbits))
-        return bytes(out)
+def pack_bits(values, widths) -> np.ndarray:
+    """The low `width` bits of each nonnegative value, MSB first, as one
+    0/1 uint8 array; a width may be 0."""
+    widths = np.asarray(widths, dtype=np.int64)
+    ends = np.cumsum(widths)
+    # bit i, inside the value that ends at bit e, is that value's bit e - 1 - i
+    shifts = np.repeat(ends - 1, widths) - np.arange(widths.sum())
+    return ((np.repeat(np.asarray(values, dtype=np.int64), widths) >> shifts) & 1).astype(np.uint8)
 
 
-def write_section(out: bytearray, writer: BitWriter):
-    """Append a bit section: its bit count as a u32, then the bits,
-    zero-padded to whole bytes."""
-    out += struct.pack("<I", len(writer))
-    out += writer.getvalue()
+def write_section(out: bytearray, bits: np.ndarray):
+    """Append a bit section: the bit count of the 0/1 uint8 array `bits`
+    as a u32, then the bits, zero-padded to whole bytes."""
+    out += struct.pack("<I", bits.size)
+    out += np.packbits(bits).tobytes()
 
 
 def read_section(data: bytes, pos: int):

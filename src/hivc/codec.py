@@ -37,7 +37,7 @@ from hivc.bitstream import (
     read_stream,
     write_stream,
 )
-from hivc.flow import BroxParams, compress_flow, decompress_flow, flow_brox
+from hivc.flow import compress_flow, decompress_flow, flow_brox
 from hivc.frame import Frame, FrameError, clip_plane, rct_forward, rct_inverse
 from hivc.prediction import decode_intra, encode_intra, predict_inter
 from hivc.pseudodiff import (
@@ -65,6 +65,10 @@ from hivc.subdivision import (
 
 MAX_RESIDUAL_POINTS = 48
 _SCALE_FP = 65536.0
+# encode_target_ratio stops within this relative distance of the target,
+# or after this many passes past the first
+TARGET_RATIO_TOL = 0.03
+TARGET_RATIO_PASSES = 14
 
 
 class CodecError(BitstreamError):
@@ -391,7 +395,7 @@ def _to_yuv_planes(frame):
 def _compute_gop_flows(y_planes, cfg):
     """Flow fields between consecutive source frames, one list per group."""
     return [
-        [flow_brox(y_planes[i], y_planes[i - 1], BroxParams()) for i in range(s + 1, e)]
+        [flow_brox(y_planes[i], y_planes[i - 1]) for i in range(s + 1, e)]
         for s, e in _split_gops(len(y_planes), cfg.gop_size)
     ]
 
@@ -560,7 +564,7 @@ def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
     )
 
 
-def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, tol=0.03, max_iter=14):
+def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     """Search a budget multiplier until the compression ratio hits target.
 
     Ratio is raw uint8 source bytes over stream bytes, monotone in the
@@ -584,8 +588,8 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, tol=0.0
     m = 1.0
     stream, ratio = run(m)
     best = (stream, ratio, m)
-    for _ in range(max_iter):
-        if abs(ratio - target_ratio) / target_ratio <= tol:
+    for _ in range(TARGET_RATIO_PASSES):
+        if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL:
             break
         if ratio > target_ratio:
             lo = m  # too small a budget, stream too tight

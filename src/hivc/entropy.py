@@ -22,11 +22,10 @@ import struct
 
 import numpy as np
 
-from hivc.bits import BitWriter, read_section, read_uvarint, write_section, write_uvarint
+from hivc.bits import pack_bits, read_section, read_uvarint, write_section, write_uvarint
 from hivc.bitstream import Truncated
 
 MAX_MAGNITUDE = (1 << 15) - 1
-DEFAULT_TABLE_LOG = 10
 
 
 class EntropyError(ValueError):
@@ -38,16 +37,18 @@ class EntropyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def to_category(v: int):
-    """(category, extra_bits_value) of a signed integer; bijective."""
-    if abs(v) > MAX_MAGNITUDE:
-        raise EntropyError(f"magnitude overflow: {v}")
-    if v == 0:
-        return 0, 0
-    k = int(abs(v)).bit_length()
-    if v > 0:
-        return k, v
-    return k, v + (1 << k) - 1
+def to_categories(values):
+    """(categories, extra-bits values) of signed integers; bijective.
+
+    The category of v is the bit length of |v| (frexp's exponent), and a
+    negative v is stored as v + 2^k - 1 in its k extra bits.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    over = (values > MAX_MAGNITUDE) | (values < -MAX_MAGNITUDE)
+    if over.any():
+        raise EntropyError(f"magnitude overflow: {values[over][0]}")
+    cats = np.frexp(np.abs(values))[1].astype(np.int64)
+    return cats, np.where(values < 0, values + (1 << cats) - 1, values)
 
 
 # ---------------------------------------------------------------------------
@@ -118,31 +119,26 @@ class FseTable:
         self.decode_x = np.empty(size, dtype=np.int64)
         self.decode_x[order] = np.repeat(self.counts, self.counts) + occurrence
         self.decode_nb = (table_log + 1) - np.frexp(self.decode_x)[1]
-        self._slot_of = None
-
-    @property
-    def slot_of(self):
-        """(symbol, x) -> slot lookup; built on demand, encoders only."""
-        if self._slot_of is None:
-            self._slot_of = {
-                (int(s), int(x)): i
-                for i, (s, x) in enumerate(zip(self.decode_sym, self.decode_x))
-            }
-        return self._slot_of
+        # slots grouped by symbol, in slot order: the encoder's state table
+        self.order = order
 
 
-def fse_encode(symbols, table: FseTable):
-    """Encode a symbol sequence; returns (bit chunks as BitWriter, final state).
+def fse_encode(symbols: np.ndarray, table: FseTable):
+    """Encode a symbol sequence; returns (its bits as a 0/1 array, final state).
 
     Symbols are processed in reverse so the decoder emits them forward;
     per-symbol bit chunks are therefore written in reverse order too.
     """
     size = 1 << table.table_log
-    counts = table.counts
+    # symbol s holds the x of counts[s] .. 2 * counts[s] - 1 in its group
+    # of `order`, so the slot of (s, x) is order[x + delta[s]]
+    delta = (np.cumsum(table.counts) - 2 * table.counts).tolist()
+    order = table.order.tolist()
+    counts = table.counts.tolist()
     state = size
-    chunks = []
-    for s in reversed(symbols):
-        c = int(counts[s])
+    values, widths = [], []
+    for s in reversed(symbols.tolist()):
+        c = counts[s]
         if c == 0:
             raise EntropyError(f"symbol {s} absent from table")
         nb = state.bit_length() - c.bit_length()
@@ -150,12 +146,10 @@ def fse_encode(symbols, table: FseTable):
             nb += 1
         elif nb > 0 and (state >> nb) < c:
             nb -= 1
-        chunks.append((state & ((1 << nb) - 1), nb))
-        state = size + table.slot_of[(s, state >> nb)]
-    writer = BitWriter()
-    for value, nb in reversed(chunks):
-        writer.write_bits(value, nb)
-    return writer, state
+        values.append(state & ((1 << nb) - 1))
+        widths.append(nb)
+        state = size + order[(state >> nb) + delta[s]]
+    return pack_bits(values[::-1], widths[::-1]), state
 
 
 def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable):
@@ -249,12 +243,12 @@ def encode_symbols(symbols, table_log: int | None = None) -> bytes:
     counts = normalize_counts(hist, table_log)
     if symbols.size:
         table = FseTable(counts, table_log)
-        writer, state = fse_encode(symbols, table)
+        bits, state = fse_encode(symbols, table)
     else:
-        writer, state = BitWriter(), 1 << table_log
+        bits, state = np.zeros(0, dtype=np.uint8), 1 << table_log
     out = _encode_header(counts, table_log)
     out += struct.pack("<IH", symbols.size, state)
-    write_section(out, writer)
+    write_section(out, bits)
     return bytes(out)
 
 
@@ -282,18 +276,11 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     return symbols, pos
 
 
-def encode_signed_values(values, table_log: int | None = None) -> bytes:
+def encode_signed_values(values) -> bytes:
     """Category + extra-bits + FSE payload for signed integer streams."""
-    values = np.asarray(values, dtype=np.int64)
-    cats = []
-    extra = BitWriter()
-    for v in values:
-        k, bits = to_category(int(v))
-        cats.append(k)
-        if k:
-            extra.write_bits(bits, k)
-    payload = bytearray(encode_symbols(cats, table_log))
-    write_section(payload, extra)
+    cats, extra = to_categories(values)
+    payload = bytearray(encode_symbols(cats))
+    write_section(payload, pack_bits(extra, cats))
     return bytes(payload)
 
 

@@ -55,17 +55,16 @@ class FlowField:
         return self.u.shape
 
 
-@dataclass(frozen=True)
-class BroxParams:
-    alpha: float = 40.0  # smoothness weight
-    gamma: float = 40.0  # gradient constancy weight
-    pyramid_scale: float = 0.5
-    min_size: int = 16
-    warps: int = 3  # warp relinearizations per level
-    fixed_point_iters: int = 5  # lagged-nonlinearity iterations
-    solver_iters: int = 30  # coupled Jacobi sweeps per fixed point step
-    eps: float = 1e-3
-    presmooth_sigma: float = 0.8
+# Brox flow settings
+BROX_ALPHA = 40.0  # smoothness weight
+BROX_GAMMA = 40.0  # gradient constancy weight
+BROX_PYRAMID_SCALE = 0.5
+BROX_MIN_SIZE = 16
+BROX_WARPS = 3  # warp relinearizations per level
+BROX_FIXED_POINT_ITERS = 5  # lagged-nonlinearity iterations
+BROX_SOLVER_ITERS = 30  # coupled Jacobi sweeps per fixed point step
+BROX_EPS = 1e-3
+BROX_PRESMOOTH_SIGMA = 0.8
 
 
 @lru_cache(maxsize=8)
@@ -196,7 +195,7 @@ def _half_point_weights(psi, out):
     return wn, ws, ww, we
 
 
-def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | None = None) -> FlowField:
+def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
 
     Each fixed-point step solves its linear system with damped Jacobi
@@ -208,28 +207,24 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
     # off the decode path, which needs only NumPy.
     from scipy.ndimage import gaussian_filter, median_filter
 
-    if params is None:
-        params = BroxParams()
     f1 = np.asarray(frame_t, dtype=np.float64)
     f0 = np.asarray(frame_prev, dtype=np.float64)
     if f1.shape != f0.shape:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    if params.presmooth_sigma > 0:
-        f1 = gaussian_filter(f1, params.presmooth_sigma)
-        f0 = gaussian_filter(f0, params.presmooth_sigma)
+    f1 = gaussian_filter(f1, BROX_PRESMOOTH_SIGMA)
+    f0 = gaussian_filter(f0, BROX_PRESMOOTH_SIGMA)
 
-    shapes = _pyramid_shapes(*f1.shape, params.pyramid_scale, params.min_size)
+    shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
     refs = [f1]
     tgts = [f0]
-    anti_alias = 0.5 / params.pyramid_scale
+    anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
         refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
         tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
-    eps2 = params.eps * params.eps
-    alpha = params.alpha
+    eps2 = BROX_EPS * BROX_EPS
     det_guard = 1e-12
     u = v = None
     for lvl in range(len(shapes) - 1, -1, -1):
@@ -248,7 +243,7 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
         ref_dx = _dx(ref)
         ref_dy = _dy(ref)
 
-        for _ in range(params.warps):
+        for _ in range(BROX_WARPS):
             warped = bilinear_warp(tgt, u, v)
             warped_dx = _dx(warped)
             warped_dy = _dy(warped)
@@ -268,12 +263,12 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
             gb2 = ixy * ixz + iyy * iyz
             du.fill(0.0)
             dv.fill(0.0)
-            for _ in range(params.fixed_point_iters):
+            for _ in range(BROX_FIXED_POINT_ITERS):
                 r_b = iz + ix * du + iy * dv
                 psi_d = 1.0 / np.sqrt(r_b * r_b + eps2)
                 r_gx = ixz + ixx * du + ixy * dv
                 r_gy = iyz + ixy * du + iyy * dv
-                psi_g = params.gamma / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
+                psi_g = BROX_GAMMA / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
                 ut = u + du
                 vt = v + dv
                 grad2 = _dx(ut) ** 2 + _dy(ut) ** 2 + _dx(vt) ** 2 + _dy(vt) ** 2
@@ -283,9 +278,9 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
                 wn, ws, ww, we = _half_point_weights(psi_s, weights)
                 wsum = wn + ws + ww + we
 
-                a11 = psi_d * ix * ix + psi_g * g11 + alpha * wsum
+                a11 = psi_d * ix * ix + psi_g * g11 + BROX_ALPHA * wsum
                 a12 = psi_d * ix * iy + psi_g * g12
-                a22 = psi_d * iy * iy + psi_g * g22 + alpha * wsum
+                a22 = psi_d * iy * iy + psi_g * g22 + BROX_ALPHA * wsum
                 b1_fix = -psi_d * ix * iz - psi_g * gb1
                 b2_fix = -psi_d * iy * iz - psi_g * gb2
                 _neighbor_sums(u, wn, ws, ww, we, su, tmp)
@@ -295,15 +290,15 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
                 det = a11 * a22 - a12 * a12
                 det = np.where(np.abs(det) < det_guard, det_guard, det)
 
-                for _ in range(params.solver_iters):
+                for _ in range(BROX_SOLVER_ITERS):
                     # b = b_fix + alpha * (s + neighbour sums of the increment)
                     _neighbor_sums(du, wn, ws, ww, we, b1, tmp)
                     b1 += su
-                    b1 *= alpha
+                    b1 *= BROX_ALPHA
                     b1 += b1_fix
                     _neighbor_sums(dv, wn, ws, ww, we, b2, tmp)
                     b2 += sv
-                    b2 *= alpha
+                    b2 *= BROX_ALPHA
                     b2 += b2_fix
                     # du_new = (a22 * b1 - a12 * b2) / det, likewise dv_new
                     np.multiply(a22, b1, out=du_new)

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from hivc.bits import BitWriter, read_section, write_section
+from hivc.bits import read_section, write_section
 from hivc.bitstream import Truncated
 
 
@@ -162,11 +162,7 @@ def paint_leaf_values(leaves, values, shape) -> np.ndarray:
 
 def write_trees(out: bytearray, trees):
     """Append one bit section holding the preorder bits of `trees`."""
-    writer = BitWriter()
-    for tree in trees:
-        for b in tree.bits:
-            writer.write_bit(b)
-    write_section(out, writer)
+    write_section(out, np.fromiter(chain.from_iterable(t.bits for t in trees), np.uint8))
 
 
 def read_tree_bits(data: bytes, pos: int, max_bits: int):

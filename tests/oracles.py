@@ -8,10 +8,12 @@ is the classical baseline for Brox flow. The plain-expression Brox solver and su
 reference the in-place production versions must match bit for bit, the
 recursive leaf enumerator is the reference for the tree walker, and the
 tile-by-tile mask walk is the reference for the residual decoder's
-batched one.
+batched one. The entropy writer that codes one value and writes one bit
+field at a time is the reference for the array-packing encoder.
 """
 
 import heapq
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +21,19 @@ import scipy.sparse as sparse
 from scipy.ndimage import gaussian_filter, median_filter
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
-from hivc import subdivision
+from hivc import entropy, subdivision
 from hivc.bitstream import Truncated
-from hivc.entropy import DEFAULT_TABLE_LOG, EntropyError, FseTable, normalize_counts
+from hivc.entropy import MAX_MAGNITUDE, EntropyError, FseTable, normalize_counts
 from hivc.flow import (
-    BroxParams,
+    BROX_ALPHA,
+    BROX_EPS,
+    BROX_FIXED_POINT_ITERS,
+    BROX_GAMMA,
+    BROX_MIN_SIZE,
+    BROX_PRESMOOTH_SIGMA,
+    BROX_PYRAMID_SCALE,
+    BROX_SOLVER_ITERS,
+    BROX_WARPS,
     FlowError,
     FlowField,
     _dx,
@@ -247,12 +257,124 @@ def piecewise_constant_from_tree(tree, plane) -> np.ndarray:
     return paint_leaf_values(tree.leaves(), leaf_means(tree, plane), plane.shape)
 
 
+# ---------------------------------------------------------------------------
+# Entropy coding, one bit and one value at a time
+# ---------------------------------------------------------------------------
+
+DEFAULT_TABLE_LOG = 10
+
+
 def fse_build_table(histogram, table_log: int = DEFAULT_TABLE_LOG) -> FseTable:
     return FseTable(normalize_counts(histogram, table_log), table_log)
 
 
+class BitWriter:
+    """MSB-first bit accumulator; reference for bits.pack_bits."""
+
+    def __init__(self):
+        self._bytes = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write_bits(self, value: int, count: int):
+        acc = (self._acc << count) | (value & ((1 << count) - 1))
+        nbits = self._nbits + count
+        while nbits >= 8:
+            nbits -= 8
+            self._bytes.append((acc >> nbits) & 0xFF)
+        self._acc = acc & ((1 << nbits) - 1)
+        self._nbits = nbits
+
+    def __len__(self):
+        return len(self._bytes) * 8 + self._nbits
+
+    def getvalue(self) -> bytes:
+        """Byte string, final partial byte zero-padded."""
+        out = bytearray(self._bytes)
+        if self._nbits:
+            out.append(self._acc << (8 - self._nbits))
+        return bytes(out)
+
+
+def write_section(out: bytearray, writer: BitWriter):
+    """bits.write_section of a BitWriter's bits."""
+    out += struct.pack("<I", len(writer))
+    out += writer.getvalue()
+
+
+def to_category(v: int):
+    """(category, extra_bits_value) of a signed integer; bijective.
+    Scalar reference for entropy.to_categories."""
+    if abs(v) > MAX_MAGNITUDE:
+        raise EntropyError(f"magnitude overflow: {v}")
+    if v == 0:
+        return 0, 0
+    k = int(abs(v)).bit_length()
+    if v > 0:
+        return k, v
+    return k, v + (1 << k) - 1
+
+
+def fse_encode(symbols, table: FseTable):
+    """entropy.fse_encode through a (symbol, x) -> slot dict, writing each
+    symbol's bits as it goes; returns (BitWriter, final state)."""
+    slot_of = {
+        (int(s), int(x)): i for i, (s, x) in enumerate(zip(table.decode_sym, table.decode_x))
+    }
+    size = 1 << table.table_log
+    counts = table.counts
+    state = size
+    chunks = []
+    for s in reversed(symbols):
+        c = int(counts[s])
+        if c == 0:
+            raise EntropyError(f"symbol {s} absent from table")
+        nb = state.bit_length() - c.bit_length()
+        if (state >> nb) >= 2 * c:
+            nb += 1
+        elif nb > 0 and (state >> nb) < c:
+            nb -= 1
+        chunks.append((state & ((1 << nb) - 1), nb))
+        state = size + slot_of[(s, state >> nb)]
+    writer = BitWriter()
+    for value, nb in reversed(chunks):
+        writer.write_bits(value, nb)
+    return writer, state
+
+
+def encode_symbols(symbols, table_log: int | None = None) -> bytes:
+    """entropy.encode_symbols over Python ints and the scalar fse_encode."""
+    symbols = [int(s) for s in symbols]
+    hist = np.bincount(symbols) if symbols else np.array([1])
+    if table_log is None:
+        table_log = entropy._auto_table_log(hist.size, len(symbols))
+    counts = normalize_counts(hist, table_log)
+    if symbols:
+        writer, state = fse_encode(symbols, FseTable(counts, table_log))
+    else:
+        writer, state = BitWriter(), 1 << table_log
+    out = entropy._encode_header(counts, table_log)
+    out += struct.pack("<IH", len(symbols), state)
+    write_section(out, writer)
+    return bytes(out)
+
+
+def encode_signed_values(values) -> bytes:
+    """entropy.encode_signed_values, one value at a time."""
+    cats = []
+    extra = BitWriter()
+    for v in values:
+        k, bits = to_category(int(v))
+        cats.append(k)
+        if k:
+            extra.write_bits(bits, k)
+    payload = bytearray(encode_symbols(cats))
+    write_section(payload, extra)
+    return bytes(payload)
+
+
 def from_category(category: int, extra: int) -> int:
-    """Scalar inverse of entropy.to_category; reference for the vectorized decode."""
+    """Scalar inverse of to_category; reference for the vectorized decode."""
     if category == 0:
         return 0
     if category > 16:
@@ -336,29 +458,26 @@ def _half_point_weights(psi):
     return wn, ws, ww, we
 
 
-def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | None = None) -> FlowField:
+def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping."""
-    if params is None:
-        params = BroxParams()
     f1 = np.asarray(frame_t, dtype=np.float64)
     f0 = np.asarray(frame_prev, dtype=np.float64)
     if f1.shape != f0.shape:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    if params.presmooth_sigma > 0:
-        f1 = gaussian_filter(f1, params.presmooth_sigma)
-        f0 = gaussian_filter(f0, params.presmooth_sigma)
+    f1 = gaussian_filter(f1, BROX_PRESMOOTH_SIGMA)
+    f0 = gaussian_filter(f0, BROX_PRESMOOTH_SIGMA)
 
-    shapes = _pyramid_shapes(*f1.shape, params.pyramid_scale, params.min_size)
+    shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
     refs = [f1]
     tgts = [f0]
-    anti_alias = 0.5 / params.pyramid_scale
+    anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
         refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
         tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
-    eps2 = params.eps * params.eps
+    eps2 = BROX_EPS * BROX_EPS
     u = v = None
     for lvl in range(len(shapes) - 1, -1, -1):
         h, w = shapes[lvl]
@@ -371,7 +490,7 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
             u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
             v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
 
-        for _ in range(params.warps):
+        for _ in range(BROX_WARPS):
             warped = bilinear_warp(tgt, u, v)
             ix = 0.5 * (_dx(warped) + _dx(ref))
             iy = 0.5 * (_dy(warped) + _dy(ref))
@@ -383,12 +502,12 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
             iyz = _dy(warped) - _dy(ref)
             du = np.zeros_like(u)
             dv = np.zeros_like(v)
-            for _ in range(params.fixed_point_iters):
+            for _ in range(BROX_FIXED_POINT_ITERS):
                 r_b = iz + ix * du + iy * dv
                 psi_d = 1.0 / np.sqrt(r_b * r_b + eps2)
                 r_gx = ixz + ixx * du + ixy * dv
                 r_gy = iyz + ixy * du + iyy * dv
-                psi_g = params.gamma / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
+                psi_g = BROX_GAMMA / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
                 ut = u + du
                 vt = v + dv
                 grad2 = _dx(ut) ** 2 + _dy(ut) ** 2 + _dx(vt) ** 2 + _dy(vt) ** 2
@@ -398,18 +517,18 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray, params: BroxParams | 
                 wn, ws, ww, we = _half_point_weights(psi_s)
                 wsum = wn + ws + ww + we
 
-                a11 = psi_d * ix * ix + psi_g * (ixx * ixx + ixy * ixy) + params.alpha * wsum
+                a11 = psi_d * ix * ix + psi_g * (ixx * ixx + ixy * ixy) + BROX_ALPHA * wsum
                 a12 = psi_d * ix * iy + psi_g * (ixx * ixy + ixy * iyy)
-                a22 = psi_d * iy * iy + psi_g * (ixy * ixy + iyy * iyy) + params.alpha * wsum
+                a22 = psi_d * iy * iy + psi_g * (ixy * ixy + iyy * iyy) + BROX_ALPHA * wsum
                 b1_fix = -psi_d * ix * iz - psi_g * (ixx * ixz + ixy * iyz)
                 b2_fix = -psi_d * iy * iz - psi_g * (ixy * ixz + iyy * iyz)
                 su = _neighbor_sums(u, wn, ws, ww, we) - wsum * u
                 sv = _neighbor_sums(v, wn, ws, ww, we) - wsum * v
 
                 det_guard = 1e-12
-                for _ in range(params.solver_iters):
-                    b1 = b1_fix + params.alpha * (su + _neighbor_sums(du, wn, ws, ww, we))
-                    b2 = b2_fix + params.alpha * (sv + _neighbor_sums(dv, wn, ws, ww, we))
+                for _ in range(BROX_SOLVER_ITERS):
+                    b1 = b1_fix + BROX_ALPHA * (su + _neighbor_sums(du, wn, ws, ww, we))
+                    b2 = b2_fix + BROX_ALPHA * (sv + _neighbor_sums(dv, wn, ws, ww, we))
                     det = a11 * a22 - a12 * a12
                     det = np.where(np.abs(det) < det_guard, det_guard, det)
                     du_new = (a22 * b1 - a12 * b2) / det

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+COLOR = Path(__file__).resolve().parent / "golden" / "color.hivc"
 
 
 def _spans():
@@ -73,13 +74,11 @@ DECODE_HOOKS = (
 )
 
 
-def test_decode_reaches_every_wrapped_decode_function(monkeypatch):
-    from hivc import codec
-
-    hooked = set(_hooked())
-    assert set(DECODE_HOOKS) <= hooked
-    calls = {hook: [] for hook in DECODE_HOOKS}
-    for module, attr in DECODE_HOOKS:
+def _record_results(monkeypatch, hooks):
+    """Wrap each hooked name as spans.py does; returns {hook: results}."""
+    assert set(hooks) <= set(_hooked())
+    calls = {hook: [] for hook in hooks}
+    for module, attr in hooks:
         mod = importlib.import_module(module)
 
         def counting(*args, _real=getattr(mod, attr), _calls=calls[(module, attr)], **kwargs):
@@ -88,11 +87,40 @@ def test_decode_reaches_every_wrapped_decode_function(monkeypatch):
             return result
 
         monkeypatch.setattr(mod, attr, counting)
-    stream = (Path(__file__).resolve().parent / "golden" / "color.hivc").read_bytes()
-    frames = codec.decode(stream)
+    return calls
+
+
+def test_decode_reaches_every_wrapped_decode_function(monkeypatch):
+    from hivc import codec
+
+    calls = _record_results(monkeypatch, DECODE_HOOKS)
+    frames = codec.decode(COLOR.read_bytes())
     assert len(frames) == 3 and frames[0].channels == 3
     for hook, results in calls.items():
         assert results, f"{hook} never called"
     # spans.py counts symbols as len(result[0])
     for result in calls[("hivc.entropy", "decode_symbols")]:
         assert isinstance(result, tuple) and len(result) == 2
+
+
+# the encode-side names spans.py wraps or counts below the encoder's
+# entry points, each of which the colour encode behind the golden colour
+# stream (an inter frame, coded residual blocks) must reach
+ENCODE_HOOKS = (
+    ("hivc.entropy", "encode_symbols"),
+    ("hivc.entropy", "encode_signed_values"),
+    ("hivc.codec", "solve_block_coefficients_batch"),
+    ("hivc.prediction", "optimize_mask_values"),
+    ("hivc.subdivision", "region_ssd"),
+)
+
+
+def test_encode_reaches_every_wrapped_encode_function(monkeypatch):
+    from conftest import moving_clip
+    from hivc import codec
+
+    calls = _record_results(monkeypatch, ENCODE_HOOKS)
+    stream = codec.encode(moving_clip(3, 24, 32, seed=2), codec.EncoderConfig(gop_size=3))
+    assert stream == COLOR.read_bytes()
+    for hook, results in calls.items():
+        assert results, f"{hook} never called"

@@ -1,12 +1,14 @@
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import BitWriter, read_section, read_uvarint, write_section, write_uvarint
+from hivc.bits import pack_bits, read_section, read_uvarint, write_section, write_uvarint
 from hivc.bitstream import BitstreamError, Truncated
 from hivc.entropy import decode_symbols, encode_symbols
+from oracles import BitWriter
 
 
 def _bits_of(data: bytes, nbits: int) -> str:
@@ -16,25 +18,30 @@ def _bits_of(data: bytes, nbits: int) -> str:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, (1 << 24) - 1)), max_size=80))
 def test_bit_round_trip(chunks):
-    w = BitWriter()
-    expected = ""
-    for nbits, value in chunks:
-        value &= (1 << nbits) - 1
-        w.write_bits(value, nbits)
-        expected += f"{value:0{nbits}b}" if nbits else ""
-    data = w.getvalue()
-    assert len(w) == len(expected)
+    # pack_bits keeps only the low `width` bits of each value
+    bits = pack_bits([value for _, value in chunks], [nbits for nbits, _ in chunks])
+    expected = "".join(f"{value & ((1 << n) - 1):0{n}b}" for n, value in chunks if n)
+    assert bits.dtype == np.uint8
+    assert "".join(map(str, bits.tolist())) == expected
+    out = bytearray()
+    write_section(out, bits)
+    (nbits,) = struct.unpack_from("<I", out)
+    data = bytes(out[4:])
+    assert nbits == len(expected)
     assert len(data) == (len(expected) + 7) // 8
-    assert _bits_of(data, len(w)) == expected
+    assert _bits_of(data, nbits) == expected
     # the final partial byte is zero-padded
     assert set("".join(f"{b:08b}" for b in data)[len(expected) :]) <= {"0"}
+    w = BitWriter()
+    for n, value in chunks:
+        w.write_bits(value, n)
+    assert data == w.getvalue()
 
 
 def test_single_bits_and_padding():
-    w = BitWriter()
-    for b in (1, 0, 1, 1, 0):
-        w.write_bit(b)
-    assert w.getvalue() == bytes([0b10110000])
+    out = bytearray()
+    write_section(out, np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+    assert bytes(out) == struct.pack("<I", 5) + bytes([0b10110000])
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,10 +53,7 @@ def test_single_bits_and_padding():
 def test_section_round_trip(sections, head, tail):
     out = bytearray(head)
     for bits in sections:
-        w = BitWriter()
-        for b in bits:
-            w.write_bit(b)
-        write_section(out, w)
+        write_section(out, np.array(bits, dtype=np.uint8))
     out += tail
     data = bytes(out)
     pos = len(head)
@@ -79,10 +83,8 @@ def test_section_truncated_in_body(nbits, present):
 
 @pytest.mark.parametrize("nbits", [1, 3, 7, 9, 15, 21])
 def test_section_rejects_set_padding_bits(nbits):
-    w = BitWriter()
-    w.write_bits((1 << nbits) - 1, nbits)
     out = bytearray()
-    write_section(out, w)
+    write_section(out, pack_bits([(1 << nbits) - 1], [nbits]))
     assert read_section(bytes(out), 0)[1] == nbits
     for pad in range(8 - nbits % 8):
         bad = bytearray(out)

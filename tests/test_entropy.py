@@ -16,29 +16,33 @@ from hivc.entropy import (
     encode_signed_values,
     encode_symbols,
     normalize_counts,
-    to_category,
+    to_categories,
 )
-from oracles import from_category, fse_build_table
+import oracles
+from oracles import from_category, fse_build_table, to_category
 
 
 def test_category_known_values():
-    assert to_category(0) == (0, 0)
-    assert to_category(5) == (3, 0b101)
-    assert to_category(-1) == (1, 0)
+    cats, extra = to_categories([0, 5, -1, -6])
+    assert cats.tolist() == [0, 3, 1, 3]
+    assert extra.tolist() == [0, 0b101, 0, 0b001]
 
 
 def test_category_bijection_exhaustive():
-    for v in range(-1024, 1025):
-        cat, extra = to_category(v)
-        assert from_category(cat, extra) == v
-    for v in (MAX_MAGNITUDE, -MAX_MAGNITUDE):
-        cat, extra = to_category(v)
-        assert from_category(cat, extra) == v
+    values = list(range(-1024, 1025)) + [MAX_MAGNITUDE, -MAX_MAGNITUDE]
+    cats, extra = to_categories(values)
+    for v, cat, x in zip(values, cats.tolist(), extra.tolist()):
+        assert (cat, x) == to_category(v)
+        assert from_category(cat, x) == v
 
 
 def test_category_overflow_rejected():
-    with pytest.raises(EntropyError):
-        to_category(MAX_MAGNITUDE + 1)
+    # -2^63 has no int64 magnitude, so it is checked against both bounds
+    for bad in (MAX_MAGNITUDE + 1, -MAX_MAGNITUDE - 1, -(1 << 63), (1 << 63) - 1):
+        with pytest.raises(EntropyError):
+            to_category(bad)
+        with pytest.raises(EntropyError, match="overflow"):
+            to_categories([0, 1, bad, -1])
 
 
 def test_normalize_counts_uniform():
@@ -111,6 +115,38 @@ def test_signed_values_round_trip_property(values):
     data = encode_signed_values(np.array(values, dtype=np.int64))
     decoded, _ = decode_signed_values(data, 0, len(values))
     assert decoded.tolist() == values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 31), max_size=300), st.sampled_from([None, *range(5, 13)]))
+def test_symbols_are_byte_identical_to_the_scalar_oracle(symbols, table_log):
+    assert encode_symbols(symbols, table_log) == oracles.encode_symbols(symbols, table_log)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE), max_size=300))
+def test_signed_values_are_byte_identical_to_the_scalar_oracle(values):
+    assert encode_signed_values(values) == oracles.encode_signed_values(values)
+
+
+_LAPLACE = np.rint(np.random.default_rng(4).laplace(0, 40, 5000)).astype(np.int64)
+EDGE_STREAMS = {
+    "empty": [],
+    "all-zero": [0] * 300,
+    "single": [1],
+    "one-symbol": [3] * 4000,
+    "extremes": [MAX_MAGNITUDE, -MAX_MAGNITUDE, 0, MAX_MAGNITUDE, -1, 1],
+    "laplace": _LAPLACE.tolist(),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_STREAMS)
+def test_edge_streams_are_byte_identical_to_the_scalar_oracle(name):
+    values = EDGE_STREAMS[name]
+    assert encode_signed_values(values) == oracles.encode_signed_values(values)
+    symbols = np.abs(np.asarray(values, dtype=np.int64)) % 32
+    for table_log in [None, *range(5, 13)]:
+        assert encode_symbols(symbols, table_log) == oracles.encode_symbols(symbols, table_log)
 
 
 def test_compression_near_entropy_on_large_stream():
