@@ -77,6 +77,8 @@ class StreamHeader:
             raise BitstreamError(
                 f"{self.width}x{self.height} frames exceed the {MAX_PIXELS}-pixel limit"
             )
+        if self.frame_count < 1:
+            raise BitstreamError("a stream holds at least one frame")
         if self.channels not in (1, 3):
             raise BitstreamError("channels must be 1 or 3")
         if self.gop_size < 1 or self.gop_size > 255:
@@ -153,7 +155,7 @@ def read_stream(data: bytes):
             )
         payloads.append(data[pos : pos + length])
         pos += length
-    expected = -(-header.frame_count // header.gop_size) if header.frame_count else 0
+    expected = -(-header.frame_count // header.gop_size)
     if len(payloads) != expected:
         raise LengthMismatch(
             f"stream holds {len(payloads)} groups, header implies {expected}"

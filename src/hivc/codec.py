@@ -55,8 +55,7 @@ from hivc.quantize import (
 )
 from hivc.subdivision import (
     end_of_trees,
-    joint_ssd_error,
-    mask_from_tree,
+    leaf_masks,
     parse_mask,
     read_tree_bits,
     subdivide_by_error,
@@ -107,36 +106,39 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 
 
-def _tile_residuals(planes, tiles):
-    """Extract each tile of each plane embedded top-left into an 8x8 block."""
-    n = len(tiles)
-    out = np.zeros((len(planes), n, BLOCK, BLOCK))
-    for ci, p in enumerate(planes):
-        for ti, (y0, x0, bh, bw) in enumerate(tiles):
-            out[ci, ti, :bh, :bw] = p[y0 : y0 + bh, x0 : x0 + bw]
-    return out
+def _tiles(h, w):
+    """A zero plane padded to whole 8x8 tiles, and its (rows, cols, 8, 8)
+    view of the tiles in raster order (block_grid's order)."""
+    nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
+    padded = np.zeros((nby * BLOCK, nbx * BLOCK))
+    return padded, padded.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
 
 
 def _plan_group(planes, tiles, points):
     """Choose coded tiles and their masks for one channel group.
 
     Tiles whose residual is zero in every plane of the group are skipped.
-    Returns (coded tile indices, trees, 8x8 masks).
+    Returns (coded tile indices, tree bits, (n, 8, 8) masks, and the
+    (planes, n, 8, 8) float64 blocks of the coded tiles, each tile at
+    the top-left of its block).
     """
-    coded, trees, masks = [], [], []
-    for ti, (y0, x0, bh, bw) in enumerate(tiles):
-        subs = [p[y0 : y0 + bh, x0 : x0 + bw] for p in planes]
-        if all(not s.any() for s in subs):
-            continue
-        target = min(points, bh * bw)
-        err_fn = joint_ssd_error(subs) if len(subs) > 1 else None
-        tree = subdivide_by_error(subs[0], target, error_fn=err_fn)
-        m = np.zeros((BLOCK, BLOCK), dtype=bool)
-        m[:bh, :bw] = mask_from_tree(tree)
-        coded.append(ti)
-        trees.append(tree)
-        masks.append(m)
-    return coded, trees, masks
+    h, w = planes[0].shape
+    blocks = []
+    for p in planes:
+        padded, view = _tiles(h, w)
+        padded[:h, :w] = p
+        blocks.append(view.reshape(-1, BLOCK, BLOCK))
+    blocks = np.array(blocks)
+    coded = np.flatnonzero(blocks.any(axis=(0, 2, 3)))
+    trees, leaves = [], []
+    for ti in coded:
+        _, _, bh, bw = tiles[ti]
+        bits, tile_leaves = subdivide_by_error(
+            [b[ti, :bh, :bw] for b in blocks], min(points, bh * bw)
+        )
+        trees.append(bits)
+        leaves.append(tile_leaves)
+    return coded, trees, leaf_masks(leaves, (BLOCK, BLOCK)), blocks[:, coded]
 
 
 def _solve_coded(f_blocks, masks):
@@ -188,11 +190,10 @@ def _encode_residual(planes, points, levels, lam=0.0):
 
     plans = []
     for gplanes in groups:
-        coded, trees, masks = _plan_group(gplanes, tiles, points)
-        fb = _tile_residuals(gplanes, [tiles[i] for i in coded])
-        masks = np.asarray(masks, dtype=bool).reshape(len(coded), BLOCK * BLOCK)
-        fits = [_solve_coded(f, masks) for f in fb] if coded else []
-        plans.append((np.asarray(coded, dtype=np.int64), trees, masks, fits, fb))
+        coded, trees, masks, fb = _plan_group(gplanes, tiles, points)
+        masks = masks.reshape(len(coded), BLOCK * BLOCK)
+        fits = [_solve_coded(f, masks) for f in fb] if len(coded) else []
+        plans.append((coded, trees, masks, fits, fb))
 
     c_flat = np.concatenate([np.zeros(0)] + [c[m] for _, _, m, fits, _ in plans for c, _ in fits])
     a_flat = np.concatenate([np.zeros(0)] + [a for *_, fits, _ in plans for _, a in fits])
@@ -289,17 +290,15 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         for ci in range(nplanes):
             mc[ci, rows, cols] = c_vals[ci * per_plane_k : (ci + 1) * per_plane_k]
         mc = mc.reshape(nplanes * len(coded), BLOCK, BLOCK)
-        nbx = -(-w // BLOCK)
-        nby = -(-h // BLOCK)
         rec = (
             reconstruct_blocks(mc, a_vals).reshape(nplanes, len(coded), BLOCK, BLOCK)
             if len(coded)
             else None
         )
         for ci in range(nplanes):
-            padded = np.zeros((nby * BLOCK, nbx * BLOCK))
+            padded, view = _tiles(h, w)
             if rec is not None:
-                view = padded.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
+                nbx = view.shape[1]
                 view[coded // nbx, coded % nbx] = rec[ci]
             planes.append(padded[:h, :w])
         t0 = _bump(timings, "residual_transform", t0)

@@ -336,15 +336,15 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
 def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
     # min_error=0 stops the subdivision early on exactly representable
     # regions, so a zero flow costs a single-leaf tree at any budget
-    tree = subdivide_by_error(plane, budget, min_error=0.0)
-    means = leaf_means(tree, plane)
+    bits, leaves = subdivide_by_error([plane], budget, min_error=0.0)
+    means = leaf_means(leaves, plane)
     lo = float(means.min())
     hi = float(means.max())
     if hi <= lo:
         hi = lo + 1e-6
     idx = uniform_quantize(means, lo, hi, levels)
     out = bytearray(struct.pack("<ff", lo, hi))
-    write_trees(out, [tree])
+    write_trees(out, [bits])
     out += entropy.encode_symbols(idx, table_log=8)
     return bytes(out)
 

@@ -23,8 +23,7 @@ from hivc.homogeneous import solve_homogeneous
 from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
     end_of_trees,
-    joint_ssd_error,
-    mask_from_tree,
+    leaf_masks,
     parse_mask,
     read_tree_bits,
     subdivide_by_error,
@@ -177,18 +176,15 @@ def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
         raise ValueError("luma mask budget must be >= 1")
     y = np.asarray(planes[0], dtype=np.float64)
     out = bytearray()
-    tree_y = subdivide_by_error(y, min(luma_budget, y.size))
-    write_trees(out, [tree_y])
-    (vals_y,) = optimize_mask_values([y], mask_from_tree(tree_y))
+    bits_y, leaves_y = subdivide_by_error([y], min(luma_budget, y.size))
+    write_trees(out, [bits_y])
+    (vals_y,) = optimize_mask_values([y], leaf_masks([leaves_y], y.shape)[0])
     _encode_plane_values(vals_y, levels, out)
     if len(planes) == 3:
-        u = np.asarray(planes[1], dtype=np.float64)
-        v = np.asarray(planes[2], dtype=np.float64)
-        tree_c = subdivide_by_error(
-            u, chroma_budget(min(luma_budget, y.size), u.size), error_fn=joint_ssd_error([u, v])
-        )
-        write_trees(out, [tree_c])
-        vals_u, vals_v = optimize_mask_values([u, v], mask_from_tree(tree_c))
+        uv = [np.asarray(p, dtype=np.float64) for p in planes[1:]]
+        bits_c, leaves_c = subdivide_by_error(uv, chroma_budget(min(luma_budget, y.size), y.size))
+        write_trees(out, [bits_c])
+        vals_u, vals_v = optimize_mask_values(uv, leaf_masks([leaves_c], y.shape)[0])
         _encode_plane_values(vals_u, chroma_levels(levels), out)
         _encode_plane_values(vals_v, chroma_levels(levels), out)
     return bytes(out)

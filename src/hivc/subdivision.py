@@ -6,12 +6,18 @@ sequence (1 = split, 0 = leaf); the split geometry is deterministic, so
 root dimensions plus bits reconstruct the tree exactly. Leaves are
 always enumerated in preorder, which fixes the order of leaf payloads
 in every serialized payload.
+
+Both directions share one interface. The encoder's search,
+subdivide_by_error, returns a tree's preorder bits and its leaves
+together; the decoder reads the leaves back from the bits with
+deserialize_tree. leaf_masks is the one builder of midpoint masks:
+the encoder calls it on the leaves of its search, and parse_mask on
+the leaves it reads.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -37,51 +43,41 @@ def split_children(x: int, y: int, w: int, h: int):
     return (x, y, w1, h), (x + w1, y, w - w1, h)
 
 
-@dataclass(frozen=True)
-class SubdivisionTree:
-    w: int
-    h: int
-    bits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
-
-    def leaves(self):
-        """Leaf rectangles (x, y, w, h) in preorder."""
-        bits = iter(self.bits)
-        out = deserialize_tree(bits, self.w, self.h)
-        end_of_trees(bits)
-        return out
-
-
-def subdivide_by_error(
-    plane: np.ndarray, target_points: int, error_fn=None, min_error=None
-) -> SubdivisionTree:
+def subdivide_by_error(planes, target_points: int, min_error=None):
     """Greedy split of the worst-error leaf until `target_points` leaves exist.
 
-    `error_fn(plane, x, y, w, h)` defaults to the sum of squared
-    deviations from the region mean. Ties break deterministically by
-    (y, x, creation order). Single-pixel leaves sink to the bottom of
-    the queue since they cannot be split. With `min_error` set, splitting
-    stops early once the worst leaf error drops to that value or below,
-    so exactly representable planes yield small trees.
+    A region's error is region_ssd of the first plane, plus that of each
+    further plane in list order; all planes share one shape. Ties break
+    deterministically by (y, x, creation order). Single-pixel leaves
+    sink to the bottom of the queue since they cannot be split. With
+    `min_error` set, splitting stops early once the worst leaf error
+    drops to that value or below, so exactly representable planes yield
+    small trees. Returns (bits, leaves): the preorder bits as a uint8
+    array and the leaf rectangles (x, y, w, h) in preorder.
     """
+    plane, *rest = planes
     h_img, w_img = plane.shape
     if target_points < 1:
         raise SubdivisionError("target_points must be >= 1")
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
+    root = (0, 0, w_img, h_img)
     if target_points == 1:
-        return SubdivisionTree(w_img, h_img, (0,))
-    if error_fn is None:
-        error_fn = region_ssd
+        return np.zeros(1, dtype=np.uint8), [root]
+    # read from the module once per search, so a wrapper set on
+    # subdivision.region_ssd sees every call
+    ssd = region_ssd
 
     def entry(rect, seq):
         x, y, w, h = rect
-        err = -1.0 if (w == 1 and h == 1) else float(error_fn(plane, x, y, w, h))
+        if w == 1 and h == 1:
+            err = -1.0
+        else:
+            err = ssd(plane, x, y, w, h)
+            for p in rest:
+                err += ssd(p, x, y, w, h)
         return (-err, y, x, seq, rect)
 
-    root = (0, 0, w_img, h_img)
     # the root is split first whatever its error, so only the stopping
     # rule ever reads it
     heap = [entry(root, 0) if min_error is not None else (0.0, 0, 0, 0, root)]
@@ -96,18 +92,19 @@ def subdivide_by_error(
         push(heap, entry(first, seq))
         push(heap, entry(second, seq + 1))
 
-    bits = []
+    bits, leaves = [], []
     stack = [root]
     while stack:
         rect = stack.pop()
         kids = children.get(rect)
         if kids is None:
             bits.append(0)
+            leaves.append(rect)
         else:
             bits.append(1)
             stack.append(kids[1])
             stack.append(kids[0])
-    return SubdivisionTree(w_img, h_img, tuple(bits))
+    return np.array(bits, dtype=np.uint8), leaves
 
 
 def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
@@ -122,31 +119,27 @@ def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
     return float(np.add.reduce(np.multiply(dev, dev, out=dev), axis=None))
 
 
-def joint_ssd_error(planes):
-    """Error function adding the region SSDs of two planes (chroma rule)."""
-    a, b = planes
+def leaf_masks(trees, shape) -> np.ndarray:
+    """Midpoint masks of lists of leaves, one per tree, as one array.
 
-    def fn(_plane, x, y, w, h):
-        return region_ssd(a, x, y, w, h) + region_ssd(b, x, y, w, h)
-
-    return fn
-
-
-def leaf_mask(leaves, width: int, height: int) -> np.ndarray:
-    """Boolean mask with one point at the floor midpoint of each leaf."""
-    mask = np.zeros((height, width), dtype=bool)
-    mask[[y + h // 2 for _, y, _, h in leaves], [x + w // 2 for x, _, w, _ in leaves]] = True
-    return mask
-
-
-def mask_from_tree(tree: SubdivisionTree) -> np.ndarray:
-    return leaf_mask(tree.leaves(), tree.w, tree.h)
+    Tree i's leaves sit at the top-left of a mask of `shape`; the result
+    has shape (len(trees), *shape) and holds one point at the floor
+    midpoint of each leaf.
+    """
+    counts = [len(leaves) for leaves in trees]
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(trees)), dtype=np.intp, count=4 * sum(counts)
+    )
+    x, y, w, h = flat.reshape(-1, 4).T
+    masks = np.zeros((len(trees), *shape), dtype=bool)
+    masks[np.repeat(np.arange(len(trees)), counts), y + h // 2, x + w // 2] = True
+    return masks
 
 
-def leaf_means(tree: SubdivisionTree, plane: np.ndarray) -> np.ndarray:
-    """Mean of `plane` over each leaf, preorder."""
+def leaf_means(leaves, plane: np.ndarray) -> np.ndarray:
+    """Mean of `plane` over each leaf, in the order of `leaves`."""
     return np.array(
-        [plane[y : y + h, x : x + w].mean() for x, y, w, h in tree.leaves()], dtype=np.float64
+        [plane[y : y + h, x : x + w].mean() for x, y, w, h in leaves], dtype=np.float64
     )
 
 
@@ -161,8 +154,9 @@ def paint_leaf_values(leaves, values, shape) -> np.ndarray:
 
 
 def write_trees(out: bytearray, trees):
-    """Append one bit section holding the preorder bits of `trees`."""
-    write_section(out, np.fromiter(chain.from_iterable(t.bits for t in trees), np.uint8))
+    """Append one bit section holding `trees`, their preorder bit arrays
+    one after another."""
+    write_section(out, np.concatenate([np.zeros(0, dtype=np.uint8), *trees]))
 
 
 def read_tree_bits(data: bytes, pos: int, max_bits: int):
@@ -226,16 +220,7 @@ def parse_mask(bits, sizes, shape) -> np.ndarray:
     """Leaf masks of the next len(sizes) trees in `bits`, as one array.
 
     Tree i covers sizes[i] = (width, height) at the top-left of a mask
-    of `shape`; the result has shape (len(sizes), *shape) and holds one
-    point at the floor midpoint of each leaf (see deserialize_tree).
+    of `shape`: deserialize_tree walks each tree and leaf_masks sets
+    the midpoints.
     """
-    leaves, counts = [], []
-    for width, height in sizes:
-        tree = deserialize_tree(bits, width, height)
-        leaves += tree
-        counts.append(len(tree))
-    flat = np.fromiter(chain.from_iterable(leaves), dtype=np.intp, count=4 * len(leaves))
-    x, y, w, h = flat.reshape(-1, 4).T
-    masks = np.zeros((len(counts), *shape), dtype=bool)
-    masks[np.repeat(np.arange(len(counts)), counts), y + h // 2, x + w // 2] = True
-    return masks
+    return leaf_masks([deserialize_tree(bits, width, height) for width, height in sizes], shape)

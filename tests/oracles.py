@@ -4,12 +4,18 @@ Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
 The tonal fit through an LU of the full inpainting system is the
 reference for the codec's interior factorization. The Horn-Schunck flow
-is the classical baseline for Brox flow. The plain-expression Brox solver and subdivision search at the end are the
-reference the in-place production versions must match bit for bit, the
-recursive leaf enumerator is the reference for the tree walker, and the
-tile-by-tile mask walk is the reference for the residual decoder's
-batched one. The entropy writer that codes one value and writes one bit
-field at a time is the reference for the array-packing encoder.
+is the classical baseline for Brox flow. The plain-expression Brox
+solver and subdivision search at the end are the reference the
+in-place production versions must match bit for bit; the search
+returns its bits and leaves as the codec's does. The recursive leaf
+enumerator is the reference for the tree walker, and the tile-by-tile
+mask walk is the reference for the residual decoder's batched one. The
+per-tile residual planner, which slices each tile out of the integer
+planes and builds its mask from the enumerated leaves, is the reference
+for the codec's planner, which gathers float64 blocks through one padded
+view and builds every mask with leaf_masks. The entropy writer that
+codes one value and writes one bit field at a time is the reference for
+the array-packing encoder.
 """
 
 import heapq
@@ -46,9 +52,7 @@ from hivc.prediction import TONAL_ITERS, _mask_points, decode_intra, encode_intr
 from hivc.pseudodiff import BLOCK, block_grid, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.subdivision import (
     SubdivisionError,
-    SubdivisionTree,
     leaf_means,
-    mask_from_tree,
     paint_leaf_values,
     split_children,
 )
@@ -167,24 +171,27 @@ def inpaint_plane_blockwise(residual, block_masks):
 
 
 def plan_group(planes, tiles, points):
-    """Coded tiles, trees and 8x8 masks of one channel group, searched by
-    the codec's subdivision on a float64 copy of each tile's first plane."""
-    coded, trees, masks = [], [], []
+    """Coded tiles, tree bits, 8x8 masks and float64 blocks of one channel
+    group, one tile at a time: the codec's subdivision searches each
+    tile's own slices of the integer planes, the recursive enumerator
+    reads the leaves back from the bits, and each tile is embedded
+    top-left into a zero block."""
+    coded, trees, masks, blocks = [], [], [], []
     for ti, (y0, x0, bh, bw) in enumerate(tiles):
         subs = [p[y0 : y0 + bh, x0 : x0 + bw] for p in planes]
         if all(not s.any() for s in subs):
             continue
-        target = min(points, bh * bw)
-        err_fn = subdivision.joint_ssd_error(subs) if len(subs) > 1 else None
-        tree = subdivision.subdivide_by_error(
-            np.asarray(subs[0], dtype=np.float64), target, error_fn=err_fn
-        )
+        bits, _ = subdivision.subdivide_by_error(subs, min(points, bh * bw))
         m = np.zeros((BLOCK, BLOCK), dtype=bool)
-        m[:bh, :bw] = mask_from_tree(tree)
+        for x, y, w, h in tree_leaves(bits.tolist(), bw, bh):
+            m[y + h // 2, x + w // 2] = True
+        fb = np.zeros((len(planes), BLOCK, BLOCK))
+        fb[:, :bh, :bw] = subs
         coded.append(ti)
-        trees.append(tree)
+        trees.append(bits)
         masks.append(m)
-    return coded, trees, masks
+        blocks.append(fb)
+    return coded, trees, masks, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +259,9 @@ def optimize_mask_values(planes, mask: np.ndarray):
     return out
 
 
-def piecewise_constant_from_tree(tree, plane) -> np.ndarray:
-    """Region-average approximation of `plane` on the tree's leaves."""
-    return paint_leaf_values(tree.leaves(), leaf_means(tree, plane), plane.shape)
+def piecewise_constant_from_leaves(leaves, plane) -> np.ndarray:
+    """Region-average approximation of `plane` on a tree's leaves."""
+    return paint_leaf_values(leaves, leaf_means(leaves, plane), plane.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +556,26 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     return FlowField(np.clip(u, -bound, bound), np.clip(v, -bound, bound))
 
 
-def subdivide_by_error(
-    plane: np.ndarray, target_points: int, error_fn=None, min_error=None
-) -> SubdivisionTree:
+def subdivide_by_error(planes, target_points: int, min_error=None):
     """Greedy split of the worst-error leaf until `target_points` leaves exist.
 
-    `error_fn(plane, x, y, w, h)` defaults to the sum of squared
-    deviations from the region mean. Ties break deterministically by
-    (y, x, creation order). Single-pixel leaves sink to the bottom of
-    the queue since they cannot be split. With `min_error` set, splitting
-    stops early once the worst leaf error drops to that value or below,
-    so exactly representable planes yield small trees.
+    A region's error is the sum of region_ssd over `planes`. Ties break
+    deterministically by (y, x, creation order). Single-pixel leaves
+    sink to the bottom of the queue since they cannot be split. With
+    `min_error` set, splitting stops early once the worst leaf error
+    drops to that value or below, so exactly representable planes yield
+    small trees. Returns (preorder bits as a uint8 array, leaves in
+    preorder).
     """
-    h_img, w_img = plane.shape
+    h_img, w_img = planes[0].shape
     if target_points < 1:
         raise SubdivisionError("target_points must be >= 1")
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
-    if error_fn is None:
-        error_fn = region_ssd
 
     def priority(rect, seq):
         x, y, w, h = rect
-        err = -1.0 if (w == 1 and h == 1) else float(error_fn(plane, x, y, w, h))
+        err = -1.0 if (w == 1 and h == 1) else sum(region_ssd(p, x, y, w, h) for p in planes)
         return (-err, y, x, seq)
 
     # nodes: rect -> (first_rect, second_rect) for internal nodes
@@ -592,18 +596,19 @@ def subdivide_by_error(
         heapq.heappush(heap, (*priority(second, seq), second))
         n_leaves += 1
 
-    bits = []
+    bits, leaves = [], []
     stack = [root]
     while stack:
         rect = stack.pop()
         kids = children.get(rect)
         if kids is None:
             bits.append(0)
+            leaves.append(rect)
         else:
             bits.append(1)
             stack.append(kids[1])
             stack.append(kids[0])
-    return SubdivisionTree(w_img, h_img, tuple(bits))
+    return np.array(bits, dtype=np.uint8), leaves
 
 
 def tree_leaves(bits, width: int, height: int):
@@ -661,11 +666,3 @@ def region_ssd(plane: np.ndarray, x: int, y: int, w: int, h: int) -> float:
     region = plane[y : y + h, x : x + w]
     return float(np.sum((region - region.mean()) ** 2))
 
-
-def joint_ssd_error(planes):
-    """Error function summing region SSD over several planes (chroma rule)."""
-
-    def fn(_plane, x, y, w, h):
-        return sum(region_ssd(p, x, y, w, h) for p in planes)
-
-    return fn

@@ -56,11 +56,11 @@ def test_subdivision_reaches_region_ssd_through_the_module(monkeypatch, joint):
 
     monkeypatch.setattr(subdivision, "region_ssd", counting)
     plane = np.arange(64, dtype=np.float64).reshape(8, 8) ** 2
-    error_fn = subdivision.joint_ssd_error([plane, plane.T]) if joint else None
-    tree = subdivision.subdivide_by_error(plane, 5, error_fn=error_fn)
-    assert len(tree.leaves()) == 5
+    planes = [plane, plane.T] if joint else [plane]
+    _, leaves = subdivision.subdivide_by_error(planes, 5)
+    assert len(leaves) == 5
     # two children per split, each plane of the joint error once
-    assert len(calls) == 2 * 4 * (2 if joint else 1)
+    assert len(calls) == 2 * 4 * len(planes)
 
 
 # the decode-side names spans.py wraps, each of which a colour stream
@@ -112,6 +112,9 @@ ENCODE_HOOKS = (
     ("hivc.codec", "solve_block_coefficients_batch"),
     ("hivc.prediction", "optimize_mask_values"),
     ("hivc.subdivision", "region_ssd"),
+    ("hivc.codec", "subdivide_by_error"),
+    ("hivc.prediction", "subdivide_by_error"),
+    ("hivc.flow", "subdivide_by_error"),
 )
 
 

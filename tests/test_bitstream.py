@@ -65,13 +65,17 @@ def test_unpack_rejects_header_over_pixel_limit(monkeypatch):
         unpack_header(data)
 
 
-def test_empty_video_header_only_round_trip():
-    h = _header(frame_count=0)
-    data = write_stream(h, [])
+def test_header_declaring_zero_frames_is_corrupt():
+    # a header that declares 0 frames is corrupt; no encoder writes one
+    with pytest.raises(BitstreamError, match="at least one frame"):
+        _header(frame_count=0)
+    data = bytearray(_header(frame_count=1).pack())
+    data[9:13] = bytes(4)  # frame_count, u32 after magic, version and geometry
     assert len(data) == HEADER_SIZE
-    header, gops = read_stream(data)
-    assert header == h
-    assert gops == []
+    with pytest.raises(BitstreamError, match="at least one frame"):
+        unpack_header(bytes(data))
+    with pytest.raises(BitstreamError, match="at least one frame"):
+        read_stream(bytes(data))
 
 
 def test_one_gop_byte_round_trip():
@@ -84,14 +88,14 @@ def test_one_gop_byte_round_trip():
 
 
 def test_bad_magic_is_distinct_error():
-    data = bytearray(write_stream(_header(frame_count=0), []))
+    data = bytearray(write_stream(_header(frame_count=1), []))
     data[0] = ord("X")
     with pytest.raises(BadMagic):
         read_stream(bytes(data))
 
 
 def test_unsupported_version_is_distinct_error():
-    data = bytearray(write_stream(_header(frame_count=0), []))
+    data = bytearray(write_stream(_header(frame_count=1), []))
     data[4] = 99
     with pytest.raises(UnsupportedVersion):
         read_stream(bytes(data))

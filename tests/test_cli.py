@@ -229,6 +229,19 @@ def test_stream_over_pixel_limit_exits_corrupt(tmp_path, clip_y4m, monkeypatch, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_header_declaring_zero_frames_exits_corrupt(tmp_path, capsys):
+    # the 22-byte header of a 16x16 gray stream, frame_count (bytes 9-12) 0
+    data = bytearray(StreamHeader(16, 16, 1, 25, 1, 8, 1, 256, 256, 63).pack())
+    data[9:13] = bytes(4)
+    stream = tmp_path / "empty.hivc"
+    stream.write_bytes(bytes(data))
+    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+    assert main(["decode", str(stream), str(tmp_path / "o.pgm")]) == 4
+    assert main(["inspect", str(stream)]) == 4
+    assert "at least one frame" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.hivc"]
+
+
 def test_missing_input_exits_io(tmp_path):
     assert main(["encode", str(tmp_path / "nope.y4m"), str(tmp_path / "o.hivc")]) == 2
     assert main(["decode", str(tmp_path / "nope.hivc"), str(tmp_path / "o.y4m")]) == 2

@@ -358,7 +358,8 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
 
 @pytest.mark.parametrize("points", [1, 4, 48])
 def test_plan_group_trees_match_float_copy_oracle(points):
-    # integer residuals with untouched regions, so some tiles are skipped
+    # integer residuals with untouched regions, so some tiles are skipped;
+    # the codec searches float64 blocks, the oracle the integer tiles
     h, w = 37, 45
     planes = []
     for c in range(3):
@@ -367,11 +368,14 @@ def test_plan_group_trees_match_float_copy_oracle(points):
         planes.append(r)
     tiles = block_grid(h, w)
     for group in ([planes[0]], planes[1:]):
-        got = codec._plan_group(group, tiles, points)
+        coded, trees, masks, blocks = codec._plan_group(group, tiles, points)
         want = oracles.plan_group(group, tiles, points)
-        assert got[0] == want[0] and 0 < len(got[0]) < len(tiles)
-        assert got[1] == want[1]
-        assert all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+        assert coded.tolist() == want[0] and 0 < len(coded) < len(tiles)
+        assert len(trees) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(trees, want[1]))
+        assert masks.shape == (len(coded), 8, 8) and np.array_equal(masks, want[2])
+        assert blocks.shape == (len(group), len(coded), 8, 8)
+        assert np.array_equal(blocks, np.stack(want[3], axis=1))
 
 
 def _still_stream(n):

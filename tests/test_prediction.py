@@ -17,7 +17,7 @@ from hivc.prediction import (
     optimize_mask_values,
     predict_inter,
 )
-from hivc.subdivision import joint_ssd_error, mask_from_tree, subdivide_by_error
+from hivc.subdivision import leaf_masks, subdivide_by_error
 from oracles import predict_intra
 
 
@@ -215,12 +215,11 @@ def test_tonal_fit_matches_full_system_oracle(name, nplanes):
 def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
     y, u, v = [p.astype(np.float64) for p in _to_yuv_planes(bench_clip[0])]
     budget = int(round(0.09 * y.size))
-    tree_y = subdivide_by_error(y, budget)
-    tree_c = subdivide_by_error(
-        u, chroma_budget(budget, u.size), error_fn=joint_ssd_error([u, v])
-    )
-    _assert_fits_agree([y], mask_from_tree(tree_y))
-    _assert_fits_agree([u, v], mask_from_tree(tree_c))
+    _, leaves_y = subdivide_by_error([y], budget)
+    _, leaves_c = subdivide_by_error([u, v], chroma_budget(budget, u.size))
+    mask_y, mask_c = leaf_masks([leaves_y, leaves_c], y.shape)
+    _assert_fits_agree([y], mask_y)
+    _assert_fits_agree([u, v], mask_c)
 
 
 def test_tonal_fit_full_mask_returns_samples():

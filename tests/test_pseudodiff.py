@@ -227,8 +227,8 @@ def test_edge_tile_masks_stay_inside_true_pixels():
     plane = rng.integers(-20, 21, (13, 11))
     tiles = block_grid(13, 11)
     for points in (1, 4, 48):
-        coded, _, masks = _plan_group([plane], tiles, points)
-        assert coded
+        coded, _, masks, _ = _plan_group([plane], tiles, points)
+        assert len(coded)
         for ti, mask in zip(coded, masks):
             _, _, bh, bw = tiles[ti]
             assert mask[:bh, :bw].sum() == min(points, bh * bw)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from hivc.bitstream import Truncated
 from hivc.subdivision import (
     SubdivisionError,
-    SubdivisionTree,
     deserialize_tree,
     end_of_trees,
-    joint_ssd_error,
-    mask_from_tree,
+    leaf_masks,
     parse_mask,
     read_tree_bits,
     region_ssd,
@@ -22,11 +20,12 @@ from hivc.subdivision import (
 )
 import oracles
 from hivc.pseudodiff import BLOCK, block_grid
-from oracles import piecewise_constant_from_tree
+from oracles import piecewise_constant_from_leaves
 
 
-def _leaf_areas(tree):
-    return [w * h for (_, _, w, h) in tree.leaves()]
+def _same_tree(a, b):
+    """Two (bits, leaves) results are the same tree, bits as uint8."""
+    return a[0].dtype == b[0].dtype == np.uint8 and np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_split_halves_longer_side_ties_go_to_width():
@@ -46,36 +45,35 @@ def test_split_ceiling_halving_for_odd_sides():
 
 
 def test_constant_plane_single_leaf():
-    tree = subdivide_by_error(np.full((8, 8), 3.0), 1)
-    assert len(tree.leaves()) == 1
+    bits, leaves = subdivide_by_error([np.full((8, 8), 3.0)], 1)
+    assert bits.tolist() == [0] and leaves == [(0, 0, 8, 8)]
 
 
 def test_constant_plane_deterministic_ties():
     plane = np.full((16, 16), 9.0)
-    a = subdivide_by_error(plane, 4)
-    b = subdivide_by_error(plane, 4)
-    assert len(a.leaves()) == 4
-    assert a.leaves() == b.leaves()
+    a = subdivide_by_error([plane], 4)
+    b = subdivide_by_error([plane], 4)
+    assert len(a[1]) == 4
+    assert _same_tree(a, b)
 
 
 def test_step_edge_first_split_isolates_halves():
     plane = np.zeros((16, 16))
     plane[:, 8:] = 255.0
-    tree = subdivide_by_error(plane, 2)
-    leaves = sorted(tree.leaves())
-    assert leaves == [(0, 0, 8, 16), (8, 0, 8, 16)]
-    rec = piecewise_constant_from_tree(tree, plane)
+    _, leaves = subdivide_by_error([plane], 2)
+    assert sorted(leaves) == [(0, 0, 8, 16), (8, 0, 8, 16)]
+    rec = piecewise_constant_from_leaves(leaves, plane)
     assert np.array_equal(rec, plane)
 
 
 def test_target_exceeding_pixels_rejected():
     with pytest.raises(SubdivisionError):
-        subdivide_by_error(np.zeros((2, 2)), 5)
+        subdivide_by_error([np.zeros((2, 2))], 5)
 
 
 def test_mask_point_is_floor_midpoint():
-    tree = subdivide_by_error(np.zeros((8, 8)), 1)
-    mask = mask_from_tree(tree)
+    _, leaves = subdivide_by_error([np.zeros((8, 8))], 1)
+    (mask,) = leaf_masks([leaves], (8, 8))
     ys, xs = np.nonzero(mask)
     assert (ys.tolist(), xs.tolist()) == ([4], [4])
 
@@ -84,16 +82,16 @@ def test_mask_popcount_matches_leaf_count():
     rng = np.random.default_rng(0)
     plane = rng.uniform(0, 255, (23, 17))
     for k in (1, 5, 12, 40):
-        tree = subdivide_by_error(plane, k)
-        assert int(mask_from_tree(tree).sum()) == k
+        _, leaves = subdivide_by_error([plane], k)
+        assert int(leaf_masks([leaves], plane.shape).sum()) == k
 
 
 def test_leaves_tile_root():
     rng = np.random.default_rng(1)
     plane = rng.uniform(0, 255, (19, 31))
-    tree = subdivide_by_error(plane, 25)
+    _, leaves = subdivide_by_error([plane], 25)
     cover = np.zeros((19, 31), dtype=np.int32)
-    for (x, y, w, h) in tree.leaves():
+    for (x, y, w, h) in leaves:
         cover[y : y + h, x : x + w] += 1
     assert np.array_equal(cover, np.ones_like(cover))
 
@@ -101,8 +99,8 @@ def test_leaves_tile_root():
 def test_piecewise_constant_uses_region_means():
     rng = np.random.default_rng(2)
     plane = rng.uniform(0, 255, (12, 12))
-    tree = subdivide_by_error(plane, 1)
-    rec = piecewise_constant_from_tree(tree, plane)
+    _, leaves = subdivide_by_error([plane], 1)
+    rec = piecewise_constant_from_leaves(leaves, plane)
     assert np.allclose(rec, plane.mean())
 
 
@@ -111,7 +109,7 @@ def test_budget_monotonicity_of_approximation_error():
     plane = rng.uniform(0, 255, (32, 32))
     errs = []
     for k in (1, 4, 16, 64):
-        rec = piecewise_constant_from_tree(subdivide_by_error(plane, k), plane)
+        rec = piecewise_constant_from_leaves(subdivide_by_error([plane], k)[1], plane)
         errs.append(float(((rec - plane) ** 2).sum()))
     assert errs == sorted(errs, reverse=True)
 
@@ -124,16 +122,18 @@ def _section(trees):
 
 def test_serialize_known_bit_patterns():
     plane = np.zeros((8, 8))
-    assert _section([subdivide_by_error(plane, 1)]) == bytes([1, 0, 0, 0, 0])
+    assert _section([subdivide_by_error([plane], 1)[0]]) == bytes([1, 0, 0, 0, 0])
     plane[:, 4:] = 255.0
     # preorder: split root, then two leaves -> bits 1,0,0
-    assert _section([subdivide_by_error(plane, 2)]) == bytes([3, 0, 0, 0, 0b10000000])
+    assert _section([subdivide_by_error([plane], 2)[0]]) == bytes([3, 0, 0, 0, 0b10000000])
+    assert _section([]) == bytes(4)
 
 
 def _random_tree(rng, w, h, splits):
+    """Preorder bits of a searched tree over a random w x h plane."""
     plane = rng.uniform(0, 255, (h, w))
     target = min(splits, w * h)
-    return subdivide_by_error(plane, target)
+    return subdivide_by_error([plane], target)[0]
 
 
 def _random_bits(rng, w, h, p_split):
@@ -157,8 +157,9 @@ def test_walker_matches_recursive_oracle_on_random_trees():
         h = int(rng.integers(1, 40))
         bits = _random_bits(rng, w, h, float(rng.uniform(0.3, 0.95)))
         expected = oracles.tree_leaves(bits, w, h)
-        assert deserialize_tree(iter(bits), w, h) == expected
-        assert SubdivisionTree(w, h, bits).leaves() == expected
+        it = iter(bits)
+        assert deserialize_tree(it, w, h) == expected
+        end_of_trees(it)
         mask = np.zeros((h, w), dtype=bool)
         for x, y, lw, lh in expected:
             mask[y + lh // 2, x + lw // 2] = True
@@ -171,9 +172,9 @@ def test_serialize_round_trip_random_trees():
         sizes = [(int(rng.integers(1, 33)), int(rng.integers(1, 33))) for _ in range(3)]
         trees = [_random_tree(rng, w, h, int(rng.integers(1, 64))) for w, h in sizes]
         data = _section(trees) + b"tail"
-        bits, pos = read_tree_bits(data, 0, sum(len(t.bits) for t in trees))
+        bits, pos = read_tree_bits(data, 0, sum(len(t) for t in trees))
         for tree, (w, h) in zip(trees, sizes):
-            assert deserialize_tree(bits, w, h) == oracles.tree_leaves(tree.bits, w, h)
+            assert deserialize_tree(bits, w, h) == oracles.tree_leaves(tree.tolist(), w, h)
         end_of_trees(bits)
         assert data[pos:] == b"tail"
 
@@ -185,7 +186,7 @@ def test_split_of_single_pixel_rejected():
     with pytest.raises(SubdivisionError):
         parse_mask(iter([1, 1, 0, 0]), [(2, 1)], (1, 2))
     with pytest.raises(SubdivisionError):
-        SubdivisionTree(2, 1, (1, 0, 1)).leaves()
+        deserialize_tree(iter([1, 0, 1]), 2, 1)
 
 
 @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-1, 1)])
@@ -200,8 +201,6 @@ def test_bits_that_run_out_are_truncated(bits):
         deserialize_tree(iter(bits), 4, 4)
     with pytest.raises(Truncated):
         parse_mask(iter(bits), [(4, 4)], (4, 4))
-    with pytest.raises(Truncated):
-        SubdivisionTree(4, 4, bits).leaves()
 
 
 def _tile_sections(rng, width, height):
@@ -235,7 +234,7 @@ def test_batched_tile_walk_matches_per_tile_oracle():
     for width, height in ((37, 29), (33, 25), (16, 8), (7, 3), (41, 17)):
         for _ in range(10):
             sizes, trees = _tile_sections(rng, width, height)
-            data = _section([SubdivisionTree(w, h, t) for (w, h), t in zip(sizes, trees)])
+            data = _section([np.array(t, dtype=np.uint8) for t in trees])
             section, _ = read_tree_bits(data, 0, len(sizes) * (2 * BLOCK * BLOCK - 1))
             masks = parse_mask(section, sizes, (BLOCK, BLOCK))
             end_of_trees(section)
@@ -272,12 +271,14 @@ def test_batched_tile_walk_rejects_corrupt_sections_like_the_oracle():
 
 
 def test_excess_bits_after_last_tree_rejected():
+    bits = iter((1, 0, 0, 0))
+    assert len(deserialize_tree(bits, 4, 4)) == 2
     with pytest.raises(SubdivisionError, match="excess"):
-        SubdivisionTree(4, 4, (1, 0, 0, 0)).leaves()
-    tree = subdivide_by_error(np.arange(16.0).reshape(4, 4), 3)
+        end_of_trees(bits)
+    tree, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 3)
     data = bytearray(_section([tree]))
     # one more bit in the count, still inside the padded last byte
-    assert len(tree.bits) % 8
+    assert len(tree) % 8
     data[0] += 1
     bits, _ = read_tree_bits(bytes(data), 0, 2 * 16 - 1)
     assert len(deserialize_tree(bits, 4, 4)) == 3
@@ -304,11 +305,10 @@ def test_subdivision_invariants_property(w, h, target, seed):
     rng = np.random.default_rng(seed)
     plane = rng.uniform(0, 255, (h, w))
     target = min(target, w * h)
-    tree = subdivide_by_error(plane, target)
-    leaves = tree.leaves()
+    tree, leaves = subdivide_by_error([plane], target)
     assert len(leaves) == target
     assert sum(lw * lh for (_, _, lw, lh) in leaves) == w * h
-    assert leaves == oracles.tree_leaves(tree.bits, w, h)
+    assert leaves == oracles.tree_leaves(tree.tolist(), w, h)
     bits, _ = read_tree_bits(_section([tree]), 0, 2 * w * h - 1)
     assert deserialize_tree(bits, w, h) == leaves
     end_of_trees(bits)
@@ -347,13 +347,12 @@ def test_subdivision_trees_match_oracle_search(target):
             sub = np.asarray(sub, dtype=np.float64)
             if target > sub.size:
                 continue
-            assert subdivide_by_error(sub, target) == oracles.subdivide_by_error(sub, target)
+            assert _same_tree(
+                subdivide_by_error([sub], target), oracles.subdivide_by_error([sub], target)
+            )
     a, b = planes["int"][:8, :8], planes["real"][:8, :8]
-    fast = subdivide_by_error(a.astype(np.float64), target, error_fn=joint_ssd_error([a, b]))
-    ref = oracles.subdivide_by_error(
-        a.astype(np.float64), target, error_fn=oracles.joint_ssd_error([a, b])
-    )
-    assert fast == ref
+    fast = subdivide_by_error([a.astype(np.float64), b], target)
+    assert _same_tree(fast, oracles.subdivide_by_error([a, b], target))
 
 
 @pytest.mark.parametrize("target", [1, 2, 5, 8, 40, 200])
@@ -363,7 +362,42 @@ def test_subdivision_min_error_stop_matches_oracle(target):
     steps = np.repeat(np.repeat(rng.normal(0.0, 2.0, (3, 4)), 4, axis=0), 5, axis=1)
     noisy = rng.normal(0.0, 1.0, (12, 20))
     for plane in (constant, steps, noisy):
-        fast = subdivide_by_error(plane, target, min_error=0.0)
-        assert fast == oracles.subdivide_by_error(plane, target, min_error=0.0)
+        fast = subdivide_by_error([plane], target, min_error=0.0)
+        assert _same_tree(fast, oracles.subdivide_by_error([plane], target, min_error=0.0))
     # a constant plane stops at the root
-    assert len(subdivide_by_error(constant, target, min_error=0.0).leaves()) == 1
+    assert len(subdivide_by_error([constant], target, min_error=0.0)[1]) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 50)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 2),
+    st.sampled_from([1, 2, 256]),
+    st.sampled_from([None, 0.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_search_leaves_read_back_from_its_bits(specs, nplanes, levels, min_error, seed):
+    # the encoder's leaves and masks are the ones the decoder reads from
+    # the section it writes; few levels give constant regions, where
+    # min_error=0 stops early
+    rng = np.random.default_rng(seed)
+    trees, leaves, sizes = [], [], []
+    for w, h, target in specs:
+        planes = [rng.integers(0, levels, (h, w)).astype(np.float64) for _ in range(nplanes)]
+        bits, tree_leaves = subdivide_by_error(planes, min(target, w * h), min_error)
+        assert bits.dtype == np.uint8
+        it = iter(bits.tolist())
+        assert deserialize_tree(it, w, h) == tree_leaves
+        end_of_trees(it)
+        trees.append(bits)
+        leaves.append(tree_leaves)
+        sizes.append((w, h))
+    shape = (max(h for _, h in sizes), max(w for w, _ in sizes))
+    section, _ = read_tree_bits(_section(trees), 0, sum(2 * w * h - 1 for w, h in sizes))
+    masks = parse_mask(section, sizes, shape)
+    end_of_trees(section)
+    assert np.array_equal(leaf_masks(leaves, shape), masks)
