@@ -1,8 +1,9 @@
 """Bit-level and varint serialization helpers.
 
-Every run of bits in a stream (subdivision trees, FSE bits, extra bits)
-is stored as one bit section: a u32 bit count, then the bits MSB first,
-zero-padded to whole bytes.
+Every run of bits in a stream is stored MSB first and zero-padded to
+whole bytes. A run whose length the decoder cannot compute (subdivision
+trees, FSE bits) is a bit section: a u32 bit count, then the bits. A run
+whose length it can (the extra bits of signed values) has no count.
 """
 
 from __future__ import annotations
@@ -31,22 +32,24 @@ def write_section(out: bytearray, bits: np.ndarray):
     out += np.packbits(bits).tobytes()
 
 
-def read_section(data: bytes, pos: int):
-    """Inverse of write_section; returns (bytes, bit count, next position).
-
-    Padding bits after the last counted bit must be zero, as the writer
-    leaves them.
-    """
-    if pos + 4 > len(data):
-        raise Truncated("bit section length cut short")
-    (nbits,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+def read_bits(data: bytes, pos: int, nbits: int):
+    """(bytes, next position) of the `nbits` bits at `pos`; the padding
+    bits of the last byte must be zero, as the writer leaves them."""
     end = pos + (nbits + 7) // 8
     if end > len(data):
         raise Truncated("bit section cut short")
     if nbits % 8 and data[end - 1] & (0xFF >> nbits % 8):
         raise LengthMismatch(f"bits set after the {nbits} bits of a section")
-    return data[pos:end], nbits, end
+    return data[pos:end], end
+
+
+def read_section(data: bytes, pos: int):
+    """Inverse of write_section; returns (bytes, bit count, next position)."""
+    if pos + 4 > len(data):
+        raise Truncated("bit section length cut short")
+    (nbits,) = struct.unpack_from("<I", data, pos)
+    body, pos = read_bits(data, pos + 4, nbits)
+    return body, nbits, pos
 
 
 def write_uvarint(out: bytearray, value: int):

@@ -4,7 +4,7 @@ Layout:
 
     header (22 bytes, little endian)
         magic      4s   b"HIVC"
-        version    u8   currently 1
+        version    u8   currently 2
         width      u16
         height     u16
         frame_count u32
@@ -16,20 +16,24 @@ Layout:
         flow_levels - 1      u8
         residual_levels      u8   odd, >= 3
     then one record per group of pictures:
-        payload_len  u32
-        payload      bytes
+        payload_len    u32
+        payload_crc32  u32   zlib.crc32 of the payload
+        payload        bytes
 
 Each group payload starts with a u16 frame count followed by frame
-records; see codec.py for the frame record layout.
+records; see codec.py for the frame record layout. Every checksum is
+checked before any frame is decoded. Version 2 added the checksums and
+dropped every field a decoder can compute (see entropy.py).
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 MAGIC = b"HIVC"
-VERSION = 1
+VERSION = 2
 # largest frame a stream may declare: the 4K UHD frame, which covers the
 # FullHD target with margin; checked before any plane is allocated
 MAX_PIXELS = 3840 * 2160
@@ -54,6 +58,10 @@ class Truncated(BitstreamError):
 
 
 class LengthMismatch(BitstreamError):
+    pass
+
+
+class ChecksumMismatch(BitstreamError):
     pass
 
 
@@ -133,27 +141,31 @@ def unpack_header(data: bytes) -> StreamHeader:
 def write_stream(header: StreamHeader, gop_payloads) -> bytes:
     out = bytearray(header.pack())
     for payload in gop_payloads:
-        out += struct.pack("<I", len(payload))
+        out += struct.pack("<II", len(payload), zlib.crc32(payload))
         out += payload
     return bytes(out)
 
 
 def read_stream(data: bytes):
-    """Split a stream into (header, list of group payloads)."""
+    """Split a stream into (header, list of group payloads), each checked
+    against its CRC32."""
     header = unpack_header(data)
     pos = HEADER_SIZE
     payloads = []
     while pos < len(data):
-        if pos + 4 > len(data):
+        if pos + 8 > len(data):
             raise Truncated("group length prefix cut short")
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4
+        length, crc = struct.unpack_from("<II", data, pos)
+        pos += 8
         if pos + length > len(data):
             raise Truncated(
                 f"group payload {len(payloads)} cut short "
                 f"({len(data) - pos} of {length} bytes present)"
             )
-        payloads.append(data[pos : pos + length])
+        payload = data[pos : pos + length]
+        if zlib.crc32(payload) != crc:
+            raise ChecksumMismatch(f"group payload {len(payloads)} fails its CRC32")
+        payloads.append(payload)
         pos += length
     expected = -(-header.frame_count // header.gop_size)
     if len(payloads) != expected:

@@ -276,8 +276,8 @@ def _cmd_inspect(args):
     shares = {"intra": 0, "flow": 0, "residual": 0, "framing": bitstream.HEADER_SIZE}
     for gi, payload in enumerate(payloads):
         lines.append((f"group_{gi}_bytes", len(payload)))
-        # group length prefix and frame count
-        shares["framing"] += 4 + 2
+        # group length, CRC32 and frame count
+        shares["framing"] += 4 + 4 + 2
         for ftype, pred, res in codec.frame_records(header, payload, gi):
             shares["intra" if ftype == 0 else "flow"] += len(pred)
             shares["residual"] += len(res)
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (bitstream.BitstreamError, struct.error) as e:
-        print(f"corrupt stream: {e}", file=sys.stderr)
+        print(f"corrupt stream: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CORRUPT
     except ValueError as e:
         print(f"codec error: {e}", file=sys.stderr)

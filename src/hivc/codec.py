@@ -23,6 +23,7 @@ that is min(gop_size, frames left):
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -68,6 +69,7 @@ _SCALE_FP = 65536.0
 # or after this many passes past the first
 TARGET_RATIO_TOL = 0.03
 TARGET_RATIO_PASSES = 14
+MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
 
 
 class CodecError(BitstreamError):
@@ -159,21 +161,23 @@ def _solve_coded(f_blocks, masks):
     return c, a
 
 
-def _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam):
+def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
     """Coded blocks whose decoded residual is worth their bits.
 
     A block is kept when the error drop from its decoded residual,
     summed over the group's planes, exceeds lam times its bit cost:
     coarse dead zones can otherwise paint a poorly fitted constant
-    across the whole tile and add noise. A block whose indices all
-    quantized to zero decodes to exact zeros, so its gain is exactly 0
-    and it is dropped for any lam >= 0. fb: (planes, n, 8, 8), masks:
-    (n, 64), qc: (planes, n, 64), qa: (planes, n).
+    across the whole tile and add noise. Only the tile's own pixels
+    count, marked by `inside`; the decoder crops the rest. A block whose
+    indices all quantized to zero decodes to exact zeros, so its gain is
+    exactly 0 and it is dropped for any lam >= 0. fb: (planes, n, 8, 8),
+    inside: (n, 8, 8), masks: (n, 64), qc: (planes, n, 64), qa: (planes, n).
     """
     nplanes, n = qa.shape
     mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
     a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
     rec = reconstruct_blocks(mc.reshape(-1, BLOCK, BLOCK), a_hat.ravel()).reshape(fb.shape)
+    rec *= inside
     gain = np.zeros(n)
     for r, u in zip(fb, rec):
         gain += np.sum(r * r, axis=(1, 2)) - np.sum((r - u) ** 2, axis=(1, 2))
@@ -203,6 +207,11 @@ def _encode_residual(planes, points, levels, lam=0.0):
     a_fp = min(int(round(a_scale * _SCALE_FP)), 0xFFFFFFFF) or 1
     c_scale, a_scale = c_fp / _SCALE_FP, a_fp / _SCALE_FP
 
+    # each tile's true pixels inside its padded 8x8 block
+    padded, view = _tiles(h, w)
+    padded[:h, :w] = 1.0
+    inside = view.reshape(-1, BLOCK, BLOCK)
+
     kept_total = 0
     out = bytearray(struct.pack("<II", c_fp, a_fp))
     for coded, trees, masks, fits, fb in plans:
@@ -214,7 +223,7 @@ def _encode_residual(planes, points, levels, lam=0.0):
             qc[ci][masks] = deadzone_quantize(map_coefficients(c[masks], c_scale), levels)
             qa[ci] = deadzone_quantize(map_coefficients(a, a_scale), levels)
         keep = (
-            _keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam)
+            _keep_blocks(fb, inside[coded], masks, qc, qa, levels, c_scale, a_scale, lam)
             if fits
             else np.zeros(0, dtype=np.int64)
         )
@@ -583,19 +592,26 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
         stream = encode(frames, _scaled_config(cfg, m, pixels), _flows=flows)
         return stream, raw / len(stream)
 
-    lo, hi = None, None
+    lo, hi = 0.0, float("inf")  # multipliers known to be too small, too large
     m = 1.0
     stream, ratio = run(m)
     best = (stream, ratio, m)
+    prev = (2 * m, ratio / 2)  # a slope of -1 until there are two passes
     for _ in range(TARGET_RATIO_PASSES):
         if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL:
             break
         if ratio > target_ratio:
             lo = m  # too small a budget, stream too tight
-            m = m * 2 if hi is None else (lo * hi) ** 0.5
         else:
             hi = m
-            m = m / 2 if lo is None else (lo * hi) ** 0.5
+        # the log ratio falls about linearly in log m: step along the
+        # secant through the last two passes (-1 where it does not fall),
+        # by at most 4x, and bisect where that would leave the bracket
+        slope = min(math.log(ratio / prev[1]) / math.log(m / prev[0]), 0.0) or -1.0
+        prev = (m, ratio)
+        step = math.log(target_ratio / ratio) / slope
+        m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
+        m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
         stream, ratio = run(m)
         if abs(ratio - target_ratio) < abs(best[1] - target_ratio):
             best = (stream, ratio, m)

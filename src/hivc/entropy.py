@@ -9,11 +9,13 @@ Entropy): a normalized histogram spread over a power-of-two state
 table; encoding walks the table backwards emitting state bits, decoding
 walks forward. Extra bits are appended raw after the coded stream.
 
-Payload layout (see also the container format notes in the README):
-  [table_log: 1 byte][alphabet size + normalized counts: varints]
-  [symbol count: u32][final state: u16][FSE bits: bit section]
-  [extra bits: bit section]
-where a bit section is a u32 bit count and the bits (see hivc.bits).
+Payloads store nothing the decoder can compute: the caller knows the
+symbol count from the structure before it, and the table size follows
+from that count and the alphabet size. Layouts (see also the README):
+  symbols: [alphabet size + normalized counts: varints][final state: u16]
+           [FSE bits: bit section, a u32 bit count and the bits]
+  signed:  [symbols of the categories][extra bits: sum of the categories]
+  values:  [lo, hi: i32 each][symbols of the quantizer indices]
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import struct
 
 import numpy as np
 
-from hivc.bits import pack_bits, read_section, read_uvarint, write_section, write_uvarint
+from hivc.bits import pack_bits, read_bits, read_section, read_uvarint, write_section, write_uvarint
 from hivc.bitstream import Truncated
+from hivc.quantize import uniform_dequantize, uniform_quantize
 
 MAX_MAGNITUDE = (1 << 15) - 1
 
@@ -193,22 +196,18 @@ def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable)
 # ---------------------------------------------------------------------------
 
 
-def _encode_header(counts: np.ndarray, table_log: int) -> bytearray:
-    out = bytearray([table_log])
+def _encode_header(counts: np.ndarray) -> bytearray:
+    out = bytearray()
     write_uvarint(out, counts.size)
     for c in counts:
         write_uvarint(out, int(c))
     return out
 
 
-def _decode_header(data: bytes, pos: int):
-    if pos >= len(data):
-        raise Truncated("entropy payload truncated")
-    table_log = data[pos]
-    pos += 1
-    if not 5 <= table_log <= 12:
-        raise EntropyError(f"bad table_log {table_log}")
+def _decode_header(data: bytes, pos: int, expected: int):
+    """(counts, table_log, next position) of a payload of `expected` symbols."""
     nsym, pos = read_uvarint(data, pos)
+    table_log = _auto_table_log(nsym, expected)
     if nsym == 0 or nsym > (1 << table_log):
         raise EntropyError("bad alphabet size")
     counts = np.empty(nsym, dtype=np.int64)
@@ -232,22 +231,20 @@ def _auto_table_log(alphabet: int, n: int) -> int:
     return min(tl, 12)
 
 
-def encode_symbols(symbols, table_log: int | None = None) -> bytes:
+def encode_symbols(symbols) -> bytes:
     """Self-contained FSE payload of a nonnegative integer symbol stream."""
     symbols = np.asarray(symbols, dtype=np.int64)
     if symbols.size and symbols.min() < 0:
         raise EntropyError("symbols must be nonnegative")
     hist = np.bincount(symbols) if symbols.size else np.array([1])
-    if table_log is None:
-        table_log = _auto_table_log(hist.size, symbols.size)
+    table_log = _auto_table_log(hist.size, symbols.size)
     counts = normalize_counts(hist, table_log)
     if symbols.size:
-        table = FseTable(counts, table_log)
-        bits, state = fse_encode(symbols, table)
+        bits, state = fse_encode(symbols, FseTable(counts, table_log))
     else:
         bits, state = np.zeros(0, dtype=np.uint8), 1 << table_log
-    out = _encode_header(counts, table_log)
-    out += struct.pack("<IH", symbols.size, state)
+    out = _encode_header(counts)
+    out += struct.pack("<H", state)
     write_section(out, bits)
     return bytes(out)
 
@@ -256,32 +253,27 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     """Inverse of encode_symbols; returns (symbols, next position).
 
     `expected` is the symbol count the caller knows from the payload's
-    structure (mask points, tree leaves, coded blocks). A stream that
-    claims another count is rejected before anything is allocated for it.
+    structure (mask points, tree leaves, coded blocks).
     """
-    counts, table_log, pos = _decode_header(data, pos)
-    if pos + 6 > len(data):
+    counts, table_log, pos = _decode_header(data, pos, expected)
+    if pos + 2 > len(data):
         raise Truncated("entropy payload truncated")
-    count, state = struct.unpack_from("<IH", data, pos)
-    if count != expected:
-        raise EntropyError(f"stream claims {count} symbols, {expected} expected")
-    body, nbits, pos = read_section(data, pos + 6)
-    if not count:
+    (state,) = struct.unpack_from("<H", data, pos)
+    body, nbits, pos = read_section(data, pos + 2)
+    if not expected:
         if nbits:
             raise EntropyError(f"corrupt stream: {nbits} FSE bits for no symbols")
         if state != 1 << table_log:
             raise EntropyError("corrupt stream: final state mismatch")
         return np.empty(0, dtype=np.int64), pos
-    symbols = fse_decode(body, nbits, state, count, FseTable(counts, table_log))
+    symbols = fse_decode(body, nbits, state, expected, FseTable(counts, table_log))
     return symbols, pos
 
 
 def encode_signed_values(values) -> bytes:
     """Category + extra-bits + FSE payload for signed integer streams."""
     cats, extra = to_categories(values)
-    payload = bytearray(encode_symbols(cats))
-    write_section(payload, pack_bits(extra, cats))
-    return bytes(payload)
+    return encode_symbols(cats) + np.packbits(pack_bits(extra, cats)).tobytes()
 
 
 def decode_signed_values(data: bytes, pos: int, expected: int):
@@ -290,17 +282,16 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
     `expected` is the value count, as for decode_symbols.
     """
     cats, pos = decode_symbols(data, pos, expected)
-    body, bit_len, pos = read_section(data, pos)
     if np.any(cats > 16):
         raise EntropyError("bad category in stream")
-    if int(cats.sum()) != bit_len:
-        raise EntropyError("extra-bits length mismatch")
+    bit_len = int(cats.sum())
+    body, pos = read_bits(data, pos, bit_len)
     bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:bit_len].astype(np.int64)
     ends = np.cumsum(cats)
     starts = ends - cats
     values = np.zeros(cats.size, dtype=np.int64)
-    for k in np.unique(cats):
-        k = int(k)
+    # the categories present; np.unique would import numpy.ma on first use
+    for k in np.flatnonzero(np.bincount(cats)).tolist():
         if k == 0:
             continue
         sel = np.flatnonzero(cats == k)
@@ -308,3 +299,26 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
         half = 1 << (k - 1)
         values[sel] = np.where(extra >= half, extra, extra - (1 << k) + 1)
     return values, pos
+
+
+def encode_value_block(values, levels: int) -> bytes:
+    """Real values quantized uniformly to `levels` levels over an integer
+    range: lo = floor(min), hi = max(ceil(max), lo + 1), stored as i32s,
+    then the FSE payload of the quantizer indices."""
+    values = np.asarray(values, dtype=np.float64)
+    lo = int(np.floor(values.min()))
+    hi = max(int(np.ceil(values.max())), lo + 1)
+    idx = uniform_quantize(values, float(lo), float(hi), levels)
+    return struct.pack("<ii", lo, hi) + encode_symbols(idx)
+
+
+def decode_value_block(data: bytes, pos: int, levels: int, expected: int):
+    """Inverse of encode_value_block, up to quantization; returns (values,
+    next position). `expected` is the value count, as for decode_symbols."""
+    if pos + 8 > len(data):
+        raise Truncated("value block truncated")
+    lo, hi = struct.unpack_from("<ii", data, pos)
+    idx, pos = decode_symbols(data, pos + 8, expected)
+    if idx.size and idx.max() >= levels:
+        raise EntropyError(f"quantizer index {idx.max()} of {levels} levels")
+    return uniform_dequantize(idx, float(lo), float(hi), levels), pos

@@ -14,16 +14,12 @@ piecewise smooth with large near-constant regions.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from hivc import entropy
-from hivc.bitstream import Truncated
 from hivc.homogeneous import bilinear_resize
-from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
     deserialize_tree,
     end_of_trees,
@@ -67,15 +63,6 @@ BROX_EPS = 1e-3
 BROX_PRESMOOTH_SIGMA = 0.8
 
 
-@lru_cache(maxsize=8)
-def _grid(h, w):
-    # float, so that adding a flow field needs no int-to-float pass;
-    # read-only, since every caller shares the cached array
-    grid = np.mgrid[0:h, 0:w].astype(np.float64)
-    grid.setflags(write=False)
-    return grid
-
-
 def warp_planes(planes, u: np.ndarray, v: np.ndarray):
     """Sample each plane at (x + u, y + v), bilinear with border clamping.
 
@@ -85,9 +72,10 @@ def warp_planes(planes, u: np.ndarray, v: np.ndarray):
     Intermediates are updated in place to keep few plane-sized buffers.
     """
     h, w = planes[0].shape
-    yy, xx = _grid(h, w)
-    fx = np.clip(xx + u, 0, w - 1)
-    fy = np.clip(yy + v, 0, h - 1)
+    fx = np.arange(w, dtype=np.float64) + u
+    fy = np.arange(h, dtype=np.float64)[:, None] + v
+    np.clip(fx, 0, w - 1, out=fx)
+    np.clip(fy, 0, h - 1, out=fy)
     x0 = np.floor(fx)
     y0 = np.floor(fy)
     fx -= x0
@@ -337,27 +325,17 @@ def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
     # min_error=0 stops the subdivision early on exactly representable
     # regions, so a zero flow costs a single-leaf tree at any budget
     bits, leaves = subdivide_by_error([plane], budget, min_error=0.0)
-    means = leaf_means(leaves, plane)
-    lo = float(means.min())
-    hi = float(means.max())
-    if hi <= lo:
-        hi = lo + 1e-6
-    idx = uniform_quantize(means, lo, hi, levels)
-    out = bytearray(struct.pack("<ff", lo, hi))
+    out = bytearray()
     write_trees(out, [bits])
-    out += entropy.encode_symbols(idx, table_log=8)
+    out += entropy.encode_value_block(leaf_means(leaves, plane), levels)
     return bytes(out)
 
 
 def _decompress_plane(data: bytes, pos: int, shape, levels: int):
-    if pos + 8 > len(data):
-        raise Truncated("flow payload truncated")
-    lo, hi = struct.unpack_from("<ff", data, pos)
-    bits, pos = read_tree_bits(data, pos + 8, 2 * shape[0] * shape[1] - 1)
+    bits, pos = read_tree_bits(data, pos, 2 * shape[0] * shape[1] - 1)
     leaves = deserialize_tree(bits, shape[1], shape[0])
     end_of_trees(bits)
-    idx, pos = entropy.decode_symbols(data, pos, len(leaves))
-    values = uniform_dequantize(idx, float(lo), float(hi), levels)
+    values, pos = entropy.decode_value_block(data, pos, levels, len(leaves))
     return paint_leaf_values(leaves, values, shape), pos
 
 

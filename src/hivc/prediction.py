@@ -12,15 +12,11 @@ routine, so predictions are closed-loop by construction.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from hivc import entropy
-from hivc.bitstream import Truncated
 from hivc.flow import FlowField, warp_planes
 from hivc.homogeneous import solve_homogeneous
-from hivc.quantize import uniform_dequantize, uniform_quantize
 from hivc.subdivision import (
     end_of_trees,
     leaf_masks,
@@ -143,26 +139,6 @@ def _mask_points(mask: np.ndarray):
     return np.flatnonzero(mask.ravel())
 
 
-def _encode_plane_values(values: np.ndarray, levels: int, out: bytearray):
-    values = np.asarray(values, dtype=np.float64)
-    lo = int(np.floor(values.min()))
-    hi = int(np.ceil(values.max()))
-    if hi <= lo:
-        hi = lo + 1
-    idx = uniform_quantize(values, float(lo), float(hi), levels)
-    out += struct.pack("<hh", lo, hi)
-    out += entropy.encode_symbols(idx)
-
-
-def _decode_plane_values(data: bytes, pos: int, levels: int, count: int):
-    if pos + 4 > len(data):
-        raise Truncated("intra payload truncated")
-    lo, hi = struct.unpack_from("<hh", data, pos)
-    pos += 4
-    idx, pos = entropy.decode_symbols(data, pos, count)
-    return uniform_dequantize(idx, float(lo), float(hi), levels), pos
-
-
 def _read_tree(data: bytes, pos: int, width: int, height: int):
     bits, pos = read_tree_bits(data, pos, 2 * width * height - 1)
     (mask,) = parse_mask(bits, [(width, height)], (height, width))
@@ -179,14 +155,14 @@ def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
     bits_y, leaves_y = subdivide_by_error([y], min(luma_budget, y.size))
     write_trees(out, [bits_y])
     (vals_y,) = optimize_mask_values([y], leaf_masks([leaves_y], y.shape)[0])
-    _encode_plane_values(vals_y, levels, out)
+    out += entropy.encode_value_block(vals_y, levels)
     if len(planes) == 3:
         uv = [np.asarray(p, dtype=np.float64) for p in planes[1:]]
         bits_c, leaves_c = subdivide_by_error(uv, chroma_budget(min(luma_budget, y.size), y.size))
         write_trees(out, [bits_c])
         vals_u, vals_v = optimize_mask_values(uv, leaf_masks([leaves_c], y.shape)[0])
-        _encode_plane_values(vals_u, chroma_levels(levels), out)
-        _encode_plane_values(vals_v, chroma_levels(levels), out)
+        out += entropy.encode_value_block(vals_u, chroma_levels(levels))
+        out += entropy.encode_value_block(vals_v, chroma_levels(levels))
     return bytes(out)
 
 
@@ -197,13 +173,13 @@ def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
     """
     h, w = shape
     mask_y, pos = _read_tree(data, pos, w, h)
-    vals_y, pos = _decode_plane_values(data, pos, levels, int(np.count_nonzero(mask_y)))
+    vals_y, pos = entropy.decode_value_block(data, pos, levels, int(np.count_nonzero(mask_y)))
     jobs = [(mask_y, vals_y)]
     if channels == 3:
         mask_c, pos = _read_tree(data, pos, w, h)
         n_c = int(np.count_nonzero(mask_c))
         for _ in range(2):
-            vals, pos = _decode_plane_values(data, pos, chroma_levels(levels), n_c)
+            vals, pos = entropy.decode_value_block(data, pos, chroma_levels(levels), n_c)
             jobs.append((mask_c, vals))
     planes = [_inpaint_from_values(mask, vals) for mask, vals in jobs]
     return planes, pos

@@ -28,6 +28,7 @@ from scipy.ndimage import gaussian_filter, median_filter
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
 from hivc import entropy, subdivision
+from hivc.bits import write_uvarint
 from hivc.bitstream import Truncated
 from hivc.entropy import MAX_MAGNITUDE, EntropyError, FseTable, normalize_counts
 from hivc.flow import (
@@ -349,19 +350,21 @@ def fse_encode(symbols, table: FseTable):
     return writer, state
 
 
-def encode_symbols(symbols, table_log: int | None = None) -> bytes:
+def encode_symbols(symbols) -> bytes:
     """entropy.encode_symbols over Python ints and the scalar fse_encode."""
     symbols = [int(s) for s in symbols]
     hist = np.bincount(symbols) if symbols else np.array([1])
-    if table_log is None:
-        table_log = entropy._auto_table_log(hist.size, len(symbols))
+    table_log = entropy._auto_table_log(hist.size, len(symbols))
     counts = normalize_counts(hist, table_log)
     if symbols:
         writer, state = fse_encode(symbols, FseTable(counts, table_log))
     else:
         writer, state = BitWriter(), 1 << table_log
-    out = entropy._encode_header(counts, table_log)
-    out += struct.pack("<IH", len(symbols), state)
+    out = bytearray()
+    write_uvarint(out, counts.size)
+    for c in counts:
+        write_uvarint(out, int(c))
+    out += struct.pack("<H", state)
     write_section(out, writer)
     return bytes(out)
 
@@ -375,9 +378,7 @@ def encode_signed_values(values) -> bytes:
         cats.append(k)
         if k:
             extra.write_bits(bits, k)
-    payload = bytearray(encode_symbols(cats))
-    write_section(payload, extra)
-    return bytes(payload)
+    return encode_symbols(cats) + extra.getvalue()
 
 
 def from_category(category: int, extra: int) -> int:

@@ -8,14 +8,13 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import moving_clip
-from hivc import bitstream, codec, video_io
+from hivc import bitstream, codec, entropy, video_io
 from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
-from test_entropy import claimed_count_payload, huge_count_payload
+from test_entropy import huge_count_payload
 
 
 def _report_dict(path):
@@ -125,12 +124,13 @@ def _two_gop_stream(tmp_path):
 
 def test_decode_failing_in_the_last_group_leaves_no_file(tmp_path, monkeypatch, capsys):
     stream = _two_gop_stream(tmp_path)
-    data = bytearray(stream.read_bytes())
-    header, payloads = bitstream.read_stream(bytes(data))
+    header, payloads = bitstream.read_stream(stream.read_bytes())
     *_, (_, _, res) = codec.frame_records(header, payloads[-1], len(payloads) - 1)
-    # the last residual payload ends the stream; its marker becomes invalid
-    data[len(data) - len(res)] = 2
-    stream.write_bytes(bytes(data))
+    # the last residual payload ends the stream; its marker becomes
+    # invalid, under a matching CRC32
+    last = bytearray(payloads[-1])
+    last[len(last) - len(res)] = 2
+    stream.write_bytes(write_stream(header, payloads[:-1] + [bytes(last)]))
     written = []
     real = video_io.write_y4m
 
@@ -186,9 +186,10 @@ def test_decode_writes_through_a_fifo_and_a_symlink_without_replacing_them(tmp_p
 
 
 def _one_pixel_stream(values_payload):
-    """A 1x1 gray intra stream whose luma value stream is `values_payload`."""
+    """A 1x1 gray intra stream whose luma value stream (the value block's
+    indices) is `values_payload`."""
     header = StreamHeader(1, 1, 1, 25, 1, 1, 1, 256, 256, 63)
-    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + values_payload
+    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<ii", 0, 255) + values_payload
     gop = struct.pack("<HBI", 1, 0, len(pred)) + pred + struct.pack("<I", 1) + b"\x00"
     return write_stream(header, [gop])
 
@@ -202,12 +203,15 @@ def test_decode_huge_entropy_count_fails_without_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_decode_rejects_claimed_symbol_count_before_allocating(tmp_path, capsys):
-    # the one mask point needs one value; the stream claims 2^28 - 1
-    assert codec.decode(_one_pixel_stream(claimed_count_payload(1)))[0].planes[0].shape == (1, 1)
-    data = _one_pixel_stream(claimed_count_payload((1 << 28) - 1))
+def test_decode_rejects_claimed_bit_count_before_allocating(tmp_path, capsys):
+    # the one mask point needs one value and no FSE bits; the value
+    # stream's FSE section claims 2^32 - 1 bits
+    one_value = entropy.encode_symbols([0])
+    assert one_value.endswith(struct.pack("<I", 0))
+    assert codec.decode(_one_pixel_stream(one_value))[0].planes[0].shape == (1, 1)
+    data = _one_pixel_stream(one_value[:-4] + struct.pack("<I", (1 << 32) - 1))
     t0 = time.perf_counter()
-    with pytest.raises(codec.CodecError, match="expected"):
+    with pytest.raises(bitstream.Truncated, match="cut short"):
         codec.decode(data)
     assert time.perf_counter() - t0 < 5.0
     stream = tmp_path / "claim.hivc"

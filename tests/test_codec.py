@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import moving_clip, smooth_texture, static_clip
-from hivc import bitstream, codec, prediction
-from hivc.bitstream import HEADER_SIZE, BitstreamError, StreamHeader, Truncated, read_stream
+from conftest import moving_clip, smooth_texture
+from hivc import bitstream, codec, entropy, prediction
+from hivc.bitstream import (
+    HEADER_SIZE,
+    BitstreamError,
+    ChecksumMismatch,
+    StreamHeader,
+    UnsupportedVersion,
+    read_stream,
+    write_stream,
+)
 from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import FlowField, compress_flow
@@ -17,7 +25,6 @@ from hivc.frame import Frame, FrameError, psnr
 from hivc.pseudodiff import block_grid
 from hivc.quantize import deadzone_dequantize, unmap_coefficients
 from hivc.video_io import read_y4m
-from test_entropy import claimed_count_payload
 
 
 LOSSLESS = EncoderConfig(
@@ -182,6 +189,26 @@ def test_target_ratio_mode():
     assert isinstance(used, EncoderConfig)
 
 
+def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
+    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6,
+    # lands in the 3% band on the third pass; halving m and then
+    # bisecting took 7
+    clip = moving_clip(2, 64, 64)
+    raw = 2 * 64 * 64 * 3
+    passes = []
+
+    def fake_encode(frames, m, _flows=None):
+        passes.append(m)
+        return bytes(round(raw / (30.0 * m**-0.6)))
+
+    monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
+    monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
+    monkeypatch.setattr(codec, "encode", fake_encode)
+    stream, ratio, m = encode_target_ratio(clip, EncoderConfig(), 100.0)
+    assert abs(ratio - 100.0) <= 3.0 and m == passes[-1]
+    assert len(passes) == 3 and passes[1] == pytest.approx(0.3, rel=1e-3)
+
+
 def test_target_ratio_rejects_bad_target():
     clip = moving_clip(1, 16, 16)
     with pytest.raises(ValueError):
@@ -228,11 +255,11 @@ def _edit_records(stream, edit):
 
 
 # frame, where its first tree section starts: the intra payload's luma
-# trees, the inter payload's u flow tree after `<ff`, and the luma
-# residual trees after the marker, the two scales and the skip map
+# trees, the inter payload's u flow tree, and the luma residual trees
+# after the marker, the two scales and the skip map
 _TREE_SECTIONS = {
     "intra": (0, lambda pred, res: (pred, 0)),
-    "flow": (1, lambda pred, res: (pred, 8)),
+    "flow": (1, lambda pred, res: (pred, 0)),
     "residual": (1, lambda pred, res: (res, 1 + 8 + (len(block_grid(24, 32)) + 7) // 8)),
 }
 
@@ -262,30 +289,22 @@ def test_tree_section_with_a_bit_past_its_trees_is_rejected(tmp_path, section):
     assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
 
 
-def _group_count_offsets(stream):
-    """Byte offset of each group's u16 frame count."""
-    offsets, pos = [], HEADER_SIZE
-    while pos < len(stream):
-        (length,) = struct.unpack_from("<I", stream, pos)
-        offsets.append(pos + 4)
-        pos += 4 + length
-    return offsets
-
-
 # 3 frames in groups of 2 and 1: zero, fewer than gop_size with frames
 # left, more than gop_size, past frame_count
 @pytest.mark.parametrize(
     "group,count", [(0, 0), (0, 1), (0, 3), (0, 0xFFFF), (1, 0), (1, 2)]
 )
 def test_decode_checks_group_frame_count_first(monkeypatch, group, count):
-    stream = encode(moving_clip(3, 16, 24, seed=3), EncoderConfig(gop_size=2))
-    data = bytearray(stream)
-    struct.pack_into("<H", data, _group_count_offsets(stream)[group], count)
+    header, payloads = read_stream(encode(moving_clip(3, 16, 24, seed=3), EncoderConfig(gop_size=2)))
+    payload = bytearray(payloads[group])
+    struct.pack_into("<H", payload, 0, count)
+    payloads[group] = bytes(payload)
+    data = write_stream(header, payloads)  # with the edited group's CRC32
     intra_calls = []
     real = codec.decode_intra
     monkeypatch.setattr(codec, "decode_intra", lambda *a: intra_calls.append(1) or real(*a))
     with pytest.raises(CodecError, match=f"group {group} claims {count} frames"):
-        decode(bytes(data))
+        decode(data)
     # rejected before any frame of the group was decoded
     assert len(intra_calls) == group
 
@@ -336,7 +355,7 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
     a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
     rec = codec.reconstruct_blocks(mc.reshape(-1, 8, 8), a_hat.ravel()).reshape(nplanes, n, 8, 8)
     fb = np.rint(rec + 4 * rng.normal(0, 1, (nplanes, n, 1, 1)) * rng.normal(0, 1, rec.shape))
-    keep = codec._keep_blocks(fb, masks, qc, qa, levels, c_scale, a_scale, lam)
+    keep = codec._keep_blocks(fb, np.ones((n, 8, 8)), masks, qc, qa, levels, c_scale, a_scale, lam)
 
     expect = []
     for i in range(n):
@@ -383,7 +402,7 @@ def _still_stream(n):
     a one-leaf tree and one value, then n - 1 copies of one inter record
     with zero flow and an empty residual."""
     h, w = 48, 64
-    intra = struct.pack("<I", 1) + b"\x00" + struct.pack("<hh", 0, 255) + claimed_count_payload(1)
+    intra = struct.pack("<I", 1) + b"\x00" + entropy.encode_value_block([0.0], 256)
     flow = compress_flow(FlowField(np.zeros((h, w)), np.zeros((h, w))), 1, 256)
     empty_residual = struct.pack("<IB", 1, 0)  # length 1, marker 0
     record = lambda ftype, pred: struct.pack("<BI", ftype, len(pred)) + pred + empty_residual
@@ -420,3 +439,58 @@ def test_streaming_decode_memory_does_not_grow_with_the_stream(tmp_path):
         )
     for small, large in zip(peaks[4], peaks[64]):
         assert abs(large - small) <= frame_bytes
+
+
+def test_keep_decision_counts_only_the_pixels_of_an_edge_tile():
+    # a 5x5 plane is one edge tile: 25 true pixels in an 8x8 block. Its
+    # flat residual decodes to a flat block, which gains 25 * 20^2 on the
+    # true pixels; on the 39 padding pixels the decoder crops, it would
+    # count as 39 * 20^2 of error and drop the block
+    plane = np.full((5, 5), 20, dtype=np.int64)
+    payload = codec._encode_residual([plane], 4, 63, 1.0)
+    assert payload[0] == 1
+    (res,), used = codec._decode_residual(payload, 0, (5, 5), 1, 63)
+    assert used == len(payload)
+    assert np.abs(res - 20).max() < 1.0
+
+
+COLOR = Path(__file__).resolve().parent / "golden" / "color.hivc"
+
+
+def test_every_byte_flip_past_the_header_is_a_corrupt_stream():
+    stream = COLOR.read_bytes()
+    silent = []
+    for pos in range(HEADER_SIZE, len(stream)):
+        mutated = bytearray(stream)
+        for x in range(1, 256):
+            mutated[pos] = stream[pos] ^ x
+            try:
+                decode(bytes(mutated))
+            except BitstreamError:
+                continue
+            silent.append((pos, x))
+    assert silent == []
+
+
+def test_a_byte_flip_in_a_group_payload_fails_its_checksum(tmp_path, capsys):
+    stream = bytearray(COLOR.read_bytes())
+    stream[len(stream) // 2] ^= 0x10
+    with pytest.raises(ChecksumMismatch, match="group payload 0"):
+        read_stream(bytes(stream))
+    path = tmp_path / "flip.hivc"
+    path.write_bytes(bytes(stream))
+    assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
+    assert main(["inspect", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "ChecksumMismatch" in err and "Traceback" not in err
+
+
+def test_a_version_1_stream_is_unsupported(tmp_path):
+    stream = bytearray(COLOR.read_bytes())
+    assert stream[4] == bitstream.VERSION == 2
+    stream[4] = 1
+    with pytest.raises(UnsupportedVersion):
+        decode(bytes(stream))
+    path = tmp_path / "v1.hivc"
+    path.write_bytes(bytes(stream))
+    assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4

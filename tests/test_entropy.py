@@ -6,18 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivc.bits import write_uvarint
-from hivc.bitstream import Truncated
+from hivc.bitstream import BitstreamError, LengthMismatch, Truncated
 from hivc.entropy import (
     EntropyError,
+    FseTable,
     MAX_MAGNITUDE,
+    _auto_table_log,
     _decode_header,
     decode_signed_values,
     decode_symbols,
+    decode_value_block,
     encode_signed_values,
     encode_symbols,
+    encode_value_block,
+    fse_encode,
     normalize_counts,
     to_categories,
 )
+from hivc.quantize import QuantizeError, uniform_quantize
 import oracles
 from oracles import from_category, fse_build_table, to_category
 
@@ -77,7 +83,7 @@ def test_empty_stream_round_trip():
 
 def test_empty_stream_rejects_a_final_state_other_than_the_table_size():
     data = encode_symbols([])
-    table_log = data[0]
+    table_log = _auto_table_log(1, 0)
     at = len(data) - 4 - 2  # the u16 state, then an empty FSE section
     assert struct.unpack_from("<H", data, at) == (1 << table_log,)
     for state in (7, (1 << table_log) + 1, 0xFFFF):
@@ -118,9 +124,9 @@ def test_signed_values_round_trip_property(values):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 31), max_size=300), st.sampled_from([None, *range(5, 13)]))
-def test_symbols_are_byte_identical_to_the_scalar_oracle(symbols, table_log):
-    assert encode_symbols(symbols, table_log) == oracles.encode_symbols(symbols, table_log)
+@given(st.lists(st.integers(0, 31), max_size=300))
+def test_symbols_are_byte_identical_to_the_scalar_oracle(symbols):
+    assert encode_symbols(symbols) == oracles.encode_symbols(symbols)
 
 
 @settings(max_examples=80, deadline=None)
@@ -145,8 +151,17 @@ def test_edge_streams_are_byte_identical_to_the_scalar_oracle(name):
     values = EDGE_STREAMS[name]
     assert encode_signed_values(values) == oracles.encode_signed_values(values)
     symbols = np.abs(np.asarray(values, dtype=np.int64)) % 32
-    for table_log in [None, *range(5, 13)]:
-        assert encode_symbols(symbols, table_log) == oracles.encode_symbols(symbols, table_log)
+    assert encode_symbols(symbols) == oracles.encode_symbols(symbols)
+    # the FSE bits at every table size a payload may derive
+    for table_log in range(5, 13) if symbols.size else ():
+        table = FseTable(normalize_counts(np.bincount(symbols), table_log), table_log)
+        bits, state = fse_encode(symbols, table)
+        writer, want_state = oracles.fse_encode(symbols.tolist(), table)
+        assert (np.packbits(bits).tobytes(), bits.size, state) == (
+            writer.getvalue(),
+            len(writer),
+            want_state,
+        )
 
 
 def test_compression_near_entropy_on_large_stream():
@@ -170,7 +185,7 @@ def test_decoder_rejects_corrupt_streams():
         mutated[i] ^= int(rng.integers(1, 256))
         try:
             decoded, _ = decode_symbols(bytes(mutated), 0, syms.size)
-        except (EntropyError, Truncated, ValueError, struct.error):
+        except (EntropyError, BitstreamError, ValueError, struct.error):
             continue
         assert isinstance(decoded, np.ndarray)  # wrong data allowed, crash is not
 
@@ -183,11 +198,12 @@ def test_decoder_rejects_truncation():
             decode_symbols(data[:cut], 0, len(syms))
 
 
-def _with_fse_bit_count(payload, nbits):
-    """`payload` with its FSE section relabelled as `nbits` bits long,
-    zero bytes appended to the section as far as the new count needs."""
-    _, _, at = _decode_header(payload, 0)
-    at += 6  # symbol count and final state
+def _with_fse_bit_count(payload, expected, nbits):
+    """`payload` of `expected` symbols with its FSE section relabelled as
+    `nbits` bits long, zero bytes appended to the section as far as the
+    new count needs."""
+    _, _, at = _decode_header(payload, 0, expected)
+    at += 2  # final state
     (old,) = struct.unpack_from("<I", payload, at)
     end = at + 4 + (old + 7) // 8
     body = payload[at + 4 : end].ljust((nbits + 7) // 8, b"\0")
@@ -197,14 +213,14 @@ def _with_fse_bit_count(payload, nbits):
 def test_decoder_rejects_unused_fse_bits():
     syms = [1, 2, 3, 1, 1, 2, 0, 5, 1, 1]
     data = encode_symbols(syms)
-    assert _with_fse_bit_count(data, 19) == data
+    assert _with_fse_bit_count(data, len(syms), 19) == data
     for nbits in (20, 27, 40):
         with pytest.raises(EntropyError, match="unused"):
-            decode_symbols(_with_fse_bit_count(data, nbits), 0, len(syms))
+            decode_symbols(_with_fse_bit_count(data, len(syms), nbits), 0, len(syms))
     # a stream of no symbols holds no FSE bits
     for nbits in (1, 8):
         with pytest.raises(EntropyError):
-            decode_symbols(_with_fse_bit_count(encode_symbols([]), nbits), 0, 0)
+            decode_symbols(_with_fse_bit_count(encode_symbols([]), 0, nbits), 0, 0)
 
 
 def test_table_invariants():
@@ -214,31 +230,14 @@ def test_table_invariants():
 
 
 def huge_count_payload(count=1 << 63):
-    """Entropy payload whose header claims an impossible normalized count."""
-    out = bytearray([8])
+    """Payload of one symbol whose header claims an impossible normalized
+    count; one symbol of a 2-symbol alphabet gets a 32-entry table."""
+    out = bytearray()
     write_uvarint(out, 2)
     write_uvarint(out, count)
     write_uvarint(out, 1)
-    out += struct.pack("<IHI", 1, 256, 0)
+    out += struct.pack("<HI", 32, 0)
     return bytes(out)
-
-
-def claimed_count_payload(count):
-    """Entropy payload of a single symbol 0 whose count field says `count`."""
-    out = bytearray([8])
-    write_uvarint(out, 1)
-    write_uvarint(out, 256)
-    out += struct.pack("<IHI", count, 256, 0)
-    return bytes(out)
-
-
-def test_decoder_rejects_count_other_than_expected():
-    assert decode_symbols(claimed_count_payload(1), 0, 1)[0].tolist() == [0]
-    for count in (0, 2, (1 << 28) - 1, (1 << 32) - 1):
-        with pytest.raises(EntropyError, match="expected"):
-            decode_symbols(claimed_count_payload(count), 0, 1)
-        with pytest.raises(EntropyError, match="expected"):
-            decode_signed_values(claimed_count_payload(count), 0, 1)
 
 
 @pytest.mark.parametrize("count", [257, (1 << 63) - 1, 1 << 63, (1 << 64) - 1])
@@ -246,3 +245,77 @@ def test_decoder_rejects_count_above_table_size(count):
     with pytest.raises(EntropyError):
         decode_symbols(huge_count_payload(count), 0, 1)
 
+
+def test_payload_stores_no_table_log_symbol_count_or_extra_bit_count():
+    # a one-symbol stream: its alphabet size and count, the final state
+    # and an empty FSE section, whatever its length
+    for n in (1, 100, 5000):
+        table = 1 << _auto_table_log(1, n)
+        head = bytearray()
+        write_uvarint(head, 1)
+        write_uvarint(head, table)
+        assert encode_symbols([0] * n) == bytes(head) + struct.pack("<HI", table, 0)
+    # signed values: the categories' payload, then exactly sum(cats) bits
+    values = [5, -1, 0, 300, -7]
+    cats, _ = to_categories(values)
+    assert len(encode_signed_values(values)) == len(encode_symbols(cats)) + -(-int(cats.sum()) // 8)
+
+
+def test_table_log_follows_alphabet_and_count():
+    assert [_auto_table_log(a, 10) for a in (1, 2, 16, 17, 256, 511, 4096)] == [5, 5, 5, 6, 9, 10, 12]
+    assert [_auto_table_log(2, n) for n in (4095, 4096, 65535, 65536)] == [5, 10, 10, 11]
+    # the decoder derives it: the same counts read with another expected
+    # count mean another table, which the counts no longer fill
+    data = encode_symbols(list(range(16)) * 300)  # 4800 symbols, 1024 states
+    assert decode_symbols(data, 0, 4800)[0].size == 4800
+    with pytest.raises(EntropyError):
+        decode_symbols(data, 0, 4000)
+
+
+def test_signed_extra_bits_are_checked():
+    values = [5, -3, 2]  # categories 3, 2, 2: seven extra bits in one byte
+    data = encode_signed_values(values)
+    assert decode_signed_values(data, 0, 3)[0].tolist() == values
+    with pytest.raises(Truncated):
+        decode_signed_values(data[:-1], 0, 3)
+    with pytest.raises(LengthMismatch, match="bits set after"):
+        decode_signed_values(data[:-1] + bytes([data[-1] | 1]), 0, 3)
+
+
+def test_value_block_range_is_integer_and_exact():
+    rng = np.random.default_rng(5)
+    for levels in (16, 256, 511):
+        values = rng.uniform(-200.5, 300.25, 50)
+        data = encode_value_block(values, levels)
+        lo, hi = struct.unpack_from("<ii", data)
+        assert (lo, hi) == (int(np.floor(values.min())), int(np.ceil(values.max())))
+        idx = uniform_quantize(values, float(lo), float(hi), levels)
+        assert data[8:] == encode_symbols(idx)
+        decoded, pos = decode_value_block(data, 0, levels, values.size)
+        assert pos == len(data)
+        assert np.max(np.abs(decoded - values)) <= 0.5 * (hi - lo) / (levels - 1) + 1e-9
+
+
+@pytest.mark.parametrize("values", [[40.0] * 3, [1000.0, 1000.0 + 1e-5], [-33.0], [7.5, 7.5]])
+def test_value_block_of_constant_or_clustered_values(values):
+    data = encode_value_block(values, 256)
+    lo, hi = struct.unpack_from("<ii", data)
+    assert hi == lo + 1 or hi == int(np.ceil(max(values)))
+    decoded, _ = decode_value_block(data, 0, 256, len(values))
+    assert np.max(np.abs(decoded - values)) <= 0.5 / 255
+
+
+def test_value_block_rejects_an_empty_range():
+    data = bytearray(encode_value_block([3.0, 4.0], 16))
+    struct.pack_into("<ii", data, 0, 4, 4)
+    with pytest.raises(QuantizeError):
+        decode_value_block(bytes(data), 0, 16, 2)
+    with pytest.raises(Truncated):
+        decode_value_block(bytes(data[:7]), 0, 16, 2)
+
+
+def test_value_block_rejects_an_index_past_the_last_level():
+    data = struct.pack("<ii", 0, 255) + encode_symbols([255, 3])
+    assert decode_value_block(data, 0, 256, 2)[0].tolist() == [255.0, 3.0]
+    with pytest.raises(EntropyError, match="index 255 of 255 levels"):
+        decode_value_block(data, 0, 255, 2)

@@ -191,6 +191,21 @@ def test_compress_zero_flow_exact_and_tiny():
     assert np.allclose(back.u, 0.0) and np.allclose(back.v, 0.0)
 
 
+def test_compress_flow_far_from_zero_round_trips():
+    # a constant flow, and two leaves 1e-5 px apart, far from zero: the
+    # leaf means' quantizer range spans at least one whole pixel
+    shape = (16, 24)
+    const = FlowField(np.full(shape, 40.0), np.zeros(shape))
+    back, pos = decompress_flow(compress_flow(const, 4, 256), 0, shape, 256)
+    assert np.array_equal(back.u, const.u) and np.array_equal(back.v, const.v)
+    u = np.full(shape, 1000.0)
+    u[:, 12:] += 1e-5
+    data = compress_flow(FlowField(u, np.zeros(shape)), 4, 256)
+    back, pos = decompress_flow(data, 0, shape, 256)
+    assert pos == len(data)
+    assert np.max(np.abs(back.u - u)) <= 0.5 / 255 and not back.v.any()
+
+
 def test_compress_piecewise_constant_flow_near_exact():
     u = np.zeros((16, 16))
     u[:, 8:] = 3.0

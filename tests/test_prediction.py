@@ -7,7 +7,7 @@ from hivc.bitstream import Truncated
 from hivc.flow import FlowField, bilinear_warp
 from hivc.frame import Frame, psnr, rct_forward
 import oracles
-from hivc import prediction
+from hivc import entropy, prediction
 from hivc.codec import _to_yuv_planes
 from hivc.prediction import (
     chroma_budget,
@@ -186,9 +186,7 @@ def _tonal_planes(h, w, count, seed):
 def _payload(values, levels):
     """Quantizer bounds and entropy-coded uniform_quantize indices, as the
     intra payload stores them."""
-    out = bytearray()
-    prediction._encode_plane_values(values, levels, out)
-    return bytes(out)
+    return entropy.encode_value_block(values, levels)
 
 
 def _assert_fits_agree(planes, mask):
