@@ -273,15 +273,14 @@ def _cmd_inspect(args):
         ("stream_bytes", len(data)),
         ("groups", len(payloads)),
     ]
-    shares = {"intra": 0, "flow": 0, "residual": 0, "framing": bitstream.HEADER_SIZE}
+    shares = {"intra": 0, "flow": 0, "residual": 0}
     for gi, payload in enumerate(payloads):
         lines.append((f"group_{gi}_bytes", len(payload)))
-        # group length, CRC32 and frame count
-        shares["framing"] += 4 + 4 + 2
         for ftype, pred, res in codec.frame_records(header, payload, gi):
             shares["intra" if ftype == 0 else "flow"] += len(pred)
             shares["residual"] += len(res)
-            shares["framing"] += 9
+    # the header, and each group's and record's own fields
+    shares["framing"] = len(data) - sum(shares.values())
     for k, v in shares.items():
         lines.append((f"bytes_{k}", v))
         lines.append((f"share_{k}", f"{v / len(data):.4f}"))

@@ -19,6 +19,18 @@ that is min(gop_size, frames left):
     pred      bytes
     res_len   u32
     res       bytes
+
+Residual payload: a u8 marker, 0 when every plane is zero and nothing
+follows. After a 1, two u32 scales (weights, constants; value * 65536),
+then per plane group (`frame.plane_groups`: Y, then U and V jointly):
+
+    skip map   ceil(tiles / 8) bytes, 1 bit per tile of `_tiles`, 1 = coded
+    trees      bit section: each coded tile's subdivision tree
+    weights    signed values at each coded block's mask points, plane-major
+    constants  signed values, one per coded block, plane-major
+
+`_decode_blocks` turns the quantized weights and constants into blocks
+for the encoder's keep decision and for the decoder alike.
 """
 
 from __future__ import annotations
@@ -39,14 +51,9 @@ from hivc.bitstream import (
     write_stream,
 )
 from hivc.flow import compress_flow, decompress_flow, flow_brox
-from hivc.frame import Frame, FrameError, clip_plane, rct_forward, rct_inverse
+from hivc.frame import Frame, FrameError, clip_plane, plane_groups, rct_forward, rct_inverse
 from hivc.prediction import decode_intra, encode_intra, predict_inter
-from hivc.pseudodiff import (
-    BLOCK,
-    block_grid,
-    reconstruct_blocks,
-    solve_block_coefficients_batch,
-)
+from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.quantize import (
     coefficient_scale,
     deadzone_dequantize,
@@ -108,15 +115,22 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 
 
-def _tiles(h, w):
-    """A zero plane padded to whole 8x8 tiles, and its (rows, cols, 8, 8)
-    view of the tiles in raster order (block_grid's order)."""
+def _tiles(h, w, planes=1):
+    """The 8x8 tile layout of h x w planes, the one source of it.
+
+    Returns a zero array of `planes` planes, each padded to whole tiles;
+    its (planes, rows, cols, 8, 8) view of the tiles, raster order within
+    a plane; and each tile's (width, height), as an (n, 2) int array.
+    """
     nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
-    padded = np.zeros((nby * BLOCK, nbx * BLOCK))
-    return padded, padded.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
+    padded = np.zeros((planes, nby * BLOCK, nbx * BLOCK))
+    view = padded.reshape(planes, nby, BLOCK, nbx, BLOCK).transpose(0, 1, 3, 2, 4)
+    widths = np.minimum(BLOCK, w - BLOCK * np.arange(nbx))
+    heights = np.minimum(BLOCK, h - BLOCK * np.arange(nby))
+    return padded, view, np.stack(np.meshgrid(widths, heights), axis=-1).reshape(-1, 2)
 
 
-def _plan_group(planes, tiles, points):
+def _plan_group(planes, points):
     """Choose coded tiles and their masks for one channel group.
 
     Tiles whose residual is zero in every plane of the group are skipped.
@@ -125,16 +139,12 @@ def _plan_group(planes, tiles, points):
     the top-left of its block).
     """
     h, w = planes[0].shape
-    blocks = []
-    for p in planes:
-        padded, view = _tiles(h, w)
-        padded[:h, :w] = p
-        blocks.append(view.reshape(-1, BLOCK, BLOCK))
-    blocks = np.array(blocks)
+    padded, view, sizes = _tiles(h, w, len(planes))
+    padded[:, :h, :w] = planes
+    blocks = view.reshape(len(planes), -1, BLOCK, BLOCK)
     coded = np.flatnonzero(blocks.any(axis=(0, 2, 3)))
     trees, leaves = [], []
-    for ti in coded:
-        _, _, bh, bw = tiles[ti]
+    for ti, (bw, bh) in zip(coded.tolist(), sizes[coded].tolist()):
         bits, tile_leaves = subdivide_by_error(
             [b[ti, :bh, :bw] for b in blocks], min(points, bh * bw)
         )
@@ -161,6 +171,16 @@ def _solve_coded(f_blocks, masks):
     return c, a
 
 
+def _decode_blocks(qc, qa, levels, c_scale, a_scale):
+    """Decoded residual blocks, (planes, n, 8, 8), of quantized weights on
+    their mask positions, qc: (planes, n, 64), and quantized constants,
+    qa: (planes, n). Off-mask zeros dequantize to exact zeros."""
+    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
+    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
+    rec = reconstruct_blocks(mc.reshape(-1, BLOCK, BLOCK), a_hat.ravel())
+    return rec.reshape(*qa.shape, BLOCK, BLOCK)
+
+
 def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
     """Coded blocks whose decoded residual is worth their bits.
 
@@ -174,9 +194,7 @@ def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
     inside: (n, 8, 8), masks: (n, 64), qc: (planes, n, 64), qa: (planes, n).
     """
     nplanes, n = qa.shape
-    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
-    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
-    rec = reconstruct_blocks(mc.reshape(-1, BLOCK, BLOCK), a_hat.ravel()).reshape(fb.shape)
+    rec = _decode_blocks(qc, qa, levels, c_scale, a_scale)
     rec *= inside
     gain = np.zeros(n)
     for r, u in zip(fb, rec):
@@ -187,20 +205,17 @@ def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
 
 
 def _encode_residual(planes, points, levels, lam=0.0):
-    """Serialize integer residual planes (Y alone, U and V jointly)."""
+    """Serialize integer residual planes, one section set per plane group
+    (frame.plane_groups); see the module docstring for the layout."""
     h, w = planes[0].shape
-    tiles = block_grid(h, w)
-    groups = [[planes[0]]] + ([[planes[1], planes[2]]] if len(planes) == 3 else [])
-
     plans = []
-    for gplanes in groups:
-        coded, trees, masks, fb = _plan_group(gplanes, tiles, points)
+    for group in plane_groups(len(planes)):
+        coded, trees, masks, fb = _plan_group([planes[i] for i in group], points)
         masks = masks.reshape(len(coded), BLOCK * BLOCK)
-        fits = [_solve_coded(f, masks) for f in fb] if len(coded) else []
-        plans.append((coded, trees, masks, fits, fb))
+        plans.append((coded, trees, masks, [_solve_coded(f, masks) for f in fb], fb))
 
-    c_flat = np.concatenate([np.zeros(0)] + [c[m] for _, _, m, fits, _ in plans for c, _ in fits])
-    a_flat = np.concatenate([np.zeros(0)] + [a for *_, fits, _ in plans for _, a in fits])
+    c_flat = np.concatenate([c[m] for _, _, m, fits, _ in plans for c, _ in fits])
+    a_flat = np.concatenate([a for *_, fits, _ in plans for _, a in fits])
     c_scale = coefficient_scale(c_flat) if c_flat.size else 1.0
     a_scale = coefficient_scale(a_flat) if a_flat.size else 1.0
     c_fp = min(int(round(c_scale * _SCALE_FP)), 0xFFFFFFFF) or 1
@@ -208,27 +223,23 @@ def _encode_residual(planes, points, levels, lam=0.0):
     c_scale, a_scale = c_fp / _SCALE_FP, a_fp / _SCALE_FP
 
     # each tile's true pixels inside its padded 8x8 block
-    padded, view = _tiles(h, w)
-    padded[:h, :w] = 1.0
+    padded, view, sizes = _tiles(h, w)
+    padded[:, :h, :w] = 1.0
     inside = view.reshape(-1, BLOCK, BLOCK)
 
     kept_total = 0
     out = bytearray(struct.pack("<II", c_fp, a_fp))
     for coded, trees, masks, fits, fb in plans:
-        nplanes = len(fb)
         # quantized weights on their mask positions, (planes, n, 64)
-        qc = np.zeros((nplanes, len(coded), BLOCK * BLOCK), dtype=np.int64)
-        qa = np.zeros((nplanes, len(coded)), dtype=np.int64)
-        for ci, (c, a) in enumerate(fits):
-            qc[ci][masks] = deadzone_quantize(map_coefficients(c[masks], c_scale), levels)
-            qa[ci] = deadzone_quantize(map_coefficients(a, a_scale), levels)
-        keep = (
-            _keep_blocks(fb, inside[coded], masks, qc, qa, levels, c_scale, a_scale, lam)
-            if fits
-            else np.zeros(0, dtype=np.int64)
-        )
+        qc = np.zeros((len(fb), len(coded), BLOCK * BLOCK), dtype=np.int64)
+        qa = np.zeros((len(fb), len(coded)), dtype=np.int64)
+        if len(coded):  # map_coefficients rejects an empty set
+            for ci, (c, a) in enumerate(fits):
+                qc[ci][masks] = deadzone_quantize(map_coefficients(c[masks], c_scale), levels)
+                qa[ci] = deadzone_quantize(map_coefficients(a, a_scale), levels)
+        keep = _keep_blocks(fb, inside[coded], masks, qc, qa, levels, c_scale, a_scale, lam)
         kept_total += keep.size
-        coded_bits = np.zeros(len(tiles), dtype=np.uint8)
+        coded_bits = np.zeros(len(sizes), dtype=np.uint8)
         coded_bits[coded[keep]] = 1
         out += np.packbits(coded_bits).tobytes()
 
@@ -247,8 +258,6 @@ def _encode_residual(planes, points, levels, lam=0.0):
 def _decode_residual(data, pos, shape, channels, levels, timings=None):
     """Decode residual planes (floats) without any linear solves."""
     h, w = shape
-    tiles = block_grid(h, w)
-    nbytes_skip = (len(tiles) + 7) // 8
     t0 = time.perf_counter()
     if pos + 1 > len(data):
         raise Truncated("residual payload truncated")
@@ -271,20 +280,22 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         raise CodecError("zero coefficient scale")
     c_scale, a_scale = c_fp / _SCALE_FP, a_fp / _SCALE_FP
 
-    planes = []
-    groups = [1] + ([2] if channels == 3 else [])
-    for nplanes in groups:
+    padded, view, sizes = _tiles(h, w, channels)
+    nbx = view.shape[2]
+    nbytes_skip = (len(sizes) + 7) // 8
+    for group in plane_groups(channels):
+        nplanes = len(group)
         if pos + nbytes_skip > len(data):
             raise Truncated("residual payload truncated")
         coded_bits = np.unpackbits(
             np.frombuffer(data, dtype=np.uint8, count=nbytes_skip, offset=pos)
-        )[: len(tiles)]
+        )[: len(sizes)]
         pos += nbytes_skip
         coded = np.flatnonzero(coded_bits)
 
-        bits, pos = read_tree_bits(data, pos, len(coded) * (2 * BLOCK * BLOCK - 1))
-        sizes = [(tiles[ti][3], tiles[ti][2]) for ti in coded]
-        masks = parse_mask(bits, sizes, (BLOCK, BLOCK))
+        coded_sizes = sizes[coded].tolist()
+        bits, pos = read_tree_bits(data, pos, coded_sizes)
+        masks = parse_mask(bits, coded_sizes, (BLOCK, BLOCK))
         end_of_trees(bits)
 
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))
@@ -292,26 +303,12 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         a_sym, pos = entropy.decode_signed_values(data, pos, len(coded) * nplanes)
         t0 = _bump(timings, "residual_parse", t0)
 
-        c_vals = unmap_coefficients(deadzone_dequantize(c_sym, levels), c_scale)
-        a_vals = unmap_coefficients(deadzone_dequantize(a_sym, levels), a_scale)
-        mc = np.zeros((nplanes, len(coded), BLOCK * BLOCK))
-        per_plane_k = rows.size
-        for ci in range(nplanes):
-            mc[ci, rows, cols] = c_vals[ci * per_plane_k : (ci + 1) * per_plane_k]
-        mc = mc.reshape(nplanes * len(coded), BLOCK, BLOCK)
-        rec = (
-            reconstruct_blocks(mc, a_vals).reshape(nplanes, len(coded), BLOCK, BLOCK)
-            if len(coded)
-            else None
-        )
-        for ci in range(nplanes):
-            padded, view = _tiles(h, w)
-            if rec is not None:
-                nbx = view.shape[1]
-                view[coded // nbx, coded % nbx] = rec[ci]
-            planes.append(padded[:h, :w])
+        qc = np.zeros((nplanes, len(coded), BLOCK * BLOCK), dtype=np.int64)
+        qc[:, rows, cols] = c_sym.reshape(nplanes, rows.size)
+        rec = _decode_blocks(qc, a_sym.reshape(nplanes, len(coded)), levels, c_scale, a_scale)
+        view[group[0] : group[0] + nplanes, coded // nbx, coded % nbx] = rec
         t0 = _bump(timings, "residual_transform", t0)
-    return planes, pos
+    return list(padded[:, :h, :w]), pos
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,7 @@ def encode_symbols(symbols) -> bytes:
     hist = np.bincount(symbols) if symbols.size else np.array([1])
     table_log = _auto_table_log(hist.size, symbols.size)
     counts = normalize_counts(hist, table_log)
-    if symbols.size:
-        bits, state = fse_encode(symbols, FseTable(counts, table_log))
-    else:
-        bits, state = np.zeros(0, dtype=np.uint8), 1 << table_log
+    bits, state = fse_encode(symbols, FseTable(counts, table_log))
     out = _encode_header(counts)
     out += struct.pack("<H", state)
     write_section(out, bits)
@@ -260,14 +257,15 @@ def decode_symbols(data: bytes, pos: int, expected: int):
         raise Truncated("entropy payload truncated")
     (state,) = struct.unpack_from("<H", data, pos)
     body, nbits, pos = read_section(data, pos + 2)
+    # built first, so the counts of an empty payload are checked too
+    table = FseTable(counts, table_log)
     if not expected:
         if nbits:
             raise EntropyError(f"corrupt stream: {nbits} FSE bits for no symbols")
         if state != 1 << table_log:
             raise EntropyError("corrupt stream: final state mismatch")
         return np.empty(0, dtype=np.int64), pos
-    symbols = fse_decode(body, nbits, state, expected, FseTable(counts, table_log))
-    return symbols, pos
+    return fse_decode(body, nbits, state, expected, table), pos
 
 
 def encode_signed_values(values) -> bytes:

@@ -332,8 +332,9 @@ def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
 
 
 def _decompress_plane(data: bytes, pos: int, shape, levels: int):
-    bits, pos = read_tree_bits(data, pos, 2 * shape[0] * shape[1] - 1)
-    leaves = deserialize_tree(bits, shape[1], shape[0])
+    h, w = shape
+    bits, pos = read_tree_bits(data, pos, [(w, h)])
+    leaves = deserialize_tree(bits, w, h)
     end_of_trees(bits)
     values, pos = entropy.decode_value_block(data, pos, levels, len(leaves))
     return paint_leaf_values(leaves, values, shape), pos

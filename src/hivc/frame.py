@@ -96,6 +96,12 @@ def rct_inverse(yuv: Frame) -> Frame:
     return Frame((r, g, b), colorspace="rgb")
 
 
+def plane_groups(channels: int):
+    """Indices of the planes that share one subdivision tree, group by
+    group: Y alone, then U and V together (gray frames have only Y)."""
+    return [[0], [1, 2]] if channels == 3 else [[0]]
+
+
 def psnr(a: Frame, b: Frame) -> float:
     """PSNR in dB with peak 255, MSE pooled over all channels.
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from hivc import entropy
 from hivc.flow import FlowField, warp_planes
+from hivc.frame import plane_groups
 from hivc.homogeneous import solve_homogeneous
 from hivc.subdivision import (
     end_of_trees,
@@ -139,48 +140,47 @@ def _mask_points(mask: np.ndarray):
     return np.flatnonzero(mask.ravel())
 
 
-def _read_tree(data: bytes, pos: int, width: int, height: int):
-    bits, pos = read_tree_bits(data, pos, 2 * width * height - 1)
-    (mask,) = parse_mask(bits, [(width, height)], (height, width))
-    end_of_trees(bits)
-    return mask, pos
-
-
 def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
-    """Build subdivision masks, quantize mask values, serialize the payload."""
+    """Build subdivision masks, quantize mask values, serialize the payload.
+
+    Each plane group (frame.plane_groups) writes its tree, then one value
+    block per plane; chroma groups take chroma_budget points and
+    chroma_levels levels.
+    """
     if luma_budget < 1:
         raise ValueError("luma mask budget must be >= 1")
-    y = np.asarray(planes[0], dtype=np.float64)
+    planes = [np.asarray(p, dtype=np.float64) for p in planes]
+    shape, size = planes[0].shape, planes[0].size
+    budget = min(luma_budget, size)
     out = bytearray()
-    bits_y, leaves_y = subdivide_by_error([y], min(luma_budget, y.size))
-    write_trees(out, [bits_y])
-    (vals_y,) = optimize_mask_values([y], leaf_masks([leaves_y], y.shape)[0])
-    out += entropy.encode_value_block(vals_y, levels)
-    if len(planes) == 3:
-        uv = [np.asarray(p, dtype=np.float64) for p in planes[1:]]
-        bits_c, leaves_c = subdivide_by_error(uv, chroma_budget(min(luma_budget, y.size), y.size))
-        write_trees(out, [bits_c])
-        vals_u, vals_v = optimize_mask_values(uv, leaf_masks([leaves_c], y.shape)[0])
-        out += entropy.encode_value_block(vals_u, chroma_levels(levels))
-        out += entropy.encode_value_block(vals_v, chroma_levels(levels))
+    for group in plane_groups(len(planes)):
+        chroma = group[0] > 0
+        gplanes = [planes[i] for i in group]
+        bits, leaves = subdivide_by_error(gplanes, chroma_budget(budget, size) if chroma else budget)
+        write_trees(out, [bits])
+        for vals in optimize_mask_values(gplanes, leaf_masks([leaves], shape)[0]):
+            out += entropy.encode_value_block(vals, chroma_levels(levels) if chroma else levels)
     return bytes(out)
 
 
 def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
     """Decode an intra payload into float prediction planes.
 
-    Returns (planes, next position). Used by encoder and decoder alike.
+    The whole payload is read before the first solve, so a corrupt value
+    block costs no diffusion work. Returns (planes, next position). Used
+    by encoder and decoder alike.
     """
     h, w = shape
-    mask_y, pos = _read_tree(data, pos, w, h)
-    vals_y, pos = entropy.decode_value_block(data, pos, levels, int(np.count_nonzero(mask_y)))
-    jobs = [(mask_y, vals_y)]
-    if channels == 3:
-        mask_c, pos = _read_tree(data, pos, w, h)
-        n_c = int(np.count_nonzero(mask_c))
-        for _ in range(2):
-            vals, pos = entropy.decode_value_block(data, pos, chroma_levels(levels), n_c)
-            jobs.append((mask_c, vals))
+    jobs = []
+    for group in plane_groups(channels):
+        bits, pos = read_tree_bits(data, pos, [(w, h)])
+        (mask,) = parse_mask(bits, [(w, h)], shape)
+        end_of_trees(bits)
+        n = int(np.count_nonzero(mask))
+        glevels = chroma_levels(levels) if group[0] > 0 else levels
+        for _ in group:
+            vals, pos = entropy.decode_value_block(data, pos, glevels, n)
+            jobs.append((mask, vals))
     planes = [_inpaint_from_values(mask, vals) for mask, vals in jobs]
     return planes, pos
 

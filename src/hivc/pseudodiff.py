@@ -106,13 +106,3 @@ def reconstruct_blocks(mc: np.ndarray, a: np.ndarray) -> np.ndarray:
     u = u.reshape(n, BLOCK, BLOCK)
     u += a[:, None, None]
     return u
-
-
-@lru_cache(maxsize=8)
-def block_grid(height: int, width: int):
-    """Raster-order tuple of (y0, x0, bh, bw) tiles of size <= 8."""
-    return tuple(
-        (y0, x0, min(BLOCK, height - y0), min(BLOCK, width - x0))
-        for y0 in range(0, height, BLOCK)
-        for x0 in range(0, width, BLOCK)
-    )

@@ -159,14 +159,16 @@ def write_trees(out: bytearray, trees):
     write_section(out, np.concatenate([np.zeros(0, dtype=np.uint8), *trees]))
 
 
-def read_tree_bits(data: bytes, pos: int, max_bits: int):
+def read_tree_bits(data: bytes, pos: int, sizes):
     """Bits of the tree section at `pos`; returns (bit iterator, next position).
 
-    Walk each tree of the section with deserialize_tree or parse_mask,
-    then call end_of_trees. `max_bits` is the most its trees can hold (a
-    tree over n pixels has at most 2n - 1 nodes); a longer section is
-    rejected before it is unpacked.
+    `sizes` lists the (width, height) of the section's trees, the list
+    parse_mask takes. Walk each tree with deserialize_tree or parse_mask,
+    then call end_of_trees. A tree over n pixels has at most 2n - 1
+    nodes, so a section longer than the sum of those bounds is rejected
+    before it is unpacked.
     """
+    max_bits = sum(2 * w * h - 1 for w, h in sizes)
     body, nbits, pos = read_section(data, pos)
     if nbits > max_bits:
         raise SubdivisionError(f"tree section of {nbits} bits, at most {max_bits} fit")

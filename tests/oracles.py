@@ -10,6 +10,7 @@ in-place production versions must match bit for bit; the search
 returns its bits and leaves as the codec's does. The recursive leaf
 enumerator is the reference for the tree walker, and the tile-by-tile
 mask walk is the reference for the residual decoder's batched one. The
+tile list is the reference for the codec's one tile layout. The
 per-tile residual planner, which slices each tile out of the integer
 planes and builds its mask from the enumerated leaves, is the reference
 for the codec's planner, which gathers float64 blocks through one padded
@@ -50,7 +51,7 @@ from hivc.flow import (
 )
 from hivc.homogeneous import InpaintingError, bilinear_resize, laplacian
 from hivc.prediction import TONAL_ITERS, _mask_points, decode_intra, encode_intra
-from hivc.pseudodiff import BLOCK, block_grid, reconstruct_blocks, solve_block_coefficients_batch
+from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.subdivision import (
     SubdivisionError,
     leaf_means,
@@ -151,6 +152,16 @@ def fit_and_reconstruct(f_block, mask):
     mc = np.zeros((1, BLOCK * BLOCK))
     mc[0, np.flatnonzero(mask.ravel())] = c[0]
     return c[0], a[0], reconstruct_blocks(mc.reshape(1, BLOCK, BLOCK), a)[0]
+
+
+def block_grid(height: int, width: int):
+    """Raster-order list of (y0, x0, bh, bw) tiles of size <= 8: the
+    reference for the codec's one tile layout, codec._tiles."""
+    return [
+        (y0, x0, min(BLOCK, height - y0), min(BLOCK, width - x0))
+        for y0 in range(0, height, BLOCK)
+        for x0 in range(0, width, BLOCK)
+    ]
 
 
 def inpaint_plane_blockwise(residual, block_masks):

@@ -101,6 +101,10 @@ def test_inspect_byte_accounting(tmp_path, clip_y4m):
     total = sum(int(rep[f"bytes_{k}"]) for k in ("intra", "flow", "residual", "framing"))
     assert total == int(rep["stream_bytes"]) == stream.stat().st_size
     assert int(rep["groups"]) == 2
+    # the container's own fields: the header; each group's length, CRC32
+    # and frame count; each record's type, prediction and residual lengths
+    framing = bitstream.HEADER_SIZE + 2 * (4 + 4 + 2) + 4 * (1 + 4 + 4)
+    assert int(rep["bytes_framing"]) == framing
 
 
 def test_inspect_truncated_stream_exits_corrupt(tmp_path, clip_y4m):

@@ -22,7 +22,6 @@ from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
-from hivc.pseudodiff import block_grid
 from hivc.quantize import deadzone_dequantize, unmap_coefficients
 from hivc.video_io import read_y4m
 
@@ -260,7 +259,7 @@ def _edit_records(stream, edit):
 _TREE_SECTIONS = {
     "intra": (0, lambda pred, res: (pred, 0)),
     "flow": (1, lambda pred, res: (pred, 0)),
-    "residual": (1, lambda pred, res: (res, 1 + 8 + (len(block_grid(24, 32)) + 7) // 8)),
+    "residual": (1, lambda pred, res: (res, 1 + 8 + (len(oracles.block_grid(24, 32)) + 7) // 8)),
 }
 
 
@@ -385,9 +384,9 @@ def test_plan_group_trees_match_float_copy_oracle(points):
         r = np.rint(smooth_texture(h, w, 40 + c, sigma=1.0, lo=-40, hi=40)).astype(np.int64)
         r[: h // 3, : w // 2] = 0
         planes.append(r)
-    tiles = block_grid(h, w)
+    tiles = oracles.block_grid(h, w)
     for group in ([planes[0]], planes[1:]):
-        coded, trees, masks, blocks = codec._plan_group(group, tiles, points)
+        coded, trees, masks, blocks = codec._plan_group(group, points)
         want = oracles.plan_group(group, tiles, points)
         assert coded.tolist() == want[0] and 0 < len(coded) < len(tiles)
         assert len(trees) == len(want[1])

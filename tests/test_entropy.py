@@ -93,6 +93,19 @@ def test_empty_stream_rejects_a_final_state_other_than_the_table_size():
             decode_symbols(bytes(bad), 0, 0)
 
 
+def test_empty_stream_rejects_counts_that_do_not_fill_the_table():
+    # counts (7, 0, 1) sum to 8, not to the 32 entries that a 3-symbol
+    # alphabet implies; with no symbols to decode they must still be valid
+    table_log = _auto_table_log(3, 0)
+    assert 1 << table_log == 32
+    out = bytearray()
+    for v in (3, 7, 0, 1):
+        write_uvarint(out, v)
+    out += struct.pack("<H", 1 << table_log) + struct.pack("<I", 0)
+    with pytest.raises(EntropyError, match="table size"):
+        decode_symbols(bytes(out), 0, 0)
+
+
 def test_symbols_round_trip_random():
     rng = np.random.default_rng(0)
     for _ in range(40):

@@ -6,7 +6,9 @@ reproduce the committed SHA-256 of the decoded frames. Three more tests
 decode every stream in subprocesses, under several OpenBLAS kernels, with
 one OpenBLAS thread and with numpy's optional SIMD kernels disabled, and
 require the same frame hashes, since the residual reconstruction and the
-intra solver run through BLAS and numpy's vector loops.
+intra solver run through BLAS and numpy's vector loops. The colour clip
+is also encoded under each of those three settings and must give the
+committed stream.
 
 A change to these files is a change of the format's bits. Regenerate
 them with `python tests/test_golden.py write` only together with a
@@ -119,13 +121,14 @@ def _simd_extensions():
     return np.show_config(mode="dicts")["SIMD Extensions"]
 
 
-def _decode_in_subprocess(**env_vars):
-    """Decode every golden stream in a fresh interpreter; returns its report."""
+def _run_in_subprocess(command, **env_vars):
+    """Run this file's `command` (decode: every golden stream; encode: the
+    colour clip) in a fresh interpreter; returns its report."""
     src = str(Path(__import__("hivc").__file__).resolve().parent.parent)
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, __file__, "decode"], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, __file__, command], env=env, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -142,7 +145,7 @@ def test_golden_decode_is_the_same_under_every_blas_kernel():
     for core in CORETYPES:
         if not __cpu_features__.get(_CORE_FEATURE[core], False):
             continue
-        report = _decode_in_subprocess(OPENBLAS_CORETYPE=core)
+        report = _run_in_subprocess("decode", OPENBLAS_CORETYPE=core)
         assert report["hashes"] == expect, core
         cores.add(report["core"])
     # the forced kernels really ran: each reports its own name
@@ -151,7 +154,7 @@ def test_golden_decode_is_the_same_under_every_blas_kernel():
 
 
 def test_golden_decode_is_the_same_with_one_blas_thread():
-    report = _decode_in_subprocess(OPENBLAS_NUM_THREADS="1")
+    report = _run_in_subprocess("decode", OPENBLAS_NUM_THREADS="1")
     assert report["hashes"] == _expected_frame_hashes()
     # the child really ran single-threaded
     assert report["blas_threads"] in (1, None)
@@ -162,10 +165,41 @@ def test_golden_decode_is_the_same_under_baseline_simd():
     dispatched = _simd_extensions().get("found", [])
     if not dispatched:
         pytest.skip("numpy dispatches no optional SIMD kernels on this CPU")
-    report = _decode_in_subprocess(NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    report = _run_in_subprocess("decode", NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
     assert report["hashes"] == _expected_frame_hashes()
     # the child really ran on the baseline kernels
     assert set(dispatched) <= set(report["simd_not_found"])
+
+
+def _encode_environments():
+    """Each setting the colour stream's encode is pinned under: one
+    OpenBLAS thread, the oldest forced OpenBLAS kernel, and numpy's
+    baseline SIMD kernels only."""
+    dispatched = _simd_extensions().get("found", [])
+    return [
+        pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one_blas_thread"),
+        pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="prescott_kernel"),
+        pytest.param(
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)},
+            id="baseline_simd",
+            marks=pytest.mark.skipif(not dispatched, reason="no optional SIMD kernels dispatched"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("env", _encode_environments())
+def test_golden_colour_encode_is_the_same_in_every_environment(env):
+    # the encoder's closed loop runs the same BLAS and SIMD kernels as the
+    # decoder, plus its own fits, so its bits must not depend on them either
+    report = _run_in_subprocess("encode", **env)
+    assert bytes.fromhex(report["stream"]) == (GOLDEN / "color.hivc").read_bytes()
+    # the child really ran under the setting
+    if "OPENBLAS_NUM_THREADS" in env:
+        assert report["blas_threads"] in (1, None)
+    if "OPENBLAS_CORETYPE" in env and None not in (report["core"], _openblas_corename()):
+        assert report["core"] != _openblas_corename()
+    if "NPY_DISABLE_CPU_FEATURES" in env:
+        assert set(env["NPY_DISABLE_CPU_FEATURES"].split()) <= set(report["simd_not_found"])
 
 
 def _write():
@@ -185,13 +219,16 @@ def _write():
 if __name__ == "__main__":
     if sys.argv[1:] == ["write"]:
         _write()
-    elif sys.argv[1:] == ["decode"]:
+    elif sys.argv[1:] in (["decode"], ["encode"]):
         report = {
             "core": _openblas_corename(),
             "blas_threads": _openblas_threads(),
             "simd_not_found": _simd_extensions().get("not found", []),
-            "hashes": _decode_all(),
         }
+        if sys.argv[1] == "decode":
+            report["hashes"] = _decode_all()
+        else:
+            report["stream"] = _encode_clip("color").hex()
         print(json.dumps(report))
     else:
-        sys.exit("usage: python tests/test_golden.py {write|decode}")
+        sys.exit("usage: python tests/test_golden.py {write|decode|encode}")

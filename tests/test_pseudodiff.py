@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from hivc.codec import _plan_group
+from hivc.codec import _plan_group, _tiles
 from hivc.pseudodiff import (
+    BLOCK,
     _dct_matrix_1d,
     _greens_block_matrix,
-    block_grid,
     greens_eigenvalues_harmonic,
     reconstruct_blocks,
     solve_block_coefficients_batch,
 )
 from oracles import (
+    block_grid,
     dense_laplacian,
     fit_and_reconstruct,
     greens_matrix_dense,
@@ -177,11 +178,25 @@ def test_constant_reconstruction_from_zero_coefficients():
 
 
 def test_block_grid_covers_plane():
-    tiles = block_grid(20, 19)
-    cover = np.zeros((20, 19), dtype=np.int32)
-    for (y0, x0, bh, bw) in tiles:
-        cover[y0 : y0 + bh, x0 : x0 + bw] += 1
-    assert np.array_equal(cover, np.ones_like(cover))
+    # the oracle's tiles cover the plane once, and the codec's tile layout
+    # holds the same tiles in the same order: the same (width, height),
+    # and each tile's pixels at the top-left of its zero-padded block
+    for h, w in ((20, 19), (13, 11), (29, 37), (7, 3), (16, 8), (1, 1)):
+        tiles = block_grid(h, w)
+        cover = np.zeros((h, w), dtype=np.int32)
+        for (y0, x0, bh, bw) in tiles:
+            cover[y0 : y0 + bh, x0 : x0 + bw] += 1
+        assert np.array_equal(cover, np.ones_like(cover))
+
+        padded, view, sizes = _tiles(h, w)
+        assert sizes.tolist() == [[bw, bh] for _, _, bh, bw in tiles]
+        plane = np.arange(1.0, h * w + 1).reshape(h, w)
+        padded[0, :h, :w] = plane
+        blocks = view.reshape(-1, BLOCK, BLOCK)
+        assert len(blocks) == len(tiles)
+        for block, (y0, x0, bh, bw) in zip(blocks, tiles):
+            assert np.array_equal(block[:bh, :bw], plane[y0 : y0 + bh, x0 : x0 + bw])
+            assert not block[bh:].any() and not block[:, bw:].any()
 
 
 def test_blockwise_zero_plane_all_skip():
@@ -227,7 +242,7 @@ def test_edge_tile_masks_stay_inside_true_pixels():
     plane = rng.integers(-20, 21, (13, 11))
     tiles = block_grid(13, 11)
     for points in (1, 4, 48):
-        coded, _, masks, _ = _plan_group([plane], tiles, points)
+        coded, _, masks, _ = _plan_group([plane], points)
         assert len(coded)
         for ti, mask in zip(coded, masks):
             _, _, bh, bw = tiles[ti]

@@ -19,7 +19,7 @@ from hivc.subdivision import (
     write_trees,
 )
 import oracles
-from hivc.pseudodiff import BLOCK, block_grid
+from hivc.pseudodiff import BLOCK
 from oracles import piecewise_constant_from_leaves
 
 
@@ -172,7 +172,7 @@ def test_serialize_round_trip_random_trees():
         sizes = [(int(rng.integers(1, 33)), int(rng.integers(1, 33))) for _ in range(3)]
         trees = [_random_tree(rng, w, h, int(rng.integers(1, 64))) for w, h in sizes]
         data = _section(trees) + b"tail"
-        bits, pos = read_tree_bits(data, 0, sum(len(t) for t in trees))
+        bits, pos = read_tree_bits(data, 0, sizes)
         for tree, (w, h) in zip(trees, sizes):
             assert deserialize_tree(bits, w, h) == oracles.tree_leaves(tree.tolist(), w, h)
         end_of_trees(bits)
@@ -206,7 +206,7 @@ def test_bits_that_run_out_are_truncated(bits):
 def _tile_sections(rng, width, height):
     """Tile sizes and preorder bits of random legal trees for a random
     subset of the residual tiles of a width x height frame."""
-    tiles = block_grid(height, width)
+    tiles = oracles.block_grid(height, width)
     coded = np.flatnonzero(rng.random(len(tiles)) < 0.6)
     sizes = [(tiles[ti][3], tiles[ti][2]) for ti in coded]
     trees = [_random_bits(rng, w, h, float(rng.uniform(0.2, 0.9))) for w, h in sizes]
@@ -235,7 +235,7 @@ def test_batched_tile_walk_matches_per_tile_oracle():
         for _ in range(10):
             sizes, trees = _tile_sections(rng, width, height)
             data = _section([np.array(t, dtype=np.uint8) for t in trees])
-            section, _ = read_tree_bits(data, 0, len(sizes) * (2 * BLOCK * BLOCK - 1))
+            section, _ = read_tree_bits(data, 0, sizes)
             masks = parse_mask(section, sizes, (BLOCK, BLOCK))
             end_of_trees(section)
             bits = [b for tree in trees for b in tree]
@@ -280,18 +280,18 @@ def test_excess_bits_after_last_tree_rejected():
     # one more bit in the count, still inside the padded last byte
     assert len(tree) % 8
     data[0] += 1
-    bits, _ = read_tree_bits(bytes(data), 0, 2 * 16 - 1)
+    bits, _ = read_tree_bits(bytes(data), 0, [(4, 4)])
     assert len(deserialize_tree(bits, 4, 4)) == 3
     with pytest.raises(SubdivisionError, match="excess"):
         end_of_trees(bits)
 
 
 def test_tree_section_longer_than_its_trees_can_be_is_rejected():
-    # a 4x4 tree has at most 31 nodes
+    # a 4x4 tree has at most 31 nodes, and a 1x1 tree one
     data = struct.pack("<I", 32) + bytes(4)
-    assert read_tree_bits(data, 0, 32)[1] == len(data)
+    assert read_tree_bits(data, 0, [(4, 4), (1, 1)])[1] == len(data)
     with pytest.raises(SubdivisionError, match="at most 31"):
-        read_tree_bits(data, 0, 31)
+        read_tree_bits(data, 0, [(4, 4)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,7 +309,7 @@ def test_subdivision_invariants_property(w, h, target, seed):
     assert len(leaves) == target
     assert sum(lw * lh for (_, _, lw, lh) in leaves) == w * h
     assert leaves == oracles.tree_leaves(tree.tolist(), w, h)
-    bits, _ = read_tree_bits(_section([tree]), 0, 2 * w * h - 1)
+    bits, _ = read_tree_bits(_section([tree]), 0, [(w, h)])
     assert deserialize_tree(bits, w, h) == leaves
     end_of_trees(bits)
 
@@ -397,7 +397,7 @@ def test_search_leaves_read_back_from_its_bits(specs, nplanes, levels, min_error
         leaves.append(tree_leaves)
         sizes.append((w, h))
     shape = (max(h for _, h in sizes), max(w for w, _ in sizes))
-    section, _ = read_tree_bits(_section(trees), 0, sum(2 * w * h - 1 for w, h in sizes))
+    section, _ = read_tree_bits(_section(trees), 0, sizes)
     masks = parse_mask(section, sizes, shape)
     end_of_trees(section)
     assert np.array_equal(leaf_masks(leaves, shape), masks)
