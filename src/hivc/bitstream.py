@@ -4,7 +4,7 @@ Layout:
 
     header (22 bytes, little endian)
         magic      4s   b"HIVC"
-        version    u8   currently 2
+        version    u8   currently 3
         width      u16
         height     u16
         frame_count u32
@@ -23,7 +23,9 @@ Layout:
 Each group payload starts with a u16 frame count followed by frame
 records; see codec.py for the frame record layout. Every checksum is
 checked before any frame is decoded. Version 2 added the checksums and
-dropped every field a decoder can compute (see entropy.py).
+dropped every field a decoder can compute (see entropy.py). Version 3
+keeps that layout and solves the intra planes in float32 to a looser
+tolerance (see homogeneous.py and prediction.py), so its frames differ.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import zlib
 from dataclasses import dataclass
 
 MAGIC = b"HIVC"
-VERSION = 2
+VERSION = 3
 # largest frame a stream may declare: the 4K UHD frame, which covers the
 # FullHD target with margin; checked before any plane is allocated
 MAX_PIXELS = 3840 * 2160

@@ -6,6 +6,14 @@ conditions: known pixels keep their values, all others satisfy the
 discrete Laplace equation. The solver is a cascadic coarse-to-fine
 conjugate gradient scheme: solve on a subsampled pyramid level, prolong
 bilinearly, refine on the next finer level.
+
+The cascade runs in float32, which halves the memory traffic of every
+array pass; only a finest level asked for a tolerance tighter than
+FLOAT32_TOL runs in float64, started from the float32 cascade. Every dot
+product and norm is NumPy's own pairwise sum, never a BLAS call, so the
+floats are the same under every BLAS kernel and thread count, with or
+without numpy's optional SIMD kernels. The result is float64 and holds
+the given values on the mask exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ import numpy as np
 
 COARSEST_SIZE = 16
 LEVEL_TOL = 1e-4  # relative residual at intermediate pyramid levels
-# values per BLAS dot in the CG; OpenBLAS threads a dot of over 10,000
-DOT_RUN = 4096
+# tightest relative residual a level is solved to in float32; float32 CG
+# reaches it without stalling on planes up to 1920x1080, and a finest
+# level asked for less runs in float64
+FLOAT32_TOL = 1e-5
 
 
 class InpaintingError(ValueError):
@@ -35,10 +45,11 @@ def laplacian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     left and right terms are added along the flattened plane, which is
     several times faster than a column-shifted 2-D slice; the edge
     columns, which that shift gives the wrong neighbor, are set from
-    their own sums. `out`, if given, receives the result; it must be
-    C-contiguous and must not overlap `u`.
+    their own sums. A float32 plane stays float32; a float64 or integer
+    plane is computed in float64. `out`, if given, receives the result;
+    it must be C-contiguous, of that dtype, and must not overlap `u`.
     """
-    u = np.ascontiguousarray(u, dtype=np.float64)
+    u = np.ascontiguousarray(u, dtype=np.result_type(u.dtype, np.float32))
     if out is None:
         out = np.empty_like(u)
     np.multiply(u, -4.0, out=out)
@@ -56,75 +67,53 @@ def laplacian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _runs(a: np.ndarray):
-    """A C-contiguous plane as _dot reads it: views of its values in
-    rows of DOT_RUN, and of the values left over."""
-    flat = a.reshape(-1)
-    n = flat.size - flat.size % DOT_RUN
-    return flat[:n].reshape(-1, DOT_RUN), flat[n:]
+def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
+    """Sum of a * b over two C-contiguous planes of one shape and dtype.
 
-
-def _dot(a, b) -> float:
-    """Sum of a * b over two planes of one shape, given as _runs views.
-
-    One BLAS dot per run of DOT_RUN values and one for the rest, then
-    the sum of those. Each dot is shorter than the length at which
-    OpenBLAS splits a dot across threads, so the sum has one order
-    whatever the BLAS thread count, and no BLAS worker spins between the
-    CG's array passes. The views stay valid while the CG updates its
-    planes in place, so it makes them once per level.
+    The products go into `work`, and NumPy's pairwise reduction adds
+    them in one order fixed by the length alone. A BLAS dot would pick
+    its order, and so its rounding, by CPU kernel and thread count.
     """
-    return float(np.add.reduce(np.vecdot(a[0], b[0])) + np.vecdot(a[1], b[1]))
+    np.multiply(a, b, out=work)
+    return float(np.add.reduce(work.reshape(-1)))
 
 
-def _norm(a: np.ndarray) -> float:
-    runs = _runs(a)
-    return math.sqrt(_dot(runs, runs))
-
-
-def _masked_cg(f, mask, x0, tol, max_iter, denom=None):
-    """CG on the interior (non-mask) unknowns with Dirichlet mask values.
+def _masked_cg(f, mask, x0, tol, max_iter, finest=False):
+    """CG on the interior (non-mask) unknowns with Dirichlet mask values,
+    in the dtype of `f` and `x0`.
 
     Eliminating the known pixels leaves the SPD system
     (-L)_II w = (L u_D)_I with u_D = f on the mask and 0 elsewhere.
-    Returns (solution plane, iterations used).
+    It stops once the residual is at most `tol` times ||(L u_D)_I||, or
+    on the finest level times ||f restricted to the mask||, the
+    contract denominator; an exact `x0` costs no iteration. Returns
+    (solution plane, number of updates made to it).
     """
     # full-plane arithmetic with zeros held at mask pixels avoids the
     # gather/scatter of interior unknowns on every iteration; the loop
-    # works in place, which keeps each step's rounding but skips the
-    # temporaries
-    interior = (~mask).astype(np.float64)
-    neg_interior = -interior
+    # works in place and keeps -A p = L(p) on the interior in `ap`
+    interior = (~mask).astype(f.dtype)
     u_d = np.where(mask, f, 0.0)
-    b = laplacian(u_d) * interior
-    ap = np.empty_like(b)
-    step = np.empty_like(b)
-
-    def matvec(w_full):
-        # -L(w) * interior, negated through the mask factor
-        return np.multiply(laplacian(w_full, ap), neg_interior, out=ap)
-
     x = x0 * interior
-    r = b - matvec(x)
-    b_norm = _norm(b) if denom is None else denom
-    if b_norm == 0.0:
-        return u_d + x, 0
+    r = laplacian(u_d + x)
+    r *= interior
+    work = np.empty_like(r)
+    scale = u_d if finest else laplacian(u_d) * interior
+    limit = tol * math.sqrt(_dot(scale, scale, work))
     p = r.copy()
-    r_runs, p_runs, ap_runs = _runs(r), _runs(p), _runs(ap)
-    rs = _dot(r_runs, r_runs)
+    ap = np.empty_like(r)
+    rs = _dot(r, r, work)
     it = 0
-    for it in range(1, max_iter + 1):
-        matvec(p)
-        denom = _dot(p_runs, ap_runs)
-        if denom <= 0.0 or rs < 1e-300:
+    while it < max_iter and math.sqrt(rs) > limit:
+        np.multiply(laplacian(p, ap), interior, out=ap)
+        pap = -_dot(p, ap, work)
+        if pap <= 0.0:
             break
-        alpha = rs / denom
-        x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(ap, alpha, out=step)
-        rs_new = _dot(r_runs, r_runs)
-        if np.sqrt(rs_new) <= tol * b_norm:
-            rs = rs_new
-            break
+        alpha = rs / pap
+        x += np.multiply(p, alpha, out=work)
+        r += np.multiply(ap, alpha, out=work)
+        it += 1
+        rs_new = _dot(r, r, work)
         p *= rs_new / rs
         p += r
         rs = rs_new
@@ -153,11 +142,15 @@ def build_pyramid(f: np.ndarray, mask: np.ndarray):
     Dimensions halve (ceiling) until max(w, h) <= 16. A coarse mask
     pixel is set iff any of its 2x2 children is set; its value is the
     mean of the set children, other pixels are plain block averages.
+    A float32 plane gives float32 levels; a float64 or integer plane
+    gives float64 ones.
     """
-    levels = [(np.asarray(f, dtype=np.float64), np.asarray(mask, dtype=bool))]
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float32), copy=False)
+    levels = [(f, np.asarray(mask, dtype=bool))]
     while max(levels[-1][0].shape) > COARSEST_SIZE:
         fv, mv = levels[-1]
-        set_cnt = _block_sum(mv.astype(np.float64))
+        set_cnt = _block_sum(mv.astype(fv.dtype))
         set_sum = _block_sum(np.where(mv, fv, 0.0))
         avg_all = _restrict(fv)
         coarse_mask = set_cnt > 0
@@ -172,7 +165,8 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     Separable: each source row is interpolated horizontally once, then
     the output mixes two of those rows. Every output pixel is
     (1 - wy) * ((1 - wx) * a + wx * b) + wy * ((1 - wx) * c + wx * d),
-    the same sum as a direct four-tap evaluation.
+    the same sum as a direct four-tap evaluation. A float32 image is
+    resampled in float32; a float64 or integer image in float64.
     """
     h, w = shape
     ih, iw = img.shape
@@ -184,8 +178,9 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, ih - 1)
     x1 = np.minimum(x0 + 1, iw - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
+    dtype = np.result_type(img.dtype, np.float32)
+    wy = (ys - y0).astype(dtype)[:, None]
+    wx = (xs - x0).astype(dtype)[None, :]
     rows = (1 - wx) * img[:, x0] + wx * img[:, x1]
     return (1 - wy) * rows[y0] + wy * rows[y1]
 
@@ -201,8 +196,11 @@ def solve_homogeneous(
 
     Each pyramid level stops at relative residual `tol` (at least
     LEVEL_TOL below the finest) or after `max_iter` CG iterations, so
-    the work is bounded. `stats`, if given, collects per-level
-    iteration counts.
+    the work is bounded. Levels run in float32, except a finest level
+    asked for less than FLOAT32_TOL, which runs in float64 from the
+    float32 cascade's prolonged result. `stats`, if given,
+    collects per-level (pixels, iterations) pairs, finest last.
+    Returns a float64 plane equal to `f` on the mask.
     """
     f = np.asarray(f, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -211,29 +209,24 @@ def solve_homogeneous(
     if not mask.any():
         raise InpaintingError("empty inpainting mask")
 
-    levels = build_pyramid(f, mask)
+    levels = build_pyramid(f.astype(np.float32), mask)
     u = None
     iters = []
     for lvl in range(len(levels) - 1, -1, -1):
         fv, mv = levels[lvl]
-        if u is None:
-            x0 = np.full_like(fv, float(fv[mv].mean()))
-        else:
-            x0 = bilinear_resize(u, fv.shape)
+        level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
+        if level_tol < FLOAT32_TOL:  # the finest level only
+            fv = f
         if mv.all():
-            u = fv.copy()
+            u = fv
             iters.append((fv.size, 0))
             continue
-        level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
-        # The finest level stops against the contract denominator
-        # ||f restricted to mask|| rather than the CG right-hand side;
-        # it is the norm of a plane that is zero off the mask, so that
-        # it is summed as every other norm is.
-        denom = _norm(np.where(mv, fv, 0.0)) if lvl == 0 else None
-        if denom == 0.0:
-            denom = None
-        u, it = _masked_cg(fv, mv, x0, level_tol, max_iter, denom=denom)
+        if u is None:
+            x0 = np.full_like(fv, fv[mv].mean())
+        else:
+            x0 = bilinear_resize(u.astype(fv.dtype, copy=False), fv.shape)
+        u, it = _masked_cg(fv, mv, x0, level_tol, max_iter, finest=lvl == 0)
         iters.append((fv.size, it))
     if stats is not None:
         stats["level_iterations"] = iters
-    return u
+    return np.where(mask, f, u)

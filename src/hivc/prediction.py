@@ -29,7 +29,12 @@ from hivc.subdivision import (
 
 # fixed iteration budget keeps decode deterministic and time-bounded
 INTRA_SOLVE_ITERS = 160
-INTRA_SOLVE_TOL = 1e-4
+# The prediction is rounded to whole levels, so the solve stops well short
+# of exact: against 1e-4, this tolerance moved all-intra PSNR by at most
+# 0.003 dB and the compression ratio by at most 0.08% on 12 seeds of the
+# benchmark clip, with 40% fewer CG iterations. 3e-3 saved another 8% of
+# the iterations but moved the ratio by up to 0.16%, and 4e-3 by 0.21%.
+INTRA_SOLVE_TOL = 2e-3
 
 # least-squares refinement of the transmitted mask values converges in
 # a handful of iterations and plateaus well before 20

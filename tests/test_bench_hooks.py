@@ -69,6 +69,7 @@ DECODE_HOOKS = (
     ("hivc.flow", "deserialize_tree"),
     ("hivc.codec", "parse_mask"),
     ("hivc.prediction", "parse_mask"),
+    ("hivc.prediction", "solve_homogeneous"),
     ("hivc.entropy", "decode_symbols"),
     ("hivc.entropy", "decode_signed_values"),
 )
@@ -101,6 +102,38 @@ def test_decode_reaches_every_wrapped_decode_function(monkeypatch):
     # spans.py counts symbols as len(result[0])
     for result in calls[("hivc.entropy", "decode_symbols")]:
         assert isinstance(result, tuple) and len(result) == 2
+
+
+def test_decode_reports_cg_iterations_to_the_solver_hook(monkeypatch):
+    # spans.py's wrapper passes `stats={}` to each intra solve, and
+    # `_solve_stats` sums the iterations of `level_iterations` from it
+    from collections import Counter
+
+    from hivc import codec, prediction
+
+    spans = _spans()
+    counters = Counter()
+    stats_seen = []
+    real = prediction.solve_homogeneous
+
+    def wrapper(*args, **kwargs):
+        kwargs["stats"] = {}
+        result = real(*args, **kwargs)
+        spans._solve_stats(args, kwargs, result, counters)
+        stats_seen.append(kwargs["stats"])
+        return result
+
+    monkeypatch.setattr(prediction, "solve_homogeneous", wrapper)
+    frames = codec.decode(COLOR.read_bytes())
+    # one intra frame of three planes
+    assert len(stats_seen) == counters["homogeneous.calls"] == 3
+    for stats in stats_seen:
+        finest_pixels, finest_iterations = stats["level_iterations"][-1]
+        assert finest_pixels == frames[0].width * frames[0].height
+        assert finest_iterations > 0
+    assert counters["homogeneous.cg_iterations"] == sum(
+        it for stats in stats_seen for _, it in stats["level_iterations"]
+    )
 
 
 # the encode-side names spans.py wraps or counts below the encoder's

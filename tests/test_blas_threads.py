@@ -1,8 +1,10 @@
-"""The decode path's floats do not depend on the BLAS thread count.
+"""The decode path's floats do not depend on the BLAS thread count, on
+the BLAS kernel or, in the intra solve, on numpy's SIMD kernels.
 
-OpenBLAS reads its thread count when it loads, so each count gets a
-fresh interpreter. Both children compute the same thing on the same
-seeded data and print a SHA-256 of the float64 result.
+OpenBLAS reads its thread count and kernel when it loads, and numpy its
+disabled CPU features, so each setting gets a fresh interpreter. Every
+child computes the same thing on the same seeded data and prints a
+SHA-256 of the float64 result.
 """
 
 import os
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_golden import dispatched_simd, supported_coretypes
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -24,12 +28,14 @@ mask = rng.random((144, 336)) < 0.09
 out = solve_homogeneous(f, mask, tol=1e-6, max_iter=2000)
 """
 
-# a frame may be up to 65535 pixels wide, so no row length is safe
+# longer than the length at which OpenBLAS threads a dot, in both of the
+# solver's dtypes
 WIDE_DOT = """
-from hivc.homogeneous import _dot, _runs
+from hivc.homogeneous import _dot
 rng = np.random.default_rng(7)
 a, b = rng.standard_normal((2, 3, 30001))
-out = np.array([_dot(_runs(a), _runs(b))])
+a32, b32 = a.astype(np.float32), b.astype(np.float32)
+out = np.array([_dot(a, b, np.empty_like(a)), _dot(a32, b32, np.empty_like(a32))])
 """
 
 # about as many blocks as an all-intra decode of that frame size codes
@@ -40,11 +46,21 @@ mc = rng.standard_normal((2100, 8, 8)) * (rng.random((2100, 8, 8)) < 0.1)
 out = reconstruct_blocks(mc, rng.standard_normal(2100))
 """
 
+# the decoder's intra solve, at the benchmark's frame size and about the
+# mask density of its intra frames
+INTRA_SOLVE = """
+from hivc.homogeneous import solve_homogeneous
+from hivc.prediction import INTRA_SOLVE_ITERS, INTRA_SOLVE_TOL
+rng = np.random.default_rng(12)
+f = rng.uniform(0, 255, (144, 336))
+mask = rng.random((144, 336)) < 0.06
+out = solve_homogeneous(f, mask, tol=INTRA_SOLVE_TOL, max_iter=INTRA_SOLVE_ITERS)
+"""
 
-def _hash_under_threads(code, threads):
-    env = dict(os.environ)
+
+def _hash_in_child(code, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    env["OPENBLAS_NUM_THREADS"] = str(threads)
     script = (
         "import hashlib\nimport numpy as np\n"
         + code
@@ -63,4 +79,18 @@ def _hash_under_threads(code, threads):
     ids=["solve_homogeneous", "wide_dot", "reconstruct_blocks"],
 )
 def test_same_floats_under_one_and_two_blas_threads(code):
-    assert _hash_under_threads(code, 1) == _hash_under_threads(code, 2)
+    assert _hash_in_child(code, OPENBLAS_NUM_THREADS="1") == _hash_in_child(
+        code, OPENBLAS_NUM_THREADS="2"
+    )
+
+
+def test_intra_solve_gives_the_same_floats_under_every_kernel():
+    hashes = {"default": _hash_in_child(INTRA_SOLVE)}
+    for core in supported_coretypes():
+        hashes[core] = _hash_in_child(INTRA_SOLVE, OPENBLAS_CORETYPE=core)
+    dispatched = dispatched_simd()
+    if dispatched:
+        hashes["baseline_simd"] = _hash_in_child(
+            INTRA_SOLVE, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched)
+        )
+    assert len(set(hashes.values())) == 1, hashes

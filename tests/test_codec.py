@@ -484,12 +484,23 @@ def test_a_byte_flip_in_a_group_payload_fails_its_checksum(tmp_path, capsys):
     assert "ChecksumMismatch" in err and "Traceback" not in err
 
 
-def test_a_version_1_stream_is_unsupported(tmp_path):
+def _assert_unsupported(tmp_path, version):
     stream = bytearray(COLOR.read_bytes())
-    assert stream[4] == bitstream.VERSION == 2
-    stream[4] = 1
+    assert stream[4] == bitstream.VERSION == 3
+    stream[4] = version
     with pytest.raises(UnsupportedVersion):
         decode(bytes(stream))
-    path = tmp_path / "v1.hivc"
+    path = tmp_path / f"v{version}.hivc"
     path.write_bytes(bytes(stream))
     assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
+    assert main(["inspect", str(path)]) == 4
+
+
+def test_a_version_1_stream_is_unsupported(tmp_path):
+    _assert_unsupported(tmp_path, 1)
+
+
+def test_a_version_2_stream_is_unsupported(tmp_path):
+    # version 3 solves the intra planes to another tolerance, so a
+    # version-2 stream would decode into other frames
+    _assert_unsupported(tmp_path, 2)

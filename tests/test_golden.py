@@ -134,23 +134,31 @@ def _run_in_subprocess(command, **env_vars):
     return json.loads(out.stdout)
 
 
-def test_golden_decode_is_the_same_under_every_blas_kernel():
+def supported_coretypes():
+    """The forced OpenBLAS kernels of CORETYPES that this CPU can run."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
 
+    return [core for core in CORETYPES if __cpu_features__.get(_CORE_FEATURE[core], False)]
+
+
+def dispatched_simd():
+    """Every optional SIMD kernel numpy dispatches to on this CPU."""
+    return _simd_extensions().get("found", [])
+
+
+def test_golden_decode_is_the_same_under_every_blas_kernel():
     expect = _expected_frame_hashes()
     cores = set()
-    for core in CORETYPES:
-        if not __cpu_features__.get(_CORE_FEATURE[core], False):
-            continue
+    for core in supported_coretypes():
         report = _run_in_subprocess("decode", OPENBLAS_CORETYPE=core)
         assert report["hashes"] == expect, core
         cores.add(report["core"])
     # the forced kernels really ran: each reports its own name
     if None not in cores:
-        assert len(cores) == sum(__cpu_features__.get(_CORE_FEATURE[c], False) for c in CORETYPES)
+        assert len(cores) == len(supported_coretypes())
 
 
 def test_golden_decode_is_the_same_with_one_blas_thread():
@@ -162,7 +170,7 @@ def test_golden_decode_is_the_same_with_one_blas_thread():
 
 def test_golden_decode_is_the_same_under_baseline_simd():
     # every optional kernel numpy dispatches to on this CPU, switched off
-    dispatched = _simd_extensions().get("found", [])
+    dispatched = dispatched_simd()
     if not dispatched:
         pytest.skip("numpy dispatches no optional SIMD kernels on this CPU")
     report = _run_in_subprocess("decode", NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
@@ -175,7 +183,7 @@ def _encode_environments():
     """Each setting the colour stream's encode is pinned under: one
     OpenBLAS thread, the oldest forced OpenBLAS kernel, and numpy's
     baseline SIMD kernels only."""
-    dispatched = _simd_extensions().get("found", [])
+    dispatched = dispatched_simd()
     return [
         pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one_blas_thread"),
         pytest.param({"OPENBLAS_CORETYPE": "Prescott"}, id="prescott_kernel"),

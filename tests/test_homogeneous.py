@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from hivc.homogeneous import (
     COARSEST_SIZE,
     InpaintingError,
+    _dot,
+    _masked_cg,
     bilinear_resize,
     build_pyramid,
     laplacian,
     solve_homogeneous,
 )
+from hivc.prediction import INTRA_SOLVE_TOL
 from oracles import apply_inpainting_operator, dense_laplacian, solve_dense
 
 
@@ -118,6 +123,57 @@ def test_solve_two_corners_matches_dense():
     ref = solve_dense(f, mask)
     rms = float(np.sqrt(np.mean((u - ref) ** 2)))
     assert rms <= 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot_is_the_exact_sum_to_the_dtype_s_rounding(dtype):
+    # pairwise summation errs by about log2(n) roundings of the sum of |a * b|
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-255, 255, (2, 144, 336)).astype(dtype)
+    exact = math.fsum((a.astype(np.float64) * b.astype(np.float64)).ravel())
+    bound = 32 * np.finfo(dtype).eps * float(np.sum(np.abs(a.astype(np.float64) * b)))
+    assert abs(_dot(a, b, np.empty_like(a)) - exact) <= bound
+
+
+def _grid_mask(h, w):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::5] = True
+    mask[:, ::7] = True
+    return mask
+
+
+@pytest.mark.parametrize("tol", [1e-6, INTRA_SOLVE_TOL])
+def test_exact_initial_guess_costs_no_iteration(tol):
+    # a constant plane is its own solution on every level, from the
+    # coarsest level's mean to each prolongation, so no level updates it
+    f = np.full((40, 60), 100.0)
+    stats = {}
+    u = solve_homogeneous(f, _grid_mask(40, 60), tol=tol, stats=stats)
+    assert stats["level_iterations"] == [(150, 0), (600, 0), (2400, 0)]
+    assert np.array_equal(u, f)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cg_counts_only_the_updates_it_makes(dtype):
+    f = np.full((40, 60), 100.0, dtype=dtype)
+    mask = _grid_mask(40, 60)
+    u, it = _masked_cg(f, mask, f, 1e-12, 50, finest=True)
+    assert it == 0 and np.array_equal(u, f)
+    rng = np.random.default_rng(4)
+    f = rng.uniform(0, 255, (40, 60)).astype(dtype)
+    _, it = _masked_cg(f, mask, np.zeros_like(f), 0.0, 3, finest=True)
+    assert it == 3
+
+
+def test_tight_tolerance_returns_float64_mask_values_exactly():
+    # values float32 cannot hold stay exact on the mask
+    rng = np.random.default_rng(10)
+    f = rng.uniform(0, 255, (30, 50)) + 1e-9
+    mask = rng.uniform(size=(30, 50)) < 0.1
+    for tol in (1e-8, INTRA_SOLVE_TOL):
+        u = solve_homogeneous(f, mask, tol=tol)
+        assert u.dtype == np.float64
+        assert np.array_equal(u[mask], f[mask])
 
 
 def test_interpolation_and_maximum_principle():
