@@ -5,16 +5,8 @@ Layout:
     header (22 bytes, little endian)
         magic      4s   b"HIVC"
         version    u8   currently 3
-        width      u16
-        height     u16
-        frame_count u32
-        fps_num    u16
-        fps_den    u16
-        gop_size   u8
-        channels   u8   1 (gray) or 3 (color)
-        intra_levels - 1     u8
-        flow_levels - 1      u8
-        residual_levels      u8   odd, >= 3
+        fields     each StreamHeader field, in the order, code and
+                   offset _FIELDS gives
     then one record per group of pictures:
         payload_len    u32
         payload_crc32  u32   zlib.crc32 of the payload
@@ -39,7 +31,22 @@ VERSION = 3
 # largest frame a stream may declare: the 4K UHD frame, which covers the
 # FullHD target with margin; checked before any plane is allocated
 MAX_PIXELS = 3840 * 2160
-_HEADER_FMT = "<4sBHHIHHBBBBB"
+# the header after magic and version, in stream order: (StreamHeader
+# field, struct code, offset); the stream holds the field minus its
+# offset, which must fit the code
+_FIELDS = (
+    ("width", "H", 0),
+    ("height", "H", 0),
+    ("frame_count", "I", 0),
+    ("fps_num", "H", 0),
+    ("fps_den", "H", 0),
+    ("gop_size", "B", 0),
+    ("channels", "B", 0),  # 1 (gray) or 3 (color)
+    ("intra_levels", "B", 1),
+    ("flow_levels", "B", 1),
+    ("residual_levels", "B", 0),  # odd, >= 3
+)
+_HEADER_FMT = "<4sB" + "".join(code for _, code, _ in _FIELDS)
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
@@ -81,7 +88,10 @@ class StreamHeader:
     residual_levels: int
 
     def __post_init__(self):
-        if not (1 <= self.width <= 65535 and 1 <= self.height <= 65535):
+        for name, code, offset in _FIELDS:
+            if not 0 <= getattr(self, name) - offset < 256 ** struct.calcsize("<" + code):
+                raise BitstreamError(f"{name} out of range")
+        if self.width < 1 or self.height < 1:
             raise BitstreamError("bad frame dimensions")
         if self.width * self.height > MAX_PIXELS:
             raise BitstreamError(
@@ -91,9 +101,9 @@ class StreamHeader:
             raise BitstreamError("a stream holds at least one frame")
         if self.channels not in (1, 3):
             raise BitstreamError("channels must be 1 or 3")
-        if self.gop_size < 1 or self.gop_size > 255:
+        if self.gop_size < 1:
             raise BitstreamError("gop_size out of range")
-        if not (2 <= self.intra_levels <= 256 and 2 <= self.flow_levels <= 256):
+        if self.intra_levels < 2 or self.flow_levels < 2:
             raise BitstreamError("quantizer levels out of range")
         if self.residual_levels < 3 or self.residual_levels % 2 == 0:
             raise BitstreamError("residual_levels must be odd and >= 3")
@@ -101,42 +111,20 @@ class StreamHeader:
             raise BitstreamError("bad frame rate")
 
     def pack(self) -> bytes:
-        return struct.pack(
-            _HEADER_FMT,
-            MAGIC,
-            VERSION,
-            self.width,
-            self.height,
-            self.frame_count,
-            self.fps_num,
-            self.fps_den,
-            self.gop_size,
-            self.channels,
-            self.intra_levels - 1,
-            self.flow_levels - 1,
-            self.residual_levels,
-        )
+        stored = (getattr(self, name) - offset for name, _, offset in _FIELDS)
+        return struct.pack(_HEADER_FMT, MAGIC, VERSION, *stored)
 
 
 def unpack_header(data: bytes) -> StreamHeader:
     if len(data) < HEADER_SIZE:
         raise Truncated("stream shorter than header")
-    fields = struct.unpack_from(_HEADER_FMT, data, 0)
-    if fields[0] != MAGIC:
+    magic, version, *stored = struct.unpack_from(_HEADER_FMT, data, 0)
+    if magic != MAGIC:
         raise BadMagic("not a compressed video stream")
-    if fields[1] != VERSION:
-        raise UnsupportedVersion(f"stream version {fields[1]}, expected {VERSION}")
+    if version != VERSION:
+        raise UnsupportedVersion(f"stream version {version}, expected {VERSION}")
     return StreamHeader(
-        width=fields[2],
-        height=fields[3],
-        frame_count=fields[4],
-        fps_num=fields[5],
-        fps_den=fields[6],
-        gop_size=fields[7],
-        channels=fields[8],
-        intra_levels=fields[9] + 1,
-        flow_levels=fields[10] + 1,
-        residual_levels=fields[11],
+        **{name: value + offset for (name, _, offset), value in zip(_FIELDS, stored)}
     )
 
 

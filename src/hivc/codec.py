@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -104,10 +104,14 @@ class EncoderConfig:
             raise ValueError(f"residual_points must lie in [1, {MAX_RESIDUAL_POINTS}]")
         if self.flow_points < 1:
             raise ValueError("flow_points must be >= 1")
-        if self.gop_size < 1 or self.gop_size > 255:
-            raise ValueError("gop_size must lie in [1, 255]")
         if self.residual_lambda < 0.0:
             raise ValueError("residual_lambda must be >= 0")
+        # the header's own rules, on a probe header that takes every field
+        # this config shares with it and 1 for the rest (frame geometry)
+        try:
+            StreamHeader(**{f.name: getattr(self, f.name, 1) for f in fields(StreamHeader)})
+        except BitstreamError as e:
+            raise ValueError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------

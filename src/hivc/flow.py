@@ -46,10 +46,6 @@ class FlowField:
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
             raise FlowError("non-finite flow values")
 
-    @property
-    def shape(self):
-        return self.u.shape
-
 
 # Brox flow settings
 BROX_ALPHA = 40.0  # smoothness weight

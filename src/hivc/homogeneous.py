@@ -7,13 +7,14 @@ discrete Laplace equation. The solver is a cascadic coarse-to-fine
 conjugate gradient scheme: solve on a subsampled pyramid level, prolong
 bilinearly, refine on the next finer level.
 
-The cascade runs in float32, which halves the memory traffic of every
-array pass; only a finest level asked for a tolerance tighter than
-FLOAT32_TOL runs in float64, started from the float32 cascade. Every dot
-product and norm is NumPy's own pairwise sum, never a BLAS call, so the
-floats are the same under every BLAS kernel and thread count, with or
-without numpy's optional SIMD kernels. The result is float64 and holds
-the given values on the mask exactly.
+A solve picks one dtype for every level: float32, which halves the
+memory traffic of every array pass, unless it is asked for a tolerance
+tighter than FLOAT32_TOL, in which case float64. Every level, full
+masks included, is one masked CG call. Every dot product and norm is
+NumPy's own pairwise sum, never a BLAS call, so the floats are the same
+under every BLAS kernel and thread count, with or without numpy's
+optional SIMD kernels. The result is float64 and holds the given values
+on the mask exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 
 COARSEST_SIZE = 16
 LEVEL_TOL = 1e-4  # relative residual at intermediate pyramid levels
-# tightest relative residual a level is solved to in float32; float32 CG
-# reaches it without stalling on planes up to 1920x1080, and a finest
-# level asked for less runs in float64
+# tightest relative residual a solve runs to in float32; float32 CG
+# reaches it without stalling on planes up to 1920x1080, and a solve
+# asked for less runs in float64
 FLOAT32_TOL = 1e-5
 
 
@@ -86,8 +87,10 @@ def _masked_cg(f, mask, x0, tol, max_iter, finest=False):
     (-L)_II w = (L u_D)_I with u_D = f on the mask and 0 elsewhere.
     It stops once the residual is at most `tol` times ||(L u_D)_I||, or
     on the finest level times ||f restricted to the mask||, the
-    contract denominator; an exact `x0` costs no iteration. Returns
-    (solution plane, number of updates made to it).
+    contract denominator; an exact `x0` costs no iteration, and on a
+    full mask the residual starts at zero, so `f` comes back unchanged.
+    Values of `f` off the mask are never read. Returns (solution plane,
+    number of updates made to it).
     """
     # full-plane arithmetic with zeros held at mask pixels avoids the
     # gather/scatter of interior unknowns on every iteration; the loop
@@ -131,19 +134,14 @@ def _block_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _restrict(values: np.ndarray) -> np.ndarray:
-    """2x2 block average with ceiling halving (odd trailing blocks shrink)."""
-    return _block_sum(values) / _block_sum(np.ones_like(values))
-
-
 def build_pyramid(f: np.ndarray, mask: np.ndarray):
     """Coarse-to-fine pyramid of (plane, mask) pairs, finest first.
 
     Dimensions halve (ceiling) until max(w, h) <= 16. A coarse mask
-    pixel is set iff any of its 2x2 children is set; its value is the
-    mean of the set children, other pixels are plain block averages.
-    A float32 plane gives float32 levels; a float64 or integer plane
-    gives float64 ones.
+    pixel is set iff any of its 2x2 children is set, and holds the mean
+    of the set children; every other coarse pixel holds 0, because the
+    CG reads a plane only on its mask. A float32 plane gives float32
+    levels; a float64 or integer plane gives float64 ones.
     """
     f = np.asarray(f)
     f = f.astype(np.result_type(f.dtype, np.float32), copy=False)
@@ -152,10 +150,7 @@ def build_pyramid(f: np.ndarray, mask: np.ndarray):
         fv, mv = levels[-1]
         set_cnt = _block_sum(mv.astype(fv.dtype))
         set_sum = _block_sum(np.where(mv, fv, 0.0))
-        avg_all = _restrict(fv)
-        coarse_mask = set_cnt > 0
-        coarse_f = np.where(coarse_mask, set_sum / np.maximum(set_cnt, 1.0), avg_all)
-        levels.append((coarse_f, coarse_mask))
+        levels.append((set_sum / np.maximum(set_cnt, 1.0), set_cnt > 0))
     return levels
 
 
@@ -170,8 +165,6 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     """
     h, w = shape
     ih, iw = img.shape
-    if (ih, iw) == (h, w):
-        return img.copy()
     ys = np.clip((np.arange(h) + 0.5) * (ih / h) - 0.5, 0, ih - 1)
     xs = np.clip((np.arange(w) + 0.5) * (iw / w) - 0.5, 0, iw - 1)
     y0 = np.floor(ys).astype(int)
@@ -196,11 +189,10 @@ def solve_homogeneous(
 
     Each pyramid level stops at relative residual `tol` (at least
     LEVEL_TOL below the finest) or after `max_iter` CG iterations, so
-    the work is bounded. Levels run in float32, except a finest level
-    asked for less than FLOAT32_TOL, which runs in float64 from the
-    float32 cascade's prolonged result. `stats`, if given,
-    collects per-level (pixels, iterations) pairs, finest last.
-    Returns a float64 plane equal to `f` on the mask.
+    the work is bounded. Every level runs in float32, or in float64 when
+    `tol` is below FLOAT32_TOL. `stats`, if given, collects per-level
+    (pixels, iterations) pairs, finest last. Returns a float64 plane
+    equal to `f` on the mask.
     """
     f = np.asarray(f, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -209,22 +201,17 @@ def solve_homogeneous(
     if not mask.any():
         raise InpaintingError("empty inpainting mask")
 
-    levels = build_pyramid(f.astype(np.float32), mask)
+    dtype = np.float32 if tol >= FLOAT32_TOL else np.float64
+    levels = build_pyramid(f.astype(dtype, copy=False), mask)
     u = None
     iters = []
     for lvl in range(len(levels) - 1, -1, -1):
         fv, mv = levels[lvl]
         level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
-        if level_tol < FLOAT32_TOL:  # the finest level only
-            fv = f
-        if mv.all():
-            u = fv
-            iters.append((fv.size, 0))
-            continue
         if u is None:
             x0 = np.full_like(fv, fv[mv].mean())
         else:
-            x0 = bilinear_resize(u.astype(fv.dtype, copy=False), fv.shape)
+            x0 = bilinear_resize(u, fv.shape)
         u, it = _masked_cg(fv, mv, x0, level_tol, max_iter, finest=lvl == 0)
         iters.append((fv.size, it))
     if stats is not None:

@@ -62,8 +62,6 @@ def subdivide_by_error(planes, target_points: int, min_error=None):
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
     root = (0, 0, w_img, h_img)
-    if target_points == 1:
-        return np.zeros(1, dtype=np.uint8), [root]
     # read from the module once per search, so a wrapper set on
     # subdivision.region_ssd sees every call
     ssd = region_ssd

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import moving_clip, shifted_pair, smooth_texture, static_clip
 from hivc import codec as codec_mod
-from hivc import entropy, video_io
-from hivc.bitstream import HEADER_SIZE, StreamHeader, read_stream, write_stream
+from hivc import entropy
+from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main as cli_main
 from hivc.codec import EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import (

@@ -32,10 +32,42 @@ def _header(**kw):
     return StreamHeader(**base)
 
 
+# the smallest and largest value each header field may take
+FIELD_LIMITS = {
+    "width": (1, 65535),
+    "height": (1, 65535),
+    "frame_count": (1, 2**32 - 1),
+    "fps_num": (1, 65535),
+    "fps_den": (1, 65535),
+    "gop_size": (1, 255),
+    "channels": (1, 3),
+    "intra_levels": (2, 256),
+    "flow_levels": (2, 256),
+    "residual_levels": (3, 255),
+}
+
+
 def test_header_pack_round_trip():
     h = _header()
     assert unpack_header(h.pack()) == h
     assert len(h.pack()) == HEADER_SIZE
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_LIMITS))
+def test_header_round_trips_each_field_at_its_limits(field):
+    low, high = FIELD_LIMITS[field]
+    # the other side of the frame stays within the pixel limit
+    other = {"width": "height", "height": "width"}.get(field)
+    for value in (low, high):
+        kw = {field: value}
+        if other:
+            kw[other] = 1
+        h = _header(**kw)
+        assert unpack_header(h.pack()) == h
+        assert len(h.pack()) == HEADER_SIZE
+    for value in (low - 1, high + 1):
+        with pytest.raises(BitstreamError):
+            _header(**{field: value})
 
 
 def test_header_validation():

@@ -255,12 +255,30 @@ def test_missing_input_exits_io(tmp_path):
     assert main(["decode", str(tmp_path / "nope.hivc"), str(tmp_path / "o.y4m")]) == 2
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, clip_y4m, capsys, monkeypatch):
     assert main(["frobnicate"]) == 1
     assert main(["encode"]) == 1
     # options hivc does not have
     assert main(["--threads", "2", "encode", "in.y4m", "out.hivc"]) == 1
     assert main(["encode", "in.y4m", "out.hivc", "--flow-method", "brox"]) == 1
+
+    # a value the stream header cannot hold, rejected before any flow
+    def no_flow(*args):
+        raise AssertionError("flow computed for an illegal setting")
+
+    monkeypatch.setattr(codec, "flow_brox", no_flow)
+    src, _ = clip_y4m
+    out = tmp_path / "o.hivc"
+    for flag, value in (
+        ("--residual-levels", "4"),
+        ("--residual-levels", "1"),
+        ("--intra-levels", "300"),
+        ("--flow-levels", "1"),
+    ):
+        capsys.readouterr()
+        assert main(["encode", str(src), str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
 
 
 def test_config_file_applies_and_rejects_unknown_keys(tmp_path, clip_y4m, capsys):

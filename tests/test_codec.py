@@ -46,6 +46,23 @@ def test_config_validation():
         EncoderConfig(flow_method="brox")
     with pytest.raises(ValueError):
         EncoderConfig(gop_size=0)
+    # the header's own rules, for every field it stores
+    for kw in (
+        {"gop_size": 256},
+        {"intra_levels": 1},
+        {"intra_levels": 300},
+        {"flow_levels": 1},
+        {"flow_levels": 257},
+        {"residual_levels": 1},
+        {"residual_levels": 4},
+        {"residual_levels": 257},
+        {"fps_num": 0},
+        {"fps_num": 65536},
+        {"fps_den": 0},
+    ):
+        with pytest.raises(ValueError):
+            EncoderConfig(**kw)
+    EncoderConfig(gop_size=255, intra_levels=256, flow_levels=2, residual_levels=255)
 
 
 def test_encode_rejects_empty_and_mixed_geometry():

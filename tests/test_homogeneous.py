@@ -98,10 +98,27 @@ def test_operator_rejects_empty_mask():
 
 
 def test_solve_full_mask_is_copy():
+    # every level's mask is full, so no level makes an update
     rng = np.random.default_rng(2)
-    f = rng.uniform(0, 255, (10, 10))
-    u = solve_homogeneous(f, np.ones((10, 10), dtype=bool))
-    assert np.array_equal(u, f)
+    for shape, sizes in (((10, 10), [100]), ((40, 60), [150, 600, 2400])):
+        f = rng.uniform(0, 255, shape)
+        for tol in (1e-9, INTRA_SOLVE_TOL):
+            stats = {}
+            u = solve_homogeneous(f, np.ones(shape, dtype=bool), tol=tol, stats=stats)
+            assert np.array_equal(u, f)
+            assert stats["level_iterations"] == [(n, 0) for n in sizes]
+
+
+@pytest.mark.parametrize("tol", [1e-9, INTRA_SOLVE_TOL])
+def test_solve_never_reads_f_off_the_mask(tol):
+    rng = np.random.default_rng(12)
+    f = rng.uniform(0, 255, (45, 70))
+    mask = rng.uniform(size=f.shape) < 0.08
+    stats_random, stats_zero = {}, {}
+    u = solve_homogeneous(f, mask, tol=tol, stats=stats_random)
+    zeroed = solve_homogeneous(np.where(mask, f, 0.0), mask, tol=tol, stats=stats_zero)
+    assert u.tobytes() == zeroed.tobytes()
+    assert stats_random == stats_zero
 
 
 def test_solve_single_point_gives_constant():
@@ -257,8 +274,8 @@ def test_pyramid_level_bit_identical_to_reduceat_means():
             return np.add.reduceat(np.add.reduceat(a, idx_r, axis=0), idx_c, axis=1)
 
         cnt = block_sum(mask.astype(np.float64))
-        mean_all = block_sum(f) / block_sum(np.ones_like(f))
-        ref = np.where(cnt > 0, block_sum(np.where(mask, f, 0.0)) / np.maximum(cnt, 1.0), mean_all)
+        # the mean of the set children, 0 where none is set
+        ref = block_sum(np.where(mask, f, 0.0)) / np.maximum(cnt, 1.0)
         coarse_f, coarse_mask = build_pyramid(f, mask)[1]
         assert np.array_equal(coarse_mask, cnt > 0)
         assert coarse_f.tobytes() == ref.tobytes()
