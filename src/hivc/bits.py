@@ -3,7 +3,8 @@
 Every run of bits in a stream is stored MSB first and zero-padded to
 whole bytes. A run whose length the decoder cannot compute (subdivision
 trees, FSE bits) is a bit section: a u32 bit count, then the bits. A run
-whose length it can (the extra bits of signed values) has no count.
+whose length it can (skip maps, the extra bits of signed values) has no
+count. read_bits, the one reader of a run, checks it and its padding.
 """
 
 from __future__ import annotations
@@ -12,17 +13,32 @@ import struct
 
 import numpy as np
 
-from hivc.bitstream import LengthMismatch, Truncated
+from hivc.bitstream import LengthMismatch, Truncated, read_fields
+
+
+def _bit_shifts(widths):
+    """(field ends, each bit's shift in its field) of MSB-first fields."""
+    ends = np.cumsum(widths)
+    # bit i, inside the field that ends at bit e, is that field's bit e - 1 - i
+    return ends, np.repeat(ends - 1, widths) - np.arange(widths.sum())
 
 
 def pack_bits(values, widths) -> np.ndarray:
     """The low `width` bits of each nonnegative value, MSB first, as one
     0/1 uint8 array; a width may be 0."""
     widths = np.asarray(widths, dtype=np.int64)
-    ends = np.cumsum(widths)
-    # bit i, inside the value that ends at bit e, is that value's bit e - 1 - i
-    shifts = np.repeat(ends - 1, widths) - np.arange(widths.sum())
+    _, shifts = _bit_shifts(widths)
     return ((np.repeat(np.asarray(values, dtype=np.int64), widths) >> shifts) & 1).astype(np.uint8)
+
+
+def unpack_bits(bits: np.ndarray, widths) -> np.ndarray:
+    """Inverse of pack_bits: the int64 values of the consecutive fields of
+    `widths` bits (each at most 62) that make up the 0/1 array `bits`."""
+    widths = np.asarray(widths, dtype=np.int64)
+    ends, shifts = _bit_shifts(widths)
+    # a field's value is a difference of running sums; 0 for a zero width
+    sums = np.concatenate(([0], np.cumsum(bits.astype(np.int64) << shifts)))
+    return sums[ends] - sums[ends - widths]
 
 
 def write_section(out: bytearray, bits: np.ndarray):
@@ -33,22 +49,25 @@ def write_section(out: bytearray, bits: np.ndarray):
 
 
 def read_bits(data: bytes, pos: int, nbits: int):
-    """(bytes, next position) of the `nbits` bits at `pos`; the padding
-    bits of the last byte must be zero, as the writer leaves them."""
-    end = pos + (nbits + 7) // 8
-    if end > len(data):
-        raise Truncated("bit section cut short")
-    if nbits % 8 and data[end - 1] & (0xFF >> nbits % 8):
-        raise LengthMismatch(f"bits set after the {nbits} bits of a section")
-    return data[pos:end], end
+    """(bytes, next position) of the `nbits` bits at `pos`; a run cut short
+    raises Truncated, and a set padding bit in its last byte LengthMismatch."""
+    (body,), end = read_fields(f"<{(nbits + 7) // 8}s", data, pos, f"run of {nbits} bits")
+    if nbits % 8 and body[-1] & (0xFF >> nbits % 8):
+        raise LengthMismatch(f"bits set after the {nbits} bits of a run")
+    return body, end
+
+
+def read_bit_array(data: bytes, pos: int, nbits: int):
+    """(the `nbits` bits at `pos` as a 0/1 uint8 array, next position);
+    checked as read_bits checks them."""
+    body, pos = read_bits(data, pos, nbits)
+    return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=nbits), pos
 
 
 def read_section(data: bytes, pos: int):
     """Inverse of write_section; returns (bytes, bit count, next position)."""
-    if pos + 4 > len(data):
-        raise Truncated("bit section length cut short")
-    (nbits,) = struct.unpack_from("<I", data, pos)
-    body, pos = read_bits(data, pos + 4, nbits)
+    (nbits,), pos = read_fields("<I", data, pos, "bit section length")
+    body, pos = read_bits(data, pos, nbits)
     return body, nbits, pos
 
 

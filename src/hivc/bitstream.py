@@ -115,10 +115,20 @@ class StreamHeader:
         return struct.pack(_HEADER_FMT, MAGIC, VERSION, *stored)
 
 
+def read_fields(fmt: str, data: bytes, pos: int, what: str):
+    """(fields of the `struct` format `fmt` at `pos`, next position).
+
+    The one reader of fixed fields and byte runs (format "<{n}s"): a
+    read past the end of `data` raises Truncated, naming `what`.
+    """
+    end = pos + struct.calcsize(fmt)
+    if end > len(data):
+        raise Truncated(f"{what} cut short ({len(data) - pos} of {end - pos} bytes present)")
+    return struct.unpack_from(fmt, data, pos), end
+
+
 def unpack_header(data: bytes) -> StreamHeader:
-    if len(data) < HEADER_SIZE:
-        raise Truncated("stream shorter than header")
-    magic, version, *stored = struct.unpack_from(_HEADER_FMT, data, 0)
+    (magic, version, *stored), _ = read_fields(_HEADER_FMT, data, 0, "stream header")
     if magic != MAGIC:
         raise BadMagic("not a compressed video stream")
     if version != VERSION:
@@ -143,20 +153,12 @@ def read_stream(data: bytes):
     pos = HEADER_SIZE
     payloads = []
     while pos < len(data):
-        if pos + 8 > len(data):
-            raise Truncated("group length prefix cut short")
-        length, crc = struct.unpack_from("<II", data, pos)
-        pos += 8
-        if pos + length > len(data):
-            raise Truncated(
-                f"group payload {len(payloads)} cut short "
-                f"({len(data) - pos} of {length} bytes present)"
-            )
-        payload = data[pos : pos + length]
+        gi = len(payloads)
+        (length, crc), pos = read_fields("<II", data, pos, f"group {gi} length prefix")
+        (payload,), pos = read_fields(f"<{length}s", data, pos, f"group payload {gi}")
         if zlib.crc32(payload) != crc:
-            raise ChecksumMismatch(f"group payload {len(payloads)} fails its CRC32")
+            raise ChecksumMismatch(f"group payload {gi} fails its CRC32")
         payloads.append(payload)
-        pos += length
     expected = -(-header.frame_count // header.gop_size)
     if len(payloads) != expected:
         raise LengthMismatch(

@@ -43,10 +43,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from hivc import bitstream, entropy
+from hivc.bits import read_bit_array
 from hivc.bitstream import (
     BitstreamError,
     StreamHeader,
-    Truncated,
+    read_fields,
     read_stream,
     write_stream,
 )
@@ -263,10 +264,7 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
     """Decode residual planes (floats) without any linear solves."""
     h, w = shape
     t0 = time.perf_counter()
-    if pos + 1 > len(data):
-        raise Truncated("residual payload truncated")
-    marker = data[pos]
-    pos += 1
+    (marker,), pos = read_fields("<B", data, pos, "residual marker")
     if marker == 0:
         # plane synthesis counts as transform work, matching the coded
         # path where output assembly is timed apart from payload reads
@@ -276,25 +274,16 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         return planes, pos
     if marker != 1:
         raise CodecError("bad residual payload marker")
-    if pos + 8 > len(data):
-        raise Truncated("residual payload truncated")
-    c_fp, a_fp = struct.unpack_from("<II", data, pos)
-    pos += 8
+    (c_fp, a_fp), pos = read_fields("<II", data, pos, "residual scales")
     if c_fp == 0 or a_fp == 0:
         raise CodecError("zero coefficient scale")
     c_scale, a_scale = c_fp / _SCALE_FP, a_fp / _SCALE_FP
 
     padded, view, sizes = _tiles(h, w, channels)
     nbx = view.shape[2]
-    nbytes_skip = (len(sizes) + 7) // 8
     for group in plane_groups(channels):
         nplanes = len(group)
-        if pos + nbytes_skip > len(data):
-            raise Truncated("residual payload truncated")
-        coded_bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=nbytes_skip, offset=pos)
-        )[: len(sizes)]
-        pos += nbytes_skip
+        coded_bits, pos = read_bit_array(data, pos, len(sizes))
         coded = np.flatnonzero(coded_bits)
 
         coded_sizes = sizes[coded].tolist()
@@ -512,29 +501,17 @@ def frame_records(header: StreamHeader, payload: bytes, gi: int):
     record is read. Every length is checked against the payload, and
     bytes after the last record are rejected.
     """
-    if len(payload) < 2:
-        raise Truncated(f"group {gi} payload too small")
-    (nframes,) = struct.unpack_from("<H", payload, 0)
+    (nframes,), pos = read_fields("<H", payload, 0, f"group {gi} frame count")
     expected = min(header.gop_size, header.frame_count - gi * header.gop_size)
     if nframes != expected:
         raise CodecError(f"group {gi} claims {nframes} frames, expected {expected}")
-    pos = 2
+    record = f"frame record in group {gi}"
     for _ in range(nframes):
-        if pos + 5 > len(payload):
-            raise Truncated(f"frame record cut short in group {gi}")
-        ftype, pred_len = struct.unpack_from("<BI", payload, pos)
-        pos += 5
+        (ftype, pred_len), pos = read_fields("<BI", payload, pos, record)
         if ftype not in (0, 1):
             raise CodecError(f"unknown frame type {ftype}")
-        if pos + pred_len + 4 > len(payload):
-            raise Truncated(f"frame record cut short in group {gi}")
-        pred = payload[pos : pos + pred_len]
-        (res_len,) = struct.unpack_from("<I", payload, pos + pred_len)
-        pos += pred_len + 4
-        if pos + res_len > len(payload):
-            raise Truncated(f"residual payload cut short in group {gi}")
-        res = payload[pos : pos + res_len]
-        pos += res_len
+        (pred, res_len), pos = read_fields(f"<{pred_len}sI", payload, pos, record)
+        (res,), pos = read_fields(f"<{res_len}s", payload, pos, record)
         yield ftype, pred, res
     if pos != len(payload):
         raise CodecError(f"trailing bytes in group {gi}")

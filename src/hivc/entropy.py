@@ -24,11 +24,20 @@ import struct
 
 import numpy as np
 
-from hivc.bits import pack_bits, read_bits, read_section, read_uvarint, write_section, write_uvarint
-from hivc.bitstream import Truncated
+from hivc.bits import (
+    pack_bits,
+    read_bit_array,
+    read_section,
+    read_uvarint,
+    unpack_bits,
+    write_section,
+    write_uvarint,
+)
+from hivc.bitstream import Truncated, read_fields
 from hivc.quantize import uniform_dequantize, uniform_quantize
 
 MAX_MAGNITUDE = (1 << 15) - 1
+MAX_CATEGORY = MAX_MAGNITUDE.bit_length()
 
 
 class EntropyError(ValueError):
@@ -156,11 +165,11 @@ def fse_encode(symbols: np.ndarray, table: FseTable):
 
 
 def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable):
-    """Decode `count` symbols from the first `nbits` bits of `data`,
-    starting from the stored final encoder state."""
+    """Decode `count` symbols, also 0, from the first `nbits` bits of
+    `data`, starting from the stored final encoder state."""
     size = 1 << table.table_log
     if not size <= state < 2 * size:
-        raise EntropyError("corrupt stream: initial state out of range")
+        raise EntropyError("corrupt stream: final state out of range")
     sym = table.decode_sym.tolist()
     xs = table.decode_x.tolist()
     nbs = table.decode_nb.tolist()
@@ -253,18 +262,10 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     structure (mask points, tree leaves, coded blocks).
     """
     counts, table_log, pos = _decode_header(data, pos, expected)
-    if pos + 2 > len(data):
-        raise Truncated("entropy payload truncated")
-    (state,) = struct.unpack_from("<H", data, pos)
-    body, nbits, pos = read_section(data, pos + 2)
-    # built first, so the counts of an empty payload are checked too
+    (state,), pos = read_fields("<H", data, pos, "entropy final state")
+    body, nbits, pos = read_section(data, pos)
+    # built before the walk, so the counts of an empty payload are checked too
     table = FseTable(counts, table_log)
-    if not expected:
-        if nbits:
-            raise EntropyError(f"corrupt stream: {nbits} FSE bits for no symbols")
-        if state != 1 << table_log:
-            raise EntropyError("corrupt stream: final state mismatch")
-        return np.empty(0, dtype=np.int64), pos
     return fse_decode(body, nbits, state, expected, table), pos
 
 
@@ -280,23 +281,12 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
     `expected` is the value count, as for decode_symbols.
     """
     cats, pos = decode_symbols(data, pos, expected)
-    if np.any(cats > 16):
-        raise EntropyError("bad category in stream")
-    bit_len = int(cats.sum())
-    body, pos = read_bits(data, pos, bit_len)
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:bit_len].astype(np.int64)
-    ends = np.cumsum(cats)
-    starts = ends - cats
-    values = np.zeros(cats.size, dtype=np.int64)
-    # the categories present; np.unique would import numpy.ma on first use
-    for k in np.flatnonzero(np.bincount(cats)).tolist():
-        if k == 0:
-            continue
-        sel = np.flatnonzero(cats == k)
-        extra = bits[starts[sel][:, None] + np.arange(k)] @ (1 << np.arange(k - 1, -1, -1))
-        half = 1 << (k - 1)
-        values[sel] = np.where(extra >= half, extra, extra - (1 << k) + 1)
-    return values, pos
+    if cats.size and cats.max() > MAX_CATEGORY:
+        raise EntropyError(f"category {cats.max()} above {MAX_CATEGORY}")
+    bits, pos = read_bit_array(data, pos, int(cats.sum()))
+    extra = unpack_bits(bits, cats)
+    # inverse of to_categories: an extra value below 2^(k-1) is negative
+    return np.where(extra >= (1 << cats) >> 1, extra, extra - (1 << cats) + 1), pos
 
 
 def encode_value_block(values, levels: int) -> bytes:
@@ -313,10 +303,6 @@ def encode_value_block(values, levels: int) -> bytes:
 def decode_value_block(data: bytes, pos: int, levels: int, expected: int):
     """Inverse of encode_value_block, up to quantization; returns (values,
     next position). `expected` is the value count, as for decode_symbols."""
-    if pos + 8 > len(data):
-        raise Truncated("value block truncated")
-    lo, hi = struct.unpack_from("<ii", data, pos)
-    idx, pos = decode_symbols(data, pos + 8, expected)
-    if idx.size and idx.max() >= levels:
-        raise EntropyError(f"quantizer index {idx.max()} of {levels} levels")
+    (lo, hi), pos = read_fields("<ii", data, pos, "value block range")
+    idx, pos = decode_symbols(data, pos, expected)
     return uniform_dequantize(idx, float(lo), float(hi), levels), pos

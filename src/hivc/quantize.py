@@ -57,9 +57,11 @@ def deadzone_quantize(x, levels: int):
 
 
 def deadzone_dequantize(index, levels: int):
-    """Reconstruction at index * step; index 0 maps to exactly 0.0."""
+    """Reconstruction at index * step; index 0 maps to exactly 0.0. An
+    index beyond +-(levels - 1) / 2 raises QuantizeError."""
     step = deadzone_step(levels)
-    return np.asarray(index, dtype=np.float64) * step
+    lmax = (levels - 1) // 2
+    return _checked_index(index, -lmax, lmax, levels) * step
 
 
 def uniform_quantize(x, lo: float, hi: float, levels: int):
@@ -76,7 +78,17 @@ def uniform_quantize(x, lo: float, hi: float, levels: int):
 
 
 def uniform_dequantize(index, lo: float, hi: float, levels: int):
+    """lo + index * step; an index outside [0, levels) raises QuantizeError."""
     if not lo < hi:
         raise QuantizeError("need lo < hi")
     step = (hi - lo) / (levels - 1)
-    return lo + np.asarray(index, dtype=np.float64) * step
+    return lo + _checked_index(index, 0, levels - 1, levels) * step
+
+
+def _checked_index(index, lo: int, hi: int, levels: int) -> np.ndarray:
+    """Quantizer indices as float64, once each is checked to lie in [lo, hi]."""
+    index = np.asarray(index)
+    outside = index[(index < lo) | (index > hi)]
+    if outside.size:
+        raise QuantizeError(f"quantizer index {outside[0]} of {levels} levels")
+    return index.astype(np.float64)

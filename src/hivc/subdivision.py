@@ -22,8 +22,8 @@ from itertools import chain
 
 import numpy as np
 
-from hivc.bits import read_section, write_section
-from hivc.bitstream import Truncated
+from hivc.bits import read_bit_array, write_section
+from hivc.bitstream import Truncated, read_fields
 
 
 class SubdivisionError(ValueError):
@@ -164,13 +164,14 @@ def read_tree_bits(data: bytes, pos: int, sizes):
     parse_mask takes. Walk each tree with deserialize_tree or parse_mask,
     then call end_of_trees. A tree over n pixels has at most 2n - 1
     nodes, so a section longer than the sum of those bounds is rejected
-    before it is unpacked.
+    before its bits are read.
     """
     max_bits = sum(2 * w * h - 1 for w, h in sizes)
-    body, nbits, pos = read_section(data, pos)
+    (nbits,), pos = read_fields("<I", data, pos, "tree section length")
     if nbits > max_bits:
         raise SubdivisionError(f"tree section of {nbits} bits, at most {max_bits} fit")
-    return iter(np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:nbits].tolist()), pos
+    bits, pos = read_bit_array(data, pos, nbits)
+    return iter(bits.tolist()), pos
 
 
 def end_of_trees(bits):

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bits import pack_bits, read_section, read_uvarint, write_section, write_uvarint
-from hivc.bitstream import BitstreamError, Truncated
+from hivc.bits import (
+    pack_bits,
+    read_bit_array,
+    read_section,
+    read_uvarint,
+    unpack_bits,
+    write_section,
+    write_uvarint,
+)
+from hivc.bitstream import BitstreamError, LengthMismatch, Truncated
 from hivc.entropy import decode_symbols, encode_symbols
 from oracles import BitWriter
 
@@ -23,6 +31,8 @@ def test_bit_round_trip(chunks):
     expected = "".join(f"{value & ((1 << n) - 1):0{n}b}" for n, value in chunks if n)
     assert bits.dtype == np.uint8
     assert "".join(map(str, bits.tolist())) == expected
+    widths = [nbits for nbits, _ in chunks]
+    assert unpack_bits(bits, widths).tolist() == [value & ((1 << n) - 1) for n, value in chunks]
     out = bytearray()
     write_section(out, bits)
     (nbits,) = struct.unpack_from("<I", out)
@@ -91,6 +101,22 @@ def test_section_rejects_set_padding_bits(nbits):
         bad[-1] |= 1 << pad
         with pytest.raises(BitstreamError):
             read_section(bytes(bad), 0)
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 7, 8, 12])
+def test_bit_array_reads_a_run_and_checks_its_padding(nbits):
+    bits = np.arange(nbits, dtype=np.uint8) % 3 == 0
+    data = b"\xee" + np.packbits(bits).tobytes() + b"\xee"
+    got, pos = read_bit_array(data, 1, nbits)
+    assert got.dtype == np.uint8 and got.tolist() == bits.tolist()
+    assert pos == 1 + (nbits + 7) // 8
+    with pytest.raises(Truncated, match="cut short"):
+        read_bit_array(data[:pos - 1], 1, nbits or 1)
+    if nbits % 8:
+        bad = bytearray(data)
+        bad[pos - 1] |= 1
+        with pytest.raises(LengthMismatch, match=f"bits set after the {nbits} bits"):
+            read_bit_array(bytes(bad), 1, nbits)
 
 
 def test_fse_section_with_a_set_padding_bit_is_rejected():

@@ -9,6 +9,7 @@ from hivc.bitstream import (
     StreamHeader,
     Truncated,
     UnsupportedVersion,
+    read_fields,
     read_stream,
     unpack_header,
     write_stream,
@@ -140,6 +141,16 @@ def test_truncation_is_distinct_error():
         read_stream(data[:-1])
     with pytest.raises(Truncated):
         read_stream(data[: HEADER_SIZE - 2])
+
+
+def test_read_fields_returns_the_fields_and_the_next_position():
+    data = bytes([1, 2, 0, 3, 0, 0, 0]) + b"abc"
+    assert read_fields("<BHI", data, 0, "fields") == ((1, 2, 3), 7)
+    assert read_fields("<3s", data, 7, "run") == ((b"abc",), 10)
+    with pytest.raises(Truncated, match=r"^run cut short \(3 of 4 bytes present\)$"):
+        read_fields("<4s", data, 7, "run")
+    with pytest.raises(Truncated, match="stream header cut short"):
+        unpack_header(data)
 
 
 def test_gop_count_mismatch_is_distinct_error():

@@ -13,6 +13,7 @@ from hivc.bitstream import (
     HEADER_SIZE,
     BitstreamError,
     ChecksumMismatch,
+    LengthMismatch,
     StreamHeader,
     UnsupportedVersion,
     read_stream,
@@ -22,10 +23,13 @@ from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
-from hivc.quantize import deadzone_dequantize, unmap_coefficients
+from hivc.quantize import QuantizeError, deadzone_dequantize, unmap_coefficients
+from hivc.subdivision import write_trees
 from hivc.video_io import read_y4m
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COLOR = GOLDEN / "color.hivc"
 LOSSLESS = EncoderConfig(
     gop_size=1, intra_mask_fraction=1.0, intra_levels=256, self_check=True
 )
@@ -241,17 +245,26 @@ def test_truncated_stream_reports_error():
 
 
 def test_corrupt_interior_never_hangs():
-    clip = moving_clip(2, 32, 32, seed=14)
-    stream = bytearray(encode(clip, EncoderConfig(gop_size=2)))
-    rng = np.random.default_rng(15)
-    for _ in range(40):
-        mutated = bytearray(stream)
-        i = int(rng.integers(30, len(mutated)))
-        mutated[i] ^= int(rng.integers(1, 256))
-        try:
-            decode(bytes(mutated))
-        except BitstreamError:
-            pass
+    # 1-3 byte XORs inside a group payload whose CRC32 is then rebuilt, so
+    # each trial gets past the checksum to the parsers: the stream decodes
+    # or raises a corrupt-stream error, and never hangs
+    rng = np.random.default_rng(0)
+    outcomes = collections.Counter()
+    for name in ("color", "gray", "multigop", "odd"):
+        header, payloads = read_stream((GOLDEN / f"{name}.hivc").read_bytes())
+        for _ in range(150):
+            gi = int(rng.integers(len(payloads)))
+            payload = bytearray(payloads[gi])
+            for i in rng.integers(len(payload), size=int(rng.integers(1, 4))).tolist():
+                payload[i] ^= int(rng.integers(1, 256))
+            mutated = [*payloads[:gi], bytes(payload), *payloads[gi + 1 :]]
+            try:
+                decode(write_stream(header, mutated))
+                outcomes["decoded"] += 1
+            except BitstreamError as e:
+                outcomes[type(e).__name__] += 1
+    assert "ChecksumMismatch" not in outcomes
+    assert outcomes["CodecError"] and outcomes["Truncated"]
 
 
 def _edit_records(stream, edit):
@@ -283,7 +296,7 @@ _TREE_SECTIONS = {
 @pytest.mark.parametrize("section", sorted(_TREE_SECTIONS))
 def test_tree_section_with_a_bit_past_its_trees_is_rejected(tmp_path, section):
     # the 24x32 golden colour stream: 3 frames, coded residual blocks
-    stream = (Path(__file__).resolve().parent / "golden" / "color.hivc").read_bytes()
+    stream = COLOR.read_bytes()
     assert _edit_records(stream, lambda fi, ft, pred, res: (pred, res)) == stream
     frame, locate = _TREE_SECTIONS[section]
 
@@ -299,6 +312,54 @@ def test_tree_section_with_a_bit_past_its_trees_is_rejected(tmp_path, section):
     mutated = _edit_records(stream, one_more_bit)
     assert len(mutated) == len(stream) and mutated != stream
     with pytest.raises(CodecError, match="excess bits"):
+        decode(mutated)
+    path = tmp_path / "m.hivc"
+    path.write_bytes(mutated)
+    assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
+
+
+def test_a_set_padding_bit_in_a_skip_map_is_rejected(tmp_path):
+    # the 24x32 luma plane has 12 tiles: the skip map's second byte holds
+    # 4 tile bits and 4 padding bits
+    def set_padding_bit(fi, ftype, pred, res):
+        if fi == 0:
+            assert res[0] == 1  # a coded residual: marker, scales, skip map
+            res[1 + 8 + 1] |= 1
+        return pred, res
+
+    mutated = _edit_records(COLOR.read_bytes(), set_padding_bit)
+    with pytest.raises(LengthMismatch, match="bits set after the 12 bits"):
+        decode(mutated)
+    path = tmp_path / "m.hivc"
+    path.write_bytes(mutated)
+    assert main(["decode", str(path), str(tmp_path / "o.y4m")]) == 4
+
+
+def _one_block_residual(tiles, offset):
+    """Residual payload of one gray plane of `tiles` tiles in which only
+    tile 0 is coded: a one-leaf tree, weight index 0 and offset index
+    `offset`."""
+    out = bytearray(b"\x01" + struct.pack("<II", 1 << 16, 1 << 16))
+    out += np.packbits(np.arange(tiles) == 0).tobytes()
+    write_trees(out, [np.zeros(1, dtype=np.uint8)])
+    out += entropy.encode_signed_values([0]) + entropy.encode_signed_values([offset])
+    return bytes(out)
+
+
+def test_a_residual_index_outside_the_dead_zone_levels_is_rejected(tmp_path):
+    # 63 levels hold indices -31..31
+    for offset in (-31, 31):
+        payload = _one_block_residual(1, offset)
+        assert codec._decode_residual(payload, 0, (8, 8), 1, 63)[1] == len(payload)
+    for offset in (-32, 32, 30000):
+        with pytest.raises(QuantizeError, match=f"index {offset} of 63 levels"):
+            codec._decode_residual(_one_block_residual(1, offset), 0, (8, 8), 1, 63)
+    # as frame 0's residual in the 24x32 gray golden stream, 12 tiles
+    mutated = _edit_records(
+        (GOLDEN / "gray.hivc").read_bytes(),
+        lambda fi, ft, pred, res: (pred, _one_block_residual(12, 30000) if fi == 0 else res),
+    )
+    with pytest.raises(CodecError, match="index 30000 of 63 levels"):
         decode(mutated)
     path = tmp_path / "m.hivc"
     path.write_bytes(mutated)
@@ -468,9 +529,6 @@ def test_keep_decision_counts_only_the_pixels_of_an_edge_tile():
     (res,), used = codec._decode_residual(payload, 0, (5, 5), 1, 63)
     assert used == len(payload)
     assert np.abs(res - 20).max() < 1.0
-
-
-COLOR = Path(__file__).resolve().parent / "golden" / "color.hivc"
 
 
 def test_every_byte_flip_past_the_header_is_a_corrupt_stream():

@@ -295,6 +295,16 @@ def test_signed_extra_bits_are_checked():
         decode_signed_values(data[:-1] + bytes([data[-1] | 1]), 0, 3)
 
 
+def test_signed_values_reject_a_category_above_15():
+    # category 15 holds the largest magnitude; 16 set extra bits would
+    # decode to 65535
+    assert MAX_MAGNITUDE.bit_length() == 15
+    data = encode_symbols([15]) + bytes([0xFF, 0xFE])  # 15 set bits, then padding
+    assert decode_signed_values(data, 0, 1)[0].tolist() == [MAX_MAGNITUDE]
+    with pytest.raises(EntropyError, match="category 16 above 15"):
+        decode_signed_values(encode_symbols([16]) + bytes([0xFF, 0xFF]), 0, 1)
+
+
 def test_value_block_range_is_integer_and_exact():
     rng = np.random.default_rng(5)
     for levels in (16, 256, 511):
@@ -330,5 +340,6 @@ def test_value_block_rejects_an_empty_range():
 def test_value_block_rejects_an_index_past_the_last_level():
     data = struct.pack("<ii", 0, 255) + encode_symbols([255, 3])
     assert decode_value_block(data, 0, 256, 2)[0].tolist() == [255.0, 3.0]
-    with pytest.raises(EntropyError, match="index 255 of 255 levels"):
+    # the dequantizer, which defines the index range, rejects it
+    with pytest.raises(QuantizeError, match="index 255 of 255 levels"):
         decode_value_block(data, 0, 255, 2)

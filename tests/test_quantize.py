@@ -100,3 +100,15 @@ def test_uniform_error_bound():
         idx = uniform_quantize(x, -3.0, 9.0, levels)
         back = uniform_dequantize(idx, -3.0, 9.0, levels)
         assert np.max(np.abs(back - x)) <= 12.0 / (2 * (levels - 1)) + 1e-12
+
+
+def test_dequantizers_reject_an_index_outside_their_range():
+    # 63 dead-zone levels hold -31..31; 16 uniform levels hold 0..15
+    assert deadzone_dequantize(np.array([-31, 0, 31]), 63).tolist() == [-127.0, 0.0, 127.0]
+    for bad in (-32, 32, 30000):
+        with pytest.raises(QuantizeError, match=f"index {bad} of 63 levels"):
+            deadzone_dequantize(np.array([0, bad]), 63)
+    assert uniform_dequantize(np.array([0, 15]), 0.0, 15.0, 16).tolist() == [0.0, 15.0]
+    for bad in (-1, 16):
+        with pytest.raises(QuantizeError, match=f"index {bad} of 16 levels"):
+            uniform_dequantize(np.array([bad, 3]), 0.0, 15.0, 16)
