@@ -112,19 +112,27 @@ def bilinear_warp(plane: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray
     return warp_planes([plane], u, v)[0]
 
 
-def _dx(a):
-    g = np.empty_like(a)
-    g[:, 1:-1] = 0.5 * (a[:, 2:] - a[:, :-2])
-    g[:, 0] = a[:, 1] - a[:, 0]
-    g[:, -1] = a[:, -1] - a[:, -2]
+def _dx(a, out=None):
+    """Central difference along x, one-sided at the edges, into `out`.
+
+    Along an axis of length 1 the derivative is 0, as at a reflecting
+    boundary.
+    """
+    g = np.empty_like(a) if out is None else out
+    if a.shape[1] == 1:
+        g.fill(0.0)
+        return g
+    np.subtract(a[:, 2:], a[:, :-2], out=g[:, 1:-1])
+    g[:, 1:-1] *= 0.5
+    np.subtract(a[:, 1], a[:, 0], out=g[:, 0])
+    np.subtract(a[:, -1], a[:, -2], out=g[:, -1])
     return g
 
 
-def _dy(a):
-    g = np.empty_like(a)
-    g[1:-1, :] = 0.5 * (a[2:, :] - a[:-2, :])
-    g[0, :] = a[1, :] - a[0, :]
-    g[-1, :] = a[-1, :] - a[-2, :]
+def _dy(a, out=None):
+    """Central difference along y, into `out`; see _dx."""
+    g = np.empty_like(a) if out is None else out
+    _dx(a.T, g.T)
     return g
 
 
@@ -179,13 +187,38 @@ def _half_point_weights(psi, out):
     return wn, ws, ww, we
 
 
+def _sum_of_products(a, x, b, y, out, tmp):
+    """a * x + b * y, into `out`."""
+    np.multiply(a, x, out=out)
+    out += np.multiply(b, y, out=tmp)
+    return out
+
+
+def _affine(c, a, x, b, y, out, tmp):
+    """c + a * x + b * y, summed left to right, into `out`."""
+    np.multiply(a, x, out=out)
+    out += c
+    out += np.multiply(b, y, out=tmp)
+    return out
+
+
+def _robust_weight(r2, scale):
+    """scale / sqrt(r2 + eps^2), in place: the Charbonnier penalty's
+    derivative, given the squared residual."""
+    r2 += BROX_EPS * BROX_EPS
+    np.sqrt(r2, out=r2)
+    return np.divide(scale, r2, out=r2)
+
+
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
 
     Each fixed-point step solves its linear system with damped Jacobi
-    sweeps. The sweeps run in place, in work planes allocated once per
-    pyramid level, and take neighbours from shifted views instead of an
-    edge-padded copy of the field.
+    sweeps. The linearised data terms of a warp, the system of a
+    fixed-point step and the sweeps all live in work planes allocated
+    once per pyramid level; the sweep's scratch planes also hold the
+    step's intermediate weights. Neighbours come from shifted views
+    instead of an edge-padded copy of the field.
     """
     # Brox flow runs only in the encoder; importing SciPy here keeps it
     # off the decode path, which needs only NumPy.
@@ -208,7 +241,6 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     for h, w in shapes[1:]:
         refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
         tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
-    eps2 = BROX_EPS * BROX_EPS
     det_guard = 1e-12
     u = v = None
     for lvl in range(len(shapes) - 1, -1, -1):
@@ -221,58 +253,93 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
         else:
             u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
             v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
-        # per-level work planes of the Jacobi sweep
-        du, dv, su, sv, b1, b2, du_new, dv_new, tmp = np.empty((9, h, w))
+        # per-level work planes: the linearised data terms of one warp, ...
+        ix, iy, iz, ixx, ixy, iyy, ixz, iyz, g11, g12, g22, gb1, gb2 = np.empty((13, h, w))
+        # ... the system of one fixed-point step, ...
+        a11, a12, a22, b1_fix, b2_fix, det, su, sv = np.empty((8, h, w))
         weights = np.empty((4, h, w))
+        small_det = np.empty((h, w), dtype=bool)
+        # ... and the Jacobi sweep; all but du and dv are scratch planes
+        du, dv, b1, b2, du_new, dv_new, tmp = np.empty((7, h, w))
         ref_dx = _dx(ref)
         ref_dy = _dy(ref)
 
         for _ in range(BROX_WARPS):
             warped = bilinear_warp(tgt, u, v)
-            warped_dx = _dx(warped)
-            warped_dy = _dy(warped)
-            ix = 0.5 * (warped_dx + ref_dx)
-            iy = 0.5 * (warped_dy + ref_dy)
-            iz = warped - ref
-            ixx = _dx(ix)
-            ixy = _dy(ix)
-            iyy = _dy(iy)
-            ixz = warped_dx - ref_dx
-            iyz = warped_dy - ref_dy
+            # ixz and iyz first hold the warped frame's gradient
+            _dx(warped, ixz)
+            _dy(warped, iyz)
+            np.add(ixz, ref_dx, out=ix)
+            ix *= 0.5
+            np.add(iyz, ref_dy, out=iy)
+            iy *= 0.5
+            ixz -= ref_dx
+            iyz -= ref_dy
+            np.subtract(warped, ref, out=iz)
+            _dx(ix, ixx)
+            _dy(ix, ixy)
+            _dy(iy, iyy)
             # gradient-constancy products that no fixed-point step changes
-            g11 = ixx * ixx + ixy * ixy
-            g12 = ixx * ixy + ixy * iyy
-            g22 = ixy * ixy + iyy * iyy
-            gb1 = ixx * ixz + ixy * iyz
-            gb2 = ixy * ixz + iyy * iyz
+            _sum_of_products(ixx, ixx, ixy, ixy, g11, tmp)
+            _sum_of_products(ixx, ixy, ixy, iyy, g12, tmp)
+            _sum_of_products(ixy, ixy, iyy, iyy, g22, tmp)
+            _sum_of_products(ixx, ixz, ixy, iyz, gb1, tmp)
+            _sum_of_products(ixy, ixz, iyy, iyz, gb2, tmp)
             du.fill(0.0)
             dv.fill(0.0)
             for _ in range(BROX_FIXED_POINT_ITERS):
-                r_b = iz + ix * du + iy * dv
-                psi_d = 1.0 / np.sqrt(r_b * r_b + eps2)
-                r_gx = ixz + ixx * du + ixy * dv
-                r_gy = iyz + ixy * du + iyy * dv
-                psi_g = BROX_GAMMA / np.sqrt(r_gx * r_gx + r_gy * r_gy + eps2)
-                ut = u + du
-                vt = v + dv
-                grad2 = _dx(ut) ** 2 + _dy(ut) ** 2 + _dx(vt) ** 2 + _dy(vt) ** 2
+                # data weights: psi_d from the brightness residual r_b,
+                # psi_g from the gradient residuals r_gx and r_gy
+                psi_d = _affine(iz, ix, du, iy, dv, b1, tmp)
+                psi_d *= psi_d
+                _robust_weight(psi_d, 1.0)
+                psi_g = _affine(ixz, ixx, du, ixy, dv, b2, tmp)
+                r_gy = _affine(iyz, ixy, du, iyy, dv, du_new, tmp)
+                psi_g *= psi_g
+                psi_g += np.multiply(r_gy, r_gy, out=r_gy)
+                _robust_weight(psi_g, BROX_GAMMA)
+                # a11 = psi_d * ix * ix + psi_g * g11 + alpha * wsum and
+                # b1_fix = -psi_d * ix * iz - psi_g * gb1, likewise a12,
+                # a22 and b2_fix; the wsum terms come below
+                pd_i = np.multiply(psi_d, ix, out=du_new)
+                np.multiply(pd_i, ix, out=a11)
+                a11 += np.multiply(psi_g, g11, out=tmp)
+                np.multiply(pd_i, iy, out=a12)
+                a12 += np.multiply(psi_g, g12, out=tmp)
+                np.negative(np.multiply(pd_i, iz, out=b1_fix), out=b1_fix)
+                b1_fix -= np.multiply(psi_g, gb1, out=tmp)
+                pd_i = np.multiply(psi_d, iy, out=du_new)
+                np.multiply(pd_i, iy, out=a22)
+                a22 += np.multiply(psi_g, g22, out=tmp)
+                np.negative(np.multiply(pd_i, iz, out=b2_fix), out=b2_fix)
+                b2_fix -= np.multiply(psi_g, gb2, out=tmp)
+
+                # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2
+                ut = np.add(u, du, out=b2)
+                ut_x, ut_y = _dx(ut, du_new), _dy(ut, dv_new)
+                grad2 = _sum_of_products(ut_x, ut_x, ut_y, ut_y, b1, tmp)
+                vt = np.add(v, dv, out=b2)
+                grad2 += np.square(_dx(vt, tmp), out=tmp)
+                grad2 += np.square(_dy(vt, tmp), out=tmp)
                 # diffusivity floor prevents the TV outlier spiral where a
                 # single pixel decouples from its neighborhood
-                psi_s = np.maximum(1.0 / np.sqrt(grad2 + eps2), 0.05)
+                psi_s = np.maximum(_robust_weight(grad2, 1.0), 0.05, out=grad2)
                 wn, ws, ww, we = _half_point_weights(psi_s, weights)
-                wsum = wn + ws + ww + we
+                wsum = np.add(wn, ws, out=b2)
+                wsum += ww
+                wsum += we
+                np.multiply(wsum, BROX_ALPHA, out=tmp)
+                a11 += tmp
+                a22 += tmp
 
-                a11 = psi_d * ix * ix + psi_g * g11 + BROX_ALPHA * wsum
-                a12 = psi_d * ix * iy + psi_g * g12
-                a22 = psi_d * iy * iy + psi_g * g22 + BROX_ALPHA * wsum
-                b1_fix = -psi_d * ix * iz - psi_g * gb1
-                b2_fix = -psi_d * iy * iz - psi_g * gb2
                 _neighbor_sums(u, wn, ws, ww, we, su, tmp)
                 su -= np.multiply(wsum, u, out=tmp)
                 _neighbor_sums(v, wn, ws, ww, we, sv, tmp)
                 sv -= np.multiply(wsum, v, out=tmp)
-                det = a11 * a22 - a12 * a12
-                det = np.where(np.abs(det) < det_guard, det_guard, det)
+                np.multiply(a11, a22, out=det)
+                det -= np.multiply(a12, a12, out=tmp)
+                np.less(np.abs(det, out=tmp), det_guard, out=small_det)
+                np.copyto(det, det_guard, where=small_det)
 
                 for _ in range(BROX_SOLVER_ITERS):
                     # b = b_fix + alpha * (s + neighbour sums of the increment)
@@ -302,8 +369,8 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
                 # expansion point; keep increments inside that range
                 np.clip(du, -1.0, 1.0, out=du)
                 np.clip(dv, -1.0, 1.0, out=dv)
-            u = u + du
-            v = v + dv
+            u += du
+            v += dv
             # median filtering after each warp removes isolated outliers
             # while preserving motion discontinuities
             u = median_filter(u, size=3, mode="nearest")
