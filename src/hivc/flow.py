@@ -53,8 +53,15 @@ BROX_GAMMA = 40.0  # gradient constancy weight
 BROX_PYRAMID_SCALE = 0.5
 BROX_MIN_SIZE = 16
 BROX_WARPS = 3  # warp relinearizations per level
-BROX_FIXED_POINT_ITERS = 5  # lagged-nonlinearity iterations
-BROX_SOLVER_ITERS = 30  # coupled Jacobi sweeps per fixed point step
+# Lagged-nonlinearity (fixed-point) iterations per warp, and coupled
+# damped-Jacobi sweeps per fixed-point step. 3 and 10 in place of 5 and
+# 30 cut one 336x144 flow from 0.95 to 0.31 s on a 2-core x86 VM, and
+# the flows code no worse: on the ratio100 bench clips of 10 seeds (11,
+# 21, ..., 71 and 901-903), mean PSNR 26.243 dB against 26.097, higher
+# on 8 of 10, at mean ratio 99.8 against 99.6. 10 sweeps at 5 steps
+# read 26.130 dB.
+BROX_FIXED_POINT_ITERS = 3
+BROX_SOLVER_ITERS = 10
 BROX_EPS = 1e-3
 BROX_PRESMOOTH_SIGMA = 0.8
 

@@ -10,9 +10,12 @@ intra solver run through BLAS and numpy's vector loops. The colour clip
 is also encoded under each of those three settings and must give the
 committed stream.
 
-A change to these files is a change of the format's bits. Regenerate
-them with `python tests/test_golden.py write` only together with a
-`VERSION` bump and a note in CHANGES.md.
+Regenerate these files with `python tests/test_golden.py write`, and
+say why in CHANGES.md, in one of two cases:
+- a change of decoded bits, which also bumps `VERSION`;
+- an encoder-only change that writes other streams. Every committed
+  stream must first still decode to its recorded frame hash, and
+  `VERSION` stays.
 """
 
 import ctypes
