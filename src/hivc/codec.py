@@ -418,8 +418,12 @@ def _check_frames(frames) -> Frame:
     return first
 
 
-def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
-    """Compress a frame sequence into a self-contained byte stream."""
+def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) -> bytes:
+    """Compress a frame sequence into a self-contained byte stream.
+
+    `_flows` supplies the groups' flow fields; `_recons`, when a list,
+    receives each frame's reconstructed planes.
+    """
     cfg = cfg or EncoderConfig()
     first = _check_frames(frames)
     yuv = [_to_yuv_planes(f) for f in frames]
@@ -444,12 +448,19 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None) -> bytes:
         payloads.append(payload)
         recons.extend(group_recons)
     stream = write_stream(header, payloads)
-
+    if _recons is not None:
+        _recons.extend(recons)
     if cfg.self_check:
-        for i, (frame, recon) in enumerate(zip(iter_decode(stream), recons, strict=True)):
-            if frame != _finalize_frame(recon, first.channels):
-                raise CodecError(f"self-check failed at frame {i}")
+        _self_check(stream, recons, first.channels)
     return stream
+
+
+def _self_check(stream, recons, channels):
+    """Raise CodecError unless the stream decodes to the encoder's own
+    reconstructions."""
+    for i, (frame, recon) in enumerate(zip(iter_decode(stream), recons, strict=True)):
+        if frame != _finalize_frame(recon, channels):
+            raise CodecError(f"self-check failed at frame {i}")
 
 
 def _finalize_frame(recon_planes, channels) -> Frame:
@@ -565,15 +576,19 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
         _to_yuv_planes(f)[0].astype(np.float64) for f in frames
     ]
     flows = _compute_gop_flows(yuv_y, cfg)
+    # the passes run unchecked; only the returned stream is checked,
+    # against the reconstructions of its own pass
+    unchecked = replace(cfg, self_check=False)
 
     def run(m):
-        stream = encode(frames, _scaled_config(cfg, m, pixels), _flows=flows)
-        return stream, raw / len(stream)
+        recons = [] if cfg.self_check else None
+        stream = encode(frames, _scaled_config(unchecked, m, pixels), _flows=flows, _recons=recons)
+        return stream, raw / len(stream), recons
 
     lo, hi = 0.0, float("inf")  # multipliers known to be too small, too large
     m = 1.0
-    stream, ratio = run(m)
-    best = (stream, ratio, m)
+    stream, ratio, recons = run(m)
+    best = (stream, ratio, m, recons)
     prev = (2 * m, ratio / 2)  # a slope of -1 until there are two passes
     for _ in range(TARGET_RATIO_PASSES):
         if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL:
@@ -590,9 +605,11 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
         step = math.log(target_ratio / ratio) / slope
         m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
         m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
-        stream, ratio = run(m)
+        stream, ratio, recons = run(m)
         if abs(ratio - target_ratio) < abs(best[1] - target_ratio):
-            best = (stream, ratio, m)
+            best = (stream, ratio, m, recons)
     else:
-        stream, ratio, m = best
+        stream, ratio, m, recons = best
+    if cfg.self_check:
+        _self_check(stream, recons, first.channels)
     return stream, ratio, _scaled_config(cfg, m, pixels)

@@ -393,8 +393,9 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
 
 def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
     # min_error=0 stops the subdivision early on exactly representable
-    # regions, so a zero flow costs a single-leaf tree at any budget
-    bits, leaves = subdivide_by_error([plane], budget, min_error=0.0)
+    # regions, so a zero flow costs a single-leaf tree at any budget; a
+    # frame has no more leaves than pixels
+    bits, leaves = subdivide_by_error([plane], min(budget, plane.size), min_error=0.0)
     out = bytearray()
     write_trees(out, [bits])
     out += entropy.encode_value_block(leaf_means(leaves, plane), levels)

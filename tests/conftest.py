@@ -54,6 +54,39 @@ def moving_clip(n_frames, height, width, seed=0, step=2):
     return frames
 
 
+def two_motion_clip(n_frames, height, width, seed=0, step=2):
+    """RGB clip of two textured halves moving apart: per frame the left
+    half pans left by `step` px and the right half pans up by `step` px,
+    so its backward flow is (step, 0) on the left and (0, step) on the
+    right."""
+    margin = step * n_frames + 4
+    half = width // 2
+    left = [
+        smooth_texture(height + 2 * margin, width + 2 * margin, seed * 7 + c, sigma=2.5)
+        for c in range(3)
+    ]
+    right = [
+        smooth_texture(height + 2 * margin, width + 2 * margin, seed * 7 + 3 + c, sigma=2.5)
+        for c in range(3)
+    ]
+    frames = []
+    for t in range(n_frames):
+        off = margin + step * t
+        planes = tuple(
+            np.rint(
+                np.hstack(
+                    [
+                        a[margin : margin + height, off : off + half],
+                        b[off : off + height, margin : margin + width - half],
+                    ]
+                )
+            ).astype(np.int32)
+            for a, b in zip(left, right)
+        )
+        frames.append(Frame(planes, colorspace="rgb"))
+    return frames
+
+
 def static_clip(n_frames, height, width, seed=0):
     f = rgb_frame(height, width, seed)
     return [f] * n_frames

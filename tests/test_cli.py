@@ -14,6 +14,7 @@ from conftest import moving_clip
 from hivc import bitstream, codec, entropy, video_io
 from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
+from hivc.frame import Frame
 from test_entropy import huge_count_payload
 
 
@@ -354,6 +355,23 @@ def test_single_frame_pnm_pipeline(tmp_path):
     out = tmp_path / "o.ppm"
     assert main(["decode", str(stream), str(out)]) == 0
     assert video_io.read_pnm(out) == f
+
+
+def test_encode_of_a_one_pixel_wide_clip_exits_cleanly(tmp_path):
+    # 1x8 frames: the flow's x derivative runs along an axis of length 1
+    clip = [Frame(tuple(p[:, :1] for p in f.planes), colorspace="rgb") for f in moving_clip(3, 8, 16, seed=21)]
+    src = tmp_path / "in.y4m"
+    video_io.write_y4m(src, clip, fps=(25, 1))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "hivc.cli", "encode", str(src), str(tmp_path / "s.hivc"), "--gop-size", "3"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    assert [f.planes[0].shape for f in codec.decode((tmp_path / "s.hivc").read_bytes())] == [(8, 1)] * 3
 
 
 def _scipy_modules_in_child(code, cwd):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import moving_clip, smooth_texture
+from conftest import moving_clip, smooth_texture, two_motion_clip
 from hivc import bitstream, codec, entropy, prediction
 from hivc.bitstream import (
     HEADER_SIZE,
@@ -217,7 +217,7 @@ def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     raw = 2 * 64 * 64 * 3
     passes = []
 
-    def fake_encode(frames, m, _flows=None):
+    def fake_encode(frames, m, _flows=None, _recons=None):
         passes.append(m)
         return bytes(round(raw / (30.0 * m**-0.6)))
 
@@ -227,6 +227,73 @@ def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     stream, ratio, m = encode_target_ratio(clip, EncoderConfig(), 100.0)
     assert abs(ratio - 100.0) <= 3.0 and m == passes[-1]
     assert len(passes) == 3 and passes[1] == pytest.approx(0.3, rel=1e-3)
+
+
+def test_target_ratio_self_checks_only_the_returned_stream(monkeypatch):
+    clip = moving_clip(3, 32, 48, seed=14)
+    cfg = EncoderConfig(gop_size=3, self_check=True)
+    decodes, encodes = [], []
+    real_decode, real_encode = codec.iter_decode, codec.encode
+
+    def counted_decode(data, timings=None):
+        decodes.append(data)
+        return real_decode(data, timings)
+
+    def counted_encode(*args, **kwargs):
+        encodes.append(args[1])
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "iter_decode", counted_decode)
+    monkeypatch.setattr(codec, "encode", counted_encode)
+    stream, _, used = encode_target_ratio(clip, cfg, 15.0)
+    assert len(encodes) > 1 and not any(c.self_check for c in encodes)
+    assert decodes == [stream] and used.self_check
+
+    def wrong_decode(data, timings=None):
+        for i, frame in enumerate(real_decode(data, timings)):
+            if i == 1:
+                planes = [p.copy() for p in frame.planes]
+                planes[0][0, 0] ^= 1
+                frame = Frame(tuple(planes), colorspace=frame.colorspace)
+            yield frame
+
+    monkeypatch.setattr(codec, "iter_decode", wrong_decode)
+    with pytest.raises(CodecError, match="self-check failed at frame 1"):
+        encode_target_ratio(clip, cfg, 15.0)
+
+
+def _texture_clip(n, h, w):
+    return [
+        Frame(
+            tuple(np.rint(smooth_texture(h, w, 7 * t + c)).astype(np.int32) for c in range(3)),
+            colorspace="rgb",
+        )
+        for t in range(n)
+    ]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 11)])
+def test_frames_smaller_than_the_flow_budget_code_with_a_flow(shape):
+    # 64 and 99 pixels, fewer than the default 100 flow points
+    clip = _texture_clip(2, *shape)
+    out = decode(encode(clip, EncoderConfig(gop_size=2, self_check=True)))
+    assert len(out) == 2
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (3, 1), (1, 1)])
+def test_frames_one_pixel_wide_or_tall_code_with_a_flow(shape):
+    clip = _texture_clip(3, *shape)
+    out = decode(encode(clip, EncoderConfig(gop_size=3, self_check=True)))
+    assert [f.planes[0].shape for f in out] == [shape] * 3
+
+
+def test_non_uniform_motion_codes_no_worse_than_before():
+    # two halves panning apart; the bounds are the stream size and mean
+    # PSNR this encode gave with 30 Jacobi sweeps and 5 fixed-point steps
+    clip = two_motion_clip(6, 48, 64, seed=5)
+    stream = encode(clip, EncoderConfig(gop_size=6))
+    assert len(stream) <= 7679
+    assert _mean_psnr(clip, decode(stream)) >= 28.81
 
 
 def test_target_ratio_rejects_bad_target():

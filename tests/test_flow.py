@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from conftest import moving_clip, shifted_pair, smooth_texture
 from hivc.flow import (
     FlowError,
     FlowField,
+    _dx,
+    _dy,
     bilinear_warp,
     compress_flow,
     decompress_flow,
@@ -130,6 +134,28 @@ def test_brox_bit_identical_to_plain_expression_oracle(pair):
     ref = oracles.flow_brox(cur, prev)
     assert fast.u.tobytes() == ref.u.tobytes()
     assert fast.v.tobytes() == ref.v.tobytes()
+
+
+def test_brox_working_set_is_pinned_in_planes():
+    # a fixed-point step works in the level's planes and builds none of
+    # its own: 54.2 float64 planes at 48x64, against 64 before
+    cur, prev = shifted_pair(48, 64, 1, 1, seed=4)
+    flow_brox(cur, prev)
+    tracemalloc.start()
+    try:
+        flow_brox(cur, prev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cur.nbytes <= 55
+
+
+def test_derivative_along_an_axis_of_length_one_is_zero():
+    ramp = np.arange(8.0)
+    assert not _dx(ramp[:, None]).any() and not _dy(ramp[None, :]).any()
+    assert np.array_equal(_dy(ramp[:, None]), np.ones((8, 1)))
+    assert np.array_equal(_dx(ramp[None, :]), np.ones((1, 8)))
+    assert not _dx(np.ones((1, 1))).any() and not _dy(np.ones((1, 1))).any()
 
 
 def test_horn_schunck_identical_frames():
