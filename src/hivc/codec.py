@@ -35,6 +35,7 @@ for the encoder's keep decision and for the decoder alike.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 import time
@@ -451,15 +452,27 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) 
     if _recons is not None:
         _recons.extend(recons)
     if cfg.self_check:
-        _self_check(stream, recons, first.channels)
+        _self_check(stream, _frame_digests(recons, first.channels))
     return stream
 
 
-def _self_check(stream, recons, channels):
-    """Raise CodecError unless the stream decodes to the encoder's own
-    reconstructions."""
-    for i, (frame, recon) in enumerate(zip(iter_decode(stream), recons, strict=True)):
-        if frame != _finalize_frame(recon, channels):
+def _frame_digest(frame: Frame) -> bytes:
+    h = hashlib.sha256(frame.colorspace.encode())
+    for p in frame.planes:
+        h.update(p.tobytes())
+    return h.digest()
+
+
+def _frame_digests(recons, channels):
+    """SHA-256 of each reconstruction, as the decoder outputs it."""
+    return [_frame_digest(_finalize_frame(r, channels)) for r in recons]
+
+
+def _self_check(stream, digests):
+    """Raise CodecError unless the stream decodes to the frames of the
+    encoder's own reconstruction digests."""
+    for i, (frame, want) in enumerate(zip(iter_decode(stream), digests, strict=True)):
+        if _frame_digest(frame) != want:
             raise CodecError(f"self-check failed at frame {i}")
 
 
@@ -577,18 +590,19 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     ]
     flows = _compute_gop_flows(yuv_y, cfg)
     # the passes run unchecked; only the returned stream is checked,
-    # against the reconstructions of its own pass
+    # against the digests of its own pass's reconstructions
     unchecked = replace(cfg, self_check=False)
 
     def run(m):
         recons = [] if cfg.self_check else None
         stream = encode(frames, _scaled_config(unchecked, m, pixels), _flows=flows, _recons=recons)
-        return stream, raw / len(stream), recons
+        digests = _frame_digests(recons, first.channels) if cfg.self_check else None
+        return stream, raw / len(stream), digests
 
     lo, hi = 0.0, float("inf")  # multipliers known to be too small, too large
     m = 1.0
-    stream, ratio, recons = run(m)
-    best = (stream, ratio, m, recons)
+    stream, ratio, digests = run(m)
+    best = (stream, ratio, m, digests)
     prev = (2 * m, ratio / 2)  # a slope of -1 until there are two passes
     for _ in range(TARGET_RATIO_PASSES):
         if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL:
@@ -605,11 +619,11 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
         step = math.log(target_ratio / ratio) / slope
         m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
         m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
-        stream, ratio, recons = run(m)
+        stream, ratio, digests = run(m)
         if abs(ratio - target_ratio) < abs(best[1] - target_ratio):
-            best = (stream, ratio, m, recons)
+            best = (stream, ratio, m, digests)
     else:
-        stream, ratio, m, recons = best
+        stream, ratio, m, digests = best
     if cfg.self_check:
-        _self_check(stream, recons, first.channels)
+        _self_check(stream, digests)
     return stream, ratio, _scaled_config(cfg, m, pixels)

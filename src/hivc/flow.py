@@ -323,8 +323,8 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
 
                 # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2
                 ut = np.add(u, du, out=b2)
-                ut_x, ut_y = _dx(ut, du_new), _dy(ut, dv_new)
-                grad2 = _sum_of_products(ut_x, ut_x, ut_y, ut_y, b1, tmp)
+                grad2 = np.square(_dx(ut, tmp), out=b1)
+                grad2 += np.square(_dy(ut, tmp), out=tmp)
                 vt = np.add(v, dv, out=b2)
                 grad2 += np.square(_dx(vt, tmp), out=tmp)
                 grad2 += np.square(_dy(vt, tmp), out=tmp)
