@@ -359,7 +359,10 @@ def test_single_frame_pnm_pipeline(tmp_path):
 
 def test_encode_of_a_one_pixel_wide_clip_exits_cleanly(tmp_path):
     # 1x8 frames: the flow's x derivative runs along an axis of length 1
-    clip = [Frame(tuple(p[:, :1] for p in f.planes), colorspace="rgb") for f in moving_clip(3, 8, 16, seed=21)]
+    clip = [
+        Frame(tuple(p[:, :1] for p in f.planes), colorspace="rgb")
+        for f in moving_clip(3, 8, 16, seed=21)
+    ]
     src = tmp_path / "in.y4m"
     video_io.write_y4m(src, clip, fps=(25, 1))
     env = dict(os.environ)
