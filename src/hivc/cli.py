@@ -4,12 +4,14 @@ Subcommands: encode, decode, metrics, inspect. Reports are flat
 key=value lines on stdout (or into --report FILE).
 
 Exit codes: 0 success, 1 usage error, 2 file I/O error, 3 codec
-failure, 4 corrupt or truncated stream.
+failure, 4 corrupt or truncated stream. An encode reads no stream, so
+it never exits 4: a failed self-check is a codec failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import statistics
@@ -141,14 +143,19 @@ def _encoder_config(args, fps) -> codec.EncoderConfig:
 
 
 def _cmd_encode(args):
+    if args.target_ratio is not None and not 1.0 < args.target_ratio < math.inf:
+        raise UsageError("target ratio must be a finite number above 1")
     frames, fps = video_io.read_frames(args.input)
     cfg = _encoder_config(args, fps)
     t0 = time.perf_counter()
-    if args.target_ratio:
-        stream, ratio, cfg = codec.encode_target_ratio(frames, cfg, args.target_ratio)
-    else:
-        stream = codec.encode(frames, cfg)
-        ratio = _raw_size(frames) / len(stream)
+    try:
+        if args.target_ratio is not None:
+            stream, ratio, cfg = codec.encode_target_ratio(frames, cfg, args.target_ratio)
+        else:
+            stream = codec.encode(frames, cfg)
+            ratio = _raw_size(frames) / len(stream)
+    except bitstream.BitstreamError as e:
+        raise ValueError(f"{type(e).__name__}: {e}") from e
     elapsed = time.perf_counter() - t0
     with open(args.output, "wb") as fh:
         fh.write(stream)

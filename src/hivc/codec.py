@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -63,14 +64,7 @@ from hivc.quantize import (
     map_coefficients,
     unmap_coefficients,
 )
-from hivc.subdivision import (
-    end_of_trees,
-    leaf_masks,
-    parse_mask,
-    read_tree_bits,
-    subdivide_by_error,
-    write_trees,
-)
+from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
 
 MAX_RESIDUAL_POINTS = 48
 _SCALE_FP = 65536.0
@@ -106,8 +100,8 @@ class EncoderConfig:
             raise ValueError(f"residual_points must lie in [1, {MAX_RESIDUAL_POINTS}]")
         if self.flow_points < 1:
             raise ValueError("flow_points must be >= 1")
-        if self.residual_lambda < 0.0:
-            raise ValueError("residual_lambda must be >= 0")
+        if not 0.0 <= self.residual_lambda < math.inf:
+            raise ValueError("residual_lambda must be a finite number >= 0")
         # the header's own rules, on a probe header that takes every field
         # this config shares with it and 1 for the rest (frame geometry)
         try:
@@ -286,12 +280,7 @@ def _decode_residual(data, pos, shape, channels, levels, timings=None):
         nplanes = len(group)
         coded_bits, pos = read_bit_array(data, pos, len(sizes))
         coded = np.flatnonzero(coded_bits)
-
-        coded_sizes = sizes[coded].tolist()
-        bits, pos = read_tree_bits(data, pos, coded_sizes)
-        masks = parse_mask(bits, coded_sizes, (BLOCK, BLOCK))
-        end_of_trees(bits)
-
+        masks, pos = parse_mask(data, pos, sizes[coded].tolist(), (BLOCK, BLOCK))
         rows, cols = np.nonzero(masks.reshape(len(coded), BLOCK * BLOCK))
         c_sym, pos = entropy.decode_signed_values(data, pos, rows.size * nplanes)
         a_sym, pos = entropy.decode_signed_values(data, pos, len(coded) * nplanes)
@@ -553,7 +542,8 @@ def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
     frac = min(1.0, max(cfg.intra_mask_fraction * m**0.15, 1.0 / pixels))
     pts = min(MAX_RESIDUAL_POINTS, max(1, int(round(cfg.residual_points * m))))
     fpts = max(1, int(round(cfg.flow_points * m**1.5)))
-    lam = cfg.residual_lambda / m**6
+    # EncoderConfig takes only a finite lambda, however small m gets
+    lam = min(cfg.residual_lambda / m**6, sys.float_info.max)
     # coarsen the residual dead zone together with the budgets: a wider
     # zero bin is what actually drops whole blocks at very low rates
     lv = cfg.residual_levels
@@ -578,10 +568,11 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     """Search a budget multiplier until the compression ratio hits target.
 
     Ratio is raw uint8 source bytes over stream bytes, monotone in the
-    budget multiplier. Returns (stream, achieved ratio, config used).
+    budget multiplier. Returns (stream, achieved ratio, config used) of
+    the pass closest to the target, the earliest on ties.
     """
-    if target_ratio <= 1.0:
-        raise ValueError("target ratio must exceed 1")
+    if not 1.0 < target_ratio < math.inf:
+        raise ValueError("target ratio must be a finite number above 1")
     first = _check_frames(frames)
     raw = len(frames) * first.width * first.height * first.channels
     pixels = first.width * first.height
@@ -622,8 +613,8 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
         stream, ratio, digests = run(m)
         if abs(ratio - target_ratio) < abs(best[1] - target_ratio):
             best = (stream, ratio, m, digests)
-    else:
-        stream, ratio, m, digests = best
+    # after a break the last pass is the best, the first inside the band
+    stream, ratio, m, digests = best
     if cfg.self_check:
         _self_check(stream, digests)
     return stream, ratio, _scaled_config(cfg, m, pixels)

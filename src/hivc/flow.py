@@ -22,10 +22,8 @@ from hivc import entropy
 from hivc.homogeneous import bilinear_resize
 from hivc.subdivision import (
     deserialize_tree,
-    end_of_trees,
     leaf_means,
     paint_leaf_values,
-    read_tree_bits,
     subdivide_by_error,
     write_trees,
 )
@@ -404,9 +402,7 @@ def _compress_plane(plane: np.ndarray, budget: int, levels: int) -> bytes:
 
 def _decompress_plane(data: bytes, pos: int, shape, levels: int):
     h, w = shape
-    bits, pos = read_tree_bits(data, pos, [(w, h)])
-    leaves = deserialize_tree(bits, w, h)
-    end_of_trees(bits)
+    leaves, pos = deserialize_tree(data, pos, w, h)
     values, pos = entropy.decode_value_block(data, pos, levels, len(leaves))
     return paint_leaf_values(leaves, values, shape), pos
 

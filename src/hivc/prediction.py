@@ -18,14 +18,7 @@ from hivc import entropy
 from hivc.flow import FlowField, warp_planes
 from hivc.frame import plane_groups
 from hivc.homogeneous import solve_homogeneous
-from hivc.subdivision import (
-    end_of_trees,
-    leaf_masks,
-    parse_mask,
-    read_tree_bits,
-    subdivide_by_error,
-    write_trees,
-)
+from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
 
 # fixed iteration budget keeps decode deterministic and time-bounded
 INTRA_SOLVE_ITERS = 160
@@ -178,9 +171,7 @@ def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
     h, w = shape
     jobs = []
     for group in plane_groups(channels):
-        bits, pos = read_tree_bits(data, pos, [(w, h)])
-        (mask,) = parse_mask(bits, [(w, h)], shape)
-        end_of_trees(bits)
+        (mask,), pos = parse_mask(data, pos, [(w, h)], shape)
         n = int(np.count_nonzero(mask))
         glevels = chroma_levels(levels) if group[0] > 0 else levels
         for _ in group:

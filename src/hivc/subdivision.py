@@ -9,10 +9,11 @@ in every serialized payload.
 
 Both directions share one interface. The encoder's search,
 subdivide_by_error, returns a tree's preorder bits and its leaves
-together; the decoder reads the leaves back from the bits with
-deserialize_tree. leaf_masks is the one builder of midpoint masks:
-the encoder calls it on the leaves of its search, and parse_mask on
-the leaves it reads.
+together, and write_trees stores a section of trees. The decoder
+reads a section back, bounded, walked and closed in one call, with
+deserialize_tree (one tree) or parse_mask (any number of trees).
+leaf_masks is the one builder of midpoint masks: the encoder calls it
+on the leaves of its search, and parse_mask on the leaves it reads.
 """
 
 from __future__ import annotations
@@ -157,41 +158,39 @@ def write_trees(out: bytearray, trees):
     write_section(out, np.concatenate([np.zeros(0, dtype=np.uint8), *trees]))
 
 
-def read_tree_bits(data: bytes, pos: int, sizes):
-    """Bits of the tree section at `pos`; returns (bit iterator, next position).
+def _read_trees(data: bytes, pos: int, sizes):
+    """Leaves of the tree section at `pos`; returns (trees, next position).
 
-    `sizes` lists the (width, height) of the section's trees, the list
-    parse_mask takes. Walk each tree with deserialize_tree or parse_mask,
-    then call end_of_trees. A tree over n pixels has at most 2n - 1
-    nodes, so a section longer than the sum of those bounds is rejected
-    before its bits are read.
+    trees[i] lists the leaves (x, y, w, h), in preorder, of a tree over
+    sizes[i] = (width, height). A tree over n pixels has at most 2n - 1
+    nodes, so a longer section is rejected before its bits are read.
+    Bits that run out raise Truncated; a degenerate root, a split of a
+    single pixel and bits after the last tree raise SubdivisionError.
     """
-    max_bits = sum(2 * w * h - 1 for w, h in sizes)
+    max_bits = 0
+    for width, height in sizes:
+        if width < 1 or height < 1:
+            raise SubdivisionError(f"degenerate rectangle {width}x{height}")
+        max_bits += 2 * width * height - 1
     (nbits,), pos = read_fields("<I", data, pos, "tree section length")
     if nbits > max_bits:
         raise SubdivisionError(f"tree section of {nbits} bits, at most {max_bits} fit")
     bits, pos = read_bit_array(data, pos, nbits)
-    return iter(bits.tolist()), pos
-
-
-def end_of_trees(bits):
-    """Reject a tree section that holds bits after its last tree."""
+    bits = iter(bits.tolist())
+    trees = [_walk_tree(bits, width, height) for width, height in sizes]
     if next(bits, None) is not None:
         raise SubdivisionError("excess bits after the last tree")
+    return trees, pos
 
 
-def deserialize_tree(bits, width: int, height: int):
-    """Leaf rectangles (x, y, w, h) of the next tree in `bits`, in preorder.
+def _walk_tree(bits, width: int, height: int):
+    """Leaves of the next tree in the bit iterator `bits`, in preorder.
 
-    `bits` is an iterator of preorder bits (1 = split, 0 = leaf); the
-    walk consumes exactly one tree. A degenerate root or a split of a
-    single pixel raises SubdivisionError, and bits that run out raise
-    Truncated. Splits are split_children's, inlined: a split descends
-    into the first child at once and stacks the second, and no child of
-    a rectangle of at least one pixel is degenerate.
+    The walk consumes exactly one tree. Splits are split_children's,
+    inlined: a split descends into the first child at once and stacks
+    the second, and no child of a rectangle of at least one pixel is
+    degenerate.
     """
-    if width < 1 or height < 1:
-        raise SubdivisionError(f"degenerate rectangle {width}x{height}")
     leaves = []
     stack = []
     push, pop = stack.append, stack.pop
@@ -217,11 +216,18 @@ def deserialize_tree(bits, width: int, height: int):
     raise Truncated("tree bits run out")
 
 
-def parse_mask(bits, sizes, shape) -> np.ndarray:
-    """Leaf masks of the next len(sizes) trees in `bits`, as one array.
+def deserialize_tree(data: bytes, pos: int, width: int, height: int):
+    """Leaves of the one-tree section at `pos`, a width x height root;
+    returns (leaves, next position)."""
+    (leaves,), pos = _read_trees(data, pos, [(width, height)])
+    return leaves, pos
+
+
+def parse_mask(data: bytes, pos: int, sizes, shape):
+    """Leaf masks of the tree section at `pos`; returns (masks, next position).
 
     Tree i covers sizes[i] = (width, height) at the top-left of a mask
-    of `shape`: deserialize_tree walks each tree and leaf_masks sets
-    the midpoints.
+    of `shape`; leaf_masks sets the midpoints of its leaves in masks[i].
     """
-    return leaf_masks([deserialize_tree(bits, width, height) for width, height in sizes], shape)
+    trees, pos = _read_trees(data, pos, sizes)
+    return leaf_masks(trees, shape), pos

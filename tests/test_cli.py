@@ -275,10 +275,41 @@ def test_usage_errors(tmp_path, clip_y4m, capsys, monkeypatch):
         ("--residual-levels", "1"),
         ("--intra-levels", "300"),
         ("--flow-levels", "1"),
+        # and a ratio rate control cannot aim at
+        ("--target-ratio", "nan"),
+        ("--target-ratio", "inf"),
+        ("--target-ratio", "0"),
+        ("--target-ratio", "0.5"),
     ):
         capsys.readouterr()
         assert main(["encode", str(src), str(out), flag, value]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+    cfg = tmp_path / "c.cfg"
+    for lam in ("nan", "inf", "-1"):
+        cfg.write_text(f"residual_lambda={lam}\n")
+        assert main(["encode", str(src), str(out), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: residual_lambda")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--target-ratio", "15"]])
+def test_a_failed_self_check_exits_as_a_codec_error(tmp_path, clip_y4m, capsys, monkeypatch, extra):
+    real_decode = codec.iter_decode
+
+    def wrong_decode(data, timings=None):
+        for i, frame in enumerate(real_decode(data, timings)):
+            if i == 1:
+                planes = [p.copy() for p in frame.planes]
+                planes[0][0, 0] ^= 1
+                frame = Frame(tuple(planes), colorspace=frame.colorspace)
+            yield frame
+
+    monkeypatch.setattr(codec, "iter_decode", wrong_decode)
+    src, _ = clip_y4m
+    out = tmp_path / "o.hivc"
+    assert main(["encode", str(src), str(out), "--gop-size", "2", "--self-check", *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("codec error: ") and "self-check failed at frame 1" in err
     assert not out.exists()
 
 

@@ -66,6 +66,9 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             EncoderConfig(**kw)
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="residual_lambda"):
+            EncoderConfig(residual_lambda=lam)
     EncoderConfig(gop_size=255, intra_levels=256, flow_levels=2, residual_levels=255)
 
 
@@ -229,6 +232,28 @@ def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     assert len(passes) == 3 and passes[1] == pytest.approx(0.3, rel=1e-3)
 
 
+def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatch):
+    # the ratio jumps over the 3% band at m = 1, as stream sizes can:
+    # every pass misses it, and the first pass below m = 1 is the closest
+    clip = moving_clip(2, 64, 64)
+    raw = 2 * 64 * 64 * 3
+    passes = []
+
+    def fake_encode(frames, m, _flows=None, _recons=None):
+        passes.append(m)
+        # the first byte tells the passes apart
+        return bytes([len(passes)]) + bytes(round(raw / (103.2 if m < 1.0 else 95.8)) - 1)
+
+    monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
+    monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
+    monkeypatch.setattr(codec, "encode", fake_encode)
+    stream, ratio, m = encode_target_ratio(clip, EncoderConfig(), 100.0)
+    assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
+    assert passes[0] == 1.0 and all(p < 1.0 for p in passes[1:])
+    assert stream[0] == 2 and m == passes[1]
+    assert ratio == raw / len(stream) == pytest.approx(103.2, abs=0.1)
+
+
 def test_target_ratio_self_checks_only_the_returned_stream(monkeypatch):
     clip = moving_clip(3, 32, 48, seed=14)
     cfg = EncoderConfig(gop_size=3, self_check=True)
@@ -296,10 +321,23 @@ def test_non_uniform_motion_codes_no_worse_than_before():
     assert _mean_psnr(clip, decode(stream)) >= 28.81
 
 
-def test_target_ratio_rejects_bad_target():
-    clip = moving_clip(1, 16, 16)
-    with pytest.raises(ValueError):
-        encode_target_ratio(clip, EncoderConfig(), 1.0)
+def test_target_ratio_rejects_bad_target(monkeypatch):
+    clip = moving_clip(2, 16, 16)
+
+    def no_flow(*args):
+        raise AssertionError("flow computed for an illegal target")
+
+    monkeypatch.setattr(codec, "flow_brox", no_flow)
+    for target in (1.0, 0.5, 0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite number above 1"):
+            encode_target_ratio(clip, EncoderConfig(gop_size=2), target)
+
+
+def test_target_ratio_search_keeps_a_huge_residual_lambda_finite():
+    # 1e300 / m^6 overflows below m = 1
+    cfg = EncoderConfig(gop_size=2, residual_lambda=1e300)
+    stream, ratio, used = encode_target_ratio(moving_clip(2, 16, 16), cfg, 3.0)
+    assert used.residual_lambda < float("inf") and len(decode(stream)) == 2
 
 
 def test_truncated_stream_reports_error():

@@ -9,10 +9,8 @@ from hivc.bitstream import Truncated
 from hivc.subdivision import (
     SubdivisionError,
     deserialize_tree,
-    end_of_trees,
     leaf_masks,
     parse_mask,
-    read_tree_bits,
     region_ssd,
     split_children,
     subdivide_by_error,
@@ -115,8 +113,9 @@ def test_budget_monotonicity_of_approximation_error():
 
 
 def _section(trees):
+    """One tree section holding `trees`, each a sequence of preorder bits."""
     out = bytearray()
-    write_trees(out, trees)
+    write_trees(out, [np.asarray(tree, dtype=np.uint8) for tree in trees])
     return bytes(out)
 
 
@@ -157,13 +156,13 @@ def test_walker_matches_recursive_oracle_on_random_trees():
         h = int(rng.integers(1, 40))
         bits = _random_bits(rng, w, h, float(rng.uniform(0.3, 0.95)))
         expected = oracles.tree_leaves(bits, w, h)
-        it = iter(bits)
-        assert deserialize_tree(it, w, h) == expected
-        end_of_trees(it)
+        data = _section([bits])
+        assert deserialize_tree(data, 0, w, h) == (expected, len(data))
         mask = np.zeros((h, w), dtype=bool)
         for x, y, lw, lh in expected:
             mask[y + lh // 2, x + lw // 2] = True
-        assert np.array_equal(parse_mask(iter(bits), [(w, h)], (h, w))[0], mask)
+        masks, pos = parse_mask(data, 0, [(w, h)], (h, w))
+        assert np.array_equal(masks[0], mask) and pos == len(data)
 
 
 def test_serialize_round_trip_random_trees():
@@ -171,36 +170,51 @@ def test_serialize_round_trip_random_trees():
     for _ in range(60):
         sizes = [(int(rng.integers(1, 33)), int(rng.integers(1, 33))) for _ in range(3)]
         trees = [_random_tree(rng, w, h, int(rng.integers(1, 64))) for w, h in sizes]
+        expected = [oracles.tree_leaves(tree.tolist(), w, h) for tree, (w, h) in zip(trees, sizes)]
+        # one section per tree, read one after another
+        data = b"".join(_section([tree]) for tree in trees) + b"tail"
+        pos = 0
+        for leaves, (w, h) in zip(expected, sizes):
+            got, pos = deserialize_tree(data, pos, w, h)
+            assert got == leaves
+        assert data[pos:] == b"tail"
+        # one section holding every tree
+        shape = (32, 32)
         data = _section(trees) + b"tail"
-        bits, pos = read_tree_bits(data, 0, sizes)
-        for tree, (w, h) in zip(trees, sizes):
-            assert deserialize_tree(bits, w, h) == oracles.tree_leaves(tree.tolist(), w, h)
-        end_of_trees(bits)
+        masks, pos = parse_mask(data, 0, sizes, shape)
+        assert np.array_equal(masks, leaf_masks(expected, shape))
         assert data[pos:] == b"tail"
 
 
 def test_split_of_single_pixel_rejected():
-    with pytest.raises(SubdivisionError):
-        deserialize_tree(iter([1]), 1, 1)
-    # 2x1 splits into two single pixels; splitting the first is illegal
-    with pytest.raises(SubdivisionError):
-        parse_mask(iter([1, 1, 0, 0]), [(2, 1)], (1, 2))
-    with pytest.raises(SubdivisionError):
-        deserialize_tree(iter([1, 0, 1]), 2, 1)
+    with pytest.raises(SubdivisionError, match="single pixel"):
+        deserialize_tree(_section([[1]]), 0, 1, 1)
+    # 2x1 splits into two single pixels; splitting either is illegal
+    with pytest.raises(SubdivisionError, match="single pixel"):
+        parse_mask(_section([[1, 1, 0]]), 0, [(2, 1)], (1, 2))
+    with pytest.raises(SubdivisionError, match="single pixel"):
+        deserialize_tree(_section([[1, 0, 1]]), 0, 2, 1)
 
 
 @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-1, 1)])
 def test_degenerate_root_rejected(width, height):
     with pytest.raises(SubdivisionError, match="degenerate"):
-        deserialize_tree(iter([0]), width, height)
+        deserialize_tree(_section([[0]]), 0, width, height)
+    # before any byte is read
+    with pytest.raises(SubdivisionError, match="degenerate"):
+        parse_mask(b"", 0, [(4, 4), (width, height)], (4, 4))
 
 
 @pytest.mark.parametrize("bits", [[], [1], [1, 0], [1, 1, 0, 0]])
 def test_bits_that_run_out_are_truncated(bits):
+    data = _section([bits])
     with pytest.raises(Truncated):
-        deserialize_tree(iter(bits), 4, 4)
+        deserialize_tree(data, 0, 4, 4)
     with pytest.raises(Truncated):
-        parse_mask(iter(bits), [(4, 4)], (4, 4))
+        parse_mask(data, 0, [(4, 4)], (4, 4))
+    # a section cut short of its count
+    with pytest.raises(Truncated):
+        deserialize_tree(_section([bits + [0] * 9])[:-1], 0, 4, 4)
 
 
 def _tile_sections(rng, width, height):
@@ -213,18 +227,27 @@ def _tile_sections(rng, width, height):
     return sizes, trees
 
 
+def _oracle_section(bits, sizes):
+    """Masks of the trees `bits` hold, walked by the oracle, which also
+    rejects bits after the last tree."""
+    it = iter(bits)
+    masks = oracles.tile_masks(it, sizes)
+    if next(it, None) is not None:
+        raise SubdivisionError("excess bits after the last tree")
+    return masks
+
+
 def _walk_both(bits, sizes):
-    """Masks, or (error type, message), of the batched walk and of the oracle."""
+    """Masks, or (error type, message), of the section reader and of the oracle."""
     results = []
-    for walk in (parse_mask, lambda it, sizes, _: oracles.tile_masks(it, sizes)):
-        it = iter(bits)
+    for walk in (
+        lambda: parse_mask(_section([bits]), 0, sizes, (BLOCK, BLOCK))[0],
+        lambda: _oracle_section(bits, sizes),
+    ):
         try:
-            masks = walk(it, sizes, (BLOCK, BLOCK))
-            end_of_trees(it)
+            results.append(walk())
         except (SubdivisionError, Truncated) as e:
             results.append((type(e), str(e)))
-        else:
-            results.append(masks)
     return results
 
 
@@ -234,10 +257,9 @@ def test_batched_tile_walk_matches_per_tile_oracle():
     for width, height in ((37, 29), (33, 25), (16, 8), (7, 3), (41, 17)):
         for _ in range(10):
             sizes, trees = _tile_sections(rng, width, height)
-            data = _section([np.array(t, dtype=np.uint8) for t in trees])
-            section, _ = read_tree_bits(data, 0, sizes)
-            masks = parse_mask(section, sizes, (BLOCK, BLOCK))
-            end_of_trees(section)
+            data = _section(trees)
+            masks, pos = parse_mask(data, 0, sizes, (BLOCK, BLOCK))
+            assert pos == len(data)
             bits = [b for tree in trees for b in tree]
             assert np.array_equal(masks, oracles.tile_masks(iter(bits), sizes))
             assert masks.shape == (len(sizes), BLOCK, BLOCK)
@@ -271,27 +293,34 @@ def test_batched_tile_walk_rejects_corrupt_sections_like_the_oracle():
 
 
 def test_excess_bits_after_last_tree_rejected():
-    bits = iter((1, 0, 0, 0))
-    assert len(deserialize_tree(bits, 4, 4)) == 2
-    with pytest.raises(SubdivisionError, match="excess"):
-        end_of_trees(bits)
+    # a split root and its two leaves, then one bit more
+    with pytest.raises(SubdivisionError, match="excess bits after the last tree"):
+        deserialize_tree(_section([[1, 0, 0, 0]]), 0, 4, 4)
     tree, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 3)
     data = bytearray(_section([tree]))
+    assert len(deserialize_tree(bytes(data), 0, 4, 4)[0]) == 3
     # one more bit in the count, still inside the padded last byte
     assert len(tree) % 8
     data[0] += 1
-    bits, _ = read_tree_bits(bytes(data), 0, [(4, 4)])
-    assert len(deserialize_tree(bits, 4, 4)) == 3
-    with pytest.raises(SubdivisionError, match="excess"):
-        end_of_trees(bits)
+    with pytest.raises(SubdivisionError, match="excess bits after the last tree"):
+        deserialize_tree(bytes(data), 0, 4, 4)
 
 
 def test_tree_section_longer_than_its_trees_can_be_is_rejected():
-    # a 4x4 tree has at most 31 nodes, and a 1x1 tree one
-    data = struct.pack("<I", 32) + bytes(4)
-    assert read_tree_bits(data, 0, [(4, 4), (1, 1)])[1] == len(data)
-    with pytest.raises(SubdivisionError, match="at most 31"):
-        read_tree_bits(data, 0, [(4, 4)])
+    # a 4x4 tree has at most 31 nodes, and a 1x1 tree one: a full 4x4
+    # tree and a 1x1 leaf fill 32 bits
+    full, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 16)
+    assert len(full) == 31
+    data = _section([full, [0]])
+    masks, pos = parse_mask(data, 0, [(4, 4), (1, 1)], (4, 4))
+    assert pos == len(data) and masks.sum() == 17
+    # the count is checked before any bit is read: with no bits behind
+    # it, only the 4x4 section sees the bound, and the other runs out
+    count = struct.pack("<I", 32)
+    with pytest.raises(SubdivisionError, match="tree section of 32 bits, at most 31 fit"):
+        deserialize_tree(count, 0, 4, 4)
+    with pytest.raises(Truncated):
+        parse_mask(count, 0, [(4, 4), (1, 1)], (4, 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,9 +338,8 @@ def test_subdivision_invariants_property(w, h, target, seed):
     assert len(leaves) == target
     assert sum(lw * lh for (_, _, lw, lh) in leaves) == w * h
     assert leaves == oracles.tree_leaves(tree.tolist(), w, h)
-    bits, _ = read_tree_bits(_section([tree]), 0, [(w, h)])
-    assert deserialize_tree(bits, w, h) == leaves
-    end_of_trees(bits)
+    data = _section([tree])
+    assert deserialize_tree(data, 0, w, h) == (leaves, len(data))
 
 
 def _random_planes(seed):
@@ -390,14 +418,11 @@ def test_search_leaves_read_back_from_its_bits(specs, nplanes, levels, min_error
         planes = [rng.integers(0, levels, (h, w)).astype(np.float64) for _ in range(nplanes)]
         bits, tree_leaves = subdivide_by_error(planes, min(target, w * h), min_error)
         assert bits.dtype == np.uint8
-        it = iter(bits.tolist())
-        assert deserialize_tree(it, w, h) == tree_leaves
-        end_of_trees(it)
+        assert deserialize_tree(_section([bits]), 0, w, h)[0] == tree_leaves
         trees.append(bits)
         leaves.append(tree_leaves)
         sizes.append((w, h))
     shape = (max(h for _, h in sizes), max(w for w, _ in sizes))
-    section, _ = read_tree_bits(_section(trees), 0, sizes)
-    masks = parse_mask(section, sizes, shape)
-    end_of_trees(section)
-    assert np.array_equal(leaf_masks(leaves, shape), masks)
+    data = _section(trees)
+    masks, pos = parse_mask(data, 0, sizes, shape)
+    assert np.array_equal(leaf_masks(leaves, shape), masks) and pos == len(data)
