@@ -201,6 +201,10 @@ def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
         gain += np.sum(r * r, axis=(1, 2)) - np.sum((r - u) ** 2, axis=(1, 2))
     bits_per_sym = max(1, int(np.ceil(np.log2(levels))))
     cost_bits = 8 + nplanes * (masks.sum(axis=1) + 1) * bits_per_sym
+    # cost_bits >= 8, so a lam above every gain drops every block; capping
+    # lam at the largest gain keeps that decision and keeps lam * cost_bits
+    # finite for any finite lam
+    lam = min(lam, gain.max(initial=0.0))
     return np.flatnonzero(gain > lam * cost_bits)
 
 
@@ -401,6 +405,8 @@ def _check_frames(frames) -> Frame:
         raise FrameError("all frames must share geometry and channel count")
     if first.colorspace not in ("rgb", "gray"):
         raise FrameError(f"unsupported input colorspace {first.colorspace!r}")
+    if first.width < 1 or first.height < 1:
+        raise FrameError(f"{first.width}x{first.height} frames hold no pixels")
     if first.width * first.height > bitstream.MAX_PIXELS:
         raise FrameError(
             f"{first.width}x{first.height} frames exceed the {bitstream.MAX_PIXELS}-pixel limit"

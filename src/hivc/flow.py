@@ -118,26 +118,27 @@ def bilinear_warp(plane: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def _dx(a, out=None):
-    """Central difference along x, one-sided at the edges, into `out`.
+    """Central difference along x (the last axis), one-sided at the edges,
+    into `out`; a leading stack axis is differenced plane by plane.
 
     Along an axis of length 1 the derivative is 0, as at a reflecting
     boundary.
     """
     g = np.empty_like(a) if out is None else out
-    if a.shape[1] == 1:
+    if a.shape[-1] == 1:
         g.fill(0.0)
         return g
-    np.subtract(a[:, 2:], a[:, :-2], out=g[:, 1:-1])
-    g[:, 1:-1] *= 0.5
-    np.subtract(a[:, 1], a[:, 0], out=g[:, 0])
-    np.subtract(a[:, -1], a[:, -2], out=g[:, -1])
+    np.subtract(a[..., 2:], a[..., :-2], out=g[..., 1:-1])
+    g[..., 1:-1] *= 0.5
+    np.subtract(a[..., 1], a[..., 0], out=g[..., 0])
+    np.subtract(a[..., -1], a[..., -2], out=g[..., -1])
     return g
 
 
 def _dy(a, out=None):
-    """Central difference along y, into `out`; see _dx."""
+    """Central difference along y (the second-last axis), into `out`; see _dx."""
     g = np.empty_like(a) if out is None else out
-    _dx(a.T, g.T)
+    _dx(a.swapaxes(-1, -2), g.swapaxes(-1, -2))
     return g
 
 
@@ -156,21 +157,23 @@ def _neighbor_sums(field, wn, ws, ww, we, out, tmp):
     """wn * n + ws * s + ww * w + we * e, summed left to right, into `out`.
 
     n, s, w and e are the field's four neighbours, with the field
-    repeated at the image edges (np.pad's "edge" mode). Each product is
-    formed from shifted views: rows for n and s, the flattened plane for
-    w and e, whose wrapped-around first or last column is then redone.
+    repeated at the image edges (np.pad's "edge" mode). A field with a
+    leading stack axis is summed plane by plane. Each product is formed
+    from shifted views: rows for n and s, the flattened planes for w and
+    e, whose wrapped-around first or last column is then redone.
     """
-    np.multiply(wn[1:], field[:-1], out=out[1:])
-    np.multiply(wn[0], field[0], out=out[0])
-    np.multiply(ws[:-1], field[1:], out=tmp[:-1])
-    np.multiply(ws[-1], field[-1], out=tmp[-1])
+    np.multiply(wn[1:], field[..., :-1, :], out=out[..., 1:, :])
+    np.multiply(wn[0], field[..., 0, :], out=out[..., 0, :])
+    np.multiply(ws[:-1], field[..., 1:, :], out=tmp[..., :-1, :])
+    np.multiply(ws[-1], field[..., -1, :], out=tmp[..., -1, :])
     out += tmp
-    flat, tmp_flat = field.ravel(), tmp.ravel()
-    np.multiply(ww.ravel()[1:], flat[:-1], out=tmp_flat[1:])
-    np.multiply(ww[:, 0], field[:, 0], out=tmp[:, 0])
+    flat_shape = field.shape[:-2] + (-1,)
+    flat, tmp_flat = field.reshape(flat_shape), tmp.reshape(flat_shape)
+    np.multiply(ww.ravel()[1:], flat[..., :-1], out=tmp_flat[..., 1:])
+    np.multiply(ww[:, 0], field[..., 0], out=tmp[..., 0])
     out += tmp
-    np.multiply(we.ravel()[:-1], flat[1:], out=tmp_flat[:-1])
-    np.multiply(we[:, -1], field[:, -1], out=tmp[:, -1])
+    np.multiply(we.ravel()[:-1], flat[..., 1:], out=tmp_flat[..., :-1])
+    np.multiply(we[:, -1], field[..., -1], out=tmp[..., -1])
     out += tmp
     return out
 
@@ -218,12 +221,14 @@ def _robust_weight(r2, scale):
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
 
-    Each fixed-point step solves its linear system with damped Jacobi
-    sweeps. The linearised data terms of a warp, the system of a
-    fixed-point step and the sweeps all live in work planes allocated
-    once per pyramid level; the sweep's scratch planes also hold the
-    step's intermediate weights. Neighbours come from shifted views
-    instead of an edge-padded copy of the field.
+    The frame pair, the flow (u, v) and its increment (du, dv) are each
+    kept as one (2, h, w) stack, so every step that treats u and v alike
+    is written once and runs on both planes. Each fixed-point step solves
+    its linear system with damped Jacobi sweeps. The linearised data
+    terms of a warp, the system of a fixed-point step and the sweeps all
+    live in work planes allocated once per pyramid level; the sweep's
+    scratch planes also hold the step's intermediate weights. Neighbours
+    come from shifted views instead of an edge-padded copy of the field.
     """
     # Brox flow runs only in the encoder; importing SciPy here keeps it
     # off the decode path, which needs only NumPy.
@@ -235,153 +240,130 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    f1 = gaussian_filter(f1, BROX_PRESMOOTH_SIGMA)
-    f0 = gaussian_filter(f0, BROX_PRESMOOTH_SIGMA)
+    # (ref, tgt) pairs; a zero sigma leaves the stack axis unfiltered
+    pairs = [gaussian_filter(np.stack((f1, f0)), (0, BROX_PRESMOOTH_SIGMA, BROX_PRESMOOTH_SIGMA))]
 
     shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
-    refs = [f1]
-    tgts = [f0]
     anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
-        refs.append(bilinear_resize(gaussian_filter(refs[-1], anti_alias), (h, w)))
-        tgts.append(bilinear_resize(gaussian_filter(tgts[-1], anti_alias), (h, w)))
+        pairs.append(bilinear_resize(gaussian_filter(pairs[-1], (0, anti_alias, anti_alias)), (h, w)))
     det_guard = 1e-12
-    u = v = None
+    uv = None
     for lvl in range(len(shapes) - 1, -1, -1):
         h, w = shapes[lvl]
-        ref = refs[lvl]
-        tgt = tgts[lvl]
-        if u is None:
-            u = np.zeros((h, w))
-            v = np.zeros((h, w))
+        ref, tgt = pairs[lvl]
+        if uv is None:
+            uv = np.zeros((2, h, w))
         else:
-            u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
-            v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
-        # per-level work planes: the linearised data terms of one warp, ...
-        ix, iy, iz, ixx, ixy, iyy, ixz, iyz, g11, g12, g22, gb1, gb2 = np.empty((13, h, w))
-        # ... the system of one fixed-point step, ...
-        a11, a12, a22, b1_fix, b2_fix, det, su, sv = np.empty((8, h, w))
+            ph, pw = shapes[lvl + 1]
+            uv = bilinear_resize(uv, (h, w)) * np.array([w / pw, h / ph])[:, None, None]
+        # per-level work planes: the linearised data terms of one warp
+        # (i = (ix, iy), hess = (ixx, ixy, iyy), gz = (ixz, iyz) and the
+        # gradient-constancy products g = (g11, g22), g12, gb = (gb1, gb2)), ...
+        i, iz, hess, gz, g, g12, gb = np.split(np.empty((13, h, w)), [2, 3, 6, 8, 10, 11])
+        iz, g12 = iz[0], g12[0]
+        hx, hy = hess[:2], hess[1:]  # (ixx, ixy) and (ixy, iyy)
+        # ... the system of one fixed-point step, with diag = (a11, a22), ...
+        diag, a12, b_fix, det, s = np.split(np.empty((8, h, w)), [2, 3, 5, 6])
+        a12, det = a12[0], det[0]
         weights = np.empty((4, h, w))
         small_det = np.empty((h, w), dtype=bool)
-        # ... and the Jacobi sweep; all but du and dv are scratch planes
-        du, dv, b1, b2, du_new, dv_new, tmp = np.empty((7, h, w))
-        ref_dx = _dx(ref)
-        ref_dy = _dy(ref)
+        # ... and the Jacobi sweep; all but d = (du, dv) are scratch planes
+        d, b, d_new = np.empty((3, 2, h, w))
+        ref_grad = np.empty((2, h, w))
+        _dx(ref, ref_grad[0])
+        _dy(ref, ref_grad[1])
 
         for _ in range(BROX_WARPS):
-            warped = bilinear_warp(tgt, u, v)
-            # ixz and iyz first hold the warped frame's gradient
-            _dx(warped, ixz)
-            _dy(warped, iyz)
-            np.add(ixz, ref_dx, out=ix)
-            ix *= 0.5
-            np.add(iyz, ref_dy, out=iy)
-            iy *= 0.5
-            ixz -= ref_dx
-            iyz -= ref_dy
+            warped = bilinear_warp(tgt, *uv)
+            # gz first holds the warped frame's gradient
+            _dx(warped, gz[0])
+            _dy(warped, gz[1])
+            np.add(gz, ref_grad, out=i)
+            i *= 0.5
+            gz -= ref_grad
             np.subtract(warped, ref, out=iz)
-            _dx(ix, ixx)
-            _dy(ix, ixy)
-            _dy(iy, iyy)
-            # gradient-constancy products that no fixed-point step changes
-            _sum_of_products(ixx, ixx, ixy, ixy, g11, tmp)
-            _sum_of_products(ixx, ixy, ixy, iyy, g12, tmp)
-            _sum_of_products(ixy, ixy, iyy, iyy, g22, tmp)
-            _sum_of_products(ixx, ixz, ixy, iyz, gb1, tmp)
-            _sum_of_products(ixy, ixz, iyy, iyz, gb2, tmp)
-            du.fill(0.0)
-            dv.fill(0.0)
+            _dx(i[0], hess[0])
+            _dy(i, hess[1:])
+            # gradient-constancy products that no fixed-point step changes:
+            # g = hx * hx + hy * hy, g12 = ixx * ixy + ixy * iyy and
+            # gb = hx * ixz + hy * iyz
+            _sum_of_products(hx, hx, hy, hy, g, d_new)
+            _sum_of_products(hess[0], hess[1], hess[1], hess[2], g12, d_new[0])
+            _sum_of_products(hx, gz[0], hy, gz[1], gb, d_new)
+            d.fill(0.0)
             for _ in range(BROX_FIXED_POINT_ITERS):
-                # data weights: psi_d from the brightness residual r_b,
-                # psi_g from the gradient residuals r_gx and r_gy
-                psi_d = _affine(iz, ix, du, iy, dv, b1, tmp)
+                # data weights: psi_g from the gradient residuals
+                # r_g = gz + hx * du + hy * dv, psi_d from the brightness
+                # residual r_b = iz + ix * du + iy * dv
+                r_g = _affine(gz, hx, d[0], hy, d[1], b, d_new)
+                r_g *= r_g
+                psi_g = np.add(r_g[0], r_g[1], out=b[0])
+                _robust_weight(psi_g, BROX_GAMMA)
+                psi_d = _affine(iz, i[0], d[0], i[1], d[1], b[1], d_new[0])
                 psi_d *= psi_d
                 _robust_weight(psi_d, 1.0)
-                psi_g = _affine(ixz, ixx, du, ixy, dv, b2, tmp)
-                r_gy = _affine(iyz, ixy, du, iyy, dv, du_new, tmp)
-                psi_g *= psi_g
-                psi_g += np.multiply(r_gy, r_gy, out=r_gy)
-                _robust_weight(psi_g, BROX_GAMMA)
-                # a11 = psi_d * ix * ix + psi_g * g11 + alpha * wsum and
-                # b1_fix = -psi_d * ix * iz - psi_g * gb1, likewise a12,
-                # a22 and b2_fix; the wsum terms come below
-                pd_i = np.multiply(psi_d, ix, out=du_new)
-                np.multiply(pd_i, ix, out=a11)
-                a11 += np.multiply(psi_g, g11, out=tmp)
-                np.multiply(pd_i, iy, out=a12)
-                a12 += np.multiply(psi_g, g12, out=tmp)
-                np.negative(np.multiply(pd_i, iz, out=b1_fix), out=b1_fix)
-                b1_fix -= np.multiply(psi_g, gb1, out=tmp)
-                pd_i = np.multiply(psi_d, iy, out=du_new)
-                np.multiply(pd_i, iy, out=a22)
-                a22 += np.multiply(psi_g, g22, out=tmp)
-                np.negative(np.multiply(pd_i, iz, out=b2_fix), out=b2_fix)
-                b2_fix -= np.multiply(psi_g, gb2, out=tmp)
+                # diag = psi_d * i * i + psi_g * g + alpha * wsum,
+                # a12 = psi_d * ix * iy + psi_g * g12 and
+                # b_fix = -psi_d * i * iz - psi_g * gb; the wsum terms come
+                # below, and s and det serve as scratch until then
+                pd_i = np.multiply(psi_d, i, out=d_new)
+                np.multiply(pd_i, i, out=diag)
+                diag += np.multiply(psi_g, g, out=s)
+                np.multiply(pd_i[0], i[1], out=a12)
+                a12 += np.multiply(psi_g, g12, out=det)
+                np.negative(np.multiply(pd_i, iz, out=b_fix), out=b_fix)
+                b_fix -= np.multiply(psi_g, gb, out=s)
 
-                # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2
-                ut = np.add(u, du, out=b2)
-                grad2 = np.square(_dx(ut, tmp), out=b1)
-                grad2 += np.square(_dy(ut, tmp), out=tmp)
-                vt = np.add(v, dv, out=b2)
-                grad2 += np.square(_dx(vt, tmp), out=tmp)
-                grad2 += np.square(_dy(vt, tmp), out=tmp)
+                # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2,
+                # with the squared x and y derivatives in b and s
+                uvt = np.add(uv, d, out=d_new)
+                np.square(_dx(uvt, b), out=b)
+                np.square(_dy(uvt, s), out=s)
+                grad2 = np.add(b[0], s[0], out=d_new[0])
+                grad2 += b[1]
+                grad2 += s[1]
                 # diffusivity floor prevents the TV outlier spiral where a
                 # single pixel decouples from its neighborhood
                 psi_s = np.maximum(_robust_weight(grad2, 1.0), 0.05, out=grad2)
                 wn, ws, ww, we = _half_point_weights(psi_s, weights)
-                wsum = np.add(wn, ws, out=b2)
+                wsum = np.add(wn, ws, out=b[0])
                 wsum += ww
                 wsum += we
-                np.multiply(wsum, BROX_ALPHA, out=tmp)
-                a11 += tmp
-                a22 += tmp
+                diag += np.multiply(wsum, BROX_ALPHA, out=b[1])
 
-                _neighbor_sums(u, wn, ws, ww, we, su, tmp)
-                su -= np.multiply(wsum, u, out=tmp)
-                _neighbor_sums(v, wn, ws, ww, we, sv, tmp)
-                sv -= np.multiply(wsum, v, out=tmp)
-                np.multiply(a11, a22, out=det)
-                det -= np.multiply(a12, a12, out=tmp)
-                np.less(np.abs(det, out=tmp), det_guard, out=small_det)
+                _neighbor_sums(uv, wn, ws, ww, we, s, d_new)
+                s -= np.multiply(wsum, uv, out=d_new)
+                np.multiply(diag[0], diag[1], out=det)
+                det -= np.multiply(a12, a12, out=d_new[0])
+                np.less(np.abs(det, out=d_new[0]), det_guard, out=small_det)
                 np.copyto(det, det_guard, where=small_det)
 
                 for _ in range(BROX_SOLVER_ITERS):
                     # b = b_fix + alpha * (s + neighbour sums of the increment)
-                    _neighbor_sums(du, wn, ws, ww, we, b1, tmp)
-                    b1 += su
-                    b1 *= BROX_ALPHA
-                    b1 += b1_fix
-                    _neighbor_sums(dv, wn, ws, ww, we, b2, tmp)
-                    b2 += sv
-                    b2 *= BROX_ALPHA
-                    b2 += b2_fix
-                    # du_new = (a22 * b1 - a12 * b2) / det, likewise dv_new
-                    np.multiply(a22, b1, out=du_new)
-                    du_new -= np.multiply(a12, b2, out=tmp)
-                    du_new /= det
-                    np.multiply(a11, b2, out=dv_new)
-                    dv_new -= np.multiply(a12, b1, out=tmp)
-                    dv_new /= det
+                    _neighbor_sums(d, wn, ws, ww, we, b, d_new)
+                    b += s
+                    b *= BROX_ALPHA
+                    b += b_fix
+                    # d_new = ((a22 * b1 - a12 * b2), (a11 * b2 - a12 * b1)) / det
+                    np.multiply(diag[::-1], b, out=d_new)
+                    b *= a12
+                    d_new -= b[::-1]
+                    d_new /= det
                     # damped Jacobi: d = 0.5 * d + 0.5 * d_new
-                    du *= 0.5
-                    du_new *= 0.5
-                    du += du_new
-                    dv *= 0.5
-                    dv_new *= 0.5
-                    dv += dv_new
+                    d *= 0.5
+                    d_new *= 0.5
+                    d += d_new
                 # the linearized data terms are only valid near the
                 # expansion point; keep increments inside that range
-                np.clip(du, -1.0, 1.0, out=du)
-                np.clip(dv, -1.0, 1.0, out=dv)
-            u += du
-            v += dv
+                np.clip(d, -1.0, 1.0, out=d)
+            uv += d
             # median filtering after each warp removes isolated outliers
             # while preserving motion discontinuities
-            u = median_filter(u, size=3, mode="nearest")
-            v = median_filter(v, size=3, mode="nearest")
+            uv = median_filter(uv, size=(1, 3, 3), mode="nearest")
     bound = float(max(f1.shape))
-    return FlowField(np.clip(u, -bound, bound), np.clip(v, -bound, bound))
+    return FlowField(*np.clip(uv, -bound, bound))
 
 
 # ---------------------------------------------------------------------------

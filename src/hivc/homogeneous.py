@@ -160,11 +160,13 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     Separable: each source row is interpolated horizontally once, then
     the output mixes two of those rows. Every output pixel is
     (1 - wy) * ((1 - wx) * a + wx * b) + wy * ((1 - wx) * c + wx * d),
-    the same sum as a direct four-tap evaluation. A float32 image is
-    resampled in float32; a float64 or integer image in float64.
+    the same sum as a direct four-tap evaluation. A stack of planes,
+    (..., ih, iw), resamples each plane to the same floats as on its
+    own. A float32 image is resampled in float32; a float64 or integer
+    image in float64.
     """
     h, w = shape
-    ih, iw = img.shape
+    ih, iw = img.shape[-2:]
     ys = np.clip((np.arange(h) + 0.5) * (ih / h) - 0.5, 0, ih - 1)
     xs = np.clip((np.arange(w) + 0.5) * (iw / w) - 0.5, 0, iw - 1)
     y0 = np.floor(ys).astype(int)
@@ -174,8 +176,8 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     dtype = np.result_type(img.dtype, np.float32)
     wy = (ys - y0).astype(dtype)[:, None]
     wx = (xs - x0).astype(dtype)[None, :]
-    rows = (1 - wx) * img[:, x0] + wx * img[:, x1]
-    return (1 - wy) * rows[y0] + wy * rows[y1]
+    rows = (1 - wx) * img[..., x0] + wx * img[..., x1]
+    return (1 - wy) * rows[..., y0, :] + wy * rows[..., y1, :]
 
 
 def solve_homogeneous(

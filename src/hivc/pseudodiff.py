@@ -92,9 +92,13 @@ def solve_block_coefficients_batch(f_blocks: np.ndarray, masks: np.ndarray):
 def reconstruct_blocks(mc: np.ndarray, a: np.ndarray) -> np.ndarray:
     """u = G M c + a for scattered weight blocks (n, 8, 8) and constants (n,).
 
-    The product runs GEMM_ROWS blocks at a time, into one output. Each
-    output value is the same k-ordered sum however the rows are grouped,
-    and no product is large enough for OpenBLAS to start threads.
+    The product runs GEMM_ROWS blocks at a time, into one output. The
+    grouping is not neutral: OpenBLAS may sum a row in another order
+    when it shares a product with more or fewer rows, so the last bits
+    of an output can change with GEMM_ROWS or with a block's position.
+    What holds is that a stream fixes the blocks and their order, and
+    no product is large enough for OpenBLAS to start threads, so a
+    stream decodes to the same floats at any thread count.
     """
     n = mc.shape[0]
     # G is symmetric only to rounding, so the transpose is what G M c needs

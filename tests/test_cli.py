@@ -408,6 +408,19 @@ def test_encode_of_a_one_pixel_wide_clip_exits_cleanly(tmp_path):
     assert [f.planes[0].shape for f in codec.decode((tmp_path / "s.hivc").read_bytes())] == [(8, 1)] * 3
 
 
+@pytest.mark.parametrize("size", [b"0 4", b"4 0"])
+def test_encode_of_frames_without_pixels_exits_as_a_codec_error(tmp_path, capsys, size):
+    src = tmp_path / "frames"
+    src.mkdir()
+    for name in ("a.pgm", "b.pgm"):
+        (src / name).write_bytes(b"P5 " + size + b" 255\n")
+    out = tmp_path / "s.hivc"
+    assert main(["encode", str(src), str(out), "--gop-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "hold no pixels" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _scipy_modules_in_child(code, cwd):
     """Run `code` in a fresh interpreter that imports hivc from this
     checkout; returns the names of the scipy modules loaded at its end."""

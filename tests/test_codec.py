@@ -1,6 +1,7 @@
 import collections
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,28 @@ def test_target_ratio_rejects_bad_target(monkeypatch):
     for target in (1.0, 0.5, 0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite number above 1"):
             encode_target_ratio(clip, EncoderConfig(gop_size=2), target)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_frames_without_pixels_are_refused_before_any_flow(monkeypatch, shape):
+    def no_flow(*args):
+        raise AssertionError("flow computed for frames without pixels")
+
+    monkeypatch.setattr(codec, "flow_brox", no_flow)
+    frames = [Frame((np.zeros(shape, np.int32),), colorspace="gray")] * 2
+    cfg = EncoderConfig(gop_size=2)
+    with pytest.raises(FrameError, match="hold no pixels"):
+        encode(frames, cfg)
+    with pytest.raises(FrameError, match="hold no pixels"):
+        encode_target_ratio(frames, cfg, 50.0)
+
+
+def test_encode_at_the_largest_residual_lambda_raises_no_warning():
+    # lam * bits overflows for any block at lam = 1e308 unless capped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stream = encode(moving_clip(2, 16, 16), EncoderConfig(gop_size=2, residual_lambda=1e308))
+    assert len(decode(stream)) == 2
 
 
 def test_target_ratio_search_keeps_a_huge_residual_lambda_finite():

@@ -125,8 +125,14 @@ def test_brox_backward_warp_prediction_quality():
         lambda: shifted_pair(29, 37, 1, 1, seed=4),
         # a single pyramid level
         lambda: shifted_pair(16, 16, 1, 0, seed=5),
+        # one column or one row: the neighbour sums' edge repairs
+        # cover every pixel of the stacked planes
+        lambda: shifted_pair(8, 1, 0, 1, seed=6),
+        lambda: shifted_pair(1, 8, 1, 0, seed=7),
+        lambda: shifted_pair(1, 3, 1, 0, seed=8),
+        lambda: shifted_pair(1, 1, 0, 0, seed=9),
     ],
-    ids=["pan-336x144", "37x29", "16x16"],
+    ids=["pan-336x144", "37x29", "16x16", "1x8", "8x1", "3x1", "1x1"],
 )
 def test_brox_bit_identical_to_plain_expression_oracle(pair):
     cur, prev = pair()

@@ -261,6 +261,12 @@ def test_bilinear_resize_bit_identical_to_four_tap():
         assert bilinear_resize(img, dst).tobytes() == _resize_four_tap(img, dst).tobytes()
     img = rng.uniform(0, 255, (4, 5))
     assert np.array_equal(bilinear_resize(img, (4, 5)), img)
+    # a stack resamples each plane to its own floats
+    stack = rng.uniform(-8, 8, (2, 13, 26))
+    out = bilinear_resize(stack, (27, 51))
+    assert out.shape == (2, 27, 51)
+    for plane, resized in zip(stack, out):
+        assert resized.tobytes() == bilinear_resize(plane, (27, 51)).tobytes()
 
 
 def test_pyramid_level_bit_identical_to_reduceat_means():
