@@ -57,13 +57,7 @@ from hivc.flow import compress_flow, decompress_flow, flow_brox
 from hivc.frame import Frame, FrameError, clip_plane, plane_groups, rct_forward, rct_inverse
 from hivc.prediction import decode_intra, encode_intra, predict_inter
 from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
-from hivc.quantize import (
-    coefficient_scale,
-    deadzone_dequantize,
-    deadzone_quantize,
-    map_coefficients,
-    unmap_coefficients,
-)
+from hivc.quantize import coefficient_scale, deadzone_indices, deadzone_quantize, deadzone_step
 from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
 
 MAX_RESIDUAL_POINTS = 48
@@ -174,10 +168,11 @@ def _solve_coded(f_blocks, masks):
 def _decode_blocks(qc, qa, levels, c_scale, a_scale):
     """Decoded residual blocks, (planes, n, 8, 8), of quantized weights on
     their mask positions, qc: (planes, n, 64), and quantized constants,
-    qa: (planes, n). Off-mask zeros dequantize to exact zeros."""
-    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
-    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
-    rec = reconstruct_blocks(mc.reshape(-1, BLOCK, BLOCK), a_hat.ravel())
+    qa: (planes, n). The weights enter the product as indices, scaled by
+    their step after it. Off-mask zeros dequantize to exact zeros."""
+    w = deadzone_indices(qc, levels).reshape(-1, BLOCK, BLOCK)
+    a_hat = deadzone_indices(qa, levels).ravel() * deadzone_step(a_scale, levels)
+    rec = reconstruct_blocks(w, a_hat, deadzone_step(c_scale, levels))
     return rec.reshape(*qa.shape, BLOCK, BLOCK)
 
 
@@ -237,10 +232,9 @@ def _encode_residual(planes, points, levels, lam=0.0):
         # quantized weights on their mask positions, (planes, n, 64)
         qc = np.zeros((len(fb), len(coded), BLOCK * BLOCK), dtype=np.int64)
         qa = np.zeros((len(fb), len(coded)), dtype=np.int64)
-        if len(coded):  # map_coefficients rejects an empty set
-            for ci, (c, a) in enumerate(fits):
-                qc[ci][masks] = deadzone_quantize(map_coefficients(c[masks], c_scale), levels)
-                qa[ci] = deadzone_quantize(map_coefficients(a, a_scale), levels)
+        for ci, (c, a) in enumerate(fits):
+            qc[ci][masks] = deadzone_quantize(c[masks], c_scale, levels)
+            qa[ci] = deadzone_quantize(a, a_scale, levels)
         keep = _keep_blocks(fb, inside[coded], masks, qc, qa, levels, c_scale, a_scale, lam)
         kept_total += keep.size
         coded_bits = np.zeros(len(sizes), dtype=np.uint8)

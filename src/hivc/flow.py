@@ -232,7 +232,7 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """
     # Brox flow runs only in the encoder; importing SciPy here keeps it
     # off the decode path, which needs only NumPy.
-    from scipy.ndimage import gaussian_filter, median_filter
+    from scipy.ndimage import gaussian_filter
 
     f1 = np.asarray(frame_t, dtype=np.float64)
     f0 = np.asarray(frame_prev, dtype=np.float64)
@@ -248,122 +248,127 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
         pairs.append(bilinear_resize(gaussian_filter(pairs[-1], (0, anti_alias, anti_alias)), (h, w)))
-    det_guard = 1e-12
-    uv = None
+    uv = np.zeros((2, *shapes[-1]))
     for lvl in range(len(shapes) - 1, -1, -1):
-        h, w = shapes[lvl]
-        ref, tgt = pairs[lvl]
-        if uv is None:
-            uv = np.zeros((2, h, w))
-        else:
-            ph, pw = shapes[lvl + 1]
+        _brox_level(*pairs[lvl], uv)
+        if lvl:
+            (ph, pw), (h, w) = shapes[lvl], shapes[lvl - 1]
             uv = bilinear_resize(uv, (h, w)) * np.array([w / pw, h / ph])[:, None, None]
-        # per-level work planes: the linearised data terms of one warp
-        # (i = (ix, iy), hess = (ixx, ixy, iyy), gz = (ixz, iyz) and the
-        # gradient-constancy products g = (g11, g22), g12, gb = (gb1, gb2)), ...
-        i, iz, hess, gz, g, g12, gb = np.split(np.empty((13, h, w)), [2, 3, 6, 8, 10, 11])
-        iz, g12 = iz[0], g12[0]
-        hx, hy = hess[:2], hess[1:]  # (ixx, ixy) and (ixy, iyy)
-        # ... the system of one fixed-point step, with diag = (a11, a22), ...
-        diag, a12, b_fix, det, s = np.split(np.empty((8, h, w)), [2, 3, 5, 6])
-        a12, det = a12[0], det[0]
-        weights = np.empty((4, h, w))
-        small_det = np.empty((h, w), dtype=bool)
-        # ... and the Jacobi sweep; all but d = (du, dv) are scratch planes
-        d, b, d_new = np.empty((3, 2, h, w))
-        ref_grad = np.empty((2, h, w))
-        _dx(ref, ref_grad[0])
-        _dy(ref, ref_grad[1])
-
-        for _ in range(BROX_WARPS):
-            warped = bilinear_warp(tgt, *uv)
-            # gz first holds the warped frame's gradient
-            _dx(warped, gz[0])
-            _dy(warped, gz[1])
-            np.add(gz, ref_grad, out=i)
-            i *= 0.5
-            gz -= ref_grad
-            np.subtract(warped, ref, out=iz)
-            _dx(i[0], hess[0])
-            _dy(i, hess[1:])
-            # gradient-constancy products that no fixed-point step changes:
-            # g = hx * hx + hy * hy, g12 = ixx * ixy + ixy * iyy and
-            # gb = hx * ixz + hy * iyz
-            _sum_of_products(hx, hx, hy, hy, g, d_new)
-            _sum_of_products(hess[0], hess[1], hess[1], hess[2], g12, d_new[0])
-            _sum_of_products(hx, gz[0], hy, gz[1], gb, d_new)
-            d.fill(0.0)
-            for _ in range(BROX_FIXED_POINT_ITERS):
-                # data weights: psi_g from the gradient residuals
-                # r_g = gz + hx * du + hy * dv, psi_d from the brightness
-                # residual r_b = iz + ix * du + iy * dv
-                r_g = _affine(gz, hx, d[0], hy, d[1], b, d_new)
-                r_g *= r_g
-                psi_g = np.add(r_g[0], r_g[1], out=b[0])
-                _robust_weight(psi_g, BROX_GAMMA)
-                psi_d = _affine(iz, i[0], d[0], i[1], d[1], b[1], d_new[0])
-                psi_d *= psi_d
-                _robust_weight(psi_d, 1.0)
-                # diag = psi_d * i * i + psi_g * g + alpha * wsum,
-                # a12 = psi_d * ix * iy + psi_g * g12 and
-                # b_fix = -psi_d * i * iz - psi_g * gb; the wsum terms come
-                # below, and s and det serve as scratch until then
-                pd_i = np.multiply(psi_d, i, out=d_new)
-                np.multiply(pd_i, i, out=diag)
-                diag += np.multiply(psi_g, g, out=s)
-                np.multiply(pd_i[0], i[1], out=a12)
-                a12 += np.multiply(psi_g, g12, out=det)
-                np.negative(np.multiply(pd_i, iz, out=b_fix), out=b_fix)
-                b_fix -= np.multiply(psi_g, gb, out=s)
-
-                # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2,
-                # with the squared x and y derivatives in b and s
-                uvt = np.add(uv, d, out=d_new)
-                np.square(_dx(uvt, b), out=b)
-                np.square(_dy(uvt, s), out=s)
-                grad2 = np.add(b[0], s[0], out=d_new[0])
-                grad2 += b[1]
-                grad2 += s[1]
-                # diffusivity floor prevents the TV outlier spiral where a
-                # single pixel decouples from its neighborhood
-                psi_s = np.maximum(_robust_weight(grad2, 1.0), 0.05, out=grad2)
-                wn, ws, ww, we = _half_point_weights(psi_s, weights)
-                wsum = np.add(wn, ws, out=b[0])
-                wsum += ww
-                wsum += we
-                diag += np.multiply(wsum, BROX_ALPHA, out=b[1])
-
-                _neighbor_sums(uv, wn, ws, ww, we, s, d_new)
-                s -= np.multiply(wsum, uv, out=d_new)
-                np.multiply(diag[0], diag[1], out=det)
-                det -= np.multiply(a12, a12, out=d_new[0])
-                np.less(np.abs(det, out=d_new[0]), det_guard, out=small_det)
-                np.copyto(det, det_guard, where=small_det)
-
-                for _ in range(BROX_SOLVER_ITERS):
-                    # b = b_fix + alpha * (s + neighbour sums of the increment)
-                    _neighbor_sums(d, wn, ws, ww, we, b, d_new)
-                    b += s
-                    b *= BROX_ALPHA
-                    b += b_fix
-                    # d_new = ((a22 * b1 - a12 * b2), (a11 * b2 - a12 * b1)) / det
-                    np.multiply(diag[::-1], b, out=d_new)
-                    b *= a12
-                    d_new -= b[::-1]
-                    d_new /= det
-                    # damped Jacobi: d = 0.5 * d + 0.5 * d_new
-                    d *= 0.5
-                    d_new *= 0.5
-                    d += d_new
-                # the linearized data terms are only valid near the
-                # expansion point; keep increments inside that range
-                np.clip(d, -1.0, 1.0, out=d)
-            uv += d
-            # median filtering after each warp removes isolated outliers
-            # while preserving motion discontinuities
-            uv = median_filter(uv, size=(1, 3, 3), mode="nearest")
     bound = float(max(f1.shape))
     return FlowField(*np.clip(uv, -bound, bound))
+
+
+def _brox_level(ref, tgt, uv):
+    """Refine the flow uv, (2, h, w), in place on one pyramid level; the
+    level's work planes are freed when it returns."""
+    from scipy.ndimage import median_filter
+
+    h, w = ref.shape
+    det_guard = 1e-12
+    # per-level work planes: the linearised data terms of one warp
+    # (i = (ix, iy), hess = (ixx, ixy, iyy), gz = (ixz, iyz) and the
+    # gradient-constancy products g = (g11, g22), g12, gb = (gb1, gb2)), ...
+    i, iz, hess, gz, g, g12, gb = np.split(np.empty((13, h, w)), [2, 3, 6, 8, 10, 11])
+    iz, g12 = iz[0], g12[0]
+    hx, hy = hess[:2], hess[1:]  # (ixx, ixy) and (ixy, iyy)
+    # ... the system of one fixed-point step, with diag = (a11, a22), ...
+    diag, a12, b_fix, det, s = np.split(np.empty((8, h, w)), [2, 3, 5, 6])
+    a12, det = a12[0], det[0]
+    weights = np.empty((4, h, w))
+    small_det = np.empty((h, w), dtype=bool)
+    # ... and the Jacobi sweep; all but d = (du, dv) are scratch planes
+    d, b, d_new = np.empty((3, 2, h, w))
+    ref_grad = np.empty((2, h, w))
+    _dx(ref, ref_grad[0])
+    _dy(ref, ref_grad[1])
+
+    for _ in range(BROX_WARPS):
+        warped = bilinear_warp(tgt, *uv)
+        # gz first holds the warped frame's gradient
+        _dx(warped, gz[0])
+        _dy(warped, gz[1])
+        np.add(gz, ref_grad, out=i)
+        i *= 0.5
+        gz -= ref_grad
+        np.subtract(warped, ref, out=iz)
+        _dx(i[0], hess[0])
+        _dy(i, hess[1:])
+        # gradient-constancy products that no fixed-point step changes:
+        # g = hx * hx + hy * hy, g12 = ixx * ixy + ixy * iyy and
+        # gb = hx * ixz + hy * iyz
+        _sum_of_products(hx, hx, hy, hy, g, d_new)
+        _sum_of_products(hess[0], hess[1], hess[1], hess[2], g12, d_new[0])
+        _sum_of_products(hx, gz[0], hy, gz[1], gb, d_new)
+        d.fill(0.0)
+        for _ in range(BROX_FIXED_POINT_ITERS):
+            # data weights: psi_g from the gradient residuals
+            # r_g = gz + hx * du + hy * dv, psi_d from the brightness
+            # residual r_b = iz + ix * du + iy * dv
+            r_g = _affine(gz, hx, d[0], hy, d[1], b, d_new)
+            r_g *= r_g
+            psi_g = np.add(r_g[0], r_g[1], out=b[0])
+            _robust_weight(psi_g, BROX_GAMMA)
+            psi_d = _affine(iz, i[0], d[0], i[1], d[1], b[1], d_new[0])
+            psi_d *= psi_d
+            _robust_weight(psi_d, 1.0)
+            # diag = psi_d * i * i + psi_g * g + alpha * wsum,
+            # a12 = psi_d * ix * iy + psi_g * g12 and
+            # b_fix = -psi_d * i * iz - psi_g * gb; the wsum terms come
+            # below, and s and det serve as scratch until then
+            pd_i = np.multiply(psi_d, i, out=d_new)
+            np.multiply(pd_i, i, out=diag)
+            diag += np.multiply(psi_g, g, out=s)
+            np.multiply(pd_i[0], i[1], out=a12)
+            a12 += np.multiply(psi_g, g12, out=det)
+            np.negative(np.multiply(pd_i, iz, out=b_fix), out=b_fix)
+            b_fix -= np.multiply(psi_g, gb, out=s)
+
+            # smoothness weight from |grad(u + du)|^2 + |grad(v + dv)|^2,
+            # with the squared x and y derivatives in b and s
+            uvt = np.add(uv, d, out=d_new)
+            np.square(_dx(uvt, b), out=b)
+            np.square(_dy(uvt, s), out=s)
+            grad2 = np.add(b[0], s[0], out=d_new[0])
+            grad2 += b[1]
+            grad2 += s[1]
+            # diffusivity floor prevents the TV outlier spiral where a
+            # single pixel decouples from its neighborhood
+            psi_s = np.maximum(_robust_weight(grad2, 1.0), 0.05, out=grad2)
+            wn, ws, ww, we = _half_point_weights(psi_s, weights)
+            wsum = np.add(wn, ws, out=b[0])
+            wsum += ww
+            wsum += we
+            diag += np.multiply(wsum, BROX_ALPHA, out=b[1])
+
+            _neighbor_sums(uv, wn, ws, ww, we, s, d_new)
+            s -= np.multiply(wsum, uv, out=d_new)
+            np.multiply(diag[0], diag[1], out=det)
+            det -= np.multiply(a12, a12, out=d_new[0])
+            np.less(np.abs(det, out=d_new[0]), det_guard, out=small_det)
+            np.copyto(det, det_guard, where=small_det)
+
+            for _ in range(BROX_SOLVER_ITERS):
+                # b = b_fix + alpha * (s + neighbour sums of the increment)
+                _neighbor_sums(d, wn, ws, ww, we, b, d_new)
+                b += s
+                b *= BROX_ALPHA
+                b += b_fix
+                # d_new = ((a22 * b1 - a12 * b2), (a11 * b2 - a12 * b1)) / det
+                np.multiply(diag[::-1], b, out=d_new)
+                b *= a12
+                d_new -= b[::-1]
+                d_new /= det
+                # damped Jacobi: d = 0.5 * d + 0.5 * d_new
+                d *= 0.5
+                d_new *= 0.5
+                d += d_new
+            # the linearized data terms are only valid near the
+            # expansion point; keep increments inside that range
+            np.clip(d, -1.0, 1.0, out=d)
+        uv += d
+        # median filtering after each warp removes isolated outliers
+        # while preserving motion discontinuities
+        uv[...] = median_filter(uv, size=(1, 3, 3), mode="nearest")
 
 
 # ---------------------------------------------------------------------------

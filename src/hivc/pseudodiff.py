@@ -9,7 +9,11 @@ orthonormal 2-D DCT-II, so the 64x64 matrix is built once from that
 eigendecomposition: G = C^T diag(lambda) C, with C the 2-D DCT and
 lambda the reciprocal Laplacian eigenvalues (zero for the constant
 mode). Encoder and decoder share this one matrix; a batch of blocks is
-reconstructed as a single matrix product.
+reconstructed as a single matrix product, of the decoder's dead-zone
+indices (|index| <= 127) and G in whole numbers of 2**-41. No row of |G|
+sums past 10.675, so every partial sum is an integer below 2**53 / 3,
+exact in any order: a block decodes to the same floats under any BLAS
+kernel, SIMD path, thread count or grouping of blocks.
 
 The encoder obtains the weights c and the constant a from the
 bordered (K+1) x (K+1) system over the K mask points: the K x K
@@ -28,6 +32,8 @@ BLOCK = 8
 # rows per residual product: 63 x 64 x 64 multiply-adds stay below the
 # 4 x 65536 at which OpenBLAS runs a GEMM on more than one thread
 GEMM_ROWS = 63
+# G's entries as whole numbers: round(G * 2**GREENS_SHIFT)
+GREENS_SHIFT = 41
 
 
 def _dct_matrix_1d() -> np.ndarray:
@@ -89,24 +95,28 @@ def solve_block_coefficients_batch(f_blocks: np.ndarray, masks: np.ndarray):
     return sol[:, :k], sol[:, k]
 
 
-def reconstruct_blocks(mc: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """u = G M c + a for scattered weight blocks (n, 8, 8) and constants (n,).
-
-    The product runs GEMM_ROWS blocks at a time, into one output. The
-    grouping is not neutral: OpenBLAS may sum a row in another order
-    when it shares a product with more or fewer rows, so the last bits
-    of an output can change with GEMM_ROWS or with a block's position.
-    What holds is that a stream fixes the blocks and their order, and
-    no product is large enough for OpenBLAS to start threads, so a
-    stream decodes to the same floats at any thread count.
-    """
-    n = mc.shape[0]
+@lru_cache(maxsize=1)
+def _greens_whole_t() -> np.ndarray:
+    """G^T in whole numbers of 2**-GREENS_SHIFT."""
     # G is symmetric only to rounding, so the transpose is what G M c needs
-    g_t = _greens_block_matrix().T
-    flat = mc.reshape(n, BLOCK * BLOCK)
+    g = np.rint(np.ldexp(_greens_block_matrix().T, GREENS_SHIFT))
+    g.flags.writeable = False
+    return g
+
+
+def reconstruct_blocks(w: np.ndarray, a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """u = scale * G M w + a for scattered weight blocks (n, 8, 8) and
+    constants (n,). With integer w, as the decoder's indices, the product
+    is exact and only the elementwise scaling rounds; for float w, the
+    whole-number G is within 2**-42 of G per entry. The product runs
+    GEMM_ROWS blocks at a time, which keeps OpenBLAS on one thread.
+    """
+    n = w.shape[0]
+    g_t = _greens_whole_t()
+    flat = w.reshape(n, BLOCK * BLOCK)
     u = np.empty((n, BLOCK * BLOCK))
     for start in range(0, n, GEMM_ROWS):
         np.matmul(flat[start : start + GEMM_ROWS], g_t, out=u[start : start + GEMM_ROWS])
-    u = u.reshape(n, BLOCK, BLOCK)
-    u += a[:, None, None]
-    return u
+    u *= math.ldexp(scale, -GREENS_SHIFT)
+    u += a[:, None]
+    return u.reshape(n, BLOCK, BLOCK)

@@ -1,17 +1,17 @@
 """Scalar quantizers.
 
 Plain uniform quantization covers intra mask values and flow leaf
-averages. Green's-function coefficients are first mapped into
-[-127, 127] with a per-frame scale and then dead-zone quantized: the
-zero bin is anchored so that zero coefficients reconstruct as exactly
-zero (no flickering), and reconstruction contracts toward zero.
+averages. Green's-function weights and constants are dead-zone
+quantized against a per-frame scale: with lmax = (levels - 1) / 2, the
+step is scale / lmax, the zero bin is anchored so that zero values
+reconstruct as exactly zero (no flickering), and reconstruction
+contracts toward zero. Values beyond the scale clip to +-lmax.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-COEFF_BOUND = 127.0
 SCALE_PERCENTILE = 99.9
 
 
@@ -20,48 +20,32 @@ class QuantizeError(ValueError):
 
 
 def coefficient_scale(c: np.ndarray) -> float:
-    """Per-frame mapping scale: the 99.9th percentile of |c| (outliers clip)."""
+    """Per-frame scale: the 99.9th percentile of |c| (outliers clip)."""
     if c.size == 0:
         raise QuantizeError("empty coefficient set")
     scale = float(np.percentile(np.abs(c), SCALE_PERCENTILE))
     return scale if scale > 0 else 1.0
 
 
-def map_coefficients(c: np.ndarray, global_scale: float) -> np.ndarray:
-    """Map coefficients into [-127, 127]: clamp(c / scale * 127)."""
-    if global_scale <= 0:
-        raise QuantizeError("global_scale must be positive")
-    if np.asarray(c).size == 0:
-        raise QuantizeError("empty coefficient set")
-    return np.clip(np.asarray(c, dtype=np.float64) / global_scale * COEFF_BOUND, -COEFF_BOUND, COEFF_BOUND)
-
-
-def unmap_coefficients(mapped: np.ndarray, global_scale: float) -> np.ndarray:
-    return np.asarray(mapped, dtype=np.float64) / COEFF_BOUND * global_scale
-
-
-def deadzone_step(levels: int) -> float:
-    """Step of the dead-zone quantizer with 2L+1 reconstruction levels."""
+def deadzone_step(scale: float, levels: int) -> float:
+    """Step of the dead-zone quantizer with `levels` reconstruction
+    levels, index * step for index in -lmax..lmax: scale / lmax."""
     if levels < 3 or levels % 2 == 0:
         raise QuantizeError("dead-zone levels must be odd and >= 3")
-    return COEFF_BOUND / ((levels - 1) // 2)
+    return scale / ((levels - 1) // 2)
 
 
-def deadzone_quantize(x, levels: int):
-    """index = sign(x) * floor(|x| / step); quantizes toward zero."""
-    step = deadzone_step(levels)
-    x = np.asarray(x, dtype=np.float64)
-    idx = np.sign(x) * np.floor(np.abs(x) / step)
-    lmax = (levels - 1) // 2
-    return np.clip(idx, -lmax, lmax).astype(np.int64)
+def deadzone_quantize(c: np.ndarray, scale: float, levels: int):
+    """index = sign(c) * min(floor(|c| / step), lmax); toward zero."""
+    idx = np.minimum(np.floor(np.abs(c) / deadzone_step(scale, levels)), (levels - 1) // 2)
+    return (np.sign(c) * idx).astype(np.int64)
 
 
-def deadzone_dequantize(index, levels: int):
-    """Reconstruction at index * step; index 0 maps to exactly 0.0. An
+def deadzone_indices(index, levels: int) -> np.ndarray:
+    """Dead-zone indices as float64, the value in units of the step; an
     index beyond +-(levels - 1) / 2 raises QuantizeError."""
-    step = deadzone_step(levels)
     lmax = (levels - 1) // 2
-    return _checked_index(index, -lmax, lmax, levels) * step
+    return _checked_index(index, -lmax, lmax, levels)
 
 
 def uniform_quantize(x, lo: float, hi: float, levels: int):

@@ -112,6 +112,14 @@ def write_y4m(path, frames, fps=(25, 1)):
     return count
 
 
+def _positive_fields(token: bytes, count: int):
+    """The `count` colon-separated integers, each at least 1, of a header token."""
+    nums = token[1:].split(b":")
+    if len(nums) != count or not all(n.isdigit() and int(n) >= 1 for n in nums):
+        raise VideoIOError(f"bad header field {token.decode(errors='replace')!r}")
+    return [int(n) for n in nums]
+
+
 def read_y4m(path):
     """Returns (frames, (fps_num, fps_den))."""
     with open(path, "rb") as fh:
@@ -127,14 +135,13 @@ def read_y4m(path):
     for p in params:
         key, val = p[:1], p[1:]
         if key == b"W":
-            w = int(val)
+            (w,) = _positive_fields(p, 1)
         elif key == b"H":
-            h = int(val)
+            (h,) = _positive_fields(p, 1)
         elif key == b"F":
-            num, den = val.split(b":")
-            fps = (int(num), int(den))
+            fps = tuple(_positive_fields(p, 2))
         elif key == b"C":
-            colorspace_tag = val.decode()
+            colorspace_tag = val.decode(errors="replace")
             if val == b"mono":
                 channels = 1
             elif not val.startswith(b"444"):

@@ -29,7 +29,7 @@ from hivc.flow import (
 from hivc.frame import Frame, psnr, rct_forward, rct_inverse
 from hivc.homogeneous import solve_homogeneous
 from hivc.pseudodiff import reconstruct_blocks, solve_block_coefficients_batch
-from hivc.quantize import deadzone_dequantize, deadzone_quantize, map_coefficients
+from hivc.quantize import deadzone_indices, deadzone_quantize, deadzone_step
 from oracles import dense_laplacian, flow_horn_schunck, greens_matrix_dense
 
 
@@ -166,8 +166,8 @@ def test_criterion_05_entropy_round_trip_and_rate():
 def test_criterion_06_deadzone_zero_preservation():
     bad = []
     for levels in range(3, 256, 2):  # every legal residual quantizer config
-        idx = deadzone_quantize(map_coefficients(np.array([0.0]), 1.0), levels)
-        val = deadzone_dequantize(idx, levels)
+        idx = deadzone_quantize(np.array([0.0]), 1.0, levels)
+        val = deadzone_indices(idx, levels) * deadzone_step(1.0, levels)
         if int(idx[0]) != 0 or float(val[0]) != 0.0:
             bad.append(levels)
     _verdict(6, "dead-zone quantizer maps zero to zero for all configs", not bad, f"bad={bad}")

@@ -1,5 +1,6 @@
 """The decode path's floats do not depend on the BLAS thread count, on
-the BLAS kernel or, in the intra solve, on numpy's SIMD kernels.
+the BLAS kernel or, in the intra solve and the residual product, on
+numpy's SIMD kernels.
 
 OpenBLAS reads its thread count and kernel when it loads, and numpy its
 disabled CPU features, so each setting gets a fresh interpreter. Every
@@ -38,12 +39,13 @@ a32, b32 = a.astype(np.float32), b.astype(np.float32)
 out = np.array([_dot(a, b, np.empty_like(a)), _dot(a32, b32, np.empty_like(a32))])
 """
 
-# about as many blocks as an all-intra decode of that frame size codes
+# about as many blocks as an all-intra decode of that frame size codes,
+# with dead-zone indices as weights, as the decoder passes them
 RECONSTRUCT = """
 from hivc.pseudodiff import reconstruct_blocks
 rng = np.random.default_rng(6)
-mc = rng.standard_normal((2100, 8, 8)) * (rng.random((2100, 8, 8)) < 0.1)
-out = reconstruct_blocks(mc, rng.standard_normal(2100))
+w = rng.integers(-127, 128, (2100, 8, 8)) * (rng.random((2100, 8, 8)) < 0.1)
+out = reconstruct_blocks(w.astype(np.float64), rng.standard_normal(2100), 0.37)
 """
 
 # the decoder's intra solve, at the benchmark's frame size and about the
@@ -84,13 +86,23 @@ def test_same_floats_under_one_and_two_blas_threads(code):
     )
 
 
-def test_intra_solve_gives_the_same_floats_under_every_kernel():
-    hashes = {"default": _hash_in_child(INTRA_SOLVE)}
+def _hashes_under_every_kernel(code):
+    """Hashes of `code` at the default settings, under each OpenBLAS kernel
+    this CPU runs, and with numpy's dispatched SIMD kernels disabled."""
+    hashes = {"default": _hash_in_child(code)}
     for core in supported_coretypes():
-        hashes[core] = _hash_in_child(INTRA_SOLVE, OPENBLAS_CORETYPE=core)
+        hashes[core] = _hash_in_child(code, OPENBLAS_CORETYPE=core)
     dispatched = dispatched_simd()
     if dispatched:
-        hashes["baseline_simd"] = _hash_in_child(
-            INTRA_SOLVE, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched)
-        )
+        hashes["baseline_simd"] = _hash_in_child(code, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched))
+    return hashes
+
+
+def test_intra_solve_gives_the_same_floats_under_every_kernel():
+    hashes = _hashes_under_every_kernel(INTRA_SOLVE)
+    assert len(set(hashes.values())) == 1, hashes
+
+
+def test_residual_product_gives_the_same_floats_under_every_kernel():
+    hashes = _hashes_under_every_kernel(RECONSTRUCT)
     assert len(set(hashes.values())) == 1, hashes

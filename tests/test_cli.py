@@ -16,6 +16,7 @@ from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
 from hivc.frame import Frame
 from test_entropy import huge_count_payload
+from test_video_io import y4m_with_field
 
 
 def _report_dict(path):
@@ -254,6 +255,16 @@ def test_header_declaring_zero_frames_exits_corrupt(tmp_path, capsys):
 def test_missing_input_exits_io(tmp_path):
     assert main(["encode", str(tmp_path / "nope.y4m"), str(tmp_path / "o.hivc")]) == 2
     assert main(["decode", str(tmp_path / "nope.hivc"), str(tmp_path / "o.y4m")]) == 2
+
+
+@pytest.mark.parametrize("field", [b"Wx", b"F25", b"W-4", b"F25:0"])
+def test_malformed_y4m_header_exits_io(tmp_path, capsys, field):
+    src = y4m_with_field(tmp_path / "in.y4m", field)
+    assert main(["encode", str(src), str(tmp_path / "o.hivc")]) == 2
+    assert main(["metrics", str(src), str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"i/o error: bad header field '{field.decode()}'") == 2
+    assert not (tmp_path / "o.hivc").exists()
 
 
 def test_usage_errors(tmp_path, clip_y4m, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
-from hivc.quantize import QuantizeError, deadzone_dequantize, unmap_coefficients
+from hivc.quantize import QuantizeError, deadzone_indices, deadzone_step
 from hivc.subdivision import write_trees
 from hivc.video_io import read_y4m
 
@@ -533,9 +533,9 @@ def test_residual_keep_step_reconstructs_each_channel_group_once(monkeypatch):
     calls = []
     real = codec.reconstruct_blocks
 
-    def counting(mc, a):
-        calls.append(len(mc))
-        return real(mc, a)
+    def counting(w, a, scale):
+        calls.append(len(w))
+        return real(w, a, scale)
 
     monkeypatch.setattr(codec, "reconstruct_blocks", counting)
     rng = np.random.default_rng(12)
@@ -556,9 +556,10 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
     qc[:, ::5] = 0
     qa[:, ::10] = 0  # nothing survived quantization in these blocks
     # residuals near each block's own reconstruction, noisier in some
-    mc = unmap_coefficients(deadzone_dequantize(qc, levels), c_scale)
-    a_hat = unmap_coefficients(deadzone_dequantize(qa, levels), a_scale)
-    rec = codec.reconstruct_blocks(mc.reshape(-1, 8, 8), a_hat.ravel()).reshape(nplanes, n, 8, 8)
+    c_step, a_step = deadzone_step(c_scale, levels), deadzone_step(a_scale, levels)
+    w = deadzone_indices(qc, levels)
+    a_hat = deadzone_indices(qa, levels) * a_step
+    rec = codec.reconstruct_blocks(w.reshape(-1, 8, 8), a_hat.ravel(), c_step).reshape(nplanes, n, 8, 8)
     fb = np.rint(rec + 4 * rng.normal(0, 1, (nplanes, n, 1, 1)) * rng.normal(0, 1, rec.shape))
     keep = codec._keep_blocks(fb, np.ones((n, 8, 8)), masks, qc, qa, levels, c_scale, a_scale, lam)
 
@@ -568,9 +569,9 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
             continue
         gain = 0.0
         for ci in range(nplanes):
-            mc = unmap_coefficients(deadzone_dequantize(qc[ci, i], levels), c_scale)
-            a_hat = unmap_coefficients(deadzone_dequantize(qa[ci, i : i + 1], levels), a_scale)
-            rec = codec.reconstruct_blocks(mc.reshape(1, 8, 8), a_hat)[0]
+            w = deadzone_indices(qc[ci, i], levels)
+            a_hat = deadzone_indices(qa[ci, i : i + 1], levels) * a_step
+            rec = codec.reconstruct_blocks(w.reshape(1, 8, 8), a_hat, c_step)[0]
             r = fb[ci, i]
             gain += float(np.sum(r * r) - np.sum((r - rec) ** 2))
         cost_bits = 8 + nplanes * (int(masks[i].sum()) + 1) * 4

@@ -144,7 +144,8 @@ def test_brox_bit_identical_to_plain_expression_oracle(pair):
 
 def test_brox_working_set_is_pinned_in_planes():
     # a fixed-point step works in the level's planes and builds none of
-    # its own: 54.2 float64 planes at 48x64, against 64 before
+    # its own, and each level frees its planes when it ends: 51.1 float64
+    # planes at 48x64, against 64 before
     cur, prev = shifted_pair(48, 64, 1, 1, seed=4)
     flow_brox(cur, prev)
     tracemalloc.start()

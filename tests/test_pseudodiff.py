@@ -5,7 +5,9 @@ from hivc.codec import _plan_group, _tiles
 from hivc.pseudodiff import (
     BLOCK,
     _dct_matrix_1d,
+    GREENS_SHIFT,
     _greens_block_matrix,
+    _greens_whole_t,
     greens_eigenvalues_harmonic,
     reconstruct_blocks,
     solve_block_coefficients_batch,
@@ -169,6 +171,29 @@ def test_batched_reconstruction_matches_single():
     for i in range(n):
         single = (g @ mc[i].ravel()).reshape(8, 8) + a[i]
         assert np.allclose(batched[i], single, atol=1e-12)
+
+
+def test_index_product_is_exact_at_the_largest_indices():
+    # each output pixel against weights of +-127 signed like its row of G,
+    # the largest sum any stream can ask for: the float product equals the
+    # int64 one, so no partial sum rounded
+    g_t = _greens_whole_t()
+    w = 127.0 * np.sign(g_t.T)
+    exact = w.astype(np.int64) @ g_t.astype(np.int64)
+    out = reconstruct_blocks(w.reshape(64, 8, 8), np.zeros(64), 2.0**GREENS_SHIFT)
+    assert np.abs(exact).max() < 2**53 / 3
+    assert np.array_equal(out.reshape(64, 64), exact.astype(np.float64))
+
+
+def test_one_product_equals_per_block_products_bit_for_bit():
+    rng = np.random.default_rng(9)
+    n = 200
+    w = rng.integers(-127, 128, (n, 8, 8)) * (rng.random((n, 8, 8)) < 0.3)
+    w = w.astype(np.float64)
+    a = rng.standard_normal(n)
+    whole = reconstruct_blocks(w, a, 0.37)
+    for i in range(n):
+        assert np.array_equal(reconstruct_blocks(w[i : i + 1], a[i : i + 1], 0.37)[0], whole[i])
 
 
 def test_constant_reconstruction_from_zero_coefficients():

@@ -87,6 +87,30 @@ def test_y4m_rejects_bad_magic(tmp_path):
         read_y4m(path)
 
 
+def y4m_with_field(path, field):
+    """Write a one-frame 4x2 gray Y4M file whose header has `field` in
+    place of its W, H or F token."""
+    params = {b"W": b"W4", b"H": b"H2", b"F": b"F25:1"}
+    params[field[:1]] = field
+    path.write_bytes(b"YUV4MPEG2 " + b" ".join(params.values()) + b" Cmono\nFRAME\n" + bytes(8))
+    return path
+
+
+@pytest.mark.parametrize(
+    "field", [b"Wx", b"W-4", b"W0", b"W", b"H2.5", b"F25", b"F25:0", b"F0:1", b"F:1", b"F25:1:2"]
+)
+def test_y4m_rejects_a_malformed_header_field(tmp_path, field):
+    with pytest.raises(VideoIOError, match=f"bad header field '{field.decode()}'"):
+        read_y4m(y4m_with_field(tmp_path / "bad.y4m", field))
+
+
+def test_y4m_rejects_a_chroma_mode_that_is_not_text(tmp_path):
+    path = tmp_path / "bad.y4m"
+    path.write_bytes(b"YUV4MPEG2 W4 H2 F25:1 C\xff\nFRAME\n" + bytes(8))
+    with pytest.raises(VideoIOError, match="unsupported chroma mode"):
+        read_y4m(path)
+
+
 def test_read_frames_from_directory(tmp_path):
     clip = moving_clip(3, 12, 14, seed=5)
     for i, f in enumerate(clip):
