@@ -59,12 +59,20 @@ def _report(lines, path):
         sys.stdout.write(text)
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text):
+    """One of 1/0, true/false, yes/no or on/off, in any case."""
+    try:
+        return _BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 # key -> converter of its text value, from EncoderConfig's annotations
-_CONVERTERS = {
-    "int": int,
-    "float": float,
-    "bool": lambda v: v.lower() in ("1", "true", "yes", "on"),
-}
+_CONVERTERS = {"int": int, "float": float, "bool": _parse_bool}
 _CONFIG_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(codec.EncoderConfig)}
 
 

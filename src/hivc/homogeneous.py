@@ -5,7 +5,11 @@ inpainting problem with the 5-point Laplacian under reflecting boundary
 conditions: known pixels keep their values, all others satisfy the
 discrete Laplace equation. The solver is a cascadic coarse-to-fine
 conjugate gradient scheme: solve on a subsampled pyramid level, prolong
-bilinearly, refine on the next finer level.
+bilinearly, refine on the next finer level. The mask half of that
+pyramid (MaskPyramid) does not depend on the values, so solves on one
+mask can share it. The same cascade solves the interior system with a
+source term and zero mask values (solve_source), which the encoder's
+tonal fit needs for its adjoint.
 
 A solve picks one dtype for every level: float32, which halves the
 memory traffic of every array pass, unless it is asked for a tolerance
@@ -20,6 +24,7 @@ on the mask exactly.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,29 +84,41 @@ def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     return float(np.add.reduce(work.reshape(-1)))
 
 
-def _masked_cg(f, mask, x0, tol, max_iter, finest=False):
+def _masked_cg(f, mask, x0, tol, max_iter, finest=False, interior=None, rhs=None):
     """CG on the interior (non-mask) unknowns with Dirichlet mask values,
     in the dtype of `f` and `x0`.
 
     Eliminating the known pixels leaves the SPD system
-    (-L)_II w = (L u_D)_I with u_D = f on the mask and 0 elsewhere.
-    It stops once the residual is at most `tol` times ||(L u_D)_I||, or
-    on the finest level times ||f restricted to the mask||, the
-    contract denominator; an exact `x0` costs no iteration, and on a
-    full mask the residual starts at zero, so `f` comes back unchanged.
-    Values of `f` off the mask are never read. Returns (solution plane,
-    number of updates made to it).
+    (-L)_II w = (L u_D)_I + b_I with u_D = f on the mask and 0 elsewhere,
+    and b = `rhs`, an interior source term that is 0 when not given.
+    It stops once the residual is at most `tol` times the norm of that
+    right-hand side, or, on the finest level without a source, times
+    ||f restricted to the mask||, the contract denominator; an exact
+    `x0` costs no iteration, and on a full mask the residual starts at
+    zero, so `f` comes back unchanged. Values of `f` off the mask and of
+    `rhs` on it are never read. `interior`, if given, is the non-mask
+    indicator in the dtype of `f`. Returns (solution plane, number of
+    updates made to it).
     """
     # full-plane arithmetic with zeros held at mask pixels avoids the
     # gather/scatter of interior unknowns on every iteration; the loop
     # works in place and keeps -A p = L(p) on the interior in `ap`
-    interior = (~mask).astype(f.dtype)
+    if interior is None:
+        interior = (~mask).astype(f.dtype)
     u_d = np.where(mask, f, 0.0)
     x = x0 * interior
     r = laplacian(u_d + x)
+    if rhs is not None:
+        r += rhs
     r *= interior
     work = np.empty_like(r)
-    scale = u_d if finest else laplacian(u_d) * interior
+    if finest and rhs is None:
+        scale = u_d
+    else:
+        scale = laplacian(u_d)
+        if rhs is not None:
+            scale += rhs
+        scale *= interior
     limit = tol * math.sqrt(_dot(scale, scale, work))
     p = r.copy()
     ap = np.empty_like(r)
@@ -134,24 +151,24 @@ def _block_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_pyramid(f: np.ndarray, mask: np.ndarray):
-    """Coarse-to-fine pyramid of (plane, mask) pairs, finest first.
+def _resize_tables(src_shape, shape, dtype):
+    """Index and weight tables of a bilinear resample from `src_shape` to
+    `shape`, pixel-center aligned and clamped: (i0, i1, 1 - wt, wt) per
+    axis, rows first, weights in `dtype`."""
+    tables = []
+    for n, src_n in zip(shape, src_shape):
+        pos = np.clip((np.arange(n) + 0.5) * (src_n / n) - 0.5, 0, src_n - 1)
+        i0 = np.floor(pos).astype(int)
+        wt = (pos - i0).astype(dtype)
+        tables.append((i0, np.minimum(i0 + 1, src_n - 1), 1 - wt, wt))
+    return tables
 
-    Dimensions halve (ceiling) until max(w, h) <= 16. A coarse mask
-    pixel is set iff any of its 2x2 children is set, and holds the mean
-    of the set children; every other coarse pixel holds 0, because the
-    CG reads a plane only on its mask. A float32 plane gives float32
-    levels; a float64 or integer plane gives float64 ones.
-    """
-    f = np.asarray(f)
-    f = f.astype(np.result_type(f.dtype, np.float32), copy=False)
-    levels = [(f, np.asarray(mask, dtype=bool))]
-    while max(levels[-1][0].shape) > COARSEST_SIZE:
-        fv, mv = levels[-1]
-        set_cnt = _block_sum(mv.astype(fv.dtype))
-        set_sum = _block_sum(np.where(mv, fv, 0.0))
-        levels.append((set_sum / np.maximum(set_cnt, 1.0), set_cnt > 0))
-    return levels
+
+def _resample(img: np.ndarray, tables) -> np.ndarray:
+    """Bilinear resample through tables from _resize_tables."""
+    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1) = tables
+    rows = wx0 * img[..., x0] + wx1 * img[..., x1]
+    return wy0[:, None] * rows[..., y0, :] + wy1[:, None] * rows[..., y1, :]
 
 
 def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
@@ -165,19 +182,106 @@ def bilinear_resize(img: np.ndarray, shape) -> np.ndarray:
     own. A float32 image is resampled in float32; a float64 or integer
     image in float64.
     """
-    h, w = shape
-    ih, iw = img.shape[-2:]
-    ys = np.clip((np.arange(h) + 0.5) * (ih / h) - 0.5, 0, ih - 1)
-    xs = np.clip((np.arange(w) + 0.5) * (iw / w) - 0.5, 0, iw - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, ih - 1)
-    x1 = np.minimum(x0 + 1, iw - 1)
     dtype = np.result_type(img.dtype, np.float32)
-    wy = (ys - y0).astype(dtype)[:, None]
-    wx = (xs - x0).astype(dtype)[None, :]
-    rows = (1 - wx) * img[..., x0] + wx * img[..., x1]
-    return (1 - wy) * rows[..., y0, :] + wy * rows[..., y1, :]
+    return _resample(img, _resize_tables(img.shape[-2:], shape, dtype))
+
+
+class MaskPyramid(NamedTuple):
+    """The mask half of a solve's pyramid, finest level first: what every
+    solve on one mask shares, whatever the values on it.
+
+    Dimensions halve (ceiling) until max(w, h) <= 16. A coarse mask
+    pixel is set iff any of its 2x2 children is set. `divisors[l]` holds
+    the number of set children of each pixel of level l + 1, at least 1;
+    `interiors[l]` is level l's non-mask indicator; `prolong[l]` holds
+    the bilinear tables from level l + 1 to level l. Divisors, interior
+    factors and weights are in `dtype`.
+    """
+
+    dtype: np.dtype
+    masks: list
+    divisors: list
+    interiors: list
+    prolong: list
+
+
+def mask_pyramid(mask: np.ndarray, dtype) -> MaskPyramid:
+    """Build the MaskPyramid of `mask` for solves in `dtype`."""
+    dtype = np.dtype(dtype)
+    masks = [np.asarray(mask, dtype=bool)]
+    divisors = []
+    while max(masks[-1].shape) > COARSEST_SIZE:
+        set_cnt = _block_sum(masks[-1].astype(dtype))
+        masks.append(set_cnt > 0)
+        divisors.append(np.maximum(set_cnt, 1.0))
+    interiors = [(~m).astype(dtype) for m in masks]
+    prolong = [_resize_tables(c.shape, m.shape, dtype) for m, c in zip(masks, masks[1:])]
+    return MaskPyramid(dtype, masks, divisors, interiors, prolong)
+
+
+def _restrict_values(f: np.ndarray, pyramid: MaskPyramid) -> list:
+    """Each level's plane: the mean of the set children on the coarse
+    mask, 0 elsewhere, because the CG reads a plane only on its mask."""
+    planes = [f]
+    for mv, div in zip(pyramid.masks, pyramid.divisors):
+        planes.append(_block_sum(np.where(mv, planes[-1], 0.0)) / div)
+    return planes
+
+
+def build_pyramid(f: np.ndarray, mask: np.ndarray):
+    """Coarse-to-fine pyramid of (plane, mask) pairs, finest first, on
+    mask_pyramid's levels. A float32 plane gives float32 levels; a
+    float64 or integer plane gives float64 ones."""
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float32), copy=False)
+    pyramid = mask_pyramid(mask, f.dtype)
+    return list(zip(_restrict_values(f, pyramid), pyramid.masks))
+
+
+def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
+    """Coarse-to-fine CG over the levels: solve the coarsest level from
+    the mean of its mask values, prolong bilinearly, refine on the next
+    finer level. `sources`, if given, holds each level's interior source
+    term. Each level stops at relative residual `tol` (at least
+    LEVEL_TOL below the finest) or after `max_iter` CG iterations.
+    Returns the finest solution and per-level (pixels, iterations)
+    pairs, finest last."""
+    u = None
+    iters = []
+    for lvl in range(len(planes) - 1, -1, -1):
+        fv, mv = planes[lvl], pyramid.masks[lvl]
+        level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
+        if u is None:
+            x0 = np.full_like(fv, fv[mv].mean())
+        else:
+            x0 = _resample(u, pyramid.prolong[lvl])
+        u, it = _masked_cg(
+            fv, mv, x0, level_tol, max_iter, finest=lvl == 0,
+            interior=pyramid.interiors[lvl], rhs=None if sources is None else sources[lvl],
+        )
+        iters.append((fv.size, it))
+    return u, iters
+
+
+def solve_dtype(tol: float):
+    """The dtype of every level of a solve to relative residual `tol`."""
+    return np.dtype(np.float32 if tol >= FLOAT32_TOL else np.float64)
+
+
+def _checked_pyramid(shape, mask, tol, pyramid):
+    """The solve's mask pyramid, `pyramid` if given, after checking that
+    the plane and the pyramid fit `mask` and that the mask is not empty."""
+    mask = np.asarray(mask, dtype=bool)
+    if shape != mask.shape:
+        raise InpaintingError("plane/mask shape mismatch")
+    if not mask.any():
+        raise InpaintingError("empty inpainting mask")
+    dtype = solve_dtype(tol)
+    if pyramid is None:
+        return mask_pyramid(mask, dtype)
+    if pyramid.dtype != dtype or pyramid.masks[0].shape != shape:
+        raise InpaintingError("mask pyramid does not fit this solve")
+    return pyramid
 
 
 def solve_homogeneous(
@@ -186,36 +290,49 @@ def solve_homogeneous(
     tol: float = 1e-6,
     max_iter: int = 10000,
     stats: dict | None = None,
+    pyramid: MaskPyramid | None = None,
 ):
     """Cascadic coarse-to-fine CG solve of homogeneous diffusion inpainting.
 
     Each pyramid level stops at relative residual `tol` (at least
     LEVEL_TOL below the finest) or after `max_iter` CG iterations, so
     the work is bounded. Every level runs in float32, or in float64 when
-    `tol` is below FLOAT32_TOL. `stats`, if given, collects per-level
+    `tol` is below FLOAT32_TOL. `pyramid`, if given, is
+    mask_pyramid(mask, solve_dtype(tol)), shared by solves on one mask
+    at the same floats. `stats`, if given, collects per-level
     (pixels, iterations) pairs, finest last. Returns a float64 plane
     equal to `f` on the mask.
     """
     f = np.asarray(f, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if f.shape != mask.shape:
-        raise InpaintingError("plane/mask shape mismatch")
-    if not mask.any():
-        raise InpaintingError("empty inpainting mask")
-
-    dtype = np.float32 if tol >= FLOAT32_TOL else np.float64
-    levels = build_pyramid(f.astype(dtype, copy=False), mask)
-    u = None
-    iters = []
-    for lvl in range(len(levels) - 1, -1, -1):
-        fv, mv = levels[lvl]
-        level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
-        if u is None:
-            x0 = np.full_like(fv, fv[mv].mean())
-        else:
-            x0 = bilinear_resize(u, fv.shape)
-        u, it = _masked_cg(fv, mv, x0, level_tol, max_iter, finest=lvl == 0)
-        iters.append((fv.size, it))
+    pyramid = _checked_pyramid(f.shape, mask, tol, pyramid)
+    planes = _restrict_values(f.astype(pyramid.dtype, copy=False), pyramid)
+    u, iters = _cascade(planes, pyramid, tol, max_iter)
     if stats is not None:
         stats["level_iterations"] = iters
-    return np.where(mask, f, u)
+    return np.where(pyramid.masks[0], f, u)
+
+
+def solve_source(
+    b: np.ndarray,
+    mask: np.ndarray,
+    tol: float = 1e-6,
+    max_iter: int = 10000,
+    pyramid: MaskPyramid | None = None,
+):
+    """Cascadic CG solve of (-L_II) z = b_I with z = 0 on the mask.
+
+    The same cascade as solve_homogeneous, with 0 on every mask and an
+    interior source: each coarser level's source is the 2x2 block sum of
+    the finer one off its mask, because one coarse pixel stands for four
+    fine ones under a stencil of twice the spacing. The finest level
+    stops at `tol` times ||b_I||. Returns z as a float64 plane, 0 on the
+    mask; values of `b` on the mask are never read.
+    """
+    b = np.asarray(b)
+    pyramid = _checked_pyramid(b.shape, mask, tol, pyramid)
+    sources = [b.astype(pyramid.dtype, copy=False)]
+    for interior in pyramid.interiors[:-1]:
+        sources.append(_block_sum(sources[-1] * interior))
+    planes = [np.zeros_like(s) for s in sources]
+    z, _ = _cascade(planes, pyramid, tol, max_iter, sources)
+    return z.astype(np.float64)

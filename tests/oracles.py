@@ -2,8 +2,9 @@
 
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
-The tonal fit through an LU of the full inpainting system is the
-reference for the codec's interior factorization. The Horn-Schunck flow
+The tonal fit through an LU of the full inpainting system, at 12 LSQR
+steps, is the reference for the codec's fit on its cascadic solver, and
+the same LU measures any fit's error under the exact operator. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox
 solver and subdivision search at the end are the reference the
 in-place production versions must match bit for bit; the search
@@ -50,7 +51,7 @@ from hivc.flow import (
     bilinear_warp,
 )
 from hivc.homogeneous import InpaintingError, bilinear_resize, laplacian
-from hivc.prediction import TONAL_ITERS, _mask_points, decode_intra, encode_intra
+from hivc.prediction import _mask_points, decode_intra, encode_intra
 from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.subdivision import (
     SubdivisionError,
@@ -242,6 +243,10 @@ def _sparse_inpainting_system(mask: np.ndarray):
     return (sparse.diags(d) + sparse.diags(1.0 - d) @ lap).tocsc()
 
 
+# LSQR steps of the reference fit
+TONAL_REFERENCE_ITERS = 12
+
+
 def optimize_mask_values(planes, mask: np.ndarray):
     """Tonal fit through an LU of the full n x n inpainting system, with
     a transposed solve for the adjoint."""
@@ -264,10 +269,24 @@ def optimize_mask_values(planes, mask: np.ndarray):
     out = []
     for plane, x0 in zip(planes, samples):
         target = np.asarray(plane, dtype=np.float64).ravel()
-        v = lsqr(op, target, iter_lim=TONAL_ITERS, x0=x0.copy())[0]
+        v = lsqr(op, target, iter_lim=TONAL_REFERENCE_ITERS, x0=x0.copy())[0]
         # box projection keeps the quantizer span tight and the
         # reconstruction within the source dynamic range
         out.append(np.clip(v, target.min(), target.max()))
+    return out
+
+
+def inpainting_rms(planes, mask: np.ndarray, values) -> list:
+    """RMS error of each plane's exact inpainting from its mask values
+    (raster order), through one LU of the full inpainting system."""
+    pts = _mask_points(mask)
+    lu = splu(_sparse_inpainting_system(mask))
+    out = []
+    for plane, v in zip(planes, values):
+        f = np.zeros(mask.size)
+        f[pts] = v
+        err = lu.solve(f) - np.asarray(plane, dtype=np.float64).ravel()
+        out.append(float(np.sqrt(np.mean(err**2))))
     return out
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import moving_clip
-from hivc import bitstream, codec, entropy, video_io
+from hivc import bitstream, cli, codec, entropy, video_io
 from hivc.bitstream import StreamHeader, write_stream
 from hivc.cli import main
 from hivc.frame import Frame
@@ -342,13 +342,23 @@ def test_config_file_applies_and_rejects_unknown_keys(tmp_path, clip_y4m, capsys
     assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
     bad.write_text("flow_method=brox\n")
     assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
-    for line in ("gop_size=two", "intra_mask_fraction=abc"):
+    for line in ("gop_size=two", "intra_mask_fraction=abc", "self_check=banana", "self_check="):
         capsys.readouterr()
         bad.write_text(f"self_check=true\n{line}\n")
         assert main(["encode", str(src), str(stream), "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {bad}:2: ")
         assert repr(line.split("=")[0]) in err
+
+
+@pytest.mark.parametrize(
+    "text,on", [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                ("0", False), ("False", False), ("NO", False), ("Off", False)]
+)
+def test_config_file_reads_each_boolean_word(tmp_path, text, on):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"self_check = {text}\n")
+    assert cli._parse_config_file(cfg) == {"self_check": on}
 
 
 def test_flag_overrides_config(tmp_path, clip_y4m):

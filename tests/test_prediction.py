@@ -7,7 +7,7 @@ from hivc.bitstream import Truncated
 from hivc.flow import FlowField, bilinear_warp
 from hivc.frame import Frame, psnr, rct_forward
 import oracles
-from hivc import entropy, prediction
+from hivc import homogeneous, prediction
 from hivc.codec import EncoderConfig, _to_yuv_planes
 from hivc.prediction import (
     chroma_budget,
@@ -204,31 +204,34 @@ def _tonal_planes(h, w, count, seed):
     return [smooth_texture(h, w, seed + c, sigma=1.5) for c in range(count)]
 
 
-def _payload(values, levels):
-    """Quantizer bounds and entropy-coded uniform_quantize indices, as the
-    intra payload stores them."""
-    return entropy.encode_value_block(values, levels)
+# The fit runs TONAL_ITERS LSQR steps on an operator solved to
+# TONAL_SOLVE_TOL, the reference 12 steps on the exact one. Under the
+# exact operator its error exceeded the reference's by at most 0.022% on
+# the masks above, 0.024% on the encoder's masks of 336x144 frames
+# (seeds 11, 21, 31) and 0.046% on the bench frame's chroma mask below,
+# so this bound leaves at least 2x room.
+FIT_EPS = 1e-3
 
 
-def _assert_fits_agree(planes, mask):
+def _assert_fit_is_close_to_exact(planes, mask):
     got = optimize_mask_values(planes, mask)
     want = oracles.optimize_mask_values(planes, mask)
     assert len(got) == len(want) == len(planes)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape == (int(mask.sum()),)
-        # relative to the values: with a single mask row, 12 LSQR steps
-        # amplify roundoff so much that the oracle itself moves by 5e-9
-        # under another column ordering of its LU
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
-        for levels in (16, 256):
-            assert _payload(a, levels) == _payload(b, levels)
+    pts = prediction._mask_points(mask)
+    samples = [p.ravel()[pts] for p in planes]
+    fit, ref, raw = (oracles.inpainting_rms(planes, mask, v) for v in (got, want, samples))
+    for a, plane, e_fit, e_ref, e_raw in zip(got, planes, fit, ref, raw):
+        assert a.shape == (pts.size,)
+        assert e_fit <= (1 + FIT_EPS) * e_ref
+        assert e_fit <= e_raw
+        assert plane.min() <= a.min() and a.max() <= plane.max()
 
 
 @pytest.mark.parametrize("name", sorted(TONAL_MASKS))
 @pytest.mark.parametrize("nplanes", [1, 2])
 def test_tonal_fit_matches_full_system_oracle(name, nplanes):
     h, w, make = TONAL_MASKS[name]
-    _assert_fits_agree(_tonal_planes(h, w, nplanes, seed=len(name)), make(h, w))
+    _assert_fit_is_close_to_exact(_tonal_planes(h, w, nplanes, seed=len(name)), make(h, w))
 
 
 def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
@@ -237,8 +240,8 @@ def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
     _, leaves_y = subdivide_by_error([y], budget)
     _, leaves_c = subdivide_by_error([u, v], chroma_budget(budget, u.size))
     mask_y, mask_c = leaf_masks([leaves_y, leaves_c], y.shape)
-    _assert_fits_agree([y], mask_y)
-    _assert_fits_agree([u, v], mask_c)
+    _assert_fit_is_close_to_exact([y], mask_y)
+    _assert_fit_is_close_to_exact([u, v], mask_c)
 
 
 def test_tonal_fit_full_mask_returns_samples():
@@ -250,11 +253,13 @@ def test_tonal_fit_full_mask_returns_samples():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (6, 8)])
-def test_laplacian_bands_match_dense_laplacian(shape):
-    h, w = shape
-    got = prediction._laplacian_matrix(h, w).toarray()
-    assert np.array_equal(got, oracles.dense_laplacian(w, h))
+def _interior_bound(mask):
+    """1 / the smallest eigenvalue of -L_II: how far an interior residual
+    of norm 1 can put a solve from the exact solution."""
+    h, w = mask.shape
+    inner = ~mask.ravel()
+    lap = oracles.dense_laplacian(w, h)
+    return 1.0 / np.linalg.eigvalsh(-lap[np.ix_(inner, inner)])[0]
 
 
 @pytest.mark.parametrize("name", sorted(TONAL_MASKS))
@@ -263,33 +268,73 @@ def test_inpainting_operator_adjoint_and_forward_map(name):
     mask = make(h, w)
     op = prediction._inpainting_operator(mask)
     k = int(mask.sum())
+    # Each solve stops at an interior residual of TONAL_SOLVE_TOL times
+    # ||v|| (forward) or ||r_I|| (adjoint), so it lies within that times
+    # 1 / lambda_min(-L_II) of the exact solve. L_KI has at most 4 ones
+    # per row and column, so M^T r errs by at most 4 times its solve, and
+    # <Mv, r> - <v, M^T r> by at most 1 + 4 times `bound` ||v|| ||r||.
+    # The factor 2 covers the float32 roundoff of the solves.
+    bound = 0.0 if mask.all() else 2 * prediction.TONAL_SOLVE_TOL * _interior_bound(mask)
     rng = np.random.default_rng(len(name))
     for _ in range(3):
         v = rng.normal(size=k)
         r = rng.normal(size=h * w)
         mv = op.matvec(v)
         lhs, rhs = mv @ r, v @ op.rmatvec(r)
-        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(mv) * np.linalg.norm(r)
-    # M v is the inpainting of the values v placed on the mask
-    f = np.zeros((h, w))
-    f[mask] = v
-    assert np.allclose(mv.reshape(h, w), oracles.solve_dense(f, mask), rtol=0, atol=1e-9)
+        assert abs(lhs - rhs) <= 5 * bound * np.linalg.norm(v) * np.linalg.norm(r) + 1e-12
+        # M v is the inpainting of the values v placed on the mask
+        f = np.zeros((h, w))
+        f[mask] = v
+        exact = oracles.solve_dense(f, mask).ravel()
+        assert np.linalg.norm(mv - exact) <= bound * np.linalg.norm(v) + 1e-12
+        assert np.array_equal(mv[mask.ravel()], v)
 
 
-def test_tonal_fit_factors_once_per_mask(monkeypatch):
-    calls = []
-    real = scipy.sparse.linalg.splu
+def test_tonal_fit_builds_one_mask_pyramid_per_plane_group(monkeypatch):
+    built = []
+    real = homogeneous.mask_pyramid
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(mask, dtype):
+        built.append(mask.shape)
+        return real(mask, dtype)
 
-    # the fit imports splu from SciPy when it runs
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    def no_splu(*args, **kwargs):
+        raise AssertionError("the tonal fit factorized a matrix")
+
+    monkeypatch.setattr(homogeneous, "mask_pyramid", counting)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
     planes = _yuv_planes(8)
     encode_intra(planes, 60, 256)
-    # one factorization for the luma mask, one for the shared chroma mask
-    assert len(calls) == 2
-    calls.clear()
+    # one pyramid for the luma mask, one for the shared chroma mask
+    assert len(built) == 2
+    built.clear()
     optimize_mask_values(planes[1:], _random_mask(32, 32, 0.1, 9))
-    assert len(calls) == 1
+    assert len(built) == 1
+
+
+def test_intra_decode_builds_one_mask_pyramid_per_plane_group(monkeypatch):
+    payload = encode_intra(_yuv_planes(8), 60, 256)
+    built, calls = [], []
+    real_pyramid, real_solve = homogeneous.mask_pyramid, prediction.solve_homogeneous
+
+    def counting_pyramid(*args, **kwargs):
+        built.append(1)
+        return real_pyramid(*args, **kwargs)
+
+    def recording_solve(f, mask, **kwargs):
+        out = real_solve(f, mask, **kwargs)
+        calls.append((f, mask, kwargs, out))
+        return out
+
+    monkeypatch.setattr(homogeneous, "mask_pyramid", counting_pyramid)
+    monkeypatch.setattr(prediction, "solve_homogeneous", recording_solve)
+    decode_intra(payload, 0, (32, 32), 3, 256)
+    monkeypatch.undo()
+    # one pyramid for the luma mask, one that U and V share
+    assert len(built) == 2 and len(calls) == 3
+    pyramids = [kwargs["pyramid"] for _, _, kwargs, _ in calls]
+    assert pyramids[1] is pyramids[2] and pyramids[0] is not pyramids[1]
+    # a shared pyramid gives the floats of a solve that builds its own
+    for f, mask, kwargs, out in calls:
+        del kwargs["pyramid"]
+        assert out.tobytes() == real_solve(f, mask, **kwargs).tobytes()
