@@ -1,15 +1,18 @@
 """Bit-level and varint serialization helpers.
 
-Every run of bits in a stream is stored MSB first and zero-padded to
-whole bytes. A run whose length the decoder cannot compute (subdivision
-trees, FSE bits) is a bit section: a u32 bit count, then the bits. A run
-whose length it can (skip maps, the extra bits of signed values) has no
-count. read_bits, the one reader of a run, checks it and its padding.
+Every run of bits in a stream has one layout: MSB first, zero-padded to
+whole bytes, and no stored length. Its reader computes the length from
+what it has read: a skip map has one bit per tile, extra bits follow
+their categories, subdivision trees end at their last leaf and FSE bits
+at the last of their symbols. read_bits, the one reader of a run,
+checks it and its padding; a reader that learns the length only by
+walking the bits (iter_bits for trees, the FSE decoder's own loop)
+closes the run with read_bits once it has walked it.
 """
 
 from __future__ import annotations
 
-import struct
+from itertools import chain
 
 import numpy as np
 
@@ -41,13 +44,6 @@ def unpack_bits(bits: np.ndarray, widths) -> np.ndarray:
     return sums[ends] - sums[ends - widths]
 
 
-def write_section(out: bytearray, bits: np.ndarray):
-    """Append a bit section: the bit count of the 0/1 uint8 array `bits`
-    as a u32, then the bits, zero-padded to whole bytes."""
-    out += struct.pack("<I", bits.size)
-    out += np.packbits(bits).tobytes()
-
-
 def read_bits(data: bytes, pos: int, nbits: int):
     """(bytes, next position) of the `nbits` bits at `pos`; a run cut short
     raises Truncated, and a set padding bit in its last byte LengthMismatch."""
@@ -57,18 +53,28 @@ def read_bits(data: bytes, pos: int, nbits: int):
     return body, end
 
 
+def iter_bits(data: bytes, pos: int, max_bits: int):
+    """The bits at `pos` as an iterator of ints, for a reader that finds a
+    run's end by walking it: at most `max_bits`, rounded up to whole bytes,
+    and no more than the bytes left. They are unpacked as the walk takes
+    them, in chunks of 16, 32, 64 and then 128 bytes: few bytes for a short
+    run, few calls for a long one. read_bits then closes the run."""
+    end = pos + min(-(-max_bits // 8), len(data) - pos)
+    return chain.from_iterable(_bit_chunks(data, pos, end))
+
+
+def _bit_chunks(data: bytes, pos: int, end: int):
+    step = 16
+    while pos < end:
+        yield np.unpackbits(np.frombuffer(data[pos : min(pos + step, end)], dtype=np.uint8)).tolist()
+        pos, step = pos + step, min(2 * step, 128)
+
+
 def read_bit_array(data: bytes, pos: int, nbits: int):
     """(the `nbits` bits at `pos` as a 0/1 uint8 array, next position);
     checked as read_bits checks them."""
     body, pos = read_bits(data, pos, nbits)
     return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=nbits), pos
-
-
-def read_section(data: bytes, pos: int):
-    """Inverse of write_section; returns (bytes, bit count, next position)."""
-    (nbits,), pos = read_fields("<I", data, pos, "bit section length")
-    body, pos = read_bits(data, pos, nbits)
-    return body, nbits, pos
 
 
 def write_uvarint(out: bytearray, value: int):
@@ -86,6 +92,8 @@ def write_uvarint(out: bytearray, value: int):
 
 
 def read_uvarint(data: bytes, pos: int):
+    """(value, next position) of the varint at `pos`; one cut short raises
+    Truncated, and one of more than 10 bytes LengthMismatch."""
     value = 0
     shift = 0
     while True:
@@ -98,4 +106,4 @@ def read_uvarint(data: bytes, pos: int):
             return value, pos
         shift += 7
         if shift > 63:
-            raise ValueError("varint too long")
+            raise LengthMismatch("varint longer than 10 bytes")

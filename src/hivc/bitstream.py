@@ -4,7 +4,7 @@ Layout:
 
     header (22 bytes, little endian)
         magic      4s   b"HIVC"
-        version    u8   currently 3
+        version    u8   currently 4
         fields     each StreamHeader field, in the order, code and
                    offset _FIELDS gives
     then one record per group of pictures:
@@ -18,6 +18,8 @@ checked before any frame is decoded. Version 2 added the checksums and
 dropped every field a decoder can compute (see entropy.py). Version 3
 keeps that layout and solves the intra planes in float32 to a looser
 tolerance (see homogeneous.py and prediction.py), so its frames differ.
+Version 4 drops the u32 bit count before every tree section and FSE
+run (see bits.py) and decodes to version 3's frames.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import zlib
 from dataclasses import dataclass
 
 MAGIC = b"HIVC"
-VERSION = 3
+VERSION = 4
 # largest frame a stream may declare: the 4K UHD frame, which covers the
 # FullHD target with margin; checked before any plane is allocated
 MAX_PIXELS = 3840 * 2160

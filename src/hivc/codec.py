@@ -25,7 +25,7 @@ follows. After a 1, two u32 scales (weights, constants; value * 65536),
 then per plane group (`frame.plane_groups`: Y, then U and V jointly):
 
     skip map   ceil(tiles / 8) bytes, 1 bit per tile of `_tiles`, 1 = coded
-    trees      bit section: each coded tile's subdivision tree
+    trees      each coded tile's subdivision tree, zero-padded to a byte
     weights    signed values at each coded block's mask points, plane-major
     constants  signed values, one per coded block, plane-major
 

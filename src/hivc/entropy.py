@@ -13,7 +13,7 @@ Payloads store nothing the decoder can compute: the caller knows the
 symbol count from the structure before it, and the table size follows
 from that count and the alphabet size. Layouts (see also the README):
   symbols: [alphabet size + normalized counts: varints][final state: u16]
-           [FSE bits: bit section, a u32 bit count and the bits]
+           [FSE bits: as many as the symbols take, zero-padded to a byte]
   signed:  [symbols of the categories][extra bits: sum of the categories]
   values:  [lo, hi: i32 each][symbols of the quantizer indices]
 """
@@ -27,10 +27,9 @@ import numpy as np
 from hivc.bits import (
     pack_bits,
     read_bit_array,
-    read_section,
+    read_bits,
     read_uvarint,
     unpack_bits,
-    write_section,
     write_uvarint,
 )
 from hivc.bitstream import Truncated, read_fields
@@ -164,9 +163,11 @@ def fse_encode(symbols: np.ndarray, table: FseTable):
     return pack_bits(values[::-1], widths[::-1]), state
 
 
-def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable):
-    """Decode `count` symbols, also 0, from the first `nbits` bits of
-    `data`, starting from the stored final encoder state."""
+def fse_decode(data: bytes, pos: int, state: int, count: int, table: FseTable):
+    """Decode `count` symbols, also 0, from the bits at byte `pos` of
+    `data`, starting from the stored final encoder state; returns (the
+    symbols, the number of bits they took). Bits that run out raise
+    Truncated."""
     size = 1 << table.table_log
     if not size <= state < 2 * size:
         raise EntropyError("corrupt stream: final state out of range")
@@ -175,29 +176,28 @@ def fse_decode(data: bytes, nbits: int, state: int, count: int, table: FseTable)
     nbs = table.decode_nb.tolist()
     out = [0] * count
     # MSB-first bit reading inlined; this loop dominates decode time
-    acc = have = b = pos = 0
-    for i in range(count):
-        slot = state - size
-        out[i] = sym[slot]
-        nb = nbs[slot]
-        if nb:
-            pos += nb
-            if pos > nbits:
-                raise Truncated("bit stream exhausted")
-            while have < nb:
-                acc = (acc << 8) | data[b]
-                b += 1
-                have += 8
-            have -= nb
-            state = (xs[slot] << nb) | (acc >> have)
-            acc &= (1 << have) - 1
-        else:
-            state = xs[slot]
+    acc = have = 0
+    b = pos
+    try:
+        for i in range(count):
+            slot = state - size
+            out[i] = sym[slot]
+            nb = nbs[slot]
+            if nb:
+                while have < nb:
+                    acc = (acc << 8) | data[b]
+                    b += 1
+                    have += 8
+                have -= nb
+                state = (xs[slot] << nb) | (acc >> have)
+                acc &= (1 << have) - 1
+            else:
+                state = xs[slot]
+    except IndexError:
+        raise Truncated("FSE bits run out") from None
     if state != size:
         raise EntropyError("corrupt stream: final state mismatch")
-    if pos != nbits:
-        raise EntropyError(f"corrupt stream: {nbits - pos} unused FSE bits")
-    return np.asarray(out, dtype=np.int64)
+    return np.asarray(out, dtype=np.int64), 8 * (b - pos) - have
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def encode_symbols(symbols) -> bytes:
     bits, state = fse_encode(symbols, FseTable(counts, table_log))
     out = _encode_header(counts)
     out += struct.pack("<H", state)
-    write_section(out, bits)
+    out += np.packbits(bits).tobytes()
     return bytes(out)
 
 
@@ -263,10 +263,11 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     """
     counts, table_log, pos = _decode_header(data, pos, expected)
     (state,), pos = read_fields("<H", data, pos, "entropy final state")
-    body, nbits, pos = read_section(data, pos)
     # built before the walk, so the counts of an empty payload are checked too
     table = FseTable(counts, table_log)
-    return fse_decode(body, nbits, state, expected, table), pos
+    symbols, nbits = fse_decode(data, pos, state, expected, table)
+    _, pos = read_bits(data, pos, nbits)
+    return symbols, pos
 
 
 def encode_signed_values(values) -> bytes:

@@ -84,7 +84,7 @@ def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     return float(np.add.reduce(work.reshape(-1)))
 
 
-def _masked_cg(f, mask, x0, tol, max_iter, finest=False, interior=None, rhs=None):
+def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False, rhs=None):
     """CG on the interior (non-mask) unknowns with Dirichlet mask values,
     in the dtype of `f` and `x0`.
 
@@ -96,15 +96,13 @@ def _masked_cg(f, mask, x0, tol, max_iter, finest=False, interior=None, rhs=None
     ||f restricted to the mask||, the contract denominator; an exact
     `x0` costs no iteration, and on a full mask the residual starts at
     zero, so `f` comes back unchanged. Values of `f` off the mask and of
-    `rhs` on it are never read. `interior`, if given, is the non-mask
-    indicator in the dtype of `f`. Returns (solution plane, number of
-    updates made to it).
+    `rhs` on it are never read. `interior` is the non-mask indicator in
+    the dtype of `f`. Returns (solution plane, number of updates made to
+    it).
     """
     # full-plane arithmetic with zeros held at mask pixels avoids the
     # gather/scatter of interior unknowns on every iteration; the loop
     # works in place and keeps -A p = L(p) on the interior in `ap`
-    if interior is None:
-        interior = (~mask).astype(f.dtype)
     u_d = np.where(mask, f, 0.0)
     x = x0 * interior
     r = laplacian(u_d + x)
@@ -228,16 +226,6 @@ def _restrict_values(f: np.ndarray, pyramid: MaskPyramid) -> list:
     return planes
 
 
-def build_pyramid(f: np.ndarray, mask: np.ndarray):
-    """Coarse-to-fine pyramid of (plane, mask) pairs, finest first, on
-    mask_pyramid's levels. A float32 plane gives float32 levels; a
-    float64 or integer plane gives float64 ones."""
-    f = np.asarray(f)
-    f = f.astype(np.result_type(f.dtype, np.float32), copy=False)
-    pyramid = mask_pyramid(mask, f.dtype)
-    return list(zip(_restrict_values(f, pyramid), pyramid.masks))
-
-
 def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
     """Coarse-to-fine CG over the levels: solve the coarsest level from
     the mean of its mask values, prolong bilinearly, refine on the next
@@ -256,8 +244,8 @@ def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
         else:
             x0 = _resample(u, pyramid.prolong[lvl])
         u, it = _masked_cg(
-            fv, mv, x0, level_tol, max_iter, finest=lvl == 0,
-            interior=pyramid.interiors[lvl], rhs=None if sources is None else sources[lvl],
+            fv, mv, pyramid.interiors[lvl], x0, level_tol, max_iter, finest=lvl == 0,
+            rhs=None if sources is None else sources[lvl],
         )
         iters.append((fv.size, it))
     return u, iters

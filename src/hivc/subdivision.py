@@ -9,9 +9,10 @@ in every serialized payload.
 
 Both directions share one interface. The encoder's search,
 subdivide_by_error, returns a tree's preorder bits and its leaves
-together, and write_trees stores a section of trees. The decoder
-reads a section back, bounded, walked and closed in one call, with
-deserialize_tree (one tree) or parse_mask (any number of trees).
+together, and write_trees stores a section of trees, their bits alone,
+zero-padded to a byte. The decoder reads a section back, bounded,
+walked and closed in one call, with deserialize_tree (one tree) or
+parse_mask (any number of trees).
 leaf_masks is the one builder of midpoint masks: the encoder calls it
 on the leaves of its search, and parse_mask on the leaves it reads.
 """
@@ -23,8 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from hivc.bits import read_bit_array, write_section
-from hivc.bitstream import Truncated, read_fields
+from hivc.bits import iter_bits, read_bits
+from hivc.bitstream import Truncated
 
 
 class SubdivisionError(ValueError):
@@ -153,33 +154,30 @@ def paint_leaf_values(leaves, values, shape) -> np.ndarray:
 
 
 def write_trees(out: bytearray, trees):
-    """Append one bit section holding `trees`, their preorder bit arrays
-    one after another."""
-    write_section(out, np.concatenate([np.zeros(0, dtype=np.uint8), *trees]))
+    """Append one tree section holding `trees`, their preorder bit arrays
+    one after another, zero-padded to a byte."""
+    out += np.packbits(np.concatenate([np.zeros(0, dtype=np.uint8), *trees])).tobytes()
 
 
 def _read_trees(data: bytes, pos: int, sizes):
     """Leaves of the tree section at `pos`; returns (trees, next position).
 
     trees[i] lists the leaves (x, y, w, h), in preorder, of a tree over
-    sizes[i] = (width, height). A tree over n pixels has at most 2n - 1
-    nodes, so a longer section is rejected before its bits are read.
-    Bits that run out raise Truncated; a degenerate root, a split of a
-    single pixel and bits after the last tree raise SubdivisionError.
+    sizes[i] = (width, height). The section ends at the last tree's last
+    leaf, after sum(2 * leaves - 1) bits, and read_bits closes it. A tree
+    over n pixels has at most 2n - 1 nodes, and iter_bits unpacks no more.
+    Bits that run out raise Truncated, a set padding bit after the last
+    tree LengthMismatch, and a degenerate root or a split of a single
+    pixel SubdivisionError.
     """
     max_bits = 0
     for width, height in sizes:
         if width < 1 or height < 1:
             raise SubdivisionError(f"degenerate rectangle {width}x{height}")
         max_bits += 2 * width * height - 1
-    (nbits,), pos = read_fields("<I", data, pos, "tree section length")
-    if nbits > max_bits:
-        raise SubdivisionError(f"tree section of {nbits} bits, at most {max_bits} fit")
-    bits, pos = read_bit_array(data, pos, nbits)
-    bits = iter(bits.tolist())
-    trees = [_walk_tree(bits, width, height) for width, height in sizes]
-    if next(bits, None) is not None:
-        raise SubdivisionError("excess bits after the last tree")
+    walk = iter_bits(data, pos, max_bits)
+    trees = [_walk_tree(walk, width, height) for width, height in sizes]
+    _, pos = read_bits(data, pos, 2 * sum(map(len, trees)) - len(trees))
     return trees, pos
 
 

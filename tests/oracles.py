@@ -334,12 +334,6 @@ class BitWriter:
         return bytes(out)
 
 
-def write_section(out: bytearray, writer: BitWriter):
-    """bits.write_section of a BitWriter's bits."""
-    out += struct.pack("<I", len(writer))
-    out += writer.getvalue()
-
-
 def to_category(v: int):
     """(category, extra_bits_value) of a signed integer; bijective.
     Scalar reference for entropy.to_categories."""
@@ -395,7 +389,7 @@ def encode_symbols(symbols) -> bytes:
     for c in counts:
         write_uvarint(out, int(c))
     out += struct.pack("<H", state)
-    write_section(out, writer)
+    out += writer.getvalue()
     return bytes(out)
 
 

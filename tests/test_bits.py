@@ -1,20 +1,18 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hivc.bits import (
+    iter_bits,
     pack_bits,
     read_bit_array,
-    read_section,
+    read_bits,
     read_uvarint,
     unpack_bits,
-    write_section,
     write_uvarint,
 )
-from hivc.bitstream import BitstreamError, LengthMismatch, Truncated
+from hivc.bitstream import LengthMismatch, Truncated
 from hivc.entropy import decode_symbols, encode_symbols
 from oracles import BitWriter
 
@@ -33,12 +31,9 @@ def test_bit_round_trip(chunks):
     assert "".join(map(str, bits.tolist())) == expected
     widths = [nbits for nbits, _ in chunks]
     assert unpack_bits(bits, widths).tolist() == [value & ((1 << n) - 1) for n, value in chunks]
-    out = bytearray()
-    write_section(out, bits)
-    (nbits,) = struct.unpack_from("<I", out)
-    data = bytes(out[4:])
-    assert nbits == len(expected)
-    assert len(data) == (len(expected) + 7) // 8
+    data = np.packbits(bits).tobytes()
+    nbits = len(expected)
+    assert read_bits(data, 0, nbits) == (data, (nbits + 7) // 8)
     assert _bits_of(data, nbits) == expected
     # the final partial byte is zero-padded
     assert set("".join(f"{b:08b}" for b in data)[len(expected) :]) <= {"0"}
@@ -49,9 +44,10 @@ def test_bit_round_trip(chunks):
 
 
 def test_single_bits_and_padding():
-    out = bytearray()
-    write_section(out, np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-    assert bytes(out) == struct.pack("<I", 5) + bytes([0b10110000])
+    # a run stores no length: five bits are one zero-padded byte
+    data = np.packbits(pack_bits([0b10110], [5])).tobytes()
+    assert data == bytes([0b10110000])
+    assert read_bits(data + b"\xff", 0, 5) == (data, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,46 +57,36 @@ def test_single_bits_and_padding():
     st.binary(max_size=5),
 )
 def test_section_round_trip(sections, head, tail):
+    # runs back to back, each read by the length its reader knows
     out = bytearray(head)
     for bits in sections:
-        write_section(out, np.array(bits, dtype=np.uint8))
+        out += np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
     out += tail
     data = bytes(out)
     pos = len(head)
     for bits in sections:
-        body, nbits, nxt = read_section(data, pos)
-        assert nbits == len(bits)
-        assert nxt == pos + 4 + (nbits + 7) // 8
-        assert _bits_of(body, nbits) == "".join(map(str, bits))
+        body, nxt = read_bits(data, pos, len(bits))
+        assert nxt == pos + (len(bits) + 7) // 8
+        assert _bits_of(body, len(bits)) == "".join(map(str, bits))
         pos = nxt
     assert data[pos:] == tail
 
 
-@pytest.mark.parametrize("cut", [0, 1, 3])
-def test_section_truncated_in_length_prefix(cut):
-    with pytest.raises(Truncated):
-        read_section(b"\x00" * cut, 0)
-    with pytest.raises(Truncated):
-        read_section(b"\xff" + struct.pack("<I", 9)[:cut], 1)
-
-
 @pytest.mark.parametrize("nbits,present", [(1, 0), (8, 0), (9, 1), (17, 2), (2**32 - 1, 64)])
 def test_section_truncated_in_body(nbits, present):
-    data = struct.pack("<I", nbits) + b"\xaa" * present
-    with pytest.raises(Truncated):
-        read_section(data, 0)
+    with pytest.raises(Truncated, match="cut short"):
+        read_bits(b"\xaa" * present, 0, nbits)
 
 
 @pytest.mark.parametrize("nbits", [1, 3, 7, 9, 15, 21])
 def test_section_rejects_set_padding_bits(nbits):
-    out = bytearray()
-    write_section(out, pack_bits([(1 << nbits) - 1], [nbits]))
-    assert read_section(bytes(out), 0)[1] == nbits
+    data = np.packbits(pack_bits([(1 << nbits) - 1], [nbits])).tobytes()
+    assert read_bits(data, 0, nbits) == (data, len(data))
     for pad in range(8 - nbits % 8):
-        bad = bytearray(out)
+        bad = bytearray(data)
         bad[-1] |= 1 << pad
-        with pytest.raises(BitstreamError):
-            read_section(bytes(bad), 0)
+        with pytest.raises(LengthMismatch, match=f"bits set after the {nbits} bits"):
+            read_bits(bytes(bad), 0, nbits)
 
 
 @pytest.mark.parametrize("nbits", [0, 1, 7, 8, 12])
@@ -125,7 +111,7 @@ def test_fse_section_with_a_set_padding_bit_is_rejected():
     data = bytearray(encode_symbols(syms))
     assert decode_symbols(bytes(data), 0, len(syms))[0].tolist() == syms
     data[-1] |= 1
-    with pytest.raises(BitstreamError):
+    with pytest.raises(LengthMismatch, match="bits set after the 19 bits"):
         decode_symbols(bytes(data), 0, len(syms))
 
 
@@ -147,3 +133,21 @@ def test_uvarint_truncation():
     write_uvarint(out, 300)
     with pytest.raises(Truncated):
         read_uvarint(bytes(out[:1]), 0)
+
+
+def test_uvarint_longer_than_ten_bytes_is_a_corrupt_stream():
+    out = bytearray()
+    write_uvarint(out, (1 << 64) - 1)
+    assert len(out) == 10 and read_uvarint(bytes(out), 0) == ((1 << 64) - 1, 10)
+    with pytest.raises(LengthMismatch, match="varint longer than 10 bytes"):
+        read_uvarint(b"\xff" * 10 + b"\x01", 0)
+
+
+def test_bit_iterator_stops_at_its_bound_or_the_last_byte():
+    data = b"\xee\xa5\x0f" + b"\xff" * 200
+    # 12 bits round up to two whole bytes
+    assert list(iter_bits(data, 1, 12)) == [1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1]
+    assert list(iter_bits(data, 1, 0)) == []
+    # across chunks, up to the last byte
+    assert sum(iter_bits(data, 1, 10**9)) == 4 + 4 + 8 * 200
+    assert list(iter_bits(data, len(data), 10**9)) == []

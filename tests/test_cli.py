@@ -191,13 +191,18 @@ def test_decode_writes_through_a_fifo_and_a_symlink_without_replacing_them(tmp_p
     assert len(video_io.read_y4m(target)[0]) == 4
 
 
-def _one_pixel_stream(values_payload):
-    """A 1x1 gray intra stream whose luma value stream (the value block's
-    indices) is `values_payload`."""
-    header = StreamHeader(1, 1, 1, 25, 1, 1, 1, 256, 256, 63)
-    pred = struct.pack("<I", 1) + b"\x00" + struct.pack("<ii", 0, 255) + values_payload
+def _intra_stream(width, height, pred):
+    """A width x height gray stream of one intra frame: the intra payload
+    `pred` and an empty residual."""
+    header = StreamHeader(width, height, 1, 25, 1, 1, 1, 256, 256, 63)
     gop = struct.pack("<HBI", 1, 0, len(pred)) + pred + struct.pack("<I", 1) + b"\x00"
     return write_stream(header, [gop])
+
+
+def _one_pixel_stream(values_payload):
+    """A 1x1 gray intra stream whose luma value stream (the value block's
+    indices) is `values_payload`: a one-leaf tree, then the block."""
+    return _intra_stream(1, 1, b"\x00" + struct.pack("<ii", 0, 255) + values_payload)
 
 
 def test_decode_huge_entropy_count_fails_without_traceback(tmp_path, capsys):
@@ -209,21 +214,30 @@ def test_decode_huge_entropy_count_fails_without_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_decode_rejects_claimed_bit_count_before_allocating(tmp_path, capsys):
-    # the one mask point needs one value and no FSE bits; the value
-    # stream's FSE section claims 2^32 - 1 bits
-    one_value = entropy.encode_symbols([0])
-    assert one_value.endswith(struct.pack("<I", 0))
-    assert codec.decode(_one_pixel_stream(one_value))[0].planes[0].shape == (1, 1)
-    data = _one_pixel_stream(one_value[:-4] + struct.pack("<I", (1 << 32) - 1))
-    t0 = time.perf_counter()
-    with pytest.raises(bitstream.Truncated, match="cut short"):
-        codec.decode(data)
-    assert time.perf_counter() - t0 < 5.0
-    stream = tmp_path / "claim.hivc"
-    stream.write_bytes(data)
-    assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
-    assert main(["inspect", str(stream)]) == 4
+def test_decode_rejects_runs_cut_short_without_a_traceback(tmp_path, capsys):
+    # a 1x1 frame's one value takes no FSE bits
+    assert entropy.encode_symbols([0]) == b"\x01\x20\x20\x00"
+    assert codec.decode(_one_pixel_stream(entropy.encode_symbols([0])))[0].planes[0].shape == (1, 1)
+    # a 2x1 frame: a split root and two leaves, then two values whose
+    # FSE bits fill the last byte of the payload
+    values = entropy.encode_symbols([0, 1])
+    pred = b"\x80" + struct.pack("<ii", 0, 255) + values
+    assert codec.decode(_intra_stream(2, 1, pred))[0].planes[0].shape == (1, 2)
+    cut_short = {
+        "fse": _intra_stream(2, 1, pred[:-1]),
+        # the tree of the largest frame a stream may hold, its splits cut
+        # short after two bytes
+        "tree": _intra_stream(3840, 2160, b"\xff\xff"),
+    }
+    for name, data in cut_short.items():
+        t0 = time.perf_counter()
+        with pytest.raises(bitstream.Truncated, match="run out"):
+            codec.decode(data)
+        assert time.perf_counter() - t0 < 5.0
+        stream = tmp_path / f"{name}.hivc"
+        stream.write_bytes(data)
+        assert main(["decode", str(stream), str(tmp_path / "o.y4m")]) == 4
+        assert main(["inspect", str(stream)]) == 4
     assert "Traceback" not in capsys.readouterr().err
 
 

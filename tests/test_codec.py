@@ -25,7 +25,7 @@ from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_
 from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
 from hivc.quantize import QuantizeError, deadzone_indices, deadzone_step
-from hivc.subdivision import write_trees
+from hivc.subdivision import parse_mask, write_trees
 from hivc.video_io import read_y4m
 
 
@@ -411,13 +411,21 @@ def _edit_records(stream, edit):
     return bitstream.write_stream(header, groups)
 
 
+def _residual_trees(res):
+    """(payload, start, tile sizes, tile shape) of the luma residual trees of
+    a 24x32 frame: after the marker, the two scales and the skip map."""
+    sizes = codec._tiles(24, 32)[2]
+    start = 1 + 8 + (len(sizes) + 7) // 8
+    coded = np.unpackbits(np.frombuffer(bytes(res[9:start]), dtype=np.uint8), count=len(sizes))
+    return res, start, sizes[coded == 1].tolist(), (8, 8)
+
+
 # frame, where its first tree section starts: the intra payload's luma
 # trees, the inter payload's u flow tree, and the luma residual trees
-# after the marker, the two scales and the skip map
 _TREE_SECTIONS = {
-    "intra": (0, lambda pred, res: (pred, 0)),
-    "flow": (1, lambda pred, res: (pred, 0)),
-    "residual": (1, lambda pred, res: (res, 1 + 8 + (len(oracles.block_grid(24, 32)) + 7) // 8)),
+    "intra": (0, lambda pred, res: (pred, 0, [(32, 24)], (24, 32))),
+    "flow": (1, lambda pred, res: (pred, 0, [(32, 24)], (24, 32))),
+    "residual": (1, lambda pred, res: _residual_trees(res)),
 }
 
 
@@ -430,16 +438,18 @@ def test_tree_section_with_a_bit_past_its_trees_is_rejected(tmp_path, section):
 
     def one_more_bit(fi, ftype, pred, res):
         if fi == frame:
-            buf, pos = locate(pred, res)
-            (nbits,) = struct.unpack_from("<I", buf, pos)
-            # the extra bit lies in the padding of the section's last byte
-            assert nbits % 8
-            struct.pack_into("<I", buf, pos, nbits + 1)
+            buf, pos, sizes, shape = locate(pred, res)
+            masks, end = parse_mask(bytes(buf), pos, sizes, shape)
+            # the trees end at their last leaf; the bit after them lies
+            # in the padding of the section's last byte
+            nbits = 2 * int(masks.sum()) - len(sizes)
+            assert nbits % 8 and end == pos + (nbits + 7) // 8
+            buf[end - 1] |= 0x80 >> nbits % 8
         return pred, res
 
     mutated = _edit_records(stream, one_more_bit)
     assert len(mutated) == len(stream) and mutated != stream
-    with pytest.raises(CodecError, match="excess bits"):
+    with pytest.raises(LengthMismatch, match="bits set after"):
         decode(mutated)
     path = tmp_path / "m.hivc"
     path.write_bytes(mutated)
@@ -608,7 +618,7 @@ def _still_stream(n):
     a one-leaf tree and one value, then n - 1 copies of one inter record
     with zero flow and an empty residual."""
     h, w = 48, 64
-    intra = struct.pack("<I", 1) + b"\x00" + entropy.encode_value_block([0.0], 256)
+    intra = b"\x00" + entropy.encode_value_block([0.0], 256)
     flow = compress_flow(FlowField(np.zeros((h, w)), np.zeros((h, w))), 1, 256)
     empty_residual = struct.pack("<IB", 1, 0)  # length 1, marker 0
     record = lambda ftype, pred: struct.pack("<BI", ftype, len(pred)) + pred + empty_residual
@@ -690,7 +700,7 @@ def test_a_byte_flip_in_a_group_payload_fails_its_checksum(tmp_path, capsys):
 
 def _assert_unsupported(tmp_path, version):
     stream = bytearray(COLOR.read_bytes())
-    assert stream[4] == bitstream.VERSION == 3
+    assert stream[4] == bitstream.VERSION == 4
     stream[4] = version
     with pytest.raises(UnsupportedVersion):
         decode(bytes(stream))
@@ -708,3 +718,9 @@ def test_a_version_2_stream_is_unsupported(tmp_path):
     # version 3 solves the intra planes to another tolerance, so a
     # version-2 stream would decode into other frames
     _assert_unsupported(tmp_path, 2)
+
+
+def test_a_version_3_stream_is_unsupported(tmp_path):
+    # version 4 drops the bit count in front of every tree section and
+    # FSE run, so a version-3 stream would be misread
+    _assert_unsupported(tmp_path, 3)

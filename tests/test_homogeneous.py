@@ -8,8 +8,8 @@ from hivc.homogeneous import (
     InpaintingError,
     _dot,
     _masked_cg,
+    _restrict_values,
     bilinear_resize,
-    build_pyramid,
     laplacian,
     mask_pyramid,
     solve_dtype,
@@ -177,11 +177,12 @@ def test_exact_initial_guess_costs_no_iteration(tol):
 def test_cg_counts_only_the_updates_it_makes(dtype):
     f = np.full((40, 60), 100.0, dtype=dtype)
     mask = _grid_mask(40, 60)
-    u, it = _masked_cg(f, mask, f, 1e-12, 50, finest=True)
+    interior = (~mask).astype(dtype)
+    u, it = _masked_cg(f, mask, interior, f, 1e-12, 50, finest=True)
     assert it == 0 and np.array_equal(u, f)
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 255, (40, 60)).astype(dtype)
-    _, it = _masked_cg(f, mask, np.zeros_like(f), 0.0, 3, finest=True)
+    _, it = _masked_cg(f, mask, interior, np.zeros_like(f), 0.0, 3, finest=True)
     assert it == 3
 
 
@@ -209,13 +210,19 @@ def test_interpolation_and_maximum_principle():
     assert u.max() <= f[mask].max() + eps
 
 
+def _pyramid_levels(f, mask):
+    """(plane, mask) per level of a float64 solve's pyramid, finest first."""
+    pyramid = mask_pyramid(mask, np.float64)
+    return list(zip(_restrict_values(f, pyramid), pyramid.masks))
+
+
 def test_pyramid_level_shapes():
     f = np.zeros((32, 32))
     mask = np.zeros((32, 32), dtype=bool)
     mask[0, 0] = True
-    levels = build_pyramid(f, mask)
+    levels = _pyramid_levels(f, mask)
     assert [lvl[0].shape for lvl in levels] == [(32, 32), (16, 16)]
-    single = build_pyramid(np.zeros((16, 16)), np.ones((16, 16), dtype=bool))
+    single = _pyramid_levels(np.zeros((16, 16)), np.ones((16, 16), dtype=bool))
     assert len(single) == 1
 
 
@@ -224,7 +231,7 @@ def test_pyramid_preserves_constants_and_masks():
     rng = np.random.default_rng(5)
     mask = rng.uniform(size=(40, 28)) < 0.1
     mask[3, 3] = True
-    for plane, coarse_mask in build_pyramid(f, mask):
+    for plane, coarse_mask in _pyramid_levels(f, mask):
         assert np.allclose(plane[coarse_mask], 5.0)
         assert coarse_mask.any()
         assert max(plane.shape) >= 1
@@ -235,7 +242,7 @@ def test_pyramid_mask_any_child_rule():
     mask[1, 0] = True  # one child of coarse pixel (0, 0)
     f = np.zeros((4, 4))
     f[1, 0] = 8.0
-    levels = build_pyramid(f, mask)
+    levels = _pyramid_levels(f, mask)
     # 4x4 stays a single level below the coarsest threshold.
     assert len(levels) == 1 or levels[-1][1][0, 0]
 
@@ -285,7 +292,7 @@ def test_pyramid_level_bit_identical_to_reduceat_means():
         cnt = block_sum(mask.astype(np.float64))
         # the mean of the set children, 0 where none is set
         ref = block_sum(np.where(mask, f, 0.0)) / np.maximum(cnt, 1.0)
-        coarse_f, coarse_mask = build_pyramid(f, mask)[1]
+        coarse_f, coarse_mask = _pyramid_levels(f, mask)[1]
         assert np.array_equal(coarse_mask, cnt > 0)
         assert coarse_f.tobytes() == ref.tobytes()
 

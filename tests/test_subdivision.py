@@ -1,11 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bitstream import Truncated
+from hivc.bitstream import LengthMismatch, Truncated
 from hivc.subdivision import (
     SubdivisionError,
     deserialize_tree,
@@ -121,11 +119,12 @@ def _section(trees):
 
 def test_serialize_known_bit_patterns():
     plane = np.zeros((8, 8))
-    assert _section([subdivide_by_error([plane], 1)[0]]) == bytes([1, 0, 0, 0, 0])
+    # the bits alone, zero-padded to a byte: the trees know their length
+    assert _section([subdivide_by_error([plane], 1)[0]]) == bytes([0])
     plane[:, 4:] = 255.0
     # preorder: split root, then two leaves -> bits 1,0,0
-    assert _section([subdivide_by_error([plane], 2)[0]]) == bytes([3, 0, 0, 0, 0b10000000])
-    assert _section([]) == bytes(4)
+    assert _section([subdivide_by_error([plane], 2)[0]]) == bytes([0b10000000])
+    assert _section([]) == b""
 
 
 def _random_tree(rng, w, h, splits):
@@ -207,14 +206,17 @@ def test_degenerate_root_rejected(width, height):
 
 @pytest.mark.parametrize("bits", [[], [1], [1, 0], [1, 1, 0, 0]])
 def test_bits_that_run_out_are_truncated(bits):
-    data = _section([bits])
+    # the bytes end inside the tree: set bits fill the last byte, and
+    # they split a 64x64 root on without reaching a single pixel
+    data = _section([bits + [1] * (-len(bits) % 8)])
+    with pytest.raises(Truncated, match="tree bits run out"):
+        deserialize_tree(data, 0, 64, 64)
+    with pytest.raises(Truncated, match="tree bits run out"):
+        parse_mask(data, 0, [(64, 64)], (64, 64))
+    # a section cut short inside its last tree
+    full, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 16)
     with pytest.raises(Truncated):
-        deserialize_tree(data, 0, 4, 4)
-    with pytest.raises(Truncated):
-        parse_mask(data, 0, [(4, 4)], (4, 4))
-    # a section cut short of its count
-    with pytest.raises(Truncated):
-        deserialize_tree(_section([bits + [0] * 9])[:-1], 0, 4, 4)
+        deserialize_tree(_section([full])[:-1], 0, 4, 4)
 
 
 def _tile_sections(rng, width, height):
@@ -229,11 +231,12 @@ def _tile_sections(rng, width, height):
 
 def _oracle_section(bits, sizes):
     """Masks of the trees `bits` hold, walked by the oracle, which also
-    rejects bits after the last tree."""
+    rejects a set bit after the last tree, where the padding is."""
     it = iter(bits)
     masks = oracles.tile_masks(it, sizes)
-    if next(it, None) is not None:
-        raise SubdivisionError("excess bits after the last tree")
+    if any(it):
+        used = sum(2 * int(m.sum()) - 1 for m in masks)
+        raise LengthMismatch(f"bits set after the {used} bits of a run")
     return masks
 
 
@@ -246,7 +249,7 @@ def _walk_both(bits, sizes):
     ):
         try:
             results.append(walk())
-        except (SubdivisionError, Truncated) as e:
+        except (SubdivisionError, Truncated, LengthMismatch) as e:
             results.append((type(e), str(e)))
     return results
 
@@ -274,39 +277,47 @@ def test_batched_tile_walk_rejects_corrupt_sections_like_the_oracle():
         if not sizes:
             continue
         bits = [b for tree in trees for b in tree]
-        cases = (
-            ("excess", bits + [0], sizes),
-            ("run out", bits[:-1], sizes),
+        cases = [
+            # the bytes end before the last one the trees need
+            ("run out", bits[: (len(bits) - 1) // 8 * 8], sizes),
             # a 1x1 tile, as the corner of a 33x25 frame has, may not split
             ("single pixel", bits + [1, 0, 0], sizes + [(1, 1)]),
-        )
+        ]
+        if len(bits) % 8:
+            # the last padding bit of the byte the trees end in, set
+            cases.append(("padding", bits + [0] * (7 - len(bits) % 8) + [1], sizes))
         for name, case_bits, case_sizes in cases:
             batched, oracle = _walk_both(case_bits, case_sizes)
             assert isinstance(batched, tuple), name
             assert batched == oracle
             seen.add((name, batched[0]))
     assert seen == {
-        ("excess", SubdivisionError),
+        ("padding", LengthMismatch),
         ("run out", Truncated),
         ("single pixel", SubdivisionError),
     }
 
 
 def test_excess_bits_after_last_tree_rejected():
-    # a split root and its two leaves, then one bit more
-    with pytest.raises(SubdivisionError, match="excess bits after the last tree"):
-        deserialize_tree(_section([[1, 0, 0, 0]]), 0, 4, 4)
+    # a split root and its two leaves end the section after 3 bits; a set
+    # bit after them lies in the padding
+    for extra in ([1], [0, 1], [0, 0, 0, 0, 1]):
+        with pytest.raises(LengthMismatch, match="bits set after the 3 bits"):
+            deserialize_tree(_section([[1, 0, 0, *extra]]), 0, 4, 4)
+    # zero bits after them are padding, and the next byte is not read
+    leaves, pos = deserialize_tree(_section([[1, 0, 0, 0, 0]]) + b"\xff", 0, 4, 4)
+    assert len(leaves) == 2 and pos == 1
     tree, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 3)
     data = bytearray(_section([tree]))
     assert len(deserialize_tree(bytes(data), 0, 4, 4)[0]) == 3
-    # one more bit in the count, still inside the padded last byte
+    # the last padding bit set
     assert len(tree) % 8
-    data[0] += 1
-    with pytest.raises(SubdivisionError, match="excess bits after the last tree"):
+    data[-1] |= 1
+    with pytest.raises(LengthMismatch, match=f"bits set after the {len(tree)} bits"):
         deserialize_tree(bytes(data), 0, 4, 4)
 
 
-def test_tree_section_longer_than_its_trees_can_be_is_rejected():
+def test_tree_section_longer_than_its_trees_can_be_is_rejected(monkeypatch):
     # a 4x4 tree has at most 31 nodes, and a 1x1 tree one: a full 4x4
     # tree and a 1x1 leaf fill 32 bits
     full, _ = subdivide_by_error([np.arange(16.0).reshape(4, 4)], 16)
@@ -314,13 +325,24 @@ def test_tree_section_longer_than_its_trees_can_be_is_rejected():
     data = _section([full, [0]])
     masks, pos = parse_mask(data, 0, [(4, 4), (1, 1)], (4, 4))
     assert pos == len(data) and masks.sum() == 17
-    # the count is checked before any bit is read: with no bits behind
-    # it, only the 4x4 section sees the bound, and the other runs out
-    count = struct.pack("<I", 32)
-    with pytest.raises(SubdivisionError, match="tree section of 32 bits, at most 31 fit"):
-        deserialize_tree(count, 0, 4, 4)
-    with pytest.raises(Truncated):
-        parse_mask(count, 0, [(4, 4), (1, 1)], (4, 4))
+    # splits past that bound split a single pixel
+    with pytest.raises(SubdivisionError, match="single pixel"):
+        parse_mask(b"\xff" * 8, 0, [(4, 4), (1, 1)], (4, 4))
+    # the reader unpacks at most min(node bound, bytes left), rounded up
+    # to whole bytes, however long the trees claim to be
+    unpacked = []
+    unpack = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits", lambda a: unpacked.append(a.size) or unpack(a))
+    assert deserialize_tree(b"\x00" + b"\xff" * 1000, 0, 1, 1) == ([(0, 0, 1, 1)], 1)
+    assert sum(unpacked) == 1
+    unpacked.clear()
+    with pytest.raises(SubdivisionError, match="single pixel"):
+        deserialize_tree(b"\xff" * 1000, 0, 4, 4)
+    assert sum(unpacked) == 4
+    unpacked.clear()
+    with pytest.raises(Truncated, match="tree bits run out"):
+        deserialize_tree(b"\xff" * 2, 0, 3840, 2160)
+    assert sum(unpacked) == 2
 
 
 @settings(max_examples=40, deadline=None)
