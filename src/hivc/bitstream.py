@@ -20,6 +20,10 @@ keeps that layout and solves the intra planes in float32 to a looser
 tolerance (see homogeneous.py and prediction.py), so its frames differ.
 Version 4 drops the u32 bit count before every tree section and FSE
 run (see bits.py) and decodes to version 3's frames.
+
+Each fault in the bytes raises a BitstreamError from the reader that
+finds it: BadMagic, UnsupportedVersion, Truncated, LengthMismatch,
+ChecksumMismatch, or CodecError for a value that no encoder writes.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ class ChecksumMismatch(BitstreamError):
     pass
 
 
+class CodecError(BitstreamError):
+    """A field or payload holds a value that no encoder writes."""
+
+
 @dataclass(frozen=True)
 class StreamHeader:
     width: int
@@ -94,7 +102,7 @@ class StreamHeader:
             if not 0 <= getattr(self, name) - offset < 256 ** struct.calcsize("<" + code):
                 raise BitstreamError(f"{name} out of range")
         if self.width < 1 or self.height < 1:
-            raise BitstreamError("bad frame dimensions")
+            raise BitstreamError(f"{self.width}x{self.height} frames hold no pixels")
         if self.width * self.height > MAX_PIXELS:
             raise BitstreamError(
                 f"{self.width}x{self.height} frames exceed the {MAX_PIXELS}-pixel limit"

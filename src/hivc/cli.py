@@ -4,8 +4,9 @@ Subcommands: encode, decode, metrics, inspect. Reports are flat
 key=value lines on stdout (or into --report FILE).
 
 Exit codes: 0 success, 1 usage error, 2 file I/O error, 3 codec
-failure, 4 corrupt or truncated stream. An encode reads no stream, so
-it never exits 4: a failed self-check is a codec failure.
+failure, a fault of the decoder itself included, 4 corrupt or truncated
+stream, a fault that a reader found in the bytes. An encode reads no
+stream, so it never exits 4: a failed self-check is a codec failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 import platform
 import statistics
-import struct
 import sys
 import time
 from dataclasses import fields
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (bitstream.BitstreamError, struct.error) as e:
+    except bitstream.BitstreamError as e:
         print(f"corrupt stream: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_CORRUPT
     except ValueError as e:

@@ -44,10 +44,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from hivc import bitstream, entropy
+from hivc import entropy
 from hivc.bits import read_bit_array
 from hivc.bitstream import (
     BitstreamError,
+    CodecError,
     StreamHeader,
     read_fields,
     read_stream,
@@ -67,10 +68,6 @@ _SCALE_FP = 65536.0
 TARGET_RATIO_TOL = 0.03
 TARGET_RATIO_PASSES = 14
 MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
-
-
-class CodecError(BitstreamError):
-    """Decoding failed on structurally valid but inconsistent payloads."""
 
 
 @dataclass(frozen=True)
@@ -386,9 +383,10 @@ def _compute_gop_flows(y_planes, cfg):
     ]
 
 
-def _check_frames(frames) -> Frame:
-    """Reject input the stream cannot hold before any work; returns the
-    first frame."""
+def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
+    """The header of the stream of `frames` under `cfg`. Input that the
+    stream cannot hold raises FrameError, by the header's own rules,
+    before any work."""
     if not frames:
         raise FrameError("nothing to encode")
     first = frames[0]
@@ -399,13 +397,14 @@ def _check_frames(frames) -> Frame:
         raise FrameError("all frames must share geometry and channel count")
     if first.colorspace not in ("rgb", "gray"):
         raise FrameError(f"unsupported input colorspace {first.colorspace!r}")
-    if first.width < 1 or first.height < 1:
-        raise FrameError(f"{first.width}x{first.height} frames hold no pixels")
-    if first.width * first.height > bitstream.MAX_PIXELS:
-        raise FrameError(
-            f"{first.width}x{first.height} frames exceed the {bitstream.MAX_PIXELS}-pixel limit"
+    shared = {f.name: getattr(cfg, f.name) for f in fields(StreamHeader) if hasattr(cfg, f.name)}
+    try:
+        return StreamHeader(
+            width=first.width, height=first.height, channels=first.channels,
+            frame_count=len(frames), **shared,
         )
-    return first
+    except BitstreamError as e:
+        raise FrameError(str(e)) from e
 
 
 def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) -> bytes:
@@ -415,23 +414,11 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) 
     receives each frame's reconstructed planes.
     """
     cfg = cfg or EncoderConfig()
-    first = _check_frames(frames)
+    header = _check_frames(frames, cfg)
     yuv = [_to_yuv_planes(f) for f in frames]
     if _flows is None:
         _flows = _compute_gop_flows([p[0].astype(np.float64) for p in yuv], cfg)
 
-    header = StreamHeader(
-        width=first.width,
-        height=first.height,
-        frame_count=len(frames),
-        fps_num=cfg.fps_num,
-        fps_den=cfg.fps_den,
-        gop_size=cfg.gop_size,
-        channels=first.channels,
-        intra_levels=cfg.intra_levels,
-        flow_levels=cfg.flow_levels,
-        residual_levels=cfg.residual_levels,
-    )
     payloads, recons = [], []
     for gi, (s, e) in enumerate(_split_gops(len(frames), cfg.gop_size)):
         payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi])
@@ -441,7 +428,7 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) 
     if _recons is not None:
         _recons.extend(recons)
     if cfg.self_check:
-        _self_check(stream, _frame_digests(recons, first.channels))
+        _self_check(stream, _frame_digests(recons, header.channels))
     return stream
 
 
@@ -480,24 +467,22 @@ def iter_decode(data: bytes, timings: dict | None = None):
     memory does not grow with the stream. `timings` gathers the
     decoder's own seconds per stage and in all (`total`), without the
     time the caller spends between frames. Malformed bytes raise a
-    BitstreamError subtype, at the latest when the iterator ends.
+    BitstreamError subtype from the reader that finds the fault, at the
+    latest when the iterator ends.
     """
     t0 = time.perf_counter()
     header, payloads = read_stream(data)
-    try:
-        for gi, payload in enumerate(payloads):
-            recon = None
-            for ftype, pred_data, res_data in frame_records(header, payload, gi):
-                pred = _predict(header, ftype, pred_data, recon, timings)
-                recon = _add_residual(header, pred, res_data, timings)
-                t1 = time.perf_counter()
-                frame = _finalize_frame(recon, header.channels)
-                _bump(timings, "finalize", t1)
-                _bump(timings, "total", t0)
-                yield frame
-                t0 = time.perf_counter()
-    except ValueError as e:  # entropy, subdivision, quantizer, colour range
-        raise CodecError(str(e)) from e
+    for gi, payload in enumerate(payloads):
+        recon = None
+        for ftype, pred_data, res_data in frame_records(header, payload, gi):
+            pred = _predict(header, ftype, pred_data, recon, timings)
+            recon = _add_residual(header, pred, res_data, timings)
+            t1 = time.perf_counter()
+            frame = _finalize_frame(recon, header.channels)
+            _bump(timings, "finalize", t1)
+            _bump(timings, "total", t0)
+            yield frame
+            t0 = time.perf_counter()
     _bump(timings, "total", t0)
 
 
@@ -573,12 +558,10 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     """
     if not 1.0 < target_ratio < math.inf:
         raise ValueError("target ratio must be a finite number above 1")
-    first = _check_frames(frames)
-    raw = len(frames) * first.width * first.height * first.channels
-    pixels = first.width * first.height
-    yuv_y = [
-        _to_yuv_planes(f)[0].astype(np.float64) for f in frames
-    ]
+    header = _check_frames(frames, cfg)
+    pixels = header.width * header.height
+    raw = len(frames) * pixels * header.channels
+    yuv_y = [_to_yuv_planes(f)[0].astype(np.float64) for f in frames]
     flows = _compute_gop_flows(yuv_y, cfg)
     # the passes run unchecked; only the returned stream is checked,
     # against the digests of its own pass's reconstructions
@@ -587,7 +570,7 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     def run(m):
         recons = [] if cfg.self_check else None
         stream = encode(frames, _scaled_config(unchecked, m, pixels), _flows=flows, _recons=recons)
-        digests = _frame_digests(recons, first.channels) if cfg.self_check else None
+        digests = _frame_digests(recons, header.channels) if cfg.self_check else None
         return stream, raw / len(stream), digests
 
     lo, hi = 0.0, float("inf")  # multipliers known to be too small, too large

@@ -32,7 +32,7 @@ from hivc.bits import (
     unpack_bits,
     write_uvarint,
 )
-from hivc.bitstream import Truncated, read_fields
+from hivc.bitstream import CodecError, Truncated, read_fields
 from hivc.quantize import uniform_dequantize, uniform_quantize
 
 MAX_MAGNITUDE = (1 << 15) - 1
@@ -170,7 +170,7 @@ def fse_decode(data: bytes, pos: int, state: int, count: int, table: FseTable):
     Truncated."""
     size = 1 << table.table_log
     if not size <= state < 2 * size:
-        raise EntropyError("corrupt stream: final state out of range")
+        raise CodecError("corrupt stream: final state out of range")
     sym = table.decode_sym.tolist()
     xs = table.decode_x.tolist()
     nbs = table.decode_nb.tolist()
@@ -196,7 +196,7 @@ def fse_decode(data: bytes, pos: int, state: int, count: int, table: FseTable):
     except IndexError:
         raise Truncated("FSE bits run out") from None
     if state != size:
-        raise EntropyError("corrupt stream: final state mismatch")
+        raise CodecError("corrupt stream: final state mismatch")
     return np.asarray(out, dtype=np.int64), 8 * (b - pos) - have
 
 
@@ -218,14 +218,14 @@ def _decode_header(data: bytes, pos: int, expected: int):
     nsym, pos = read_uvarint(data, pos)
     table_log = _auto_table_log(nsym, expected)
     if nsym == 0 or nsym > (1 << table_log):
-        raise EntropyError("bad alphabet size")
-    counts = np.empty(nsym, dtype=np.int64)
-    for i in range(nsym):
+        raise CodecError("bad alphabet size")
+    counts = []
+    for _ in range(nsym):
         c, pos = read_uvarint(data, pos)
-        if c > (1 << table_log):
-            raise EntropyError("normalized count exceeds table size")
-        counts[i] = c
-    return counts, table_log, pos
+        counts.append(c)
+    if sum(counts) != 1 << table_log:
+        raise CodecError("normalized counts must sum to table size")
+    return np.array(counts, dtype=np.int64), table_log, pos
 
 
 def _auto_table_log(alphabet: int, n: int) -> int:
@@ -263,7 +263,6 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     """
     counts, table_log, pos = _decode_header(data, pos, expected)
     (state,), pos = read_fields("<H", data, pos, "entropy final state")
-    # built before the walk, so the counts of an empty payload are checked too
     table = FseTable(counts, table_log)
     symbols, nbits = fse_decode(data, pos, state, expected, table)
     _, pos = read_bits(data, pos, nbits)
@@ -283,7 +282,7 @@ def decode_signed_values(data: bytes, pos: int, expected: int):
     """
     cats, pos = decode_symbols(data, pos, expected)
     if cats.size and cats.max() > MAX_CATEGORY:
-        raise EntropyError(f"category {cats.max()} above {MAX_CATEGORY}")
+        raise CodecError(f"category {cats.max()} above {MAX_CATEGORY}")
     bits, pos = read_bit_array(data, pos, int(cats.sum()))
     extra = unpack_bits(bits, cats)
     # inverse of to_categories: an extra value below 2^(k-1) is negative
@@ -305,5 +304,7 @@ def decode_value_block(data: bytes, pos: int, levels: int, expected: int):
     """Inverse of encode_value_block, up to quantization; returns (values,
     next position). `expected` is the value count, as for decode_symbols."""
     (lo, hi), pos = read_fields("<ii", data, pos, "value block range")
+    if not lo < hi:
+        raise CodecError("need lo < hi")
     idx, pos = decode_symbols(data, pos, expected)
     return uniform_dequantize(idx, float(lo), float(hi), levels), pos

@@ -177,4 +177,4 @@ def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):
 def predict_inter(prev_planes, flow: FlowField):
     """Motion-compensated prediction: sample the previous reconstruction
     at (x + u, y + v) per channel, bilinear with border clamping."""
-    return warp_planes([np.asarray(p, dtype=np.float64) for p in prev_planes], flow.u, flow.v)
+    return warp_planes(prev_planes, flow.u, flow.v)

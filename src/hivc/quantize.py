@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from hivc.bitstream import CodecError
+
 SCALE_PERCENTILE = 99.9
 
 
@@ -43,7 +45,7 @@ def deadzone_quantize(c: np.ndarray, scale: float, levels: int):
 
 def deadzone_indices(index, levels: int) -> np.ndarray:
     """Dead-zone indices as float64, the value in units of the step; an
-    index beyond +-(levels - 1) / 2 raises QuantizeError."""
+    index beyond +-(levels - 1) / 2 raises CodecError."""
     lmax = (levels - 1) // 2
     return _checked_index(index, -lmax, lmax, levels)
 
@@ -62,9 +64,8 @@ def uniform_quantize(x, lo: float, hi: float, levels: int):
 
 
 def uniform_dequantize(index, lo: float, hi: float, levels: int):
-    """lo + index * step; an index outside [0, levels) raises QuantizeError."""
-    if not lo < hi:
-        raise QuantizeError("need lo < hi")
+    """lo + index * step, for lo < hi; an index outside [0, levels)
+    raises CodecError."""
     step = (hi - lo) / (levels - 1)
     return lo + _checked_index(index, 0, levels - 1, levels) * step
 
@@ -74,5 +75,5 @@ def _checked_index(index, lo: int, hi: int, levels: int) -> np.ndarray:
     index = np.asarray(index)
     outside = index[(index < lo) | (index > hi)]
     if outside.size:
-        raise QuantizeError(f"quantizer index {outside[0]} of {levels} levels")
+        raise CodecError(f"quantizer index {outside[0]} of {levels} levels")
     return index.astype(np.float64)

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from hivc.bits import iter_bits, read_bits
-from hivc.bitstream import Truncated
+from hivc.bitstream import CodecError, Truncated
 
 
 class SubdivisionError(ValueError):
@@ -167,8 +167,8 @@ def _read_trees(data: bytes, pos: int, sizes):
     leaf, after sum(2 * leaves - 1) bits, and read_bits closes it. A tree
     over n pixels has at most 2n - 1 nodes, and iter_bits unpacks no more.
     Bits that run out raise Truncated, a set padding bit after the last
-    tree LengthMismatch, and a degenerate root or a split of a single
-    pixel SubdivisionError.
+    tree LengthMismatch, a split of a single pixel CodecError, and a
+    degenerate root, which the caller gives, SubdivisionError.
     """
     max_bits = 0
     for width, height in sizes:
@@ -205,7 +205,7 @@ def _walk_tree(bits, width: int, height: int):
                 push((x + w1, y, w - w1, h))
                 rect = (x, y, w1, h)
             else:
-                raise SubdivisionError("cannot split a single pixel")
+                raise CodecError("cannot split a single pixel")
         else:
             leaves.append(rect)
             if not stack:

@@ -31,7 +31,7 @@ from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
 from hivc import entropy, subdivision
 from hivc.bits import write_uvarint
-from hivc.bitstream import Truncated
+from hivc.bitstream import CodecError, Truncated
 from hivc.entropy import MAX_MAGNITUDE, EntropyError, FseTable, normalize_counts
 from hivc.flow import (
     BROX_ALPHA,
@@ -667,9 +667,9 @@ def tile_masks(bits, sizes) -> np.ndarray:
 
     For each (width, height) in `sizes`, walks the next tree of the bit
     iterator `bits` on split_children and sets each leaf's floor
-    midpoint in that tile's own (8, 8) mask. Raises SubdivisionError on
-    a split of a single pixel and Truncated when the bits run out, as
-    the codec's walker does.
+    midpoint in that tile's own (8, 8) mask. Raises CodecError on a
+    split of a single pixel and Truncated when the bits run out, as the
+    codec's walker does.
     """
     masks = np.zeros((len(sizes), BLOCK, BLOCK), dtype=bool)
     for mask, (width, height) in zip(masks, sizes):
@@ -680,6 +680,8 @@ def tile_masks(bits, sizes) -> np.ndarray:
                 raise Truncated("tree bits run out")
             x, y, w, h = stack.pop()
             if bit:
+                if w == h == 1:
+                    raise CodecError("cannot split a single pixel")
                 first, second = split_children(x, y, w, h)
                 stack += [second, first]
             else:

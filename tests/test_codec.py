@@ -24,9 +24,9 @@ from hivc.cli import main
 from hivc.codec import CodecError, EncoderConfig, decode, encode, encode_target_ratio
 from hivc.flow import FlowField, compress_flow
 from hivc.frame import Frame, FrameError, psnr
-from hivc.quantize import QuantizeError, deadzone_indices, deadzone_step
+from hivc.quantize import deadzone_indices, deadzone_step
 from hivc.subdivision import parse_mask, write_trees
-from hivc.video_io import read_y4m
+from hivc.video_io import read_y4m, write_y4m
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,11 +82,25 @@ def test_encode_rejects_empty_and_mixed_geometry():
         encode([a, b])
 
 
-def test_encode_rejects_frames_over_pixel_limit_before_flows(monkeypatch):
+def test_encode_rejects_frames_over_pixel_limit_before_flows(monkeypatch, tmp_path, capsys):
     def no_flow(*args):
         raise AssertionError("flow computed for a frame the stream cannot hold")
 
     monkeypatch.setattr(codec, "flow_brox", no_flow)
+    # 70,000 pixels pass the pixel limit, but the u16 height field cannot
+    # hold 70,000
+    tall = [Frame((np.full((70000, 1), v, dtype=np.int32),), colorspace="gray") for v in (0, 9)]
+    with pytest.raises(FrameError, match="height out of range"):
+        encode(tall, EncoderConfig(gop_size=2))
+    with pytest.raises(FrameError, match="height out of range"):
+        encode_target_ratio(tall, EncoderConfig(gop_size=2), 10.0)
+    write_y4m(tmp_path / "tall.y4m", tall)
+    out = tmp_path / "tall.hivc"
+    assert main(["encode", str(tmp_path / "tall.y4m"), str(out), "--gop-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "codec error: height out of range" in err and "Traceback" not in err
+    assert not out.exists()
+
     monkeypatch.setattr(bitstream, "MAX_PIXELS", 16 * 16 - 1)
     clip = moving_clip(2, 16, 16)
     with pytest.raises(FrameError, match="pixel limit"):
@@ -286,6 +300,21 @@ def test_target_ratio_self_checks_only_the_returned_stream(monkeypatch):
     monkeypatch.setattr(codec, "iter_decode", wrong_decode)
     with pytest.raises(CodecError, match="self-check failed at frame 1"):
         encode_target_ratio(clip, cfg, 15.0)
+
+
+def test_a_decoder_fault_is_not_reported_as_a_corrupt_stream(monkeypatch, tmp_path, capsys):
+    # a ValueError that no reader raised is a fault of the decoder: it
+    # reaches the caller as it was raised, and the CLI exits 3, not 4
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(codec, "reconstruct_blocks", boom)
+    with pytest.raises(ValueError, match="boom") as info:
+        decode(COLOR.read_bytes())
+    assert not isinstance(info.value, BitstreamError)
+    assert main(["decode", str(COLOR), str(tmp_path / "o.y4m")]) == 3
+    err = capsys.readouterr().err
+    assert "codec error: boom" in err and "Traceback" not in err
 
 
 def _texture_clip(n, h, w):
@@ -490,7 +519,7 @@ def test_a_residual_index_outside_the_dead_zone_levels_is_rejected(tmp_path):
         payload = _one_block_residual(1, offset)
         assert codec._decode_residual(payload, 0, (8, 8), 1, 63)[1] == len(payload)
     for offset in (-32, 32, 30000):
-        with pytest.raises(QuantizeError, match=f"index {offset} of 63 levels"):
+        with pytest.raises(CodecError, match=f"index {offset} of 63 levels"):
             codec._decode_residual(_one_block_residual(1, offset), 0, (8, 8), 1, 63)
     # as frame 0's residual in the 24x32 gray golden stream, 12 tiles
     mutated = _edit_records(

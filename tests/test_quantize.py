@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivc.bitstream import CodecError
 from hivc.quantize import (
     QuantizeError,
     coefficient_scale,
@@ -112,9 +113,9 @@ def test_dequantizers_reject_an_index_outside_their_range():
     # 63 dead-zone levels hold -31..31; 16 uniform levels hold 0..15
     assert _dequantize(np.array([-31, 0, 31]), 127.0, 63).tolist() == [-127.0, 0.0, 127.0]
     for bad in (-32, 32, 30000):
-        with pytest.raises(QuantizeError, match=f"index {bad} of 63 levels"):
+        with pytest.raises(CodecError, match=f"index {bad} of 63 levels"):
             deadzone_indices(np.array([0, bad]), 63)
     assert uniform_dequantize(np.array([0, 15]), 0.0, 15.0, 16).tolist() == [0.0, 15.0]
     for bad in (-1, 16):
-        with pytest.raises(QuantizeError, match=f"index {bad} of 16 levels"):
+        with pytest.raises(CodecError, match=f"index {bad} of 16 levels"):
             uniform_dequantize(np.array([bad, 3]), 0.0, 15.0, 16)

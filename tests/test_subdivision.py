@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivc.bitstream import LengthMismatch, Truncated
+from hivc.bitstream import CodecError, LengthMismatch, Truncated
 from hivc.subdivision import (
     SubdivisionError,
     deserialize_tree,
@@ -186,12 +186,12 @@ def test_serialize_round_trip_random_trees():
 
 
 def test_split_of_single_pixel_rejected():
-    with pytest.raises(SubdivisionError, match="single pixel"):
+    with pytest.raises(CodecError, match="single pixel"):
         deserialize_tree(_section([[1]]), 0, 1, 1)
     # 2x1 splits into two single pixels; splitting either is illegal
-    with pytest.raises(SubdivisionError, match="single pixel"):
+    with pytest.raises(CodecError, match="single pixel"):
         parse_mask(_section([[1, 1, 0]]), 0, [(2, 1)], (1, 2))
-    with pytest.raises(SubdivisionError, match="single pixel"):
+    with pytest.raises(CodecError, match="single pixel"):
         deserialize_tree(_section([[1, 0, 1]]), 0, 2, 1)
 
 
@@ -249,7 +249,7 @@ def _walk_both(bits, sizes):
     ):
         try:
             results.append(walk())
-        except (SubdivisionError, Truncated, LengthMismatch) as e:
+        except (CodecError, Truncated, LengthMismatch) as e:
             results.append((type(e), str(e)))
     return results
 
@@ -294,7 +294,7 @@ def test_batched_tile_walk_rejects_corrupt_sections_like_the_oracle():
     assert seen == {
         ("padding", LengthMismatch),
         ("run out", Truncated),
-        ("single pixel", SubdivisionError),
+        ("single pixel", CodecError),
     }
 
 
@@ -326,7 +326,7 @@ def test_tree_section_longer_than_its_trees_can_be_is_rejected(monkeypatch):
     masks, pos = parse_mask(data, 0, [(4, 4), (1, 1)], (4, 4))
     assert pos == len(data) and masks.sum() == 17
     # splits past that bound split a single pixel
-    with pytest.raises(SubdivisionError, match="single pixel"):
+    with pytest.raises(CodecError, match="single pixel"):
         parse_mask(b"\xff" * 8, 0, [(4, 4), (1, 1)], (4, 4))
     # the reader unpacks at most min(node bound, bytes left), rounded up
     # to whole bytes, however long the trees claim to be
@@ -336,7 +336,7 @@ def test_tree_section_longer_than_its_trees_can_be_is_rejected(monkeypatch):
     assert deserialize_tree(b"\x00" + b"\xff" * 1000, 0, 1, 1) == ([(0, 0, 1, 1)], 1)
     assert sum(unpacked) == 1
     unpacked.clear()
-    with pytest.raises(SubdivisionError, match="single pixel"):
+    with pytest.raises(CodecError, match="single pixel"):
         deserialize_tree(b"\xff" * 1000, 0, 4, 4)
     assert sum(unpacked) == 4
     unpacked.clear()
