@@ -56,7 +56,7 @@ from hivc.bitstream import (
 )
 from hivc.flow import compress_flow, decompress_flow, flow_brox
 from hivc.frame import Frame, FrameError, clip_plane, plane_groups, rct_forward, rct_inverse
-from hivc.prediction import decode_intra, encode_intra, predict_inter
+from hivc.prediction import decode_intra, encode_intra, intra_orders, predict_inter
 from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.quantize import coefficient_scale, deadzone_indices, deadzone_quantize, deadzone_step
 from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
@@ -106,15 +106,16 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 
 
-def _tiles(h, w, planes=1):
+def _tiles(h, w, planes=1, dtype=np.float64):
     """The 8x8 tile layout of h x w planes, the one source of it.
 
-    Returns a zero array of `planes` planes, each padded to whole tiles;
-    its (planes, rows, cols, 8, 8) view of the tiles, raster order within
-    a plane; and each tile's (width, height), as an (n, 2) int array.
+    Returns a zero array of `planes` planes of `dtype`, each padded to
+    whole tiles; its (planes, rows, cols, 8, 8) view of the tiles, raster
+    order within a plane; and each tile's (width, height), as an (n, 2)
+    int array.
     """
     nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
-    padded = np.zeros((planes, nby * BLOCK, nbx * BLOCK))
+    padded = np.zeros((planes, nby * BLOCK, nbx * BLOCK), dtype=dtype)
     view = padded.reshape(planes, nby, BLOCK, nbx, BLOCK).transpose(0, 1, 3, 2, 4)
     widths = np.minimum(BLOCK, w - BLOCK * np.arange(nbx))
     heights = np.minimum(BLOCK, h - BLOCK * np.arange(nby))
@@ -125,23 +126,29 @@ def _plan_group(planes, points):
     """Choose coded tiles and their masks for one channel group.
 
     Tiles whose residual is zero in every plane of the group are skipped.
-    Returns (coded tile indices, tree bits, (n, 8, 8) masks, and the
-    (planes, n, 8, 8) float64 blocks of the coded tiles, each tile at
-    the top-left of its block).
+    The coded tiles of one size are searched together, in one call on
+    their integer planes with a leading tile axis. Returns (coded tile
+    indices, tree bits, (n, 8, 8) masks, and the (planes, n, 8, 8)
+    float64 blocks of the coded tiles, each tile at the top-left of its
+    block).
     """
     h, w = planes[0].shape
-    padded, view, sizes = _tiles(h, w, len(planes))
+    padded, view, sizes = _tiles(h, w, len(planes), dtype=np.int64)
     padded[:, :h, :w] = planes
     blocks = view.reshape(len(planes), -1, BLOCK, BLOCK)
     coded = np.flatnonzero(blocks.any(axis=(0, 2, 3)))
-    trees, leaves = [], []
-    for ti, (bw, bh) in zip(coded.tolist(), sizes[coded].tolist()):
-        bits, tile_leaves = subdivide_by_error(
-            [b[ti, :bh, :bw] for b in blocks], min(points, bh * bw)
+    blocks, sizes = blocks[:, coded], sizes[coded]
+    trees = [None] * len(coded)
+    masks = np.zeros((len(coded), BLOCK, BLOCK), dtype=bool)
+    for bw, bh in np.unique(sizes, axis=0).tolist():
+        sel = np.flatnonzero((sizes[:, 0] == bw) & (sizes[:, 1] == bh))
+        bits, leaves = subdivide_by_error(
+            [b[sel, :bh, :bw] for b in blocks], min(points, bh * bw)
         )
-        trees.append(bits)
-        leaves.append(tile_leaves)
-    return coded, trees, leaf_masks(leaves, (BLOCK, BLOCK)), blocks[:, coded]
+        masks[sel] = leaf_masks(leaves, (BLOCK, BLOCK))
+        for i, tree in zip(sel.tolist(), bits):
+            trees[i] = tree
+    return coded, trees, masks, blocks.astype(np.float64)
 
 
 def _solve_coded(f_blocks, masks):
@@ -340,15 +347,16 @@ def _add_residual(header, pred, data, timings=None):
     return recon
 
 
-def _encode_gop(header, frames_planes, cfg, flows_raw):
+def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None):
     """Encode one group; returns (payload, reconstructed planes per frame).
-    Closed loop: each frame is predicted and rebuilt by the decoder's steps."""
+    Closed loop: each frame is predicted and rebuilt by the decoder's steps.
+    `orders` holds the intra split orders of the group's first frame."""
     luma_budget = max(1, int(round(cfg.intra_mask_fraction * header.height * header.width)))
     out = bytearray(struct.pack("<H", len(frames_planes)))
     recons = []
     for i, planes in enumerate(frames_planes):
         if i == 0:
-            ftype, pred_payload = 0, encode_intra(planes, luma_budget, cfg.intra_levels)
+            ftype, pred_payload = 0, encode_intra(planes, luma_budget, cfg.intra_levels, orders)
         else:
             ftype = 1
             pred_payload = compress_flow(flows_raw[i - 1], cfg.flow_points, cfg.flow_levels)
@@ -383,6 +391,13 @@ def _compute_gop_flows(y_planes, cfg):
     ]
 
 
+def _gop_intra_orders(frames, cfg):
+    """The intra split orders of each group's first frame, one list per group."""
+    return [
+        intra_orders(_to_yuv_planes(frames[s])) for s, _ in _split_gops(len(frames), cfg.gop_size)
+    ]
+
+
 def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
     """The header of the stream of `frames` under `cfg`. Input that the
     stream cannot hold raises FrameError, by the header's own rules,
@@ -407,11 +422,14 @@ def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
         raise FrameError(str(e)) from e
 
 
-def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) -> bytes:
+def encode(
+    frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None, _orders=None
+) -> bytes:
     """Compress a frame sequence into a self-contained byte stream.
 
-    `_flows` supplies the groups' flow fields; `_recons`, when a list,
-    receives each frame's reconstructed planes.
+    `_flows` supplies the groups' flow fields and `_orders` their first
+    frames' intra split orders; `_recons`, when a list, receives each
+    frame's reconstructed planes.
     """
     cfg = cfg or EncoderConfig()
     header = _check_frames(frames, cfg)
@@ -421,7 +439,8 @@ def encode(frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None) 
 
     payloads, recons = [], []
     for gi, (s, e) in enumerate(_split_gops(len(frames), cfg.gop_size)):
-        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi])
+        orders = None if _orders is None else _orders[gi]
+        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi], orders)
         payloads.append(payload)
         recons.extend(group_recons)
     stream = write_stream(header, payloads)
@@ -563,13 +582,18 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     raw = len(frames) * pixels * header.channels
     yuv_y = [_to_yuv_planes(f)[0].astype(np.float64) for f in frames]
     flows = _compute_gop_flows(yuv_y, cfg)
+    # every pass searches the same group heads: sort their intra splits once
+    orders = _gop_intra_orders(frames, cfg)
     # the passes run unchecked; only the returned stream is checked,
     # against the digests of its own pass's reconstructions
     unchecked = replace(cfg, self_check=False)
 
     def run(m):
         recons = [] if cfg.self_check else None
-        stream = encode(frames, _scaled_config(unchecked, m, pixels), _flows=flows, _recons=recons)
+        stream = encode(
+            frames, _scaled_config(unchecked, m, pixels),
+            _flows=flows, _recons=recons, _orders=orders,
+        )
         digests = _frame_digests(recons, header.channels) if cfg.self_check else None
         return stream, raw / len(stream), digests
 

@@ -21,6 +21,7 @@ from that count and the alphabet size. Layouts (see also the README):
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,17 +164,28 @@ def fse_encode(symbols: np.ndarray, table: FseTable):
     return pack_bits(values[::-1], widths[::-1]), state
 
 
-def fse_decode(data: bytes, pos: int, state: int, count: int, table: FseTable):
+@lru_cache(maxsize=32)
+def _decode_table(counts: tuple, table_log: int):
+    """FseTable(counts, table_log)'s decode tables as tuples: the symbol,
+    x and bit count of each slot.
+
+    A payload of a few values has a tiny table that costs more to build
+    than to decode with, and such tables recur, so the last 32 are kept:
+    at most 32 tables of 2^12 slots.
+    """
+    table = FseTable(counts, table_log)
+    return tuple(tuple(a.tolist()) for a in (table.decode_sym, table.decode_x, table.decode_nb))
+
+
+def fse_decode(data: bytes, pos: int, state: int, count: int, counts: tuple, table_log: int):
     """Decode `count` symbols, also 0, from the bits at byte `pos` of
-    `data`, starting from the stored final encoder state; returns (the
-    symbols, the number of bits they took). Bits that run out raise
-    Truncated."""
-    size = 1 << table.table_log
+    `data`, starting from the stored final encoder state, with the table
+    of normalized `counts`; returns (the symbols, the number of bits
+    they took). Bits that run out raise Truncated."""
+    size = 1 << table_log
     if not size <= state < 2 * size:
         raise CodecError("corrupt stream: final state out of range")
-    sym = table.decode_sym.tolist()
-    xs = table.decode_x.tolist()
-    nbs = table.decode_nb.tolist()
+    sym, xs, nbs = _decode_table(counts, table_log)
     out = [0] * count
     # MSB-first bit reading inlined; this loop dominates decode time
     acc = have = 0
@@ -214,7 +226,8 @@ def _encode_header(counts: np.ndarray) -> bytearray:
 
 
 def _decode_header(data: bytes, pos: int, expected: int):
-    """(counts, table_log, next position) of a payload of `expected` symbols."""
+    """(counts as a tuple, table_log, next position) of a payload of
+    `expected` symbols."""
     nsym, pos = read_uvarint(data, pos)
     table_log = _auto_table_log(nsym, expected)
     if nsym == 0 or nsym > (1 << table_log):
@@ -225,7 +238,7 @@ def _decode_header(data: bytes, pos: int, expected: int):
         counts.append(c)
     if sum(counts) != 1 << table_log:
         raise CodecError("normalized counts must sum to table size")
-    return np.array(counts, dtype=np.int64), table_log, pos
+    return tuple(counts), table_log, pos
 
 
 def _auto_table_log(alphabet: int, n: int) -> int:
@@ -263,8 +276,7 @@ def decode_symbols(data: bytes, pos: int, expected: int):
     """
     counts, table_log, pos = _decode_header(data, pos, expected)
     (state,), pos = read_fields("<H", data, pos, "entropy final state")
-    table = FseTable(counts, table_log)
-    symbols, nbits = fse_decode(data, pos, state, expected, table)
+    symbols, nbits = fse_decode(data, pos, state, expected, counts, table_log)
     _, pos = read_bits(data, pos, nbits)
     return symbols, pos
 

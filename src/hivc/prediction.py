@@ -18,7 +18,7 @@ from hivc import entropy, homogeneous
 from hivc.flow import FlowField, warp_planes
 from hivc.frame import plane_groups
 from hivc.homogeneous import solve_homogeneous
-from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
+from hivc.subdivision import SplitOrder, leaf_masks, parse_mask, subdivide_by_error, write_trees
 
 # fixed iteration budget keeps decode deterministic and time-bounded
 INTRA_SOLVE_ITERS = 160
@@ -119,23 +119,35 @@ def _mask_points(mask: np.ndarray):
     return np.flatnonzero(mask.ravel())
 
 
-def encode_intra(planes, luma_budget: int, levels: int) -> bytes:
+def intra_orders(planes):
+    """The recorded split order of each plane group's intra search, for
+    encode_intra's `orders`: one sort serves every point budget."""
+    return [SplitOrder([planes[i] for i in group]) for group in plane_groups(len(planes))]
+
+
+def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
     """Build subdivision masks, quantize mask values, serialize the payload.
 
     Each plane group (frame.plane_groups) writes its tree, then one value
     block per plane; chroma groups take chroma_budget points and
-    chroma_levels levels.
+    chroma_levels levels. The integer planes are searched as they are;
+    `orders`, intra_orders of the same planes, supplies the searches
+    already made.
     """
     if luma_budget < 1:
         raise ValueError("luma mask budget must be >= 1")
-    planes = [np.asarray(p, dtype=np.float64) for p in planes]
+    planes = [np.asarray(p) for p in planes]
     shape, size = planes[0].shape, planes[0].size
     budget = min(luma_budget, size)
     out = bytearray()
-    for group in plane_groups(len(planes)):
+    for gi, group in enumerate(plane_groups(len(planes))):
         chroma = group[0] > 0
         gplanes = [planes[i] for i in group]
-        bits, leaves = subdivide_by_error(gplanes, chroma_budget(budget, size) if chroma else budget)
+        points = chroma_budget(budget, size) if chroma else budget
+        if orders is None:
+            bits, leaves = subdivide_by_error(gplanes, points)
+        else:
+            bits, leaves = orders[gi].tree(points)
         write_trees(out, [bits])
         for vals in optimize_mask_values(gplanes, leaf_masks([leaves], shape)[0]):
             out += entropy.encode_value_block(vals, chroma_levels(levels) if chroma else levels)

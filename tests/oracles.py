@@ -6,16 +6,20 @@ The tonal fit through an LU of the full inpainting system, at 12 LSQR
 steps, is the reference for the codec's fit on its cascadic solver, and
 the same LU measures any fit's error under the exact operator. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox
-solver and subdivision search at the end are the reference the
-in-place production versions must match bit for bit; the search
-returns its bits and leaves as the codec's does. The recursive leaf
+solver at the end is the reference the in-place production version
+must match bit for bit. The subdivision search there is a heap, with
+exact Fraction errors on integer planes, where the codec sorts, and
+with the codec's region_ssd errors on float planes, where the codec
+keeps a heap; it returns its bits and leaves as the codec's does, and
+its split sequence. The recursive leaf
 enumerator is the reference for the tree walker, and the tile-by-tile
 mask walk is the reference for the residual decoder's batched one. The
 tile list is the reference for the codec's one tile layout. The
 per-tile residual planner, which slices each tile out of the integer
-planes and builds its mask from the enumerated leaves, is the reference
-for the codec's planner, which gathers float64 blocks through one padded
-view and builds every mask with leaf_masks. The entropy writer that
+planes, searches it alone and builds its mask from the enumerated
+leaves, is the reference for the codec's planner, which gathers the
+tiles through one padded view, searches all tiles of a size at once and
+builds every mask with leaf_masks. The entropy writer that
 codes one value and writes one bit field at a time is the reference for
 the array-packing encoder.
 """
@@ -23,13 +27,14 @@ the array-packing encoder.
 import heapq
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.ndimage import gaussian_filter, median_filter
 from scipy.sparse.linalg import LinearOperator, lsqr, splu
 
-from hivc import entropy, subdivision
+from hivc import entropy
 from hivc.bits import write_uvarint
 from hivc.bitstream import CodecError, Truncated
 from hivc.entropy import MAX_MAGNITUDE, EntropyError, FseTable, normalize_counts
@@ -185,8 +190,8 @@ def inpaint_plane_blockwise(residual, block_masks):
 
 def plan_group(planes, tiles, points):
     """Coded tiles, tree bits, 8x8 masks and float64 blocks of one channel
-    group, one tile at a time: the codec's subdivision searches each
-    tile's own slices of the integer planes, the recursive enumerator
+    group, one tile at a time: the search above runs on each tile's own
+    slices of the integer planes, the recursive enumerator
     reads the leaves back from the bits, and each tile is embedded
     top-left into a zero block."""
     coded, trees, masks, blocks = [], [], [], []
@@ -194,7 +199,7 @@ def plan_group(planes, tiles, points):
         subs = [p[y0 : y0 + bh, x0 : x0 + bw] for p in planes]
         if all(not s.any() for s in subs):
             continue
-        bits, _ = subdivision.subdivide_by_error(subs, min(points, bh * bw))
+        bits, _ = subdivide_by_error(subs, min(points, bh * bw))
         m = np.zeros((BLOCK, BLOCK), dtype=bool)
         for x, y, w, h in tree_leaves(bits.tolist(), bw, bh):
             m[y + h // 2, x + w // 2] = True
@@ -345,6 +350,27 @@ def to_category(v: int):
     if v > 0:
         return k, v
     return k, v + (1 << k) - 1
+
+
+def fse_decode_table(counts, table_log: int):
+    """The decoder's (symbol, x, bit count) lists of each slot, one slot
+    at a time: the k-th symbol occurrence, symbols in order, goes to slot
+    k * step mod size, and the j-th slot of symbol s, in slot order,
+    holds x = counts[s] + j, read back with table_log + 1 - bits(x) bits."""
+    size = 1 << table_log
+    step = (size >> 1) + (size >> 3) + 3
+    symbols = [s for s, c in enumerate(counts) for _ in range(c)]
+    slot_symbol = [0] * size
+    for k, s in enumerate(symbols):
+        slot_symbol[(k * step) % size] = s
+    seen = [0] * len(counts)
+    xs, nbs = [], []
+    for s in slot_symbol:
+        x = counts[s] + seen[s]
+        seen[s] += 1
+        xs.append(x)
+        nbs.append(table_log + 1 - x.bit_length())
+    return slot_symbol, xs, nbs
 
 
 def fse_encode(symbols, table: FseTable):
@@ -584,55 +610,84 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
 def subdivide_by_error(planes, target_points: int, min_error=None):
     """Greedy split of the worst-error leaf until `target_points` leaves exist.
 
-    A region's error is the sum of region_ssd over `planes`. Ties break
-    deterministically by (y, x, creation order). Single-pixel leaves
-    sink to the bottom of the queue since they cannot be split. With
-    `min_error` set, splitting stops early once the worst leaf error
-    drops to that value or below, so exactly representable planes yield
-    small trees. Returns (preorder bits as a uint8 array, leaves in
-    preorder).
+    The tree of greedy_splits. Returns (preorder bits as a uint8 array,
+    leaves in preorder).
     """
     h_img, w_img = planes[0].shape
     if target_points < 1:
         raise SubdivisionError("target_points must be >= 1")
     if target_points > w_img * h_img:
         raise SubdivisionError("target_points exceeds pixel count")
+    return tree_of_splits((0, 0, w_img, h_img), greedy_splits(planes, target_points, min_error))
+
+
+def greedy_splits(planes, target_points: int, min_error=None):
+    """The rectangles the greedy search splits, in the order it splits them.
+
+    A region's error is the sum over `planes` of its squared deviations
+    from its mean. When every plane has an integer dtype, the error is
+    the exact Fraction (n * sum(x^2) - sum(x)^2) / n, from Python ints;
+    the codec's sorted search orders its errors exactly too. Otherwise it
+    is the sum of region_ssd. Ties break deterministically by (y, x,
+    creation order). Single-pixel leaves sink to the bottom of the
+    queue since they cannot be split. With `min_error` set, splitting
+    stops early once the worst leaf error drops to that value or below,
+    so exactly representable planes yield small trees. The loop reads
+    `target_points` only to stop, so the splits of a smaller target are
+    a prefix of these.
+    """
+    h_img, w_img = planes[0].shape
+    exact = all(np.issubdtype(np.asarray(p).dtype, np.integer) for p in planes)
+    rows = [np.asarray(p).tolist() for p in planes] if exact else None
+
+    def exact_ssd(x, y, w, h):
+        err = Fraction(0)
+        for plane in rows:
+            values = [v for row in plane[y : y + h] for v in row[x : x + w]]
+            n = len(values)
+            err += Fraction(n * sum(v * v for v in values) - sum(values) ** 2, n)
+        return err
 
     def priority(rect, seq):
         x, y, w, h = rect
-        err = -1.0 if (w == 1 and h == 1) else sum(region_ssd(p, x, y, w, h) for p in planes)
+        if w == 1 and h == 1:
+            err = -1
+        elif exact:
+            err = exact_ssd(x, y, w, h)
+        else:
+            err = sum(region_ssd(p, x, y, w, h) for p in planes)
         return (-err, y, x, seq)
 
-    # nodes: rect -> (first_rect, second_rect) for internal nodes
-    children = {}
     root = (0, 0, w_img, h_img)
     seq = 0
     heap = [(*priority(root, seq), root)]
-    n_leaves = 1
-    while n_leaves < target_points:
+    splits = []
+    while len(splits) + 1 < target_points:
         neg_err, *_, rect = heapq.heappop(heap)
         if min_error is not None and -neg_err <= min_error:
             break
-        first, second = split_children(*rect)
-        children[rect] = (first, second)
-        seq += 1
-        heapq.heappush(heap, (*priority(first, seq), first))
-        seq += 1
-        heapq.heappush(heap, (*priority(second, seq), second))
-        n_leaves += 1
+        splits.append(rect)
+        for child in split_children(*rect):
+            seq += 1
+            heapq.heappush(heap, (*priority(child, seq), child))
+    return splits
 
+
+def tree_of_splits(root, splits):
+    """(preorder bits as a uint8 array, leaves in preorder) of the tree
+    over `root` whose split rectangles are `splits`."""
+    split = set(splits)
     bits, leaves = [], []
     stack = [root]
     while stack:
         rect = stack.pop()
-        kids = children.get(rect)
-        if kids is None:
+        if rect in split:
+            bits.append(1)
+            first, second = split_children(*rect)
+            stack += [second, first]
+        else:
             bits.append(0)
             leaves.append(rect)
-        else:
-            bits.append(1)
-            stack.append(kids[1])
-            stack.append(kids[0])
     return np.array(bits, dtype=np.uint8), leaves
 
 

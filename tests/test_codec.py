@@ -227,6 +227,28 @@ def test_target_ratio_mode():
     assert isinstance(used, EncoderConfig)
 
 
+def test_target_ratio_passes_share_intra_orders_without_changing_a_byte(monkeypatch):
+    # each group head's intra splits are sorted once, before the passes;
+    # searching afresh in every pass gives the same streams
+    clip = moving_clip(5, 40, 56, seed=14)
+    cfg = EncoderConfig(gop_size=3)
+    searches = []
+    real_search = prediction.subdivide_by_error
+
+    def counted_search(planes, points, min_error=None):
+        searches.append(points)
+        return real_search(planes, points, min_error)
+
+    monkeypatch.setattr(prediction, "subdivide_by_error", counted_search)
+    shared = encode_target_ratio(clip, cfg, 20.0)
+    assert not searches
+    monkeypatch.setattr(codec, "_gop_intra_orders", lambda frames, cfg: [None, None])
+    fresh = encode_target_ratio(clip, cfg, 20.0)
+    # two groups of two plane groups in every pass
+    assert len(searches) % 4 == 0 and len(searches) >= 8
+    assert shared == fresh
+
+
 def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     # a ratio that is a power of the budget multiplier m, 30 * m^-0.6,
     # lands in the 3% band on the third pass; halving m and then
@@ -235,7 +257,7 @@ def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     raw = 2 * 64 * 64 * 3
     passes = []
 
-    def fake_encode(frames, m, _flows=None, _recons=None):
+    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
         passes.append(m)
         return bytes(round(raw / (30.0 * m**-0.6)))
 
@@ -254,7 +276,7 @@ def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatc
     raw = 2 * 64 * 64 * 3
     passes = []
 
-    def fake_encode(frames, m, _flows=None, _recons=None):
+    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
         passes.append(m)
         # the first byte tells the passes apart
         return bytes([len(passes)]) + bytes(round(raw / (103.2 if m < 1.0 else 95.8)) - 1)
@@ -623,7 +645,8 @@ def test_residual_keep_step_matches_per_block_decisions(lam):
 @pytest.mark.parametrize("points", [1, 4, 48])
 def test_plan_group_trees_match_float_copy_oracle(points):
     # integer residuals with untouched regions, so some tiles are skipped;
-    # the codec searches float64 blocks, the oracle the integer tiles
+    # the codec searches all tiles of one size at once, the oracle each
+    # tile alone, with its own exact errors
     h, w = 37, 45
     planes = []
     for c in range(3):

@@ -13,6 +13,7 @@ from hivc.entropy import (
     MAX_MAGNITUDE,
     _auto_table_log,
     _decode_header,
+    _decode_table,
     decode_signed_values,
     decode_symbols,
     decode_value_block,
@@ -175,6 +176,27 @@ def test_edge_streams_are_byte_identical_to_the_scalar_oracle(name):
             len(writer),
             want_state,
         )
+
+
+def test_decode_tables_match_the_scalar_oracle_at_every_table_log():
+    # the decoder reads its tables from a bounded cache keyed by the
+    # counts; each must be today's table entry for entry
+    rng = np.random.default_rng(21)
+    for table_log in range(5, 13):
+        for alphabet in (1, 2, 5, 17, min(200, 1 << table_log)):
+            hist = rng.integers(0, 50, alphabet)
+            hist[rng.integers(alphabet)] += 1
+            counts = tuple(normalize_counts(hist, table_log).tolist())
+            got = _decode_table(counts, table_log)
+            assert list(map(list, got)) == list(oracles.fse_decode_table(counts, table_log))
+            table = FseTable(counts, table_log)
+            today = (table.decode_sym, table.decode_x, table.decode_nb)
+            assert list(map(list, got)) == [a.tolist() for a in today]
+            assert _decode_table(counts, table_log) is got
+    assert _decode_table.cache_info().maxsize == 32
+    # the sum check still runs, and a refused table is not kept
+    with pytest.raises(EntropyError, match="sum to table size"):
+        _decode_table((16, 15), 5)
 
 
 def test_compression_near_entropy_on_large_stream():

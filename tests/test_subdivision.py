@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from hivc.bitstream import CodecError, LengthMismatch, Truncated
 from hivc.subdivision import (
+    INT64_MAX,
+    SplitOrder,
     SubdivisionError,
     deserialize_tree,
     leaf_masks,
+    node_sum_bound,
     parse_mask,
     region_ssd,
     split_children,
@@ -448,3 +451,147 @@ def test_search_leaves_read_back_from_its_bits(specs, nplanes, levels, min_error
     data = _section(trees)
     masks, pos = parse_mask(data, 0, sizes, shape)
     assert np.array_equal(leaf_masks(leaves, shape), masks) and pos == len(data)
+
+
+# ---------------------------------------------------------------------------
+# The sorted search over integer planes
+# ---------------------------------------------------------------------------
+
+
+def _every_budget_matches_oracle(planes, budgets=None):
+    """The engine's tree at every budget, from one recorded order and from
+    a fresh search, equals the oracle heap's: the oracle's splits of a
+    budget are a prefix of its splits at the pixel count."""
+    h, w = planes[0].shape
+    root, pixels = (0, 0, w, h), w * h
+    splits = oracles.greedy_splits(planes, pixels)
+    order = SplitOrder(planes)
+    for n in budgets or range(1, pixels + 1):
+        want = oracles.tree_of_splits(root, splits[: n - 1])
+        assert _same_tree(order.tree(n), want), n
+        assert _same_tree(subdivide_by_error(planes, n), want), n
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(1, 2),
+    st.sampled_from([2, 5, 256, 511]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sorted_search_matches_exact_oracle_at_every_budget(w, h, nplanes, levels, seed):
+    # few levels give many exact ties, which the (y, x) rule breaks
+    rng = np.random.default_rng(seed)
+    planes = [rng.integers(-(levels // 2), levels - levels // 2, (h, w)) for _ in range(nplanes)]
+    _every_budget_matches_oracle(planes)
+
+
+def test_sorted_search_matches_exact_oracle_on_every_tile_size():
+    # all coded tiles of one size are searched in one call, with a
+    # leading tile axis; each tile's tree is the oracle's for that tile
+    rng = np.random.default_rng(8)
+    for bh in range(1, BLOCK + 1):
+        for bw in range(1, BLOCK + 1):
+            tiles = int(rng.integers(1, 5))
+            nplanes = int(rng.integers(1, 3))
+            planes = [rng.integers(-12, 13, (tiles, bh, bw)) for _ in range(nplanes)]
+            planes[0][0] = 0  # one tile constant in its first plane
+            for points in range(1, min(48, bw * bh) + 1):
+                bits, leaves = subdivide_by_error(planes, points)
+                assert bits.shape == (tiles, 2 * points - 1) and bits.dtype == np.uint8
+                assert leaves.shape == (tiles, points, 4)
+                for t in range(tiles):
+                    want = oracles.subdivide_by_error([p[t] for p in planes], points)
+                    assert np.array_equal(bits[t], want[0])
+                    assert list(map(tuple, leaves[t].tolist())) == want[1]
+
+
+def test_exact_tie_splits_the_upper_node():
+    # the two halves of a 5x10 plane hold the same values in another
+    # order, so their errors are exactly equal; region_ssd's float sums
+    # round the upper half below the lower one, and the heap on float
+    # planes splits the lower half first. The exact errors tie, and the
+    # tie goes to the smaller y, as the heap's rule says.
+    upper = np.array(
+        [
+            [65, 208, 133, 255, 71],
+            [89, 205, 43, 82, 100],
+            [185, 192, 201, 112, 157],
+            [150, 197, 32, 81, 185],
+            [51, 71, 250, 48, 255],
+        ]
+    )
+    lower = np.array(
+        [
+            [51, 150, 32, 81, 208],
+            [157, 65, 133, 43, 205],
+            [48, 250, 185, 112, 71],
+            [255, 255, 100, 185, 71],
+            [82, 192, 197, 201, 89],
+        ]
+    )
+    plane = np.vstack([upper, lower])
+    assert sorted(upper.ravel()) == sorted(lower.ravel())
+    real = plane.astype(np.float64)
+    assert region_ssd(real, 0, 0, 5, 5) < region_ssd(real, 0, 5, 5, 5)
+    _, leaves = subdivide_by_error([plane], 3)
+    assert leaves[-1] == (0, 5, 5, 5)  # the upper half split, the lower one a leaf
+    assert _same_tree(subdivide_by_error([plane], 3), oracles.subdivide_by_error([plane], 3))
+    _, float_leaves = subdivide_by_error([real], 3)
+    assert float_leaves[0] == (0, 0, 5, 5)  # the float heap split the lower half
+    _every_budget_matches_oracle([plane])
+
+
+def test_node_sums_stay_within_int64_at_the_pixel_limit():
+    # by arithmetic: no 4K plane is allocated
+    from hivc.bitstream import MAX_PIXELS
+    from hivc.frame import UV_RANGE, Y_RANGE
+
+    assert MAX_PIXELS == 8_294_400
+    luma = node_sum_bound(MAX_PIXELS, [Y_RANGE])
+    chroma = node_sum_bound(MAX_PIXELS, [UV_RANGE, UV_RANGE])
+    tile = node_sum_bound(BLOCK * BLOCK, [(-510, 510)] * 2)
+    assert luma == MAX_PIXELS**2 * 128**2 and round(luma / 1e15) == 1127
+    assert chroma == 2 * MAX_PIXELS**2 * 255**2 and round(chroma / 1e15) == 8947
+    assert tile == 2 * 64**2 * 510**2 and round(tile / 1e7) == 213
+    assert INT64_MAX == 2**63 - 1 and round(INT64_MAX / 1e15) == 9223
+    assert round(100 * (1 - chroma / INT64_MAX), 1) == 3.0  # the U+V margin
+
+
+def test_planes_past_the_int64_bound_are_refused():
+    # a 2x2 plane centred to [-a, a] bounds its sums by 16 a^2
+    a = 759_250_124  # the largest a with 16 a^2 < 2^63
+    assert 16 * a * a <= INT64_MAX < 16 * (a + 1) ** 2
+    plane = np.array([[-a, a], [a, -a]], dtype=np.int64)
+    for shift in (0, 10**9):  # centring takes any offset out
+        tree = subdivide_by_error([plane + shift], 2)
+        assert _same_tree(tree, oracles.subdivide_by_error([plane + shift], 2))
+    with pytest.raises(SubdivisionError, match="overflow int64"):
+        subdivide_by_error([np.array([[-a - 1, a + 1], [0, 0]])], 2)
+    with pytest.raises(SubdivisionError, match="overflow int64"):
+        subdivide_by_error([np.array([[0, 2**63]], dtype=np.uint64)], 2)
+    # two planes within the bound alone exceed it jointly
+    with pytest.raises(SubdivisionError, match="overflow int64"):
+        subdivide_by_error([plane, plane], 2)
+    # the table holds sides in u16 and at most a frame's pixels
+    with pytest.raises(SubdivisionError, match="frame limits"):
+        subdivide_by_error([np.zeros((1, 0x10000), dtype=np.uint8)], 2)
+
+
+def test_one_point_trees_need_no_node_error(monkeypatch):
+    # the root alone, for every tile, without a sort; an order made for
+    # one point refuses a larger tree
+    monkeypatch.setattr(np, "lexsort", None)
+    planes = [np.arange(96).reshape(6, 4, 4)]
+    bits, leaves = subdivide_by_error(planes, 1)
+    assert bits.tolist() == [[0]] * 6 and leaves.tolist() == [[[0, 0, 4, 4]]] * 6
+    with pytest.raises(SubdivisionError, match="order was made for"):
+        SplitOrder(planes, 1).tree(2)
+
+
+def test_integer_planes_take_no_min_error_and_float_planes_no_tile_axis():
+    with pytest.raises(SubdivisionError, match="min_error"):
+        subdivide_by_error([np.zeros((4, 4), dtype=np.int64)], 2, min_error=0.0)
+    with pytest.raises(SubdivisionError, match="tile axis"):
+        subdivide_by_error([np.zeros((3, 4, 4))], 2)
