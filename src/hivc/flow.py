@@ -3,8 +3,10 @@
 The primary estimator is a coarse-to-fine warping variational method
 with Charbonnier-robustified brightness and gradient constancy data
 terms and a robust smoothness term (the design of Brox-style flow).
-The classical Horn-Schunck baseline it is compared against lives in
-the tests (`tests/oracles.py`).
+It runs in float32 and filters its flow with an exact 3x3 median of
+NumPy minima and maxima; the field it returns, the warp and the flow
+codec are float64. The classical Horn-Schunck baseline it is compared
+against lives in the tests (`tests/oracles.py`).
 
 A flow field here is backward: it points from the current frame to the
 previous one, so prediction(x) = previous(x + w(x)). Compression uses
@@ -53,11 +55,12 @@ BROX_MIN_SIZE = 16
 BROX_WARPS = 3  # warp relinearizations per level
 # Lagged-nonlinearity (fixed-point) iterations per warp, and coupled
 # damped-Jacobi sweeps per fixed-point step. 3 and 10 in place of 5 and
-# 30 cut one 336x144 flow from 0.95 to 0.31 s on a 2-core x86 VM, and
-# the flows code no worse: on the ratio100 bench clips of 10 seeds (11,
-# 21, ..., 71 and 901-903), mean PSNR 26.243 dB against 26.097, higher
-# on 8 of 10, at mean ratio 99.8 against 99.6. 10 sweeps at 5 steps
-# read 26.130 dB.
+# 30 cut one 336x144 flow from 0.95 to 0.31 s on a 2-core x86 VM (in
+# float64 with SciPy's median; float32 work planes and the median
+# network take it to 0.11 s), and the flows code no worse: on
+# the ratio100 bench clips of 10 seeds (11, 21, ..., 71 and 901-903),
+# mean PSNR 26.243 dB against 26.097, higher on 8 of 10, at mean ratio
+# 99.8 against 99.6. 10 sweeps at 5 steps read 26.130 dB.
 BROX_FIXED_POINT_ITERS = 3
 BROX_SOLVER_ITERS = 10
 BROX_EPS = 1e-3
@@ -218,17 +221,61 @@ def _robust_weight(r2, scale):
     return np.divide(scale, r2, out=r2)
 
 
+def _med3(a, b, c, out):
+    """The median of a, b and c, elementwise, into `out` (which may be a
+    or b, not c): max(min(a, b), min(max(a, b), c))."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b, out=out)
+    np.minimum(hi, c, out=hi)
+    return np.maximum(lo, hi, out=hi)
+
+
+def _median3x3(stack, out=None):
+    """3x3 median of each plane of `stack` (..., h, w), with the planes
+    repeated at their edges, into `out` (which may be `stack`).
+
+    Equal value for value to scipy.ndimage.median_filter with size
+    (1, 3, 3) and mode "nearest": each vertical triple is sorted into
+    lo <= mid <= hi, and the median of nine is then
+    med3(max of three los, med3 of three mids, min of three his). Every
+    output is one of its window's values, so the result is exact in any
+    float dtype. Only where a window's median ties +0.0 with -0.0 may
+    the sign of the zero differ from SciPy's, which picks by position.
+    """
+    p = np.pad(stack, [(0, 0)] * (stack.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    top, centre, bottom = p[..., :-2, :], p[..., 1:-1, :], p[..., 2:, :]
+    lo = np.minimum(top, centre)
+    hi = np.maximum(top, centre)
+    mid = np.minimum(hi, bottom)
+    np.maximum(lo, mid, out=mid)
+    np.minimum(lo, bottom, out=lo)
+    np.maximum(hi, bottom, out=hi)
+    # across each row of three sorted columns
+    left, right = slice(None, -2), slice(2, None)
+    lo_max = np.maximum(lo[..., left], lo[..., 1:-1])
+    np.maximum(lo_max, lo[..., right], out=lo_max)
+    hi_min = np.minimum(hi[..., left], hi[..., 1:-1])
+    np.minimum(hi_min, hi[..., right], out=hi_min)
+    mid_med = _med3(mid[..., left], mid[..., 1:-1], mid[..., right], np.empty_like(lo_max))
+    out = np.empty_like(stack) if out is None else out
+    return _med3(lo_max, mid_med, hi_min, out)
+
+
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
 
-    The frame pair, the flow (u, v) and its increment (du, dv) are each
-    kept as one (2, h, w) stack, so every step that treats u and v alike
-    is written once and runs on both planes. Each fixed-point step solves
+    The estimate runs in float32: the pyramid pairs, the flow and every
+    work plane; only the warp samples in float64, and its result is
+    rounded to float32. The returned FlowField is float64. The frame
+    pair, the flow (u, v) and its increment (du, dv) are each kept as
+    one (2, h, w) stack, so every step that treats u and v alike is
+    written once and runs on both planes. Each fixed-point step solves
     its linear system with damped Jacobi sweeps. The linearised data
     terms of a warp, the system of a fixed-point step and the sweeps all
     live in work planes allocated once per pyramid level; the sweep's
     scratch planes also hold the step's intermediate weights. Neighbours
     come from shifted views instead of an edge-padded copy of the field.
+    After each warp, the flow takes the exact 3x3 median of `_median3x3`.
     """
     # Brox flow runs only in the encoder; importing SciPy here keeps it
     # off the decode path, which needs only NumPy.
@@ -240,50 +287,54 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    # (ref, tgt) pairs; a zero sigma leaves the stack axis unfiltered
-    pairs = [gaussian_filter(np.stack((f1, f0)), (0, BROX_PRESMOOTH_SIGMA, BROX_PRESMOOTH_SIGMA))]
+    # (ref, tgt) pairs, filtered in float64 and stored in float32; a zero
+    # sigma leaves the stack axis unfiltered
+    sigma = (0, BROX_PRESMOOTH_SIGMA, BROX_PRESMOOTH_SIGMA)
+    pairs = [gaussian_filter(np.stack((f1, f0)), sigma, output=np.float32)]
 
     shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
     anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
         pairs.append(bilinear_resize(gaussian_filter(pairs[-1], (0, anti_alias, anti_alias)), (h, w)))
-    uv = np.zeros((2, *shapes[-1]))
+    uv = np.zeros((2, *shapes[-1]), dtype=np.float32)
     for lvl in range(len(shapes) - 1, -1, -1):
         _brox_level(*pairs[lvl], uv)
         if lvl:
             (ph, pw), (h, w) = shapes[lvl], shapes[lvl - 1]
-            uv = bilinear_resize(uv, (h, w)) * np.array([w / pw, h / ph])[:, None, None]
+            scale = np.array([w / pw, h / ph], dtype=np.float32)
+            uv = bilinear_resize(uv, (h, w)) * scale[:, None, None]
     bound = float(max(f1.shape))
-    return FlowField(*np.clip(uv, -bound, bound))
+    return FlowField(*np.clip(uv.astype(np.float64), -bound, bound))
 
 
 def _brox_level(ref, tgt, uv):
-    """Refine the flow uv, (2, h, w), in place on one pyramid level; the
-    level's work planes are freed when it returns."""
-    from scipy.ndimage import median_filter
-
+    """Refine the flow uv, (2, h, w), in place on one pyramid level, in
+    the dtype of ref, tgt and uv; the level's work planes are freed when
+    it returns."""
     h, w = ref.shape
+    dtype = uv.dtype
     det_guard = 1e-12
     # per-level work planes: the linearised data terms of one warp
     # (i = (ix, iy), hess = (ixx, ixy, iyy), gz = (ixz, iyz) and the
     # gradient-constancy products g = (g11, g22), g12, gb = (gb1, gb2)), ...
-    i, iz, hess, gz, g, g12, gb = np.split(np.empty((13, h, w)), [2, 3, 6, 8, 10, 11])
+    i, iz, hess, gz, g, g12, gb = np.split(np.empty((13, h, w), dtype), [2, 3, 6, 8, 10, 11])
     iz, g12 = iz[0], g12[0]
     hx, hy = hess[:2], hess[1:]  # (ixx, ixy) and (ixy, iyy)
     # ... the system of one fixed-point step, with diag = (a11, a22), ...
-    diag, a12, b_fix, det, s = np.split(np.empty((8, h, w)), [2, 3, 5, 6])
+    diag, a12, b_fix, det, s = np.split(np.empty((8, h, w), dtype), [2, 3, 5, 6])
     a12, det = a12[0], det[0]
-    weights = np.empty((4, h, w))
+    weights = np.empty((4, h, w), dtype)
     small_det = np.empty((h, w), dtype=bool)
     # ... and the Jacobi sweep; all but d = (du, dv) are scratch planes
-    d, b, d_new = np.empty((3, 2, h, w))
-    ref_grad = np.empty((2, h, w))
+    d, b, d_new = np.empty((3, 2, h, w), dtype)
+    ref_grad = np.empty((2, h, w), dtype)
     _dx(ref, ref_grad[0])
     _dy(ref, ref_grad[1])
 
     for _ in range(BROX_WARPS):
-        warped = bilinear_warp(tgt, *uv)
+        # the warp samples in float64; its result is rounded to the level's dtype
+        warped = bilinear_warp(tgt, *uv).astype(dtype)
         # gz first holds the warped frame's gradient
         _dx(warped, gz[0])
         _dy(warped, gz[1])
@@ -368,7 +419,7 @@ def _brox_level(ref, tgt, uv):
         uv += d
         # median filtering after each warp removes isolated outliers
         # while preserving motion discontinuities
-        uv[...] = median_filter(uv, size=(1, 3, 3), mode="nearest")
+        _median3x3(uv, out=uv)
 
 
 # ---------------------------------------------------------------------------

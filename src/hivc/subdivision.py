@@ -29,8 +29,9 @@ their constant regions need.
 from __future__ import annotations
 
 import heapq
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -185,9 +186,39 @@ class _SplitTable:
     parent: np.ndarray  # (2 * width * height - 1,) int32
     inner: np.ndarray  # (width * height - 1,) int32
 
+    @property
+    def nbytes(self) -> int:
+        return self.rect.nbytes + self.parent.nbytes + self.inner.nbytes
 
-@lru_cache(maxsize=8)
+
+# Split tables kept between searches, least recently used first, and the
+# bytes they may hold together. A table takes about 28 B per pixel: one
+# FullHD table (58,060,784 B) fits, and takes 0.6-0.8 s to build; a
+# table larger than the budget is built for each search and not kept.
+SPLIT_TABLE_CACHE_BYTES = 64 << 20
+_split_tables: OrderedDict = OrderedDict()
+_split_tables_lock = threading.Lock()
+
+
 def _split_table(width: int, height: int) -> _SplitTable:
+    """The split table of a width x height root, from the cache when it
+    holds one; the least recently used tables leave it while its tables
+    exceed SPLIT_TABLE_CACHE_BYTES."""
+    key = (width, height)
+    with _split_tables_lock:
+        table = _split_tables.pop(key, None)
+    if table is None:
+        table = _build_split_table(width, height)
+    if table.nbytes > SPLIT_TABLE_CACHE_BYTES:
+        return table
+    with _split_tables_lock:
+        _split_tables[key] = table
+        while sum(t.nbytes for t in _split_tables.values()) > SPLIT_TABLE_CACHE_BYTES:
+            _split_tables.popitem(last=False)
+    return table
+
+
+def _build_split_table(width: int, height: int) -> _SplitTable:
     """The split table of a width x height root, built one depth level
     at a time with split_children's rule. A subtree over a pixels has
     2a - 1 nodes, so a second child sits 2 * (first child's pixels)

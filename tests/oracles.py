@@ -6,8 +6,9 @@ The tonal fit through an LU of the full inpainting system, at 12 LSQR
 steps, is the reference for the codec's fit on its cascadic solver, and
 the same LU measures any fit's error under the exact operator. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox
-solver at the end is the reference the in-place production version
-must match bit for bit. The subdivision search there is a heap, with
+solver at the end, in float32 with the production version's expression
+order and SciPy's median filter, is the reference the in-place
+production version must match bit for bit. The subdivision search there is a heap, with
 exact Fraction errors on integer planes, where the codec sorts, and
 with the codec's region_ssd errors on float planes, where the codec
 keeps a heap; it returns its bits and leaves as the codec's does, and
@@ -517,15 +518,16 @@ def _half_point_weights(psi):
 
 
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
-    """Backward flow from frame_t to frame_prev, coarse-to-fine with warping."""
+    """Backward flow from frame_t to frame_prev, coarse-to-fine with warping,
+    in float32 planes; the warp samples in float64."""
     f1 = np.asarray(frame_t, dtype=np.float64)
     f0 = np.asarray(frame_prev, dtype=np.float64)
     if f1.shape != f0.shape:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    f1 = gaussian_filter(f1, BROX_PRESMOOTH_SIGMA)
-    f0 = gaussian_filter(f0, BROX_PRESMOOTH_SIGMA)
+    f1 = gaussian_filter(f1, BROX_PRESMOOTH_SIGMA, output=np.float32)
+    f0 = gaussian_filter(f0, BROX_PRESMOOTH_SIGMA, output=np.float32)
 
     shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
@@ -542,14 +544,14 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
         ref = refs[lvl]
         tgt = tgts[lvl]
         if u is None:
-            u = np.zeros((h, w))
-            v = np.zeros((h, w))
+            u = np.zeros((h, w), dtype=np.float32)
+            v = np.zeros((h, w), dtype=np.float32)
         else:
             u = bilinear_resize(u, (h, w)) * (w / shapes[lvl + 1][1])
             v = bilinear_resize(v, (h, w)) * (h / shapes[lvl + 1][0])
 
         for _ in range(BROX_WARPS):
-            warped = bilinear_warp(tgt, u, v)
+            warped = bilinear_warp(tgt, u, v).astype(np.float32)
             ix = 0.5 * (_dx(warped) + _dx(ref))
             iy = 0.5 * (_dy(warped) + _dy(ref))
             iz = warped - ref
@@ -604,6 +606,7 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
             u = median_filter(u, size=3, mode="nearest")
             v = median_filter(v, size=3, mode="nearest")
     bound = float(max(f1.shape))
+    u, v = u.astype(np.float64), v.astype(np.float64)
     return FlowField(np.clip(u, -bound, bound), np.clip(v, -bound, bound))
 
 

@@ -1,6 +1,6 @@
 """The decode path's floats do not depend on the BLAS thread count, on
 the BLAS kernel or, in the intra solve and the residual product, on
-numpy's SIMD kernels.
+numpy's SIMD kernels; nor do the encoder's Brox flows.
 
 OpenBLAS reads its thread count and kernel when it loads, and numpy its
 disabled CPU features, so each setting gets a fresh interpreter. Every
@@ -18,6 +18,7 @@ import pytest
 from test_golden import dispatched_simd, supported_coretypes
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 # a 144x336 plane, the benchmark's frame size, holds more pixels than
 # the length at which OpenBLAS splits a whole-plane dot across threads
@@ -57,6 +58,19 @@ rng = np.random.default_rng(12)
 f = rng.uniform(0, 255, (144, 336))
 mask = rng.random((144, 336)) < 0.06
 out = solve_homogeneous(f, mask, tol=INTRA_SOLVE_TOL, max_iter=INTRA_SOLVE_ITERS)
+"""
+
+# one Brox flow of the benchmark's 336x144 pan: the encoder's flow runs
+# in float32, where a kernel that rounds or orders differently would
+# show first
+BROX = f"""
+import sys
+sys.path.insert(0, {TESTS!r})
+from conftest import moving_clip
+from hivc.flow import flow_brox
+prev, cur = (f.planes[0] for f in moving_clip(2, 144, 336, seed=11))
+flow = flow_brox(cur, prev)
+out = np.stack((flow.u, flow.v))
 """
 
 
@@ -105,4 +119,9 @@ def test_intra_solve_gives_the_same_floats_under_every_kernel():
 
 def test_residual_product_gives_the_same_floats_under_every_kernel():
     hashes = _hashes_under_every_kernel(RECONSTRUCT)
+    assert len(set(hashes.values())) == 1, hashes
+
+
+def test_brox_flow_gives_the_same_floats_under_every_kernel():
+    hashes = _hashes_under_every_kernel(BROX)
     assert len(set(hashes.values())) == 1, hashes

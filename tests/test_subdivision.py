@@ -1,8 +1,11 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivc import subdivision
 from hivc.bitstream import CodecError, LengthMismatch, Truncated
 from hivc.subdivision import (
     INT64_MAX,
@@ -588,6 +591,42 @@ def test_one_point_trees_need_no_node_error(monkeypatch):
     assert bits.tolist() == [[0]] * 6 and leaves.tolist() == [[[0, 0, 4, 4]]] * 6
     with pytest.raises(SubdivisionError, match="order was made for"):
         SplitOrder(planes, 1).tree(2)
+
+
+def _same_table(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("rect", "parent", "inner"))
+
+
+def test_split_table_cache_keeps_its_tables_within_a_byte_budget(monkeypatch):
+    # a table takes 28 B per pixel less 16, so one FullHD table fits
+    assert subdivision._build_split_table(7, 5).nbytes == 28 * 35 - 16
+    assert 28 * 1920 * 1080 - 16 <= subdivision.SPLIT_TABLE_CACHE_BYTES
+    cache = OrderedDict()
+    monkeypatch.setattr(subdivision, "_split_tables", cache)
+    nbytes = {s: subdivision._build_split_table(*s).nbytes for s in [(8, 8), (7, 5), (6, 5)]}
+    monkeypatch.setattr(subdivision, "SPLIT_TABLE_CACHE_BYTES", nbytes[8, 8] + nbytes[7, 5])
+    big = subdivision._split_table(8, 8)
+    subdivision._split_table(7, 5)
+    assert subdivision._split_table(8, 8) is big and list(cache) == [(7, 5), (8, 8)]
+    # the least recently used table leaves first, and only as many as must
+    subdivision._split_table(6, 5)
+    assert list(cache) == [(8, 8), (6, 5)]
+    # a table larger than the whole budget is built but not kept
+    huge = subdivision._split_table(16, 16)
+    assert list(cache) == [(8, 8), (6, 5)]
+    # every table, cached or not, is the one a fresh build gives
+    for shape, table in [((16, 16), huge), *cache.items()]:
+        assert _same_table(table, subdivision._build_split_table(*shape))
+
+
+def test_sorted_search_does_not_depend_on_the_table_cache(monkeypatch):
+    rng = np.random.default_rng(17)
+    planes = [rng.integers(0, 256, (24, 40)), rng.integers(0, 256, (24, 40))]
+    cached = SplitOrder(planes).order
+    monkeypatch.setattr(subdivision, "_split_tables", OrderedDict())
+    monkeypatch.setattr(subdivision, "SPLIT_TABLE_CACHE_BYTES", 0)
+    assert np.array_equal(SplitOrder(planes).order, cached)
+    assert not subdivision._split_tables
 
 
 def test_integer_planes_take_no_min_error_and_float_planes_no_tile_axis():
