@@ -3,10 +3,10 @@
 The primary estimator is a coarse-to-fine warping variational method
 with Charbonnier-robustified brightness and gradient constancy data
 terms and a robust smoothness term (the design of Brox-style flow).
-It runs in float32 and filters its flow with an exact 3x3 median of
-NumPy minima and maxima; the field it returns, the warp and the flow
-codec are float64. The classical Horn-Schunck baseline it is compared
-against lives in the tests (`tests/oracles.py`).
+It runs in float32 with NumPy's own Gaussian smoothing and exact 3x3
+median; the field it returns, the warp and the flow codec are float64.
+The classical Horn-Schunck baseline it is compared against lives in
+the tests (`tests/oracles.py`).
 
 A flow field here is backward: it points from the current frame to the
 previous one, so prediction(x) = previous(x + w(x)). Compression uses
@@ -261,6 +261,26 @@ def _median3x3(stack, out=None):
     return _med3(lo_max, mid_med, hi_min, out)
 
 
+def _gaussian(stack, sigma):
+    """Gaussian smoothing of each plane of `stack` (..., h, w), in float32:
+    scipy.ndimage's gaussian_filter with sigma (0, sigma, sigma) and output
+    float32, byte for byte, by summing in its order. Each axis's pass sums
+    in float64 the centre tap, then the mirrored pairs from the outermost
+    inward, and stores float32; a short axis mirrors repeatedly."""
+    r = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    taps /= taps.sum()
+    for _ in range(2):
+        stack = stack.swapaxes(-1, -2)
+        p = np.pad(stack.astype(np.float64), [(0, 0)] * (stack.ndim - 1) + [(r, r)], mode="symmetric")
+        n = stack.shape[-1]
+        acc = p[..., r : r + n] * taps[r]
+        for k in range(r, 0, -1):
+            acc += (p[..., r - k : r - k + n] + p[..., r + k : r + k + n]) * taps[r - k]
+        stack = acc.astype(np.float32)
+    return stack
+
+
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     """Backward flow from frame_t to frame_prev, coarse-to-fine with warping.
 
@@ -275,28 +295,23 @@ def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:
     live in work planes allocated once per pyramid level; the sweep's
     scratch planes also hold the step's intermediate weights. Neighbours
     come from shifted views instead of an edge-padded copy of the field.
-    After each warp, the flow takes the exact 3x3 median of `_median3x3`.
+    The frames are smoothed by `_gaussian`. After each warp, the flow
+    takes the exact 3x3 median of `_median3x3`.
     """
-    # Brox flow runs only in the encoder; importing SciPy here keeps it
-    # off the decode path, which needs only NumPy.
-    from scipy.ndimage import gaussian_filter
-
     f1 = np.asarray(frame_t, dtype=np.float64)
     f0 = np.asarray(frame_prev, dtype=np.float64)
     if f1.shape != f0.shape:
         raise FlowError("frame shape mismatch")
     if not (np.isfinite(f1).all() and np.isfinite(f0).all()):
         raise FlowError("non-finite input planes")
-    # (ref, tgt) pairs, filtered in float64 and stored in float32; a zero
-    # sigma leaves the stack axis unfiltered
-    sigma = (0, BROX_PRESMOOTH_SIGMA, BROX_PRESMOOTH_SIGMA)
-    pairs = [gaussian_filter(np.stack((f1, f0)), sigma, output=np.float32)]
+    # (ref, tgt) pairs, filtered in float64 and stored in float32
+    pairs = [_gaussian(np.stack((f1, f0)), BROX_PRESMOOTH_SIGMA)]
 
     shapes = _pyramid_shapes(*f1.shape, BROX_PYRAMID_SCALE, BROX_MIN_SIZE)
     # recursive pyramid: each level smooths the previous one before resampling
     anti_alias = 0.5 / BROX_PYRAMID_SCALE
     for h, w in shapes[1:]:
-        pairs.append(bilinear_resize(gaussian_filter(pairs[-1], (0, anti_alias, anti_alias)), (h, w)))
+        pairs.append(bilinear_resize(_gaussian(pairs[-1], anti_alias), (h, w)))
     uv = np.zeros((2, *shapes[-1]), dtype=np.float32)
     for lvl in range(len(shapes) - 1, -1, -1):
         _brox_level(*pairs[lvl], uv)

@@ -30,30 +30,26 @@ INTRA_SOLVE_ITERS = 160
 INTRA_SOLVE_TOL = 2e-3
 
 # The tonal operator's solves stop at this relative residual, in
-# float32: LSQR needs a close M, not an exact one.
+# float32: the fit needs a close M, not an exact one.
 TONAL_SOLVE_TOL = 1e-3
-# LSQR steps of the tonal fit. On the encoder's masks of 336x144 frames
-# (seeds 11, 21, 31), the fit's error under the exact operator came
-# within 0.024% of 12 steps on the exact operator at 7 steps, 0.064% at
-# 6, 0.16% at 5 and 0.48% at 4. The all-intra streams of seeds 11-71
-# then moved by at most +0.29% in size at 7 steps and +0.44% at 6.
+# CGLS steps of the tonal fit (LSQR's, in exact arithmetic). On the
+# encoder's masks of 336x144 frames (seeds 11, 21, 31), the fit's error
+# under the exact operator came within 0.024% of 12 steps on the exact
+# operator at 7 steps, 0.064% at 6, 0.16% at 5 and 0.48% at 4. The
+# all-intra streams of seeds 11-71 then moved by at most +0.29% in size
+# at 7 steps and +0.44% at 6.
 TONAL_ITERS = 7
-
-# The tonal fit runs only in the encoder, so it imports SciPy itself:
-# importing hivc or decoding a stream loads only NumPy.
 
 
 def _inpainting_operator(mask: np.ndarray):
     """M, the map from mask values (raster order) to the inpainted plane,
-    through the cascadic solver at TONAL_SOLVE_TOL.
+    through the cascadic solver at TONAL_SOLVE_TOL, as (matvec, rmatvec).
 
     With K the mask pixels, I the rest and L the Laplacian, M v = v on K
     and (-L_II)^-1 L_IK v on I: the inpainting of v. L is symmetric, so
     M^T r = r_K + L_KI (-L_II)^-1 r_I = r_K + (L z)_K, where z solves
     (-L_II) z = r_I and is 0 on K. Every solve shares one mask pyramid.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     pyramid = homogeneous.mask_pyramid(mask, homogeneous.solve_dtype(TONAL_SOLVE_TOL))
     pts = _mask_points(mask)
 
@@ -66,33 +62,48 @@ def _inpainting_operator(mask: np.ndarray):
         z = homogeneous.solve_source(r.reshape(mask.shape), mask, tol=TONAL_SOLVE_TOL, pyramid=pyramid)
         return r.ravel()[pts] + homogeneous.laplacian(z).ravel()[pts]
 
-    return LinearOperator((mask.size, pts.size), matvec=matvec, rmatvec=rmatvec, dtype=np.float64)
+    return matvec, rmatvec
 
 
 def optimize_mask_values(planes, mask: np.ndarray):
     """Refine the stored mask values so the inpainted result, not the
     point samples, is closest to each source plane in least squares.
 
-    TONAL_ITERS LSQR steps on _inpainting_operator, from the samples;
-    the planes of one group share its mask pyramid. The transmitted
-    payload format is unchanged: this only picks better values. A full
-    mask is returned verbatim to keep pure-quantization configurations
-    exact.
+    Up to TONAL_ITERS CGLS steps (Paige & Saunders, ACM TOMS 1982) on
+    _inpainting_operator from the samples, each inner product in
+    homogeneous._dot's fixed order. M is exact only to TONAL_SOLVE_TOL,
+    so the fit stops once ||M^T r|| has fallen by that factor: past it,
+    CGLS fits the solver's error. The last step skips its unread adjoint
+    solve. The planes of one group share its mask pyramid. The payload
+    format is unchanged: this only picks better values. A full mask
+    returns the samples, to keep pure-quantization configurations exact.
     """
-    from scipy.sparse.linalg import lsqr
-
     pts = _mask_points(mask)
     samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
     if mask.all():
         return samples
-    op = _inpainting_operator(mask)
+    matvec, rmatvec = _inpainting_operator(mask)
+    work_k, work_n = np.empty(pts.size), np.empty(mask.size)
     out = []
-    for plane, x0 in zip(planes, samples):
+    for plane, x in zip(planes, samples):
         target = np.asarray(plane, dtype=np.float64).ravel()
-        v = lsqr(op, target, iter_lim=TONAL_ITERS, x0=x0.copy())[0]
+        r = target - matvec(x)
+        p = s = rmatvec(r)
+        gamma = start = homogeneous._dot(s, s, work_k)
+        for step in range(TONAL_ITERS):
+            if gamma <= TONAL_SOLVE_TOL**2 * start:
+                break
+            q = matvec(p)
+            alpha = gamma / homogeneous._dot(q, q, work_n)
+            x = x + alpha * p
+            if step + 1 < TONAL_ITERS:
+                r = r - alpha * q
+                s = rmatvec(r)
+                gamma, previous = homogeneous._dot(s, s, work_k), gamma
+                p = s + (gamma / previous) * p
         # box projection keeps the quantizer span tight and the
         # reconstruction within the source dynamic range
-        out.append(np.clip(v, target.min(), target.max()))
+        out.append(np.clip(x, target.min(), target.max()))
     return out
 
 

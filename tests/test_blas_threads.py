@@ -1,6 +1,6 @@
 """The decode path's floats do not depend on the BLAS thread count, on
 the BLAS kernel or, in the intra solve and the residual product, on
-numpy's SIMD kernels; nor do the encoder's Brox flows.
+numpy's SIMD kernels; nor do the encoder's Brox flows and tonal fit.
 
 OpenBLAS reads its thread count and kernel when it loads, and numpy its
 disabled CPU features, so each setting gets a fresh interpreter. Every
@@ -73,6 +73,21 @@ flow = flow_brox(cur, prev)
 out = np.stack((flow.u, flow.v))
 """
 
+# the encoder's tonal fit on the first frame of that pan, at the luma
+# mask of the default intra fraction (4,355 points); the Y, U and V
+# planes share the mask, as the planes of one group do in the encoder
+TONAL = f"""
+import sys
+sys.path.insert(0, {TESTS!r})
+from conftest import moving_clip
+from hivc.codec import _to_yuv_planes
+from hivc.prediction import optimize_mask_values
+from hivc.subdivision import leaf_masks, subdivide_by_error
+planes = [p.astype(np.float64) for p in _to_yuv_planes(moving_clip(1, 144, 336, seed=11)[0])]
+_, leaves = subdivide_by_error(planes[:1], 4355)
+out = np.concatenate(optimize_mask_values(planes, leaf_masks([leaves], (144, 336))[0]))
+"""
+
 
 def _hash_in_child(code, **env_vars):
     env = dict(os.environ, **env_vars)
@@ -124,4 +139,9 @@ def test_residual_product_gives_the_same_floats_under_every_kernel():
 
 def test_brox_flow_gives_the_same_floats_under_every_kernel():
     hashes = _hashes_under_every_kernel(BROX)
+    assert len(set(hashes.values())) == 1, hashes
+
+
+def test_tonal_fit_gives_the_same_floats_under_every_kernel():
+    hashes = _hashes_under_every_kernel(TONAL)
     assert len(set(hashes.values())) == 1, hashes

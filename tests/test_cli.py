@@ -456,32 +456,43 @@ def test_encode_of_frames_without_pixels_exits_as_a_codec_error(tmp_path, capsys
     assert not out.exists()
 
 
-def _scipy_modules_in_child(code, cwd):
-    """Run `code` in a fresh interpreter that imports hivc from this
-    checkout; returns the names of the scipy modules loaded at its end."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code],
-        env=env, cwd=cwd, capture_output=True, text=True, timeout=300,
-    )
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
+# a child interpreter in which any import of scipy fails, as if it were
+# not installed; it prints the scipy modules loaded at its end
+NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+from hivc import cli
+"""
 
 
-def test_only_encoding_loads_scipy(tmp_path):
+def test_no_entry_point_loads_scipy(tmp_path):
+    video_io.write_y4m(tmp_path / "in.y4m", moving_clip(2, 16, 24, seed=3), fps=(25, 1))
     # the golden colour stream has inter frames: flow decoding and warping run
     stream = Path(__file__).parent / "golden" / "color.hivc"
-    code = (
-        "from hivc import cli\n"
-        f"assert cli.main(['decode', {str(stream)!r}, 'out.y4m']) == 0\n"
-        f"assert cli.main(['inspect', {str(stream)!r}]) == 0\n"
+    commands = [
+        ["encode", "in.y4m", "plain.hivc", "--gop-size", "2"],
+        ["encode", "in.y4m", "ratio.hivc", "--gop-size", "2", "--target-ratio", "8"],
+        ["decode", "ratio.hivc", "ratio.y4m"],
+        ["decode", str(stream), "color.y4m"],
+        ["inspect", "plain.hivc"],
+        ["metrics", "in.y4m", "ratio.y4m"],
+    ]
+    code = NO_SCIPY + "".join(f"assert cli.main({c!r}) == 0\n" for c in commands)
+    code += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
     )
-    assert _scipy_modules_in_child(code, tmp_path) == []
-    assert len(video_io.read_y4m(tmp_path / "out.y4m")[0]) == 3
-
-    video_io.write_y4m(tmp_path / "in.y4m", moving_clip(2, 16, 24, seed=3), fps=(25, 1))
-    code = "from hivc import cli\nassert cli.main(['encode', 'in.y4m', 'out.hivc', '--gop-size', '2']) == 0\n"
-    assert {"scipy.ndimage", "scipy.sparse.linalg"} <= set(_scipy_modules_in_child(code, tmp_path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert len(video_io.read_y4m(tmp_path / "ratio.y4m")[0]) == 2
+    assert len(video_io.read_y4m(tmp_path / "color.y4m")[0]) == 3

@@ -3,15 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.ndimage import median_filter
+from scipy.ndimage import gaussian_filter, median_filter
 
 import oracles
 from conftest import moving_clip, shifted_pair, smooth_texture
 from hivc.flow import (
+    BROX_PRESMOOTH_SIGMA,
+    BROX_PYRAMID_SCALE,
     FlowError,
     FlowField,
     _dx,
     _dy,
+    _gaussian,
     _median3x3,
     bilinear_warp,
     compress_flow,
@@ -191,6 +194,19 @@ def test_median3x3_of_mixed_signed_zeros_is_scipys_in_value(dtype):
     ref = median_filter(x, size=(1, 3, 3), mode="nearest")
     assert np.array_equal(got, ref)
     assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sigma", [BROX_PRESMOOTH_SIGMA, 0.5 / BROX_PYRAMID_SCALE])
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (3, 5), (13, 17), (48, 64)])
+def test_gaussian_is_scipys_gaussian_filter_byte_for_byte(shape, sigma, dtype):
+    # the presmoothing and the anti-alias sigma; the short axes are
+    # shorter than the radius, so their mirror repeats
+    x = np.random.default_rng(shape[0] * 31 + shape[1]).uniform(0, 255, (2, *shape)).astype(dtype)
+    ref = gaussian_filter(x, (0, sigma, sigma), output=np.float32)
+    got = _gaussian(x, sigma)
+    assert got.dtype == np.float32
+    assert got.tobytes() == ref.tobytes()
 
 
 def _checkerboard(h, w, cell):

@@ -1,8 +1,11 @@
-"""Every module-level import in the package and its tests is used.
+"""Every module-level import in the package and its tests is used, and
+the package imports no SciPy.
 
 No linter ships with the project, so this walks each module's syntax
 tree: a name bound by a top-level import must be read somewhere in the
-module. The package's `__all__` re-exports count as reads.
+module. The package's `__all__` re-exports count as reads. SciPy is a
+test dependency only: no import of it may appear anywhere in the
+package, inside a function or not.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "hivc").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "hivc").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str):
@@ -32,6 +36,40 @@ def unused_imports(source: str):
         ):
             read.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def scipy_imports(source: str):
+    """Lines of the module's imports of scipy, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_a_scipy_import_at_any_depth():
+    source = (
+        "import scipy\n"
+        "def f():\n"
+        "    from scipy.sparse.linalg import lsqr\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            import numpy, scipy.ndimage as nd\n"
+        "from scipyx import y\n"
+        "from . import scipy\n"
+    )
+    assert scipy_imports(source) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_no_scipy(path):
+    assert scipy_imports(path.read_text()) == []
 
 
 def test_finds_an_unused_import_and_honours_all():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from conftest import moving_clip, smooth_texture
 from hivc.bitstream import Truncated
@@ -266,7 +265,7 @@ def _interior_bound(mask):
 def test_inpainting_operator_adjoint_and_forward_map(name):
     h, w, make = TONAL_MASKS[name]
     mask = make(h, w)
-    op = prediction._inpainting_operator(mask)
+    matvec, rmatvec = prediction._inpainting_operator(mask)
     k = int(mask.sum())
     # Each solve stops at an interior residual of TONAL_SOLVE_TOL times
     # ||v|| (forward) or ||r_I|| (adjoint), so it lies within that times
@@ -279,8 +278,8 @@ def test_inpainting_operator_adjoint_and_forward_map(name):
     for _ in range(3):
         v = rng.normal(size=k)
         r = rng.normal(size=h * w)
-        mv = op.matvec(v)
-        lhs, rhs = mv @ r, v @ op.rmatvec(r)
+        mv = matvec(v)
+        lhs, rhs = mv @ r, v @ rmatvec(r)
         assert abs(lhs - rhs) <= 5 * bound * np.linalg.norm(v) * np.linalg.norm(r) + 1e-12
         # M v is the inpainting of the values v placed on the mask
         f = np.zeros((h, w))
@@ -298,11 +297,7 @@ def test_tonal_fit_builds_one_mask_pyramid_per_plane_group(monkeypatch):
         built.append(mask.shape)
         return real(mask, dtype)
 
-    def no_splu(*args, **kwargs):
-        raise AssertionError("the tonal fit factorized a matrix")
-
     monkeypatch.setattr(homogeneous, "mask_pyramid", counting)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
     planes = _yuv_planes(8)
     encode_intra(planes, 60, 256)
     # one pyramid for the luma mask, one for the shared chroma mask
