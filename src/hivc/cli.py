@@ -155,10 +155,13 @@ def _cmd_encode(args):
         raise UsageError("target ratio must be a finite number above 1")
     frames, fps = video_io.read_frames(args.input)
     cfg = _encoder_config(args, fps)
+    passes = []
     t0 = time.perf_counter()
     try:
         if args.target_ratio is not None:
-            stream, ratio, cfg = codec.encode_target_ratio(frames, cfg, args.target_ratio)
+            stream, ratio, cfg = codec.encode_target_ratio(
+                frames, cfg, args.target_ratio, _passes=passes
+            )
         else:
             stream = codec.encode(frames, cfg)
             ratio = _raw_size(frames) / len(stream)
@@ -176,6 +179,14 @@ def _cmd_encode(args):
         ("encode_seconds", f"{elapsed:.3f}"),
         ("self_check", "ok" if cfg.self_check else "skipped"),
     ]
+    if passes:
+        # the rate-control search: encodes in all, those with the tonal
+        # fit, and the budget multiplier of the stream written
+        lines += [
+            ("rate_passes", len(passes)),
+            ("rate_fitted_passes", sum(p.fitted for p in passes)),
+            ("rate_multiplier", next(p.multiplier for p in passes if p.returned)),
+        ]
     lines += [(f"config_{k}", v) for k, v in sorted(_cfg_dict(cfg).items())]
     _report(lines, args.report)
     return EXIT_OK

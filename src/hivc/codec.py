@@ -41,6 +41,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_t
 MAX_RESIDUAL_POINTS = 48
 _SCALE_FP = 65536.0
 # encode_target_ratio stops within this relative distance of the target,
-# or after this many passes past the first
+# or after this many encodes past the first, unfitted and fitted together
 TARGET_RATIO_TOL = 0.03
 TARGET_RATIO_PASSES = 14
 MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
@@ -347,16 +348,18 @@ def _add_residual(header, pred, data, timings=None):
     return recon
 
 
-def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None):
+def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None, fit=True):
     """Encode one group; returns (payload, reconstructed planes per frame).
     Closed loop: each frame is predicted and rebuilt by the decoder's steps.
-    `orders` holds the intra split orders of the group's first frame."""
+    `orders` holds the intra split orders of the group's first frame, and
+    `fit` says whether its mask values take the tonal fit."""
     luma_budget = max(1, int(round(cfg.intra_mask_fraction * header.height * header.width)))
     out = bytearray(struct.pack("<H", len(frames_planes)))
     recons = []
     for i, planes in enumerate(frames_planes):
         if i == 0:
-            ftype, pred_payload = 0, encode_intra(planes, luma_budget, cfg.intra_levels, orders)
+            ftype = 0
+            pred_payload = encode_intra(planes, luma_budget, cfg.intra_levels, orders, fit=fit)
         else:
             ftype = 1
             pred_payload = compress_flow(flows_raw[i - 1], cfg.flow_points, cfg.flow_levels)
@@ -423,13 +426,15 @@ def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
 
 
 def encode(
-    frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None, _orders=None
+    frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None, _orders=None, _fit=True
 ) -> bytes:
     """Compress a frame sequence into a self-contained byte stream.
 
     `_flows` supplies the groups' flow fields and `_orders` their first
     frames' intra split orders; `_recons`, when a list, receives each
-    frame's reconstructed planes.
+    frame's reconstructed planes. With `_fit` false the intra mask values
+    are the raw samples, not the tonal fit's: a valid stream of another
+    size, cheaper to make, that rate control searches on.
     """
     cfg = cfg or EncoderConfig()
     header = _check_frames(frames, cfg)
@@ -440,7 +445,7 @@ def encode(
     payloads, recons = [], []
     for gi, (s, e) in enumerate(_split_gops(len(frames), cfg.gop_size)):
         orders = None if _orders is None else _orders[gi]
-        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi], orders)
+        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi], orders, _fit)
         payloads.append(payload)
         recons.extend(group_recons)
     stream = write_stream(header, payloads)
@@ -568,12 +573,72 @@ def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
     )
 
 
-def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
+class RatePass(NamedTuple):
+    """One encode of `encode_target_ratio`'s search, in the order run."""
+
+    multiplier: float
+    fitted: bool  # the intra mask values took the tonal fit
+    ratio: float
+    returned: bool  # the pass whose stream was returned
+
+
+def _search_multiplier(run, m, target_ratio, passes, slope=-1.0):
+    """Search budget multipliers from m on the encodes of run(m), which
+    returns (ratio, result), until one lands within TARGET_RATIO_TOL of
+    the target or `passes` have run.
+
+    The log ratio falls about linearly in log m: each step follows the
+    secant through the last two passes (`slope` before there are two;
+    -1 where the ratio does not fall), by at most MAX_LOG_STEP, and
+    bisects where that would leave the bracket of this search's own
+    passes. Returns the passes, as (m, ratio, result), and the slope of
+    the last step.
+    """
+    lo, hi = 0.0, math.inf  # multipliers known to be too small, too large
+    history = []
+    while True:
+        ratio, result = run(m)
+        history.append((m, ratio, result))
+        if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL or len(history) == passes:
+            return history, slope
+        if ratio > target_ratio:
+            lo = m  # too small a budget, stream too tight
+        else:
+            hi = m
+        if len(history) > 1:
+            prev_m, prev_ratio, _ = history[-2]
+            slope = min(math.log(ratio / prev_ratio) / math.log(m / prev_m), 0.0) or -1.0
+        step = math.log(target_ratio / ratio) / slope
+        m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
+        m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
+
+
+def _closest(history, target_ratio):
+    """The pass of `history` closest to the target, the earliest on ties."""
+    return min(history, key=lambda p: abs(p[1] - target_ratio))
+
+
+def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes=None):
     """Search a budget multiplier until the compression ratio hits target.
 
-    Ratio is raw uint8 source bytes over stream bytes, monotone in the
-    budget multiplier. Returns (stream, achieved ratio, config used) of
-    the pass closest to the target, the earliest on ties.
+    Ratio is raw uint8 source bytes over stream bytes. It falls with the
+    budget multiplier m roughly as a power of m, but not monotonically:
+    whole groups of blocks and leaves switch together, so it can jump
+    across the band (103.0 to 95.8 within a step of m of 0.0005).
+
+    The search runs in two phases of `_search_multiplier`, from m = 1.
+    The first searches on unfitted encodes, whose intra mask values are
+    the raw samples, until one lands within TARGET_RATIO_TOL. The second
+    encodes with the tonal fit from the multiplier of the unfitted pass
+    closest to the target, and steps on fitted passes only, the first
+    step along the slope of the first phase's last: the fit moves the
+    ratio, by different amounts at different m, so the phases share no
+    bracket. At most 1 + TARGET_RATIO_PASSES encodes run in all, the
+    last of them fitted.
+
+    Only a fitted pass is returned, the first inside the band, or else
+    the closest, the earliest on ties: (stream, achieved ratio, config
+    used). `_passes`, when a list, receives a RatePass per encode.
     """
     if not 1.0 < target_ratio < math.inf:
         raise ValueError("target ratio must be a finite number above 1")
@@ -588,40 +653,26 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float):
     # against the digests of its own pass's reconstructions
     unchecked = replace(cfg, self_check=False)
 
-    def run(m):
-        recons = [] if cfg.self_check else None
+    def run(m, fit):
+        recons = [] if fit and cfg.self_check else None
         stream = encode(
             frames, _scaled_config(unchecked, m, pixels),
-            _flows=flows, _recons=recons, _orders=orders,
+            _flows=flows, _recons=recons, _orders=orders, _fit=fit,
         )
-        digests = _frame_digests(recons, header.channels) if cfg.self_check else None
-        return stream, raw / len(stream), digests
+        digests = None if recons is None else _frame_digests(recons, header.channels)
+        return raw / len(stream), (stream, digests)
 
-    lo, hi = 0.0, float("inf")  # multipliers known to be too small, too large
-    m = 1.0
-    stream, ratio, digests = run(m)
-    best = (stream, ratio, m, digests)
-    prev = (2 * m, ratio / 2)  # a slope of -1 until there are two passes
-    for _ in range(TARGET_RATIO_PASSES):
-        if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL:
-            break
-        if ratio > target_ratio:
-            lo = m  # too small a budget, stream too tight
-        else:
-            hi = m
-        # the log ratio falls about linearly in log m: step along the
-        # secant through the last two passes (-1 where it does not fall),
-        # by at most 4x, and bisect where that would leave the bracket
-        slope = min(math.log(ratio / prev[1]) / math.log(m / prev[0]), 0.0) or -1.0
-        prev = (m, ratio)
-        step = math.log(target_ratio / ratio) / slope
-        m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
-        m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
-        stream, ratio, digests = run(m)
-        if abs(ratio - target_ratio) < abs(best[1] - target_ratio):
-            best = (stream, ratio, m, digests)
-    # after a break the last pass is the best, the first inside the band
-    stream, ratio, m, digests = best
+    proxy, slope = _search_multiplier(
+        lambda m: run(m, False), 1.0, target_ratio, TARGET_RATIO_PASSES
+    )
+    fitted, _ = _search_multiplier(
+        lambda m: run(m, True), _closest(proxy, target_ratio)[0], target_ratio,
+        1 + TARGET_RATIO_PASSES - len(proxy), slope,
+    )
+    m, ratio, (stream, digests) = _closest(fitted, target_ratio)
+    if _passes is not None:
+        _passes += [RatePass(p[0], False, p[1], False) for p in proxy]
+        _passes += [RatePass(p[0], True, p[1], p[0] == m) for p in fitted]
     if cfg.self_check:
         _self_check(stream, digests)
     return stream, ratio, _scaled_config(cfg, m, pixels)

@@ -261,24 +261,62 @@ def _median3x3(stack, out=None):
     return _med3(lo_max, mid_med, hi_min, out)
 
 
+# rows per band of `_gaussian`: at the benchmark's frame widths, the
+# float64 work arrays of a band of both planes stay in cache
+GAUSSIAN_BAND = 32
+
+
+def _mirror(n, r):
+    """Indices of an axis of length n extended by r on each side, mirrored
+    about its edges (d c b a | a b c d | d c b a), repeatedly when r > n."""
+    i = np.arange(-r, n + r) % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
+def _tap_sums(tap, taps, acc, tmp):
+    """acc = the filter `taps` over tap(k), the input shifted by k - r:
+    the centre tap, then the mirrored pairs from the outermost inward."""
+    r = len(taps) // 2
+    np.multiply(tap(r), taps[r], out=acc)
+    for k in range(r, 0, -1):
+        np.add(tap(r - k), tap(r + k), out=tmp)
+        tmp *= taps[r - k]
+        acc += tmp
+
+
 def _gaussian(stack, sigma):
     """Gaussian smoothing of each plane of `stack` (..., h, w), in float32:
     scipy.ndimage's gaussian_filter with sigma (0, sigma, sigma) and output
     float32, byte for byte, by summing in its order. Each axis's pass sums
     in float64 the centre tap, then the mirrored pairs from the outermost
-    inward, and stores float32; a short axis mirrors repeatedly."""
+    inward, and stores float32; a short axis mirrors repeatedly.
+
+    Both passes run on one band of rows at a time, in work arrays made
+    once per call: the band's rows with their mirrored neighbours, then
+    the first pass's float32 values with mirrored columns.
+    """
     r = int(4.0 * sigma + 0.5)
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
     taps /= taps.sum()
-    for _ in range(2):
-        stack = stack.swapaxes(-1, -2)
-        p = np.pad(stack.astype(np.float64), [(0, 0)] * (stack.ndim - 1) + [(r, r)], mode="symmetric")
-        n = stack.shape[-1]
-        acc = p[..., r : r + n] * taps[r]
-        for k in range(r, 0, -1):
-            acc += (p[..., r - k : r - k + n] + p[..., r + k : r + k + n]) * taps[r - k]
-        stack = acc.astype(np.float32)
-    return stack
+    *lead, h, w = stack.shape
+    rows, cols = _mirror(h, r), _mirror(w, r)
+    band = min(GAUSSIAN_BAND, h)
+    out = np.empty(stack.shape, np.float32)
+    src = np.empty((*lead, band + 2 * r, w))
+    mid = np.empty((*lead, band, w + 2 * r))
+    acc, tmp = np.empty((*lead, band, w)), np.empty((*lead, band, w))
+    rounded = np.empty((*lead, band, w), np.float32)
+    for i0 in range(0, h, band):
+        b = min(band, h - i0)
+        s, m, q = src[..., : b + 2 * r, :], mid[..., :b, :], rounded[..., :b, :]
+        a, t = acc[..., :b, :], tmp[..., :b, :]
+        s[...] = stack[..., rows[i0 : i0 + b + 2 * r], :]
+        _tap_sums(lambda k: s[..., k : k + b, :], taps, a, t)
+        np.copyto(q, a, casting="same_kind")
+        m[...] = q[..., cols]
+        _tap_sums(lambda k: m[..., k : k + w], taps, a, t)
+        out[..., i0 : i0 + b, :] = a
+    return out
 
 
 def flow_brox(frame_t: np.ndarray, frame_prev: np.ndarray) -> FlowField:

@@ -78,12 +78,11 @@ def optimize_mask_values(planes, mask: np.ndarray):
     format is unchanged: this only picks better values. A full mask
     returns the samples, to keep pure-quantization configurations exact.
     """
-    pts = _mask_points(mask)
-    samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
+    samples = mask_samples(planes, mask)
     if mask.all():
         return samples
     matvec, rmatvec = _inpainting_operator(mask)
-    work_k, work_n = np.empty(pts.size), np.empty(mask.size)
+    work_k, work_n = np.empty(samples[0].size), np.empty(mask.size)
     out = []
     for plane, x in zip(planes, samples):
         target = np.asarray(plane, dtype=np.float64).ravel()
@@ -130,20 +129,28 @@ def _mask_points(mask: np.ndarray):
     return np.flatnonzero(mask.ravel())
 
 
+def mask_samples(planes, mask: np.ndarray):
+    """Each plane's float64 samples at the mask points, in payload order:
+    the mask values before any tonal fit."""
+    pts = _mask_points(mask)
+    return [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
+
+
 def intra_orders(planes):
     """The recorded split order of each plane group's intra search, for
     encode_intra's `orders`: one sort serves every point budget."""
     return [SplitOrder([planes[i] for i in group]) for group in plane_groups(len(planes))]
 
 
-def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
+def encode_intra(planes, luma_budget: int, levels: int, orders=None, fit=True) -> bytes:
     """Build subdivision masks, quantize mask values, serialize the payload.
 
     Each plane group (frame.plane_groups) writes its tree, then one value
     block per plane; chroma groups take chroma_budget points and
     chroma_levels levels. The integer planes are searched as they are;
     `orders`, intra_orders of the same planes, supplies the searches
-    already made.
+    already made. The mask values are the tonal fit's, or with `fit`
+    false the raw samples: a cheaper payload of the same layout.
     """
     if luma_budget < 1:
         raise ValueError("luma mask budget must be >= 1")
@@ -160,7 +167,8 @@ def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
         else:
             bits, leaves = orders[gi].tree(points)
         write_trees(out, [bits])
-        for vals in optimize_mask_values(gplanes, leaf_masks([leaves], shape)[0]):
+        mask = leaf_masks([leaves], shape)[0]
+        for vals in (optimize_mask_values if fit else mask_samples)(gplanes, mask):
             out += entropy.encode_value_block(vals, chroma_levels(levels) if chroma else levels)
     return bytes(out)
 

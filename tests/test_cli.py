@@ -412,6 +412,27 @@ def test_target_ratio_flag(tmp_path):
     assert 13.5 <= ratio <= 16.5
 
 
+def test_target_ratio_report_traces_the_rate_search(tmp_path):
+    clip = moving_clip(2, 24, 32, seed=23)
+    src = tmp_path / "in.y4m"
+    video_io.write_y4m(src, clip)
+    stream = tmp_path / "s.hivc"
+    report = tmp_path / "r.txt"
+    args = ["encode", str(src), str(stream), "--gop-size", "2", "--report", str(report)]
+    assert main(args + ["--target-ratio", "12"]) == 0
+    rep = _report_dict(report)
+    passes, fitted = int(rep["rate_passes"]), int(rep["rate_fitted_passes"])
+    assert 1 <= fitted < passes <= 1 + codec.TARGET_RATIO_PASSES
+    # the written stream is the one its multiplier's settings give
+    multiplier = float(rep["rate_multiplier"])
+    cfg = codec._scaled_config(codec.EncoderConfig(gop_size=2), multiplier, 24 * 32)
+    assert rep["config_residual_lambda"] == str(cfg.residual_lambda)
+    assert stream.read_bytes() == codec.encode(clip, cfg)
+    # a plain encode runs no search
+    assert main(args) == 0
+    assert not any(k.startswith("rate_") for k in _report_dict(report))
+
+
 def test_single_frame_pnm_pipeline(tmp_path):
     f = moving_clip(1, 24, 24, seed=22)[0]
     src = tmp_path / "f.ppm"

@@ -249,46 +249,100 @@ def test_target_ratio_passes_share_intra_orders_without_changing_a_byte(monkeypa
     assert shared == fresh
 
 
-def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
-    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6,
-    # lands in the 3% band on the third pass; halving m and then
-    # bisecting took 7
-    clip = moving_clip(2, 64, 64)
+def _fake_passes(monkeypatch, proxy_ratio):
+    """Replace the encoder under encode_target_ratio by one whose stream
+    gives proxy_ratio(m) unfitted and 0.95 times it fitted; returns the
+    list that receives each pass's (m, fitted). The first byte of a
+    stream tells the passes apart."""
     raw = 2 * 64 * 64 * 3
     passes = []
 
-    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
-        passes.append(m)
-        return bytes(round(raw / (30.0 * m**-0.6)))
+    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None, _fit=True):
+        passes.append((m, _fit))
+        ratio = proxy_ratio(m) * (0.95 if _fit else 1.0)
+        return bytes([len(passes)]) + bytes(round(raw / ratio) - 1)
 
     monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
     monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
     monkeypatch.setattr(codec, "encode", fake_encode)
-    stream, ratio, m = encode_target_ratio(clip, EncoderConfig(), 100.0)
-    assert abs(ratio - 100.0) <= 3.0 and m == passes[-1]
-    assert len(passes) == 3 and passes[1] == pytest.approx(0.3, rel=1e-3)
+    return passes
+
+
+def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
+    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6,
+    # lands in the 3% band on the third unfitted pass; the fit's 5% then
+    # misses it once, and one secant step along the unfitted passes'
+    # slope lands the second fitted pass
+    passes = _fake_passes(monkeypatch, lambda m: 30.0 * m**-0.6)
+    rate = []
+    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0, rate)
+    assert [fit for _, fit in passes] == [False] * 3 + [True] * 2
+    assert passes[1][0] == pytest.approx(0.3, rel=1e-3)
+    assert passes[3][0] == passes[2][0]
+    assert abs(ratio - 100.0) <= 3.0 and stream[0] == 5 and m == passes[-1][0]
+    assert [(p.multiplier, p.fitted) for p in rate] == passes
+    assert [p.returned for p in rate] == [False] * 4 + [True]
+    assert rate[3].ratio == pytest.approx(0.95 * rate[2].ratio, rel=0.01)
 
 
 def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatch):
-    # the ratio jumps over the 3% band at m = 1, as stream sizes can:
-    # every pass misses it, and the first pass below m = 1 is the closest
-    clip = moving_clip(2, 64, 64)
-    raw = 2 * 64 * 64 * 3
-    passes = []
-
-    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
-        passes.append(m)
-        # the first byte tells the passes apart
-        return bytes([len(passes)]) + bytes(round(raw / (103.2 if m < 1.0 else 95.8)) - 1)
-
-    monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
-    monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
-    monkeypatch.setattr(codec, "encode", fake_encode)
-    stream, ratio, m = encode_target_ratio(clip, EncoderConfig(), 100.0)
+    # the unfitted ratio lands at 102 between m = 0.28 and m = 1; fitted,
+    # that reads 96.9, and below m = 0.28 it jumps to 104.5, so no fitted
+    # pass lands: the search stops at the cap and returns the first
+    # fitted pass, the closest and the earliest of its ties
+    passes = _fake_passes(
+        monkeypatch, lambda m: 30.0 if m >= 1.0 else 102.0 if m >= 0.28 else 110.0
+    )
+    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0)
     assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
-    assert passes[0] == 1.0 and all(p < 1.0 for p in passes[1:])
-    assert stream[0] == 2 and m == passes[1]
-    assert ratio == raw / len(stream) == pytest.approx(103.2, abs=0.1)
+    assert [fit for _, fit in passes] == [False] * 2 + [True] * (len(passes) - 2)
+    assert m == passes[1][0] == passes[2][0] and stream[0] == 3
+    assert ratio == pytest.approx(0.95 * 102.0, rel=0.005)
+    fitted_ms = [pm for pm, _ in passes[2:]]
+    assert sum(pm < 0.28 for pm in fitted_ms) >= 2 and sum(pm >= 0.28 for pm in fitted_ms) >= 2
+
+
+def test_target_ratio_search_fits_once_at_the_closest_unfitted_pass_when_none_lands(monkeypatch):
+    # the unfitted ratio jumps over the 3% band at m = 1, as stream sizes
+    # can: the unfitted passes use up all but one encode, and the last is
+    # a fitted pass at the closest of them, the first below m = 1
+    passes = _fake_passes(monkeypatch, lambda m: 103.2 if m < 1.0 else 95.8)
+    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0)
+    assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
+    assert [fit for _, fit in passes] == [False] * codec.TARGET_RATIO_PASSES + [True]
+    assert passes[0][0] == 1.0 and all(pm < 1.0 for pm, _ in passes[1:])
+    assert m == passes[-1][0] == passes[1][0] and stream[0] == len(passes)
+    assert ratio == pytest.approx(0.95 * 103.2, rel=0.003)
+
+
+def test_target_ratio_unfitted_passes_run_no_tonal_fit(monkeypatch):
+    # on a real clip: each fitted pass fits the group head's two plane
+    # groups (Y, then U and V), and no unfitted pass calls the fit
+    clip = moving_clip(3, 32, 48, seed=14)
+    fits, kinds = [], []
+    real_fit, real_encode = prediction.optimize_mask_values, codec.encode
+
+    def counted_fit(planes, mask):
+        fits.append(len(planes))
+        return real_fit(planes, mask)
+
+    def counted_encode(*args, _fit=True, **kwargs):
+        kinds.append(_fit)
+        before = len(fits)
+        stream = real_encode(*args, _fit=_fit, **kwargs)
+        assert len(fits) - before == (2 if _fit else 0)
+        return stream
+
+    monkeypatch.setattr(prediction, "optimize_mask_values", counted_fit)
+    monkeypatch.setattr(codec, "encode", counted_encode)
+    rate = []
+    stream, ratio, _ = encode_target_ratio(clip, EncoderConfig(gop_size=3), 15.0, rate)
+    assert kinds.count(False) >= 1 and kinds.count(True) >= 1
+    assert kinds == sorted(kinds)  # every unfitted pass comes first
+    assert fits == [1, 2] * kinds.count(True)
+    assert [p.fitted for p in rate] == kinds and sum(p.returned for p in rate) == 1
+    returned = next(p for p in rate if p.returned)
+    assert returned.fitted and returned.ratio == ratio == 3 * 32 * 48 * 3 / len(stream)
 
 
 def test_target_ratio_self_checks_only_the_returned_stream(monkeypatch):

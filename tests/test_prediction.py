@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, lsqr
 
 from conftest import moving_clip, smooth_texture
 from hivc.bitstream import Truncated
@@ -241,6 +242,27 @@ def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
     mask_y, mask_c = leaf_masks([leaves_y, leaves_c], y.shape)
     _assert_fit_is_close_to_exact([y], mask_y)
     _assert_fit_is_close_to_exact([u, v], mask_c)
+
+
+@pytest.mark.parametrize("name", sorted(TONAL_MASKS))
+def test_tonal_fit_matches_scipy_lsqr_on_the_same_operator(name):
+    # CGLS takes LSQR's steps in exact arithmetic: on the codec's own
+    # operator, TONAL_ITERS steps of SciPy's lsqr from the samples, boxed
+    # as the fit is, fit each plane as well as the codec's loop
+    h, w, make = TONAL_MASKS[name]
+    mask = make(h, w)
+    planes = _tonal_planes(h, w, 2, seed=len(name))
+    matvec, rmatvec = prediction._inpainting_operator(mask)
+    op = LinearOperator((mask.size, int(mask.sum())), matvec=matvec, rmatvec=rmatvec, dtype=np.float64)
+    want = []
+    for plane, x0 in zip(planes, prediction.mask_samples(planes, mask)):
+        target = plane.ravel()
+        x = lsqr(op, target, iter_lim=prediction.TONAL_ITERS, x0=x0.copy())[0]
+        want.append(np.clip(x, target.min(), target.max()))
+    got = optimize_mask_values(planes, mask)
+    fit, ref = (oracles.inpainting_rms(planes, mask, v) for v in (got, want))
+    for e_fit, e_ref in zip(fit, ref):
+        assert abs(e_fit - e_ref) <= FIT_EPS * e_ref
 
 
 def test_tonal_fit_full_mask_returns_samples():
