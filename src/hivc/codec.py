@@ -69,6 +69,11 @@ _SCALE_FP = 65536.0
 TARGET_RATIO_TOL = 0.03
 TARGET_RATIO_PASSES = 14
 MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
+# flattest slope of log ratio in log m that a step follows. Two close
+# passes can read nearly the same ratio: on one 336x144 pan, passes at
+# m = 0.2242 and 0.2134 read 95.61 and 95.87, a slope of -0.055, and the
+# step it took landed at 137.3. Unfitted steps read -0.49 to -0.91.
+MIN_SLOPE = 0.25
 
 
 @dataclass(frozen=True)
@@ -589,10 +594,10 @@ def _search_multiplier(run, m, target_ratio, passes, slope=-1.0):
 
     The log ratio falls about linearly in log m: each step follows the
     secant through the last two passes (`slope` before there are two;
-    -1 where the ratio does not fall), by at most MAX_LOG_STEP, and
-    bisects where that would leave the bracket of this search's own
-    passes. Returns the passes, as (m, ratio, result), and the slope of
-    the last step.
+    at least MIN_SLOPE steep, and -1 where the ratio does not fall), by
+    at most MAX_LOG_STEP, and bisects where that would leave the bracket
+    of this search's own passes. Returns the passes, as (m, ratio,
+    result), and the slope of the last step.
     """
     lo, hi = 0.0, math.inf  # multipliers known to be too small, too large
     history = []
@@ -607,7 +612,8 @@ def _search_multiplier(run, m, target_ratio, passes, slope=-1.0):
             hi = m
         if len(history) > 1:
             prev_m, prev_ratio, _ = history[-2]
-            slope = min(math.log(ratio / prev_ratio) / math.log(m / prev_m), 0.0) or -1.0
+            slope = math.log(ratio / prev_ratio) / math.log(m / prev_m)
+            slope = min(slope, -MIN_SLOPE) if slope < 0.0 else -1.0
         step = math.log(target_ratio / ratio) / slope
         m_next = m * math.exp(min(max(step, -MAX_LOG_STEP), MAX_LOG_STEP))
         m = m_next if lo < m_next < hi else (lo * hi) ** 0.5

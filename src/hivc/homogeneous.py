@@ -7,9 +7,9 @@ discrete Laplace equation. The solver is a cascadic coarse-to-fine
 conjugate gradient scheme: solve on a subsampled pyramid level, prolong
 bilinearly, refine on the next finer level. The mask half of that
 pyramid (MaskPyramid) does not depend on the values, so solves on one
-mask can share it. The same cascade solves the interior system with a
-source term and zero mask values (solve_source), which the encoder's
-tonal fit needs for its adjoint.
+mask can share it. `laplacian` and `_dot` are also the only
+operations of the encoder's tonal fit, which makes no solve
+(prediction._fitted_plane).
 
 A solve picks one dtype for every level: float32, which halves the
 memory traffic of every array pass, unless it is asked for a tolerance
@@ -84,21 +84,19 @@ def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     return float(np.add.reduce(work.reshape(-1)))
 
 
-def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False, rhs=None):
+def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False):
     """CG on the interior (non-mask) unknowns with Dirichlet mask values,
     in the dtype of `f` and `x0`.
 
     Eliminating the known pixels leaves the SPD system
-    (-L)_II w = (L u_D)_I + b_I with u_D = f on the mask and 0 elsewhere,
-    and b = `rhs`, an interior source term that is 0 when not given.
+    (-L)_II w = (L u_D)_I with u_D = f on the mask and 0 elsewhere.
     It stops once the residual is at most `tol` times the norm of that
-    right-hand side, or, on the finest level without a source, times
-    ||f restricted to the mask||, the contract denominator; an exact
-    `x0` costs no iteration, and on a full mask the residual starts at
-    zero, so `f` comes back unchanged. Values of `f` off the mask and of
-    `rhs` on it are never read. `interior` is the non-mask indicator in
-    the dtype of `f`. Returns (solution plane, number of updates made to
-    it).
+    right-hand side, or, on the finest level, times ||f restricted to
+    the mask||, the contract denominator; an exact `x0` costs no
+    iteration, and on a full mask the residual starts at zero, so `f`
+    comes back unchanged. Values of `f` off the mask are never read.
+    `interior` is the non-mask indicator in the dtype of `f`. Returns
+    (solution plane, number of updates made to it).
     """
     # full-plane arithmetic with zeros held at mask pixels avoids the
     # gather/scatter of interior unknowns on every iteration; the loop
@@ -106,16 +104,12 @@ def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False, rhs=None):
     u_d = np.where(mask, f, 0.0)
     x = x0 * interior
     r = laplacian(u_d + x)
-    if rhs is not None:
-        r += rhs
     r *= interior
     work = np.empty_like(r)
-    if finest and rhs is None:
+    if finest:
         scale = u_d
     else:
         scale = laplacian(u_d)
-        if rhs is not None:
-            scale += rhs
         scale *= interior
     limit = tol * math.sqrt(_dot(scale, scale, work))
     p = r.copy()
@@ -226,11 +220,10 @@ def _restrict_values(f: np.ndarray, pyramid: MaskPyramid) -> list:
     return planes
 
 
-def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
+def _cascade(planes, pyramid: MaskPyramid, tol, max_iter):
     """Coarse-to-fine CG over the levels: solve the coarsest level from
     the mean of its mask values, prolong bilinearly, refine on the next
-    finer level. `sources`, if given, holds each level's interior source
-    term. Each level stops at relative residual `tol` (at least
+    finer level. Each level stops at relative residual `tol` (at least
     LEVEL_TOL below the finest) or after `max_iter` CG iterations.
     Returns the finest solution and per-level (pixels, iterations)
     pairs, finest last."""
@@ -243,10 +236,7 @@ def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
             x0 = np.full_like(fv, fv[mv].mean())
         else:
             x0 = _resample(u, pyramid.prolong[lvl])
-        u, it = _masked_cg(
-            fv, mv, pyramid.interiors[lvl], x0, level_tol, max_iter, finest=lvl == 0,
-            rhs=None if sources is None else sources[lvl],
-        )
+        u, it = _masked_cg(fv, mv, pyramid.interiors[lvl], x0, level_tol, max_iter, finest=lvl == 0)
         iters.append((fv.size, it))
     return u, iters
 
@@ -254,22 +244,6 @@ def _cascade(planes, pyramid: MaskPyramid, tol, max_iter, sources=None):
 def solve_dtype(tol: float):
     """The dtype of every level of a solve to relative residual `tol`."""
     return np.dtype(np.float32 if tol >= FLOAT32_TOL else np.float64)
-
-
-def _checked_pyramid(shape, mask, tol, pyramid):
-    """The solve's mask pyramid, `pyramid` if given, after checking that
-    the plane and the pyramid fit `mask` and that the mask is not empty."""
-    mask = np.asarray(mask, dtype=bool)
-    if shape != mask.shape:
-        raise InpaintingError("plane/mask shape mismatch")
-    if not mask.any():
-        raise InpaintingError("empty inpainting mask")
-    dtype = solve_dtype(tol)
-    if pyramid is None:
-        return mask_pyramid(mask, dtype)
-    if pyramid.dtype != dtype or pyramid.masks[0].shape != shape:
-        raise InpaintingError("mask pyramid does not fit this solve")
-    return pyramid
 
 
 def solve_homogeneous(
@@ -292,35 +266,18 @@ def solve_homogeneous(
     equal to `f` on the mask.
     """
     f = np.asarray(f, dtype=np.float64)
-    pyramid = _checked_pyramid(f.shape, mask, tol, pyramid)
+    mask = np.asarray(mask, dtype=bool)
+    if f.shape != mask.shape:
+        raise InpaintingError("plane/mask shape mismatch")
+    if not mask.any():
+        raise InpaintingError("empty inpainting mask")
+    dtype = solve_dtype(tol)
+    if pyramid is None:
+        pyramid = mask_pyramid(mask, dtype)
+    elif pyramid.dtype != dtype or pyramid.masks[0].shape != f.shape:
+        raise InpaintingError("mask pyramid does not fit this solve")
     planes = _restrict_values(f.astype(pyramid.dtype, copy=False), pyramid)
     u, iters = _cascade(planes, pyramid, tol, max_iter)
     if stats is not None:
         stats["level_iterations"] = iters
     return np.where(pyramid.masks[0], f, u)
-
-
-def solve_source(
-    b: np.ndarray,
-    mask: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
-    pyramid: MaskPyramid | None = None,
-):
-    """Cascadic CG solve of (-L_II) z = b_I with z = 0 on the mask.
-
-    The same cascade as solve_homogeneous, with 0 on every mask and an
-    interior source: each coarser level's source is the 2x2 block sum of
-    the finer one off its mask, because one coarse pixel stands for four
-    fine ones under a stencil of twice the spacing. The finest level
-    stops at `tol` times ||b_I||. Returns z as a float64 plane, 0 on the
-    mask; values of `b` on the mask are never read.
-    """
-    b = np.asarray(b)
-    pyramid = _checked_pyramid(b.shape, mask, tol, pyramid)
-    sources = [b.astype(pyramid.dtype, copy=False)]
-    for interior in pyramid.interiors[:-1]:
-        sources.append(_block_sum(sources[-1] * interior))
-    planes = [np.zeros_like(s) for s in sources]
-    z, _ = _cascade(planes, pyramid, tol, max_iter, sources)
-    return z.astype(np.float64)

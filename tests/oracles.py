@@ -3,8 +3,10 @@
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
 The tonal fit through an LU of the full inpainting system, at 12 LSQR
-steps, is the reference for the codec's fit on its cascadic solver, and
-the same LU measures any fit's error under the exact operator. The Horn-Schunck flow
+steps, and the exact least-squares optimum through the dense operator
+that LU builds, are the references for the codec's fit on its
+optimality system, and the same LU measures any fit's error under the
+exact operator. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox
 solver at the end, in float32 with the production version's expression
 order and SciPy's median filter, is the reference the in-place
@@ -278,6 +280,26 @@ def optimize_mask_values(planes, mask: np.ndarray):
         v = lsqr(op, target, iter_lim=TONAL_REFERENCE_ITERS, x0=x0.copy())[0]
         # box projection keeps the quantizer span tight and the
         # reconstruction within the source dynamic range
+        out.append(np.clip(v, target.min(), target.max()))
+    return out
+
+
+def optimal_mask_values(planes, mask: np.ndarray):
+    """The exact least-squares mask values, box-projected as the codec's
+    fit's are: M, the map from mask values to the inpainted plane, built
+    column by column through one LU of the full inpainting system, then
+    np.linalg.lstsq for each plane."""
+    pts = _mask_points(mask)
+    lu = splu(_sparse_inpainting_system(mask))
+    m = np.empty((mask.size, pts.size))
+    for j, pt in enumerate(pts):
+        e = np.zeros(mask.size)
+        e[pt] = 1.0
+        m[:, j] = lu.solve(e)
+    out = []
+    for plane in planes:
+        target = np.asarray(plane, dtype=np.float64).ravel()
+        v = np.linalg.lstsq(m, target, rcond=None)[0]
         out.append(np.clip(v, target.min(), target.max()))
     return out
 

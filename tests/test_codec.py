@@ -285,6 +285,23 @@ def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
     assert rate[3].ratio == pytest.approx(0.95 * rate[2].ratio, rel=0.01)
 
 
+def test_target_ratio_search_bounds_a_flat_secant():
+    # two close passes of a 336x144 pan, at m = 0.2242 and 0.2134, read
+    # 95.61 and 95.87: their secant, slope -0.055, stepped m down 2.1x to
+    # a ratio of 137.3. At MIN_SLOPE the next step stays within 1.5x.
+    ratios = iter([95.61, 95.87, 100.0])
+    ms = []
+
+    def fake_encode(m):
+        ms.append(m)
+        return next(ratios), None
+
+    history, slope = codec._search_multiplier(fake_encode, 0.2242, 100.0, 3, slope=-0.91)
+    assert ms[1] == pytest.approx(0.2134, rel=1e-3)
+    assert slope == -codec.MIN_SLOPE and len(history) == 3
+    assert ms[1] / 1.5 <= ms[2] < ms[1]
+
+
 def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatch):
     # the unfitted ratio lands at 102 between m = 0.28 and m = 1; fitted,
     # that reads 96.9, and below m = 0.28 it jumps to 104.5, so no fitted

@@ -14,9 +14,8 @@ from hivc.homogeneous import (
     mask_pyramid,
     solve_dtype,
     solve_homogeneous,
-    solve_source,
 )
-from hivc.prediction import INTRA_SOLVE_TOL, TONAL_SOLVE_TOL
+from hivc.prediction import INTRA_SOLVE_TOL
 from oracles import apply_inpainting_operator, dense_laplacian, solve_dense
 
 
@@ -335,25 +334,3 @@ def test_mask_pyramid_of_another_dtype_or_shape_is_refused():
     with pytest.raises(InpaintingError):
         solve_homogeneous(f, mask, tol=1e-3, pyramid=mask_pyramid(mask.T, np.float32))
 
-
-@pytest.mark.parametrize("tol", [1e-9, TONAL_SOLVE_TOL])
-def test_source_solve_matches_dense_interior_solve(tol):
-    # (-L_II) z = b_I with z = 0 on the mask. The solve stops at an
-    # interior residual of tol * ||b_I||, so it lies within that over
-    # the smallest eigenvalue of -L_II of the exact z, and the factor 2
-    # covers float32 roundoff.
-    rng = np.random.default_rng(14)
-    for (h, w) in ((1, 40), (40, 1), (17, 19), (23, 31), (12, 57)):
-        mask = rng.uniform(size=(h, w)) < 0.1
-        mask[rng.integers(h), rng.integers(w)] = True
-        b = rng.normal(size=(h, w))
-        inner = ~mask.ravel()
-        a = -dense_laplacian(w, h)[np.ix_(inner, inner)]
-        want = np.zeros(h * w)
-        want[inner] = np.linalg.solve(a, b.ravel()[inner])
-        z = solve_source(b, mask, tol=tol)
-        # values of b on the mask are never read
-        assert solve_source(np.where(mask, 1e6, b), mask, tol=tol).tobytes() == z.tobytes()
-        assert z.dtype == np.float64 and np.all(z[mask] == 0.0)
-        bound = 2 * tol * np.linalg.norm(b.ravel()[inner]) / np.linalg.eigvalsh(a)[0]
-        assert np.linalg.norm(z.ravel() - want) <= bound
