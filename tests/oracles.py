@@ -3,8 +3,8 @@
 Dense direct solves and single-block helpers stand next to the codec's
 batched production paths so the tests can check one against the other.
 The tonal fit through an LU of the full inpainting system, at 12 LSQR
-steps, and the exact least-squares optimum through the dense operator
-that LU builds, are the references for the codec's fit on its
+steps, and SciPy's lsqr run to convergence on the operator that LU
+gives, are the references for the codec's fit on its
 optimality system, and the same LU measures any fit's error under the
 exact operator. The Horn-Schunck flow
 is the classical baseline for Brox flow. The plain-expression Brox
@@ -255,13 +255,11 @@ def _sparse_inpainting_system(mask: np.ndarray):
 TONAL_REFERENCE_ITERS = 12
 
 
-def optimize_mask_values(planes, mask: np.ndarray):
-    """Tonal fit through an LU of the full n x n inpainting system, with
-    a transposed solve for the adjoint."""
+def _exact_inpainting_operator(mask: np.ndarray):
+    """M, the map from mask values (raster order) to the inpainted plane,
+    as a SciPy operator on one LU of the full n x n inpainting system,
+    with a transposed solve for the adjoint."""
     pts = _mask_points(mask)
-    samples = [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
-    if mask.all():
-        return samples
     n = mask.size
     lu = splu(_sparse_inpainting_system(mask))
 
@@ -273,35 +271,36 @@ def optimize_mask_values(planes, mask: np.ndarray):
     def rmatvec(w):
         return lu.solve(w, trans="T")[pts]
 
-    op = LinearOperator((n, pts.size), matvec=matvec, rmatvec=rmatvec)
+    return LinearOperator((n, pts.size), matvec=matvec, rmatvec=rmatvec, dtype=np.float64)
+
+
+def _boxed_lsqr(planes, mask: np.ndarray, **lsqr_args):
+    pts = _mask_points(mask)
+    op = _exact_inpainting_operator(mask)
     out = []
-    for plane, x0 in zip(planes, samples):
+    for plane in planes:
         target = np.asarray(plane, dtype=np.float64).ravel()
-        v = lsqr(op, target, iter_lim=TONAL_REFERENCE_ITERS, x0=x0.copy())[0]
+        v = lsqr(op, target, x0=target[pts].copy(), **lsqr_args)[0]
         # box projection keeps the quantizer span tight and the
         # reconstruction within the source dynamic range
         out.append(np.clip(v, target.min(), target.max()))
     return out
 
 
+def optimize_mask_values(planes, mask: np.ndarray):
+    """Tonal fit: TONAL_REFERENCE_ITERS LSQR steps from the samples on
+    the exact inpainting operator, box-projected."""
+    if mask.all():
+        pts = _mask_points(mask)
+        return [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
+    return _boxed_lsqr(planes, mask, iter_lim=TONAL_REFERENCE_ITERS)
+
+
 def optimal_mask_values(planes, mask: np.ndarray):
-    """The exact least-squares mask values, box-projected as the codec's
-    fit's are: M, the map from mask values to the inpainted plane, built
-    column by column through one LU of the full inpainting system, then
-    np.linalg.lstsq for each plane."""
-    pts = _mask_points(mask)
-    lu = splu(_sparse_inpainting_system(mask))
-    m = np.empty((mask.size, pts.size))
-    for j, pt in enumerate(pts):
-        e = np.zeros(mask.size)
-        e[pt] = 1.0
-        m[:, j] = lu.solve(e)
-    out = []
-    for plane in planes:
-        target = np.asarray(plane, dtype=np.float64).ravel()
-        v = np.linalg.lstsq(m, target, rcond=None)[0]
-        out.append(np.clip(v, target.min(), target.max()))
-    return out
+    """The least-squares mask values, box-projected as the codec's fit's
+    are: SciPy's lsqr on the exact inpainting operator, run until its
+    stopping tests read 1e-12."""
+    return _boxed_lsqr(planes, mask, atol=1e-12, btol=1e-12, iter_lim=100 * mask.size)
 
 
 def inpainting_rms(planes, mask: np.ndarray, values) -> list:

@@ -243,7 +243,10 @@ def test_tonal_fit_matches_oracle_on_bench_frame_masks(bench_clip):
 
 
 @pytest.mark.parametrize("name", sorted(TONAL_MASKS))
-def test_tonal_fit_matches_dense_least_squares_optimum(name):
+def test_tonal_fit_matches_scipy_lsqr_on_the_same_operator(name):
+    # The fit's stored values minimise ||M v - f|| over v, with M the
+    # exact inpainting operator: SciPy's lsqr run to convergence on that
+    # operator, boxed as the fit is, fits each plane as well
     h, w, make = TONAL_MASKS[name]
     mask = make(h, w)
     planes = _tonal_planes(h, w, 2, seed=len(name))
