@@ -180,11 +180,10 @@ def _cmd_encode(args):
         ("self_check", "ok" if cfg.self_check else "skipped"),
     ]
     if passes:
-        # the rate-control search: encodes in all, those with the tonal
-        # fit, and the budget multiplier of the stream written
+        # the rate-control search: encodes in all, and the budget
+        # multiplier of the stream written
         lines += [
             ("rate_passes", len(passes)),
-            ("rate_fitted_passes", sum(p.fitted for p in passes)),
             ("rate_multiplier", next(p.multiplier for p in passes if p.returned)),
         ]
     lines += [(f"config_{k}", v) for k, v in sorted(_cfg_dict(cfg).items())]

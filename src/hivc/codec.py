@@ -65,14 +65,15 @@ from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_t
 MAX_RESIDUAL_POINTS = 48
 _SCALE_FP = 65536.0
 # encode_target_ratio stops within this relative distance of the target,
-# or after this many encodes past the first, unfitted and fitted together
+# or after this many encodes past the first
 TARGET_RATIO_TOL = 0.03
 TARGET_RATIO_PASSES = 14
 MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
 # flattest slope of log ratio in log m that a step follows. Two close
 # passes can read nearly the same ratio: on one 336x144 pan, passes at
 # m = 0.2242 and 0.2134 read 95.61 and 95.87, a slope of -0.055, and the
-# step it took landed at 137.3. Unfitted steps read -0.49 to -0.91.
+# step it took landed at 137.3. Other secants on ten such pans read
+# -0.24 to -1.06.
 MIN_SLOPE = 0.25
 
 
@@ -353,18 +354,17 @@ def _add_residual(header, pred, data, timings=None):
     return recon
 
 
-def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None, fit=True):
+def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None):
     """Encode one group; returns (payload, reconstructed planes per frame).
     Closed loop: each frame is predicted and rebuilt by the decoder's steps.
-    `orders` holds the intra split orders of the group's first frame, and
-    `fit` says whether its mask values take the tonal fit."""
+    `orders` holds the intra split orders of the group's first frame."""
     luma_budget = max(1, int(round(cfg.intra_mask_fraction * header.height * header.width)))
     out = bytearray(struct.pack("<H", len(frames_planes)))
     recons = []
     for i, planes in enumerate(frames_planes):
         if i == 0:
             ftype = 0
-            pred_payload = encode_intra(planes, luma_budget, cfg.intra_levels, orders, fit=fit)
+            pred_payload = encode_intra(planes, luma_budget, cfg.intra_levels, orders)
         else:
             ftype = 1
             pred_payload = compress_flow(flows_raw[i - 1], cfg.flow_points, cfg.flow_levels)
@@ -431,15 +431,13 @@ def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
 
 
 def encode(
-    frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None, _orders=None, _fit=True
+    frames, cfg: EncoderConfig | None = None, _flows=None, _recons=None, _orders=None
 ) -> bytes:
     """Compress a frame sequence into a self-contained byte stream.
 
     `_flows` supplies the groups' flow fields and `_orders` their first
     frames' intra split orders; `_recons`, when a list, receives each
-    frame's reconstructed planes. With `_fit` false the intra mask values
-    are the raw samples, not the tonal fit's: a valid stream of another
-    size, cheaper to make, that rate control searches on.
+    frame's reconstructed planes.
     """
     cfg = cfg or EncoderConfig()
     header = _check_frames(frames, cfg)
@@ -450,7 +448,7 @@ def encode(
     payloads, recons = [], []
     for gi, (s, e) in enumerate(_split_gops(len(frames), cfg.gop_size)):
         orders = None if _orders is None else _orders[gi]
-        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi], orders, _fit)
+        payload, group_recons = _encode_gop(header, yuv[s:e], cfg, _flows[gi], orders)
         payloads.append(payload)
         recons.extend(group_recons)
     stream = write_stream(header, payloads)
@@ -582,30 +580,29 @@ class RatePass(NamedTuple):
     """One encode of `encode_target_ratio`'s search, in the order run."""
 
     multiplier: float
-    fitted: bool  # the intra mask values took the tonal fit
     ratio: float
     returned: bool  # the pass whose stream was returned
 
 
-def _search_multiplier(run, m, target_ratio, passes, slope=-1.0):
+def _search_multiplier(run, m, target_ratio, passes):
     """Search budget multipliers from m on the encodes of run(m), which
     returns (ratio, result), until one lands within TARGET_RATIO_TOL of
     the target or `passes` have run.
 
     The log ratio falls about linearly in log m: each step follows the
-    secant through the last two passes (`slope` before there are two;
+    secant through the last two passes (slope -1 before there are two;
     at least MIN_SLOPE steep, and -1 where the ratio does not fall), by
     at most MAX_LOG_STEP, and bisects where that would leave the bracket
-    of this search's own passes. Returns the passes, as (m, ratio,
-    result), and the slope of the last step.
+    of the passes so far. Returns the passes, as (m, ratio, result).
     """
     lo, hi = 0.0, math.inf  # multipliers known to be too small, too large
+    slope = -1.0
     history = []
     while True:
         ratio, result = run(m)
         history.append((m, ratio, result))
         if abs(ratio - target_ratio) / target_ratio <= TARGET_RATIO_TOL or len(history) == passes:
-            return history, slope
+            return history
         if ratio > target_ratio:
             lo = m  # too small a budget, stream too tight
         else:
@@ -619,11 +616,6 @@ def _search_multiplier(run, m, target_ratio, passes, slope=-1.0):
         m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
 
 
-def _closest(history, target_ratio):
-    """The pass of `history` closest to the target, the earliest on ties."""
-    return min(history, key=lambda p: abs(p[1] - target_ratio))
-
-
 def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes=None):
     """Search a budget multiplier until the compression ratio hits target.
 
@@ -632,19 +624,11 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes
     whole groups of blocks and leaves switch together, so it can jump
     across the band (103.0 to 95.8 within a step of m of 0.0005).
 
-    The search runs in two phases of `_search_multiplier`, from m = 1.
-    The first searches on unfitted encodes, whose intra mask values are
-    the raw samples, until one lands within TARGET_RATIO_TOL. The second
-    encodes with the tonal fit from the multiplier of the unfitted pass
-    closest to the target, and steps on fitted passes only, the first
-    step along the slope of the first phase's last: the fit moves the
-    ratio, by different amounts at different m, so the phases share no
-    bracket. At most 1 + TARGET_RATIO_PASSES encodes run in all, the
-    last of them fitted.
-
-    Only a fitted pass is returned, the first inside the band, or else
-    the closest, the earliest on ties: (stream, achieved ratio, config
-    used). `_passes`, when a list, receives a RatePass per encode.
+    One `_search_multiplier` runs from m = 1 on full encodes, at most
+    1 + TARGET_RATIO_PASSES of them. Returned is the first pass inside
+    TARGET_RATIO_TOL, or else the closest, the earliest on ties:
+    (stream, achieved ratio, config used). `_passes`, when a list,
+    receives a RatePass per encode.
     """
     if not 1.0 < target_ratio < math.inf:
         raise ValueError("target ratio must be a finite number above 1")
@@ -659,26 +643,20 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes
     # against the digests of its own pass's reconstructions
     unchecked = replace(cfg, self_check=False)
 
-    def run(m, fit):
-        recons = [] if fit and cfg.self_check else None
+    def run(m):
+        recons = [] if cfg.self_check else None
         stream = encode(
             frames, _scaled_config(unchecked, m, pixels),
-            _flows=flows, _recons=recons, _orders=orders, _fit=fit,
+            _flows=flows, _recons=recons, _orders=orders,
         )
         digests = None if recons is None else _frame_digests(recons, header.channels)
         return raw / len(stream), (stream, digests)
 
-    proxy, slope = _search_multiplier(
-        lambda m: run(m, False), 1.0, target_ratio, TARGET_RATIO_PASSES
-    )
-    fitted, _ = _search_multiplier(
-        lambda m: run(m, True), _closest(proxy, target_ratio)[0], target_ratio,
-        1 + TARGET_RATIO_PASSES - len(proxy), slope,
-    )
-    m, ratio, (stream, digests) = _closest(fitted, target_ratio)
+    history = _search_multiplier(run, 1.0, target_ratio, 1 + TARGET_RATIO_PASSES)
+    best = min(history, key=lambda p: abs(p[1] - target_ratio))
+    m, ratio, (stream, digests) = best
     if _passes is not None:
-        _passes += [RatePass(p[0], False, p[1], False) for p in proxy]
-        _passes += [RatePass(p[0], True, p[1], p[0] == m) for p in fitted]
+        _passes += [RatePass(p[0], p[1], p is best) for p in history]
     if cfg.self_check:
         _self_check(stream, digests)
     return stream, ratio, _scaled_config(cfg, m, pixels)

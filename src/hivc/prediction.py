@@ -87,11 +87,10 @@ def optimize_mask_values(planes, mask: np.ndarray):
 
     Each plane's values are those of its _fitted_plane on the mask,
     which costs no diffusion solve. The payload format is unchanged:
-    this only picks better values. A full mask returns the samples, to
-    keep pure-quantization configurations exact.
+    this only picks better values. On a full mask B is empty, the CG
+    takes no step and the samples return exactly, so pure-quantization
+    configurations stay exact.
     """
-    if mask.all():
-        return mask_samples(planes, mask)
     pts = _mask_points(mask)
     interior = (~mask).astype(np.float32)
     work = np.empty(mask.shape, dtype=np.float32)
@@ -127,28 +126,20 @@ def _mask_points(mask: np.ndarray):
     return np.flatnonzero(mask.ravel())
 
 
-def mask_samples(planes, mask: np.ndarray):
-    """Each plane's float64 samples at the mask points, in payload order:
-    the mask values before any tonal fit."""
-    pts = _mask_points(mask)
-    return [np.asarray(p, dtype=np.float64).ravel()[pts] for p in planes]
-
-
 def intra_orders(planes):
     """The recorded split order of each plane group's intra search, for
     encode_intra's `orders`: one sort serves every point budget."""
     return [SplitOrder([planes[i] for i in group]) for group in plane_groups(len(planes))]
 
 
-def encode_intra(planes, luma_budget: int, levels: int, orders=None, fit=True) -> bytes:
+def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
     """Build subdivision masks, quantize mask values, serialize the payload.
 
     Each plane group (frame.plane_groups) writes its tree, then one value
     block per plane; chroma groups take chroma_budget points and
     chroma_levels levels. The integer planes are searched as they are;
     `orders`, intra_orders of the same planes, supplies the searches
-    already made. The mask values are the tonal fit's, or with `fit`
-    false the raw samples: a cheaper payload of the same layout.
+    already made. The mask values are optimize_mask_values' tonal fit.
     """
     if luma_budget < 1:
         raise ValueError("luma mask budget must be >= 1")
@@ -166,7 +157,7 @@ def encode_intra(planes, luma_budget: int, levels: int, orders=None, fit=True) -
             bits, leaves = orders[gi].tree(points)
         write_trees(out, [bits])
         mask = leaf_masks([leaves], shape)[0]
-        for vals in (optimize_mask_values if fit else mask_samples)(gplanes, mask):
+        for vals in optimize_mask_values(gplanes, mask):
             out += entropy.encode_value_block(vals, chroma_levels(levels) if chroma else levels)
     return bytes(out)
 

@@ -421,8 +421,8 @@ def test_target_ratio_report_traces_the_rate_search(tmp_path):
     args = ["encode", str(src), str(stream), "--gop-size", "2", "--report", str(report)]
     assert main(args + ["--target-ratio", "12"]) == 0
     rep = _report_dict(report)
-    passes, fitted = int(rep["rate_passes"]), int(rep["rate_fitted_passes"])
-    assert 1 <= fitted < passes <= 1 + codec.TARGET_RATIO_PASSES
+    assert 1 <= int(rep["rate_passes"]) <= 1 + codec.TARGET_RATIO_PASSES
+    assert "rate_fitted_passes" not in rep
     # the written stream is the one its multiplier's settings give
     multiplier = float(rep["rate_multiplier"])
     cfg = codec._scaled_config(codec.EncoderConfig(gop_size=2), multiplier, 24 * 32)

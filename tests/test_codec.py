@@ -249,18 +249,16 @@ def test_target_ratio_passes_share_intra_orders_without_changing_a_byte(monkeypa
     assert shared == fresh
 
 
-def _fake_passes(monkeypatch, proxy_ratio):
+def _fake_passes(monkeypatch, ratio_of):
     """Replace the encoder under encode_target_ratio by one whose stream
-    gives proxy_ratio(m) unfitted and 0.95 times it fitted; returns the
-    list that receives each pass's (m, fitted). The first byte of a
-    stream tells the passes apart."""
+    gives the ratio ratio_of(m); returns the list that receives each
+    pass's m. The first byte of a stream tells the passes apart."""
     raw = 2 * 64 * 64 * 3
     passes = []
 
-    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None, _fit=True):
-        passes.append((m, _fit))
-        ratio = proxy_ratio(m) * (0.95 if _fit else 1.0)
-        return bytes([len(passes)]) + bytes(round(raw / ratio) - 1)
+    def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
+        passes.append(m)
+        return bytes([len(passes)]) + bytes(round(raw / ratio_of(m)) - 1)
 
     monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
     monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
@@ -269,26 +267,26 @@ def _fake_passes(monkeypatch, proxy_ratio):
 
 
 def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
-    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6,
-    # lands in the 3% band on the third unfitted pass; the fit's 5% then
-    # misses it once, and one secant step along the unfitted passes'
-    # slope lands the second fitted pass
+    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6:
+    # the first step, at slope -1, reads 61.8 at m = 0.3, and the secant
+    # through the two passes, slope -0.6, lands the third on the target
     passes = _fake_passes(monkeypatch, lambda m: 30.0 * m**-0.6)
     rate = []
     stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0, rate)
-    assert [fit for _, fit in passes] == [False] * 3 + [True] * 2
-    assert passes[1][0] == pytest.approx(0.3, rel=1e-3)
-    assert passes[3][0] == passes[2][0]
-    assert abs(ratio - 100.0) <= 3.0 and stream[0] == 5 and m == passes[-1][0]
-    assert [(p.multiplier, p.fitted) for p in rate] == passes
-    assert [p.returned for p in rate] == [False] * 4 + [True]
-    assert rate[3].ratio == pytest.approx(0.95 * rate[2].ratio, rel=0.01)
+    assert len(passes) == 3 and passes[0] == 1.0
+    assert passes[1] == pytest.approx(0.3, rel=1e-3)
+    assert passes[2] == pytest.approx(0.3 ** (1 / 0.6), rel=3e-3)  # whole bytes
+    assert ratio == pytest.approx(100.0, rel=3e-3) and stream[0] == 3 and m == passes[-1]
+    assert [p.multiplier for p in rate] == passes
+    assert [p.returned for p in rate] == [False, False, True]
+    assert rate[1].ratio == pytest.approx(30.0 * 0.3**-0.6, rel=1e-3)
 
 
 def test_target_ratio_search_bounds_a_flat_secant():
-    # two close passes of a 336x144 pan, at m = 0.2242 and 0.2134, read
-    # 95.61 and 95.87: their secant, slope -0.055, stepped m down 2.1x to
-    # a ratio of 137.3. At MIN_SLOPE the next step stays within 1.5x.
+    # two close passes of a 336x144 pan read 95.61 and 95.87, and a 2.1x
+    # step along their secant landed at 137.3. Replayed from m = 0.2242,
+    # the second pass is at m = 0.2144 and their secant, slope -0.061,
+    # would step m down 2.0x. At MIN_SLOPE the next step stays within 1.5x.
     ratios = iter([95.61, 95.87, 100.0])
     ms = []
 
@@ -296,70 +294,52 @@ def test_target_ratio_search_bounds_a_flat_secant():
         ms.append(m)
         return next(ratios), None
 
-    history, slope = codec._search_multiplier(fake_encode, 0.2242, 100.0, 3, slope=-0.91)
-    assert ms[1] == pytest.approx(0.2134, rel=1e-3)
-    assert slope == -codec.MIN_SLOPE and len(history) == 3
+    history = codec._search_multiplier(fake_encode, 0.2242, 100.0, 3)
+    assert ms[1] == pytest.approx(0.2242 * 0.9561, rel=1e-3)  # slope -1
+    assert ms[2] == pytest.approx(ms[1] * 0.9587 ** (1 / codec.MIN_SLOPE), rel=1e-3)
+    assert len(history) == 3
     assert ms[1] / 1.5 <= ms[2] < ms[1]
 
 
 def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatch):
-    # the unfitted ratio lands at 102 between m = 0.28 and m = 1; fitted,
-    # that reads 96.9, and below m = 0.28 it jumps to 104.5, so no fitted
-    # pass lands: the search stops at the cap and returns the first
-    # fitted pass, the closest and the earliest of its ties
+    # the ratio reads 96.9 between m = 0.28 and m = 1 and jumps to 104.5
+    # below m = 0.28, so no pass lands in the 3% band: the search stops
+    # at the cap and returns the first pass at 96.9, the closest and the
+    # earliest of its ties
     passes = _fake_passes(
-        monkeypatch, lambda m: 30.0 if m >= 1.0 else 102.0 if m >= 0.28 else 110.0
+        monkeypatch, lambda m: 30.0 if m >= 1.0 else 96.9 if m >= 0.28 else 104.5
     )
     stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0)
     assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
-    assert [fit for _, fit in passes] == [False] * 2 + [True] * (len(passes) - 2)
-    assert m == passes[1][0] == passes[2][0] and stream[0] == 3
-    assert ratio == pytest.approx(0.95 * 102.0, rel=0.005)
-    fitted_ms = [pm for pm, _ in passes[2:]]
-    assert sum(pm < 0.28 for pm in fitted_ms) >= 2 and sum(pm >= 0.28 for pm in fitted_ms) >= 2
+    assert m == passes[1] and stream[0] == 2
+    assert ratio == pytest.approx(96.9, rel=0.005)
+    assert sum(pm < 0.28 for pm in passes) >= 2 and sum(0.28 <= pm < 1.0 for pm in passes) >= 2
 
 
-def test_target_ratio_search_fits_once_at_the_closest_unfitted_pass_when_none_lands(monkeypatch):
-    # the unfitted ratio jumps over the 3% band at m = 1, as stream sizes
-    # can: the unfitted passes use up all but one encode, and the last is
-    # a fitted pass at the closest of them, the first below m = 1
-    passes = _fake_passes(monkeypatch, lambda m: 103.2 if m < 1.0 else 95.8)
-    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0)
-    assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
-    assert [fit for _, fit in passes] == [False] * codec.TARGET_RATIO_PASSES + [True]
-    assert passes[0][0] == 1.0 and all(pm < 1.0 for pm, _ in passes[1:])
-    assert m == passes[-1][0] == passes[1][0] and stream[0] == len(passes)
-    assert ratio == pytest.approx(0.95 * 103.2, rel=0.003)
-
-
-def test_target_ratio_unfitted_passes_run_no_tonal_fit(monkeypatch):
-    # on a real clip: each fitted pass fits the group head's two plane
-    # groups (Y, then U and V), and no unfitted pass calls the fit
+def test_target_ratio_every_pass_fits_both_plane_groups(monkeypatch):
+    # on a real clip: every pass fits the group head's two plane groups
+    # (Y, then U and V), and exactly one pass is returned
     clip = moving_clip(3, 32, 48, seed=14)
-    fits, kinds = [], []
+    fits, encodes = [], []
     real_fit, real_encode = prediction.optimize_mask_values, codec.encode
 
     def counted_fit(planes, mask):
         fits.append(len(planes))
         return real_fit(planes, mask)
 
-    def counted_encode(*args, _fit=True, **kwargs):
-        kinds.append(_fit)
-        before = len(fits)
-        stream = real_encode(*args, _fit=_fit, **kwargs)
-        assert len(fits) - before == (2 if _fit else 0)
-        return stream
+    def counted_encode(*args, **kwargs):
+        encodes.append(args[1])
+        return real_encode(*args, **kwargs)
 
     monkeypatch.setattr(prediction, "optimize_mask_values", counted_fit)
     monkeypatch.setattr(codec, "encode", counted_encode)
     rate = []
     stream, ratio, _ = encode_target_ratio(clip, EncoderConfig(gop_size=3), 15.0, rate)
-    assert kinds.count(False) >= 1 and kinds.count(True) >= 1
-    assert kinds == sorted(kinds)  # every unfitted pass comes first
-    assert fits == [1, 2] * kinds.count(True)
-    assert [p.fitted for p in rate] == kinds and sum(p.returned for p in rate) == 1
+    assert len(rate) == len(encodes) >= 1
+    assert fits == [1, 2] * len(rate)
+    assert sum(p.returned for p in rate) == 1
     returned = next(p for p in rate if p.returned)
-    assert returned.fitted and returned.ratio == ratio == 3 * 32 * 48 * 3 / len(stream)
+    assert returned.ratio == ratio == 3 * 32 * 48 * 3 / len(stream)
 
 
 def test_target_ratio_self_checks_only_the_returned_stream(monkeypatch):

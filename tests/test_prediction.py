@@ -278,6 +278,16 @@ def test_tonal_fit_full_mask_returns_samples():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (24, 40), (144, 336)])
+def test_tonal_fit_on_a_full_mask_takes_no_step(shape):
+    # no pixel lies off the mask, so B f is 0 and the CG stops before its
+    # first step: the integer samples come back exactly, as float64
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    planes = [rng.integers(-255, 256, size=shape) for _ in range(2)]
+    for got, p in zip(optimize_mask_values(planes, np.ones(shape, dtype=bool)), planes):
+        assert got.dtype == np.float64 and np.array_equal(got, p.ravel())
+
+
 def _interior_bound(mask):
     """1 / the smallest eigenvalue of -L_II: how far an interior residual
     of norm 1 can put a solve from the exact solution."""
