@@ -563,8 +563,9 @@ def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
     if m < 1.0:
         lv = max(3, int(round(cfg.residual_levels * m)) | 1)
         # a coarser value quantizer trades invisible tonal precision for
-        # a denser mask, which dominates quality at starved rates
-        ilv = max(16, int(round(cfg.intra_levels * m**0.5)))
+        # a denser mask, which dominates quality at starved rates; a
+        # lower budget never asks for more levels than the config's
+        ilv = min(cfg.intra_levels, max(16, int(round(cfg.intra_levels * m**0.5))))
     return replace(
         cfg,
         intra_mask_fraction=frac,

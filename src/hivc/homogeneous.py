@@ -7,18 +7,17 @@ discrete Laplace equation. The solver is a cascadic coarse-to-fine
 conjugate gradient scheme: solve on a subsampled pyramid level, prolong
 bilinearly, refine on the next finer level. The mask half of that
 pyramid (MaskPyramid) does not depend on the values, so solves on one
-mask can share it. `laplacian` and `_dot` are also the only
-operations of the encoder's tonal fit, which makes no solve
-(prediction._fitted_plane).
+mask can share it. The encoder's tonal fit (fitted_plane) makes no
+solve: it runs the same CG loop, _cg, on its own optimality system.
 
 A solve picks one dtype for every level: float32, which halves the
 memory traffic of every array pass, unless it is asked for a tolerance
 tighter than FLOAT32_TOL, in which case float64. Every level, full
-masks included, is one masked CG call. Every dot product and norm is
-NumPy's own pairwise sum, never a BLAS call, so the floats are the same
-under every BLAS kernel and thread count, with or without numpy's
-optional SIMD kernels. The result is float64 and holds the given values
-on the mask exactly.
+masks included, is one call of _cg, the package's only CG loop. Every
+dot product and norm in it is NumPy's own pairwise sum, never a BLAS
+call, so the floats are the same under every BLAS kernel and thread
+count, with or without numpy's optional SIMD kernels. The result is
+float64 and holds the given values on the mask exactly.
 """
 
 from __future__ import annotations
@@ -84,40 +83,21 @@ def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     return float(np.add.reduce(work.reshape(-1)))
 
 
-def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False):
-    """CG on the interior (non-mask) unknowns with Dirichlet mask values,
-    in the dtype of `f` and `x0`.
-
-    Eliminating the known pixels leaves the SPD system
-    (-L)_II w = (L u_D)_I with u_D = f on the mask and 0 elsewhere.
-    It stops once the residual is at most `tol` times the norm of that
-    right-hand side, or, on the finest level, times ||f restricted to
-    the mask||, the contract denominator; an exact `x0` costs no
-    iteration, and on a full mask the residual starts at zero, so `f`
-    comes back unchanged. Values of `f` off the mask are never read.
-    `interior` is the non-mask indicator in the dtype of `f`. Returns
-    (solution plane, number of updates made to it).
+def _cg(neg_apply, x, r, limit, max_iter, work) -> int:
+    """The package's one CG loop, run by each cascade level and by the
+    tonal fit: solves an SPD system A x = b in place on `x` and on its
+    residual `r` = b - A x, in their dtype. `neg_apply(p, out)` writes
+    -A p into `out`. It stops once ||r|| is at most `limit`, after
+    `max_iter` updates, or where p^T A p is not positive; an exact start
+    costs no update. Every inner product is a _dot into `work`, a plane
+    like `x`. Returns the number of updates made to `x`.
     """
-    # full-plane arithmetic with zeros held at mask pixels avoids the
-    # gather/scatter of interior unknowns on every iteration; the loop
-    # works in place and keeps -A p = L(p) on the interior in `ap`
-    u_d = np.where(mask, f, 0.0)
-    x = x0 * interior
-    r = laplacian(u_d + x)
-    r *= interior
-    work = np.empty_like(r)
-    if finest:
-        scale = u_d
-    else:
-        scale = laplacian(u_d)
-        scale *= interior
-    limit = tol * math.sqrt(_dot(scale, scale, work))
     p = r.copy()
     ap = np.empty_like(r)
     rs = _dot(r, r, work)
     it = 0
     while it < max_iter and math.sqrt(rs) > limit:
-        np.multiply(laplacian(p, ap), interior, out=ap)
+        neg_apply(p, ap)
         pap = -_dot(p, ap, work)
         if pap <= 0.0:
             break
@@ -129,7 +109,32 @@ def _masked_cg(f, mask, interior, x0, tol, max_iter, finest=False):
         p *= rs_new / rs
         p += r
         rs = rs_new
-    return u_d + x, it
+    return it
+
+
+def fitted_plane(plane: np.ndarray, interior: np.ndarray, tol: float, max_iter: int, work: np.ndarray):
+    """The inpainted plane u closest to `plane` (f) in least squares.
+
+    u minimises ||u - f|| subject to B u = 0, where B is the rows of the
+    Laplacian L off the mask: the planes that solve the inpainting
+    equation off the mask are exactly the inpaintings of their own mask
+    values. So u = f - B^T lam, with B B^T lam = B f (Mainberger et al.,
+    SSVM 2011). B^T lam is L applied to lam, which is 0 on the mask.
+    _cg solves that system in float32 from lam = 0, with two Laplacians
+    a step and no diffusion solve, to a residual of `tol` times ||B f||
+    or `max_iter` steps. `interior` is the float32 non-mask indicator,
+    `work` a float32 plane of its shape. On a full mask B f is 0, so no
+    step is taken and f returns exactly. Returns u in float64.
+    """
+    b = laplacian(plane.astype(np.float32)) * interior
+    lam, lap_p, neg_interior = np.zeros_like(b), np.empty_like(b), -interior
+
+    def neg_apply(p, out):
+        # p is 0 on the mask, so B^T p is L p; -interior negates exactly
+        np.multiply(laplacian(laplacian(p, lap_p), out), neg_interior, out=out)
+
+    _cg(neg_apply, lam, b, tol * math.sqrt(_dot(b, b, work)), max_iter, work)
+    return plane - laplacian(lam)
 
 
 def _block_sum(a: np.ndarray) -> np.ndarray:
@@ -230,13 +235,26 @@ def _cascade(planes, pyramid: MaskPyramid, tol, max_iter):
     u = None
     iters = []
     for lvl in range(len(planes) - 1, -1, -1):
-        fv, mv = planes[lvl], pyramid.masks[lvl]
-        level_tol = tol if lvl == 0 else max(LEVEL_TOL, tol)
-        if u is None:
-            x0 = np.full_like(fv, fv[mv].mean())
-        else:
-            x0 = _resample(u, pyramid.prolong[lvl])
-        u, it = _masked_cg(fv, mv, pyramid.interiors[lvl], x0, level_tol, max_iter, finest=lvl == 0)
+        fv, mv, interior = planes[lvl], pyramid.masks[lvl], pyramid.interiors[lvl]
+        # Eliminating the known pixels leaves the SPD system
+        # (-L)_II w = (L u_D)_I, u_D = fv on the mask and 0 elsewhere, in
+        # full planes with zeros held at mask pixels: no gather/scatter
+        u_d = np.where(mv, fv, 0.0)
+        x = np.full_like(fv, fv[mv].mean()) if u is None else _resample(u, pyramid.prolong[lvl])
+        x *= interior
+        r = laplacian(u_d + x)
+        r *= interior
+        work = np.empty_like(r)
+        # the finest level stops relative to ||u_D||, the contract
+        # denominator, the others relative to ||(L u_D)_I||
+        scale = u_d if lvl == 0 else laplacian(u_d) * interior
+        limit = (tol if lvl == 0 else max(LEVEL_TOL, tol)) * math.sqrt(_dot(scale, scale, work))
+
+        def neg_apply(p, out):
+            np.multiply(laplacian(p, out), interior, out=out)
+
+        it = _cg(neg_apply, x, r, limit, max_iter, work)
+        u = u_d + x
         iters.append((fv.size, it))
     return u, iters
 

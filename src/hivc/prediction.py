@@ -1,8 +1,10 @@
 """Per-frame prediction signals.
 
 Intra frames: sparse mask values picked by rectangular subdivision,
-uniformly quantized, reconstructed by global homogeneous diffusion
-inpainting. Chroma channels share one mask with half the luma budget.
+tonally optimised, uniformly quantized, reconstructed by global
+homogeneous diffusion inpainting. Chroma channels share one mask with
+half the luma budget. The tonal fit and the inpainting run the one CG
+loop of homogeneous, to the tolerances and bounds set here.
 Inter frames: backward warping of the previous reconstruction along a
 decoded flow field.
 
@@ -11,8 +13,6 @@ routine, so predictions are closed-loop by construction.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,51 +43,14 @@ TONAL_TOL = 3e-4
 TONAL_MAX_ITERS = 2000
 
 
-def _fitted_plane(plane: np.ndarray, interior: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The inpainted plane u closest to `plane` (f) in least squares.
-
-    u minimises ||u - f|| subject to B u = 0, where B is the rows of the
-    Laplacian L off the mask: the planes that solve the inpainting
-    equation off the mask are exactly the inpaintings of their own mask
-    values. So u = f - B^T lam, with B B^T lam = B f (Mainberger et al.,
-    SSVM 2011). B^T lam is L applied to lam, which is 0 on the mask.
-    CG on that system runs in float32 with two Laplacians a step and
-    every inner product in homogeneous._dot's fixed order, until the
-    residual is at most TONAL_TOL times ||B f|| or after TONAL_MAX_ITERS
-    steps. `interior` is the float32 non-mask indicator, `work` a
-    float32 plane of its shape. Returns u in float64.
-    """
-    b = homogeneous.laplacian(plane.astype(np.float32))
-    b *= interior
-    lam = np.zeros_like(b)
-    r, p, q, lap_p = b, b.copy(), np.empty_like(b), np.empty_like(b)
-    rs = homogeneous._dot(r, r, work)
-    limit = TONAL_TOL * math.sqrt(rs)
-    for _ in range(TONAL_MAX_ITERS):
-        if math.sqrt(rs) <= limit:
-            break
-        # q = B B^T p: p is 0 on the mask, so B^T p is L p
-        np.multiply(homogeneous.laplacian(homogeneous.laplacian(p, lap_p), q), interior, out=q)
-        pq = homogeneous._dot(p, q, work)
-        if pq <= 0.0:
-            break
-        alpha = rs / pq
-        lam += np.multiply(p, alpha, out=work)
-        r -= np.multiply(q, alpha, out=work)
-        rs_new = homogeneous._dot(r, r, work)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
-    return plane - homogeneous.laplacian(lam)
-
-
 def optimize_mask_values(planes, mask: np.ndarray):
     """Refine the stored mask values so the inpainted result, not the
     point samples, is closest to each source plane in least squares.
 
-    Each plane's values are those of its _fitted_plane on the mask,
-    which costs no diffusion solve. The payload format is unchanged:
-    this only picks better values. On a full mask B is empty, the CG
+    Each plane's values are those of its homogeneous.fitted_plane on
+    the mask, which runs the cascade's CG loop on the fit's optimality
+    system to TONAL_TOL and makes no diffusion solve. The payload format
+    is unchanged: this only picks better values. On a full mask the CG
     takes no step and the samples return exactly, so pure-quantization
     configurations stay exact.
     """
@@ -99,7 +62,8 @@ def optimize_mask_values(planes, mask: np.ndarray):
         f = np.asarray(plane, dtype=np.float64)
         # box projection keeps the quantizer span tight and the
         # reconstruction within the source dynamic range
-        out.append(np.clip(_fitted_plane(f, interior, work).ravel()[pts], f.min(), f.max()))
+        u = homogeneous.fitted_plane(f, interior, TONAL_TOL, TONAL_MAX_ITERS, work)
+        out.append(np.clip(u.ravel()[pts], f.min(), f.max()))
     return out
 
 

@@ -249,6 +249,17 @@ def test_target_ratio_passes_share_intra_orders_without_changing_a_byte(monkeypa
     assert shared == fresh
 
 
+@pytest.mark.parametrize("levels", [8, 16, 64, 256])
+def test_scaled_config_never_raises_the_intra_levels(levels):
+    # a lower budget coarsens the value quantizer down to 16 levels, but
+    # a config that asks for fewer keeps its own count
+    cfg = EncoderConfig(intra_levels=levels)
+    for m in (0.05, 0.2, 0.5, 0.999, 1.0):
+        assert codec._scaled_config(cfg, m, 64 * 64).intra_levels <= levels
+    expected = min(levels, max(16, round(levels * 0.2**0.5)))
+    assert codec._scaled_config(cfg, 0.2, 64 * 64).intra_levels == expected
+
+
 def _fake_passes(monkeypatch, ratio_of):
     """Replace the encoder under encode_target_ratio by one whose stream
     gives the ratio ratio_of(m); returns the list that receives each

@@ -6,8 +6,8 @@ import pytest
 from hivc.homogeneous import (
     COARSEST_SIZE,
     InpaintingError,
+    _cg,
     _dot,
-    _masked_cg,
     _restrict_values,
     bilinear_resize,
     laplacian,
@@ -172,17 +172,51 @@ def test_exact_initial_guess_costs_no_iteration(tol):
     assert np.array_equal(u, f)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_cg_counts_only_the_updates_it_makes(dtype):
+def _inpainting_system(f, mask):
+    """_cg's x, r and -A for inpainting f from its mask values, started
+    from f: A = (-L)_II, b = (L u_D)_I."""
+    interior = (~mask).astype(f.dtype)
+    u_d = np.where(mask, f, 0)
+    x = f * interior
+    r = laplacian(u_d + x) * interior
+    return x, r, lambda p, out: np.multiply(laplacian(p, out), interior, out=out)
+
+
+def _fit_system(f, mask):
+    """_cg's x, r and -A for the tonal fit's B B^T lam = B f, started
+    from lam = 0, as homogeneous.fitted_plane builds it."""
+    interior = (~mask).astype(f.dtype)
+    lap_p = np.empty_like(f)
+    return (
+        np.zeros_like(f),
+        laplacian(f) * interior,
+        lambda p, out: np.multiply(laplacian(laplacian(p, lap_p), out), -interior, out=out),
+    )
+
+
+@pytest.mark.parametrize(
+    "dtype, system",
+    [
+        (np.float32, _inpainting_system),
+        (np.float64, _inpainting_system),
+        (np.float32, _fit_system),
+        (np.float64, _fit_system),
+    ],
+    ids=["float32", "float64", "fit-float32", "fit-float64"],
+)
+def test_cg_counts_only_the_updates_it_makes(dtype, system):
+    # a constant plane is its own inpainting and its own fit, so the
+    # residual starts at 0 and the CG makes no update
     f = np.full((40, 60), 100.0, dtype=dtype)
     mask = _grid_mask(40, 60)
-    interior = (~mask).astype(dtype)
-    u, it = _masked_cg(f, mask, interior, f, 1e-12, 50, finest=True)
-    assert it == 0 and np.array_equal(u, f)
+    x, r, neg_apply = system(f, mask)
+    start = x.copy()
+    assert _cg(neg_apply, x, r, 1e-12, 50, np.empty_like(f)) == 0
+    assert np.array_equal(x, start)
     rng = np.random.default_rng(4)
     f = rng.uniform(0, 255, (40, 60)).astype(dtype)
-    _, it = _masked_cg(f, mask, interior, np.zeros_like(f), 0.0, 3, finest=True)
-    assert it == 3
+    x, r, neg_apply = system(f, mask)
+    assert _cg(neg_apply, x, r, 0.0, 3, np.empty_like(f)) == 3
 
 
 def test_tight_tolerance_returns_float64_mask_values_exactly():

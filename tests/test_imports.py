@@ -1,11 +1,14 @@
-"""Every module-level import in the package and its tests is used, and
-the package imports no SciPy.
+"""Every module-level import in the package and its tests is used, the
+package imports no SciPy, and no package module reads another's
+private names.
 
 No linter ships with the project, so this walks each module's syntax
 tree: a name bound by a top-level import must be read somewhere in the
 module. The package's `__all__` re-exports count as reads. SciPy is a
 test dependency only: no import of it may appear anywhere in the
-package, inside a function or not.
+package, inside a function or not. A `_name` is private to its module:
+another package module may neither import it nor read it as an
+attribute of the module. Tests may.
 """
 
 import ast
@@ -51,6 +54,68 @@ def scipy_imports(source: str):
         if any(name.split(".")[0] == "scipy" for name in names):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dotted(node):
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def private_reads(source: str):
+    """(line, name) of each read of a package module's private name: an
+    import of it from `hivc` or a relative module, or an attribute of a
+    name imported from `hivc`, at any depth."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "hivc"):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+                else:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hivc":
+                    modules.add(alias.asname or "hivc")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            owner = _dotted(node.value)
+            if owner is not None and owner.split(".")[0] in modules:
+                found.append((node.lineno, f"{owner}.{node.attr}"))
+    return sorted(found)
+
+
+def test_finds_a_read_of_another_modules_private_name():
+    source = (
+        "import numpy as np\n"
+        "import hivc.flow\n"
+        "from hivc import homogeneous as hom, entropy\n"
+        "from hivc.codec import _scaled_config, encode\n"
+        "def f(self):\n"
+        "    from .bits import _helper\n"
+        "    return hom._dot, hivc.flow._gaussian, entropy.encode, np._x, self._y, hom.__doc__\n"
+        "_own = encode\n"
+    )
+    assert private_reads(source) == [
+        (4, "_scaled_config"),
+        (6, "_helper"),
+        (7, "hivc.flow._gaussian"),
+        (7, "hom._dot"),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_reads_no_other_modules_private_name(path):
+    assert private_reads(path.read_text()) == []
 
 
 def test_finds_a_scipy_import_at_any_depth():

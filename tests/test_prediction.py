@@ -310,7 +310,7 @@ def test_tonal_fit_plane_is_the_inpainting_of_its_mask_values(name):
     interior = inner.reshape(h, w).astype(np.float32)
     work = np.empty((h, w), dtype=np.float32)
     for plane in _tonal_planes(h, w, 2, seed=len(name)):
-        u = prediction._fitted_plane(plane, interior, work)
+        u = homogeneous.fitted_plane(plane, interior, prediction.TONAL_TOL, prediction.TONAL_MAX_ITERS, work)
         exact = oracles.solve_dense(np.where(mask, u, 0.0), mask)
         bound = 0.0
         if not mask.all():
