@@ -155,12 +155,12 @@ def _cmd_encode(args):
         raise UsageError("target ratio must be a finite number above 1")
     frames, fps = video_io.read_frames(args.input)
     cfg = _encoder_config(args, fps)
-    passes = []
+    passes, probes = [], []
     t0 = time.perf_counter()
     try:
         if args.target_ratio is not None:
             stream, ratio, cfg = codec.encode_target_ratio(
-                frames, cfg, args.target_ratio, _passes=passes
+                frames, cfg, args.target_ratio, _passes=passes, _probes=probes
             )
         else:
             stream = codec.encode(frames, cfg)
@@ -180,11 +180,17 @@ def _cmd_encode(args):
         ("self_check", "ok" if cfg.self_check else "skipped"),
     ]
     if passes:
-        # the rate-control search: encodes in all, and the budget
-        # multiplier of the stream written
+        # the rate-control search: byte-model probes, full encodes in
+        # all, the budget multiplier of the stream written, and each
+        # full encode's multiplier, ratio, stream bytes and seconds
         lines += [
+            ("rate_probes", len(probes)),
             ("rate_passes", len(passes)),
             ("rate_multiplier", next(p.multiplier for p in passes if p.returned)),
+        ]
+        lines += [
+            (f"rate_pass_{i}", f"{p.multiplier},{p.ratio},{p.stream_bytes},{p.seconds:.3f}")
+            for i, p in enumerate(passes, 1)
         ]
     lines += [(f"config_{k}", v) for k, v in sorted(_cfg_dict(cfg).items())]
     _report(lines, args.report)

@@ -48,6 +48,7 @@ import numpy as np
 from hivc import entropy
 from hivc.bits import read_bit_array
 from hivc.bitstream import (
+    HEADER_SIZE,
     BitstreamError,
     CodecError,
     StreamHeader,
@@ -57,7 +58,7 @@ from hivc.bitstream import (
 )
 from hivc.flow import compress_flow, decompress_flow, flow_brox
 from hivc.frame import Frame, FrameError, clip_plane, plane_groups, rct_forward, rct_inverse
-from hivc.prediction import decode_intra, encode_intra, intra_orders, predict_inter
+from hivc.prediction import decode_intra, encode_intra, intra_bytes, intra_orders, predict_inter
 from hivc.pseudodiff import BLOCK, reconstruct_blocks, solve_block_coefficients_batch
 from hivc.quantize import coefficient_scale, deadzone_indices, deadzone_quantize, deadzone_step
 from hivc.subdivision import leaf_masks, parse_mask, subdivide_by_error, write_trees
@@ -75,6 +76,14 @@ MAX_LOG_STEP = math.log(4.0)  # largest multiplier step between passes
 # step it took landed at 137.3. Other secants on ten such pans read
 # -0.24 to -1.06.
 MIN_SLOPE = 0.25
+# slope of the first step of the full encodes, from where the byte model
+# lands. The model leaves out the residual bytes, which fall steeply with
+# m, so its own secants (-0.12 to -0.55 near 100:1) are flatter than the
+# full encodes'. On 336x144 pans at 100:1 the full ratio read 83-88 at
+# the model's landing, and the secant from there to the target read
+# -0.34 to -0.59 on ten of them. Of first slopes from -0.35 to -0.6,
+# -0.45 took the fewest full encodes on 22 pans (median 2, at most 5).
+FULL_SLOPE = -0.45
 
 
 @dataclass(frozen=True)
@@ -187,6 +196,13 @@ def _decode_blocks(qc, qa, levels, c_scale, a_scale):
     return rec.reshape(*qa.shape, BLOCK, BLOCK)
 
 
+def _block_bits(nplanes, points, levels):
+    """The bits _keep_blocks prices a coded block at: 8, and per plane
+    its weights at `points` mask points and its constant, each at
+    ceil(log2(levels)) bits."""
+    return 8 + nplanes * (points + 1) * max(1, int(np.ceil(np.log2(levels))))
+
+
 def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
     """Coded blocks whose decoded residual is worth their bits.
 
@@ -205,8 +221,7 @@ def _keep_blocks(fb, inside, masks, qc, qa, levels, c_scale, a_scale, lam):
     gain = np.zeros(n)
     for r, u in zip(fb, rec):
         gain += np.sum(r * r, axis=(1, 2)) - np.sum((r - u) ** 2, axis=(1, 2))
-    bits_per_sym = max(1, int(np.ceil(np.log2(levels))))
-    cost_bits = 8 + nplanes * (masks.sum(axis=1) + 1) * bits_per_sym
+    cost_bits = _block_bits(nplanes, masks.sum(axis=1), levels)
     # cost_bits >= 8, so a lam above every gain drops every block; capping
     # lam at the largest gain keeps that decision and keeps lam * cost_bits
     # finite for any finite lam
@@ -218,6 +233,19 @@ def _encode_residual(planes, points, levels, lam=0.0):
     """Serialize integer residual planes, one section set per plane group
     (frame.plane_groups); see the module docstring for the layout."""
     h, w = planes[0].shape
+    # a block gains at most its tile's residual energy and costs at least
+    # _block_bits of one point, so where no tile's energy exceeds lam
+    # times that, _keep_blocks keeps no block and the payload is empty.
+    # The energies are exact sums of whole-number squares, and no float
+    # gain of _keep_blocks exceeds its tile's.
+    for group in plane_groups(len(planes)):
+        padded, view, _ = _tiles(h, w, len(group))
+        padded[:, :h, :w] = [planes[i] for i in group]
+        energy = np.sum(view * view, axis=(0, 3, 4))
+        if np.any(energy > lam * _block_bits(len(group), 1, levels)):
+            break
+    else:
+        return b"\x00"
     plans = []
     for group in plane_groups(len(planes)):
         coded, trees, masks, fb = _plan_group([planes[i] for i in group], points)
@@ -358,7 +386,7 @@ def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None):
     """Encode one group; returns (payload, reconstructed planes per frame).
     Closed loop: each frame is predicted and rebuilt by the decoder's steps.
     `orders` holds the intra split orders of the group's first frame."""
-    luma_budget = max(1, int(round(cfg.intra_mask_fraction * header.height * header.width)))
+    luma_budget = _luma_budget(cfg, header.height * header.width)
     out = bytearray(struct.pack("<H", len(frames_planes)))
     recons = []
     for i, planes in enumerate(frames_planes):
@@ -381,6 +409,10 @@ def _encode_gop(header, frames_planes, cfg, flows_raw, orders=None):
     return bytes(out), recons
 
 
+def _luma_budget(cfg, pixels):
+    return max(1, int(round(cfg.intra_mask_fraction * pixels)))
+
+
 def _split_gops(n, gop_size):
     return [(s, min(s + gop_size, n)) for s in range(0, n, gop_size)]
 
@@ -398,12 +430,6 @@ def _compute_gop_flows(y_planes, cfg):
         for s, e in _split_gops(len(y_planes), cfg.gop_size)
     ]
 
-
-def _gop_intra_orders(frames, cfg):
-    """The intra split orders of each group's first frame, one list per group."""
-    return [
-        intra_orders(_to_yuv_planes(frames[s])) for s, _ in _split_gops(len(frames), cfg.gop_size)
-    ]
 
 
 def _check_frames(frames, cfg: EncoderConfig) -> StreamHeader:
@@ -547,6 +573,13 @@ def frame_records(header: StreamHeader, payload: bytes, gi: int):
 # ---------------------------------------------------------------------------
 
 
+# the framing of a group: write_stream's u32 length and CRC and the u16
+# frame count; of a frame record: its type, its two u32 lengths and an
+# empty residual's marker
+_GROUP_FRAMING = struct.calcsize("<IIH")
+_FRAME_FRAMING = struct.calcsize("<BII") + 1
+
+
 def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
     # the intra mask is the quality backbone, so it gives up rate far
     # more slowly than the residual stream, whose per-bit threshold
@@ -578,26 +611,27 @@ def _scaled_config(cfg: EncoderConfig, m: float, pixels: int) -> EncoderConfig:
 
 
 class RatePass(NamedTuple):
-    """One encode of `encode_target_ratio`'s search, in the order run."""
+    """One full encode of `encode_target_ratio`'s search, in the order run."""
 
     multiplier: float
     ratio: float
+    stream_bytes: int
+    seconds: float  # the encode, with its reconstructions' digests
     returned: bool  # the pass whose stream was returned
 
 
-def _search_multiplier(run, m, target_ratio, passes):
-    """Search budget multipliers from m on the encodes of run(m), which
-    returns (ratio, result), until one lands within TARGET_RATIO_TOL of
-    the target or `passes` have run.
+def _search_multiplier(run, m, target_ratio, passes, slope):
+    """Search budget multipliers from m on run(m), which returns (ratio,
+    result), until one lands within TARGET_RATIO_TOL of the target or
+    `passes` have run.
 
-    The log ratio falls about linearly in log m: each step follows the
-    secant through the last two passes (slope -1 before there are two;
-    at least MIN_SLOPE steep, and -1 where the ratio does not fall), by
-    at most MAX_LOG_STEP, and bisects where that would leave the bracket
-    of the passes so far. Returns the passes, as (m, ratio, result).
+    The log ratio falls about linearly in log m: the first step follows
+    `slope`, each later one the secant through the last two passes (at
+    least MIN_SLOPE steep, and -1 where the ratio does not fall), by at
+    most MAX_LOG_STEP, and bisects where that would leave the bracket of
+    the passes so far. Returns the passes, as (m, ratio, result).
     """
     lo, hi = 0.0, math.inf  # multipliers known to be too small, too large
-    slope = -1.0
     history = []
     while True:
         ratio, result = run(m)
@@ -617,7 +651,27 @@ def _search_multiplier(run, m, target_ratio, passes):
         m = m_next if lo < m_next < hi else (lo * hi) ** 0.5
 
 
-def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes=None):
+def _closest(history, target_ratio):
+    """The pass of `history` closest to the target, the earliest on ties."""
+    return min(history, key=lambda p: abs(p[1] - target_ratio))
+
+
+def _predicted_bytes(header, heads, cfg, flows, orders):
+    """The stream bytes of encode(frames, cfg, _flows=flows,
+    _orders=orders) as predicted without encoding: the header, the
+    framing, the trees and the flow payloads exactly, each intra value
+    block by prediction.intra_bytes, and every residual empty. `heads`
+    holds each group's first frame as YUV planes."""
+    pixels = header.width * header.height
+    n = HEADER_SIZE
+    for gi, (s, e) in enumerate(_split_gops(header.frame_count, cfg.gop_size)):
+        n += _GROUP_FRAMING + (e - s) * _FRAME_FRAMING
+        n += intra_bytes(heads[gi], _luma_budget(cfg, pixels), cfg.intra_levels, orders[gi])
+        n += sum(len(compress_flow(f, cfg.flow_points, cfg.flow_levels)) for f in flows[gi])
+    return n
+
+
+def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes=None, _probes=None):
     """Search a budget multiplier until the compression ratio hits target.
 
     Ratio is raw uint8 source bytes over stream bytes. It falls with the
@@ -625,11 +679,15 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes
     whole groups of blocks and leaves switch together, so it can jump
     across the band (103.0 to 95.8 within a step of m of 0.0005).
 
-    One `_search_multiplier` runs from m = 1 on full encodes, at most
-    1 + TARGET_RATIO_PASSES of them. Returned is the first pass inside
-    TARGET_RATIO_TOL, or else the closest, the earliest on ties:
-    (stream, achieved ratio, config used). `_passes`, when a list,
-    receives a RatePass per encode.
+    One `_search_multiplier` runs twice. The first probes a byte model of
+    the stream from m = 1 (_predicted_bytes: no fit, no diffusion solve,
+    no residual coding), at most 1 + TARGET_RATIO_PASSES times. The
+    second runs full encodes from the probe closest to the target, at
+    most 1 + TARGET_RATIO_PASSES of them, its first step at FULL_SLOPE.
+    Returned is the first full pass inside TARGET_RATIO_TOL, or else the
+    closest, the earliest on ties: (stream, achieved ratio, config used).
+    `_passes`, when a list, receives a RatePass per full encode, and
+    `_probes` each probe's (multiplier, model ratio).
     """
     if not 1.0 < target_ratio < math.inf:
         raise ValueError("target ratio must be a finite number above 1")
@@ -638,26 +696,38 @@ def encode_target_ratio(frames, cfg: EncoderConfig, target_ratio: float, _passes
     raw = len(frames) * pixels * header.channels
     yuv_y = [_to_yuv_planes(f)[0].astype(np.float64) for f in frames]
     flows = _compute_gop_flows(yuv_y, cfg)
+    heads = [_to_yuv_planes(frames[s]) for s, _ in _split_gops(len(frames), cfg.gop_size)]
     # every pass searches the same group heads: sort their intra splits once
-    orders = _gop_intra_orders(frames, cfg)
+    orders = [intra_orders(h) for h in heads]
     # the passes run unchecked; only the returned stream is checked,
     # against the digests of its own pass's reconstructions
     unchecked = replace(cfg, self_check=False)
 
+    def probe(m):
+        scaled = _scaled_config(unchecked, m, pixels)
+        return raw / _predicted_bytes(header, heads, scaled, flows, orders), None
+
     def run(m):
+        t0 = time.perf_counter()
         recons = [] if cfg.self_check else None
         stream = encode(
             frames, _scaled_config(unchecked, m, pixels),
             _flows=flows, _recons=recons, _orders=orders,
         )
         digests = None if recons is None else _frame_digests(recons, header.channels)
-        return raw / len(stream), (stream, digests)
+        return raw / len(stream), (stream, digests, time.perf_counter() - t0)
 
-    history = _search_multiplier(run, 1.0, target_ratio, 1 + TARGET_RATIO_PASSES)
-    best = min(history, key=lambda p: abs(p[1] - target_ratio))
-    m, ratio, (stream, digests) = best
+    probes = _search_multiplier(probe, 1.0, target_ratio, 1 + TARGET_RATIO_PASSES, -1.0)
+    m = _closest(probes, target_ratio)[0]
+    history = _search_multiplier(run, m, target_ratio, 1 + TARGET_RATIO_PASSES, FULL_SLOPE)
+    best = _closest(history, target_ratio)
+    m, ratio, (stream, digests, _) = best
+    if _probes is not None:
+        _probes += [(pm, pr) for pm, pr, _ in probes]
     if _passes is not None:
-        _passes += [RatePass(p[0], p[1], p is best) for p in history]
+        for p in history:
+            pm, pr, (ps, _, seconds) = p
+            _passes.append(RatePass(pm, pr, len(ps), seconds, p is best))
     if cfg.self_check:
         _self_check(stream, digests)
     return stream, ratio, _scaled_config(cfg, m, pixels)

@@ -96,6 +96,25 @@ def intra_orders(planes):
     return [SplitOrder([planes[i] for i in group]) for group in plane_groups(len(planes))]
 
 
+def _intra_groups(planes, luma_budget: int, levels: int, orders):
+    """Yield each plane group's (planes, tree bits, mask, level count),
+    by the group rules of encode_intra."""
+    if luma_budget < 1:
+        raise ValueError("luma mask budget must be >= 1")
+    planes = [np.asarray(p) for p in planes]
+    shape, size = planes[0].shape, planes[0].size
+    budget = min(luma_budget, size)
+    for gi, group in enumerate(plane_groups(len(planes))):
+        chroma = group[0] > 0
+        gplanes = [planes[i] for i in group]
+        points = chroma_budget(budget, size) if chroma else budget
+        if orders is None:
+            bits, leaves = subdivide_by_error(gplanes, points)
+        else:
+            bits, leaves = orders[gi].tree(points)
+        yield gplanes, bits, leaf_masks([leaves], shape)[0], chroma_levels(levels) if chroma else levels
+
+
 def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
     """Build subdivision masks, quantize mask values, serialize the payload.
 
@@ -105,25 +124,25 @@ def encode_intra(planes, luma_budget: int, levels: int, orders=None) -> bytes:
     `orders`, intra_orders of the same planes, supplies the searches
     already made. The mask values are optimize_mask_values' tonal fit.
     """
-    if luma_budget < 1:
-        raise ValueError("luma mask budget must be >= 1")
-    planes = [np.asarray(p) for p in planes]
-    shape, size = planes[0].shape, planes[0].size
-    budget = min(luma_budget, size)
     out = bytearray()
-    for gi, group in enumerate(plane_groups(len(planes))):
-        chroma = group[0] > 0
-        gplanes = [planes[i] for i in group]
-        points = chroma_budget(budget, size) if chroma else budget
-        if orders is None:
-            bits, leaves = subdivide_by_error(gplanes, points)
-        else:
-            bits, leaves = orders[gi].tree(points)
+    for gplanes, bits, mask, glevels in _intra_groups(planes, luma_budget, levels, orders):
         write_trees(out, [bits])
-        mask = leaf_masks([leaves], shape)[0]
         for vals in optimize_mask_values(gplanes, mask):
-            out += entropy.encode_value_block(vals, chroma_levels(levels) if chroma else levels)
+            out += entropy.encode_value_block(vals, glevels)
     return bytes(out)
+
+
+def intra_bytes(planes, luma_budget: int, levels: int, orders) -> int:
+    """The size that encode_intra's payload is predicted to take, for
+    rate control. Its tree sections count exactly; each value block is
+    counted as that of the mask's point samples, so no fit is made. On a
+    full mask the fit returns the samples, and the count is exact."""
+    n = 0
+    for gplanes, bits, mask, glevels in _intra_groups(planes, luma_budget, levels, orders):
+        pts = _mask_points(mask)
+        n += -(-len(bits) // 8)
+        n += sum(len(entropy.encode_value_block(p.ravel()[pts], glevels)) for p in gplanes)
+    return n
 
 
 def decode_intra(data: bytes, pos: int, shape, channels: int, levels: int):

@@ -421,10 +421,23 @@ def test_target_ratio_report_traces_the_rate_search(tmp_path):
     args = ["encode", str(src), str(stream), "--gop-size", "2", "--report", str(report)]
     assert main(args + ["--target-ratio", "12"]) == 0
     rep = _report_dict(report)
-    assert 1 <= int(rep["rate_passes"]) <= 1 + codec.TARGET_RATIO_PASSES
+    npasses = int(rep["rate_passes"])
+    assert 1 <= npasses <= 1 + codec.TARGET_RATIO_PASSES
+    assert 1 <= int(rep["rate_probes"]) <= 1 + codec.TARGET_RATIO_PASSES
     assert "rate_fitted_passes" not in rep
+    # one line per full encode: multiplier, ratio, stream bytes, seconds
+    passes = [rep[f"rate_pass_{i}"].split(",") for i in range(1, npasses + 1)]
+    assert f"rate_pass_{npasses + 1}" not in rep
+    assert all(len(p) == 4 and float(p[3]) >= 0.0 for p in passes)
+    assert all(float(r) == pytest.approx(2 * 24 * 32 * 3 / int(b)) for _, r, b, _ in passes)
+    # the search lands, or writes the pass closest to the target
+    ratios = [float(r) for _, r, _, _ in passes]
+    ratio = float(rep["compression_ratio"])
+    assert abs(ratio - 12) <= 0.03 * 12 or abs(ratio - 12) == pytest.approx(min(abs(r - 12) for r in ratios))
+    assert int(rep["stream_bytes"]) in [int(b) for _, _, b, _ in passes]
     # the written stream is the one its multiplier's settings give
     multiplier = float(rep["rate_multiplier"])
+    assert float(passes[[float(m) for m, *_ in passes].index(multiplier)][1]) == pytest.approx(ratio, abs=1e-3)
     cfg = codec._scaled_config(codec.EncoderConfig(gop_size=2), multiplier, 24 * 32)
     assert rep["config_residual_lambda"] == str(cfg.residual_lambda)
     assert stream.read_bytes() == codec.encode(clip, cfg)

@@ -1,4 +1,5 @@
 import collections
+import math
 import struct
 import tracemalloc
 import warnings
@@ -242,9 +243,9 @@ def test_target_ratio_passes_share_intra_orders_without_changing_a_byte(monkeypa
     monkeypatch.setattr(prediction, "subdivide_by_error", counted_search)
     shared = encode_target_ratio(clip, cfg, 20.0)
     assert not searches
-    monkeypatch.setattr(codec, "_gop_intra_orders", lambda frames, cfg: [None, None])
+    monkeypatch.setattr(codec, "intra_orders", lambda planes: None)
     fresh = encode_target_ratio(clip, cfg, 20.0)
-    # two groups of two plane groups in every pass
+    # two groups of two plane groups in every probe and every pass
     assert len(searches) % 4 == 0 and len(searches) >= 8
     assert shared == fresh
 
@@ -260,12 +261,15 @@ def test_scaled_config_never_raises_the_intra_levels(levels):
     assert codec._scaled_config(cfg, 0.2, 64 * 64).intra_levels == expected
 
 
-def _fake_passes(monkeypatch, ratio_of):
+def _fake_passes(monkeypatch, ratio_of, model_of=None):
     """Replace the encoder under encode_target_ratio by one whose stream
-    gives the ratio ratio_of(m); returns the list that receives each
-    pass's m. The first byte of a stream tells the passes apart."""
+    gives the ratio ratio_of(m), and its byte model by one that reads
+    model_of(m) (ratio_of by default); returns the list that receives
+    each full pass's m. The first byte of a stream tells the passes
+    apart."""
     raw = 2 * 64 * 64 * 3
     passes = []
+    model_of = model_of or ratio_of
 
     def fake_encode(frames, m, _flows=None, _recons=None, _orders=None):
         passes.append(m)
@@ -273,24 +277,35 @@ def _fake_passes(monkeypatch, ratio_of):
 
     monkeypatch.setattr(codec, "_compute_gop_flows", lambda *args: None)
     monkeypatch.setattr(codec, "_scaled_config", lambda cfg, m, pixels: m)
+    monkeypatch.setattr(codec, "_predicted_bytes", lambda header, heads, m, *args: raw / model_of(m))
     monkeypatch.setattr(codec, "encode", fake_encode)
     return passes
 
 
 def test_target_ratio_search_steps_along_log_log_secants(monkeypatch):
-    # a ratio that is a power of the budget multiplier m, 30 * m^-0.6:
-    # the first step, at slope -1, reads 61.8 at m = 0.3, and the secant
-    # through the two passes, slope -0.6, lands the third on the target
-    passes = _fake_passes(monkeypatch, lambda m: 30.0 * m**-0.6)
-    rate = []
-    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0, rate)
-    assert len(passes) == 3 and passes[0] == 1.0
-    assert passes[1] == pytest.approx(0.3, rel=1e-3)
-    assert passes[2] == pytest.approx(0.3 ** (1 / 0.6), rel=3e-3)  # whole bytes
+    # a byte model that reads 30 * m^-0.6: from m = 1, the first probe
+    # step, at slope -1, reads 61.8 at m = 0.3, and the secant through
+    # the two probes, slope -0.6, lands the third on the target, at m0.
+    # The full encodes read 80 * (m / m0)^-1.2: their first step follows
+    # FULL_SLOPE, and the secant through the two passes, slope -1.2,
+    # lands the third on the target
+    m0 = 0.3 ** (1 / 0.6)
+    passes = _fake_passes(monkeypatch, lambda m: 80.0 * (m / m0) ** -1.2, lambda m: 30.0 * m**-0.6)
+    rate, probes = [], []
+    stream, ratio, m = encode_target_ratio(
+        moving_clip(2, 64, 64), EncoderConfig(), 100.0, rate, probes
+    )
+    assert [pm for pm, _ in probes] == [1.0, pytest.approx(0.3, rel=1e-3), pytest.approx(m0)]
+    assert probes[1][1] == pytest.approx(30.0 * 0.3**-0.6) and probes[2][1] == pytest.approx(100.0)
+    assert len(passes) == 3 and passes[0] == probes[2][0]
+    assert passes[1] == pytest.approx(m0 * 1.25 ** (1 / codec.FULL_SLOPE), rel=3e-3)
+    assert passes[2] == pytest.approx(m0 * 1.25 ** (-1 / 1.2), rel=3e-3)  # whole bytes
     assert ratio == pytest.approx(100.0, rel=3e-3) and stream[0] == 3 and m == passes[-1]
     assert [p.multiplier for p in rate] == passes
     assert [p.returned for p in rate] == [False, False, True]
-    assert rate[1].ratio == pytest.approx(30.0 * 0.3**-0.6, rel=1e-3)
+    assert rate[0].ratio == pytest.approx(80.0, rel=1e-3)
+    assert [p.stream_bytes for p in rate] == [round(2 * 64 * 64 * 3 / p.ratio) for p in rate]
+    assert all(p.seconds >= 0.0 for p in rate)
 
 
 def test_target_ratio_search_bounds_a_flat_secant():
@@ -305,7 +320,7 @@ def test_target_ratio_search_bounds_a_flat_secant():
         ms.append(m)
         return next(ratios), None
 
-    history = codec._search_multiplier(fake_encode, 0.2242, 100.0, 3)
+    history = codec._search_multiplier(fake_encode, 0.2242, 100.0, 3, -1.0)
     assert ms[1] == pytest.approx(0.2242 * 0.9561, rel=1e-3)  # slope -1
     assert ms[2] == pytest.approx(ms[1] * 0.9587 ** (1 / codec.MIN_SLOPE), rel=1e-3)
     assert len(history) == 3
@@ -313,18 +328,38 @@ def test_target_ratio_search_bounds_a_flat_secant():
 
 
 def test_target_ratio_search_returns_the_closest_pass_when_none_lands(monkeypatch):
-    # the ratio reads 96.9 between m = 0.28 and m = 1 and jumps to 104.5
-    # below m = 0.28, so no pass lands in the 3% band: the search stops
-    # at the cap and returns the first pass at 96.9, the closest and the
-    # earliest of its ties
+    # the byte model lands at m = 0.29. The full ratio reads 96.9 from
+    # m = 0.28 up and jumps to 104.5 below, so no full pass lands in the
+    # 3% band: the search stops at the cap and returns the first pass,
+    # at 96.9, the closest and the earliest of its ties
     passes = _fake_passes(
-        monkeypatch, lambda m: 30.0 if m >= 1.0 else 96.9 if m >= 0.28 else 104.5
+        monkeypatch, lambda m: 96.9 if m >= 0.28 else 104.5, lambda m: 100.0 * (m / 0.29) ** -0.6
     )
     stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0)
     assert len(passes) == 1 + codec.TARGET_RATIO_PASSES
-    assert m == passes[1] and stream[0] == 2
+    assert passes[0] == pytest.approx(0.29) and m == passes[0] and stream[0] == 1
     assert ratio == pytest.approx(96.9, rel=0.005)
     assert sum(pm < 0.28 for pm in passes) >= 2 and sum(0.28 <= pm < 1.0 for pm in passes) >= 2
+
+
+def test_target_ratio_search_starts_where_the_byte_model_lands(monkeypatch):
+    # as measured on 336x144 pans near 100:1: the model reads about
+    # 75 m^-0.21 (no residual bytes), and the full encodes read the model
+    # times a factor that rises from 0.86 at m = 0.3 to 0.96 at m = 0.2
+    def model(m):
+        return 75.0 * m**-0.21
+
+    def full(m):
+        factor = 0.86 * (m / 0.3) ** (math.log(0.96 / 0.86) / math.log(0.2 / 0.3))
+        return model(m) * min(max(factor, 0.86), 0.96)
+
+    passes = _fake_passes(monkeypatch, full, model)
+    probes = []
+    stream, ratio, m = encode_target_ratio(moving_clip(2, 64, 64), EncoderConfig(), 100.0, _probes=probes)
+    assert probes[0][0] == 1.0 and 1.0 not in passes
+    assert passes[0] == min(probes, key=lambda p: abs(p[1] - 100.0))[0]
+    assert len(passes) <= 3
+    assert abs(ratio - 100.0) <= codec.TARGET_RATIO_TOL * 100.0
 
 
 def test_target_ratio_every_pass_fits_both_plane_groups(monkeypatch):
@@ -469,11 +504,39 @@ def test_encode_at_the_largest_residual_lambda_raises_no_warning():
     assert len(decode(stream)) == 2
 
 
+def _landed_or_closest(rate, target):
+    """True when the returned pass lies in the band, or no pass does and
+    it is the closest."""
+    returned = next(p for p in rate if p.returned)
+    if abs(returned.ratio - target) <= codec.TARGET_RATIO_TOL * target:
+        return True
+    return abs(returned.ratio - target) == min(abs(p.ratio - target) for p in rate)
+
+
 def test_target_ratio_search_keeps_a_huge_residual_lambda_finite():
     # 1e300 / m^6 overflows below m = 1
     cfg = EncoderConfig(gop_size=2, residual_lambda=1e300)
-    stream, ratio, used = encode_target_ratio(moving_clip(2, 16, 16), cfg, 3.0)
+    rate = []
+    stream, ratio, used = encode_target_ratio(moving_clip(2, 16, 16), cfg, 3.0, rate)
     assert used.residual_lambda < float("inf") and len(decode(stream)) == 2
+    assert _landed_or_closest(rate, 3.0)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_byte_model_is_exact_where_the_fit_and_the_residuals_add_nothing(channels):
+    # on a full mask the fit returns the samples, and a huge lambda keeps
+    # every residual empty: the model then counts every byte
+    clip = moving_clip(3, 20, 28, seed=5)
+    if channels == 1:
+        clip = [Frame(f.planes[:1], colorspace="gray") for f in clip]
+    cfg = EncoderConfig(gop_size=2, intra_mask_fraction=1.0, residual_lambda=1e300)
+    header = codec._check_frames(clip, cfg)
+    yuv = [codec._to_yuv_planes(f) for f in clip]
+    flows = codec._compute_gop_flows([p[0].astype(np.float64) for p in yuv], cfg)
+    heads = [yuv[0], yuv[2]]
+    orders = [codec.intra_orders(h) for h in heads]
+    stream = encode(clip, cfg, _flows=flows, _orders=orders)
+    assert codec._predicted_bytes(header, heads, cfg, flows, orders) == len(stream)
 
 
 def test_truncated_stream_reports_error():
@@ -769,6 +832,32 @@ def test_streaming_decode_memory_does_not_grow_with_the_stream(tmp_path):
         )
     for small, large in zip(peaks[4], peaks[64]):
         assert abs(large - small) <= frame_bytes
+
+
+@pytest.mark.parametrize("lam,planned", [(0.2, False), (0.15, True)])
+def test_residual_below_the_block_price_is_empty_before_any_planning(monkeypatch, lam, planned):
+    # one luma pixel of 2: its tile's energy, 4, against lam times the
+    # price of a one-point luma block at 63 levels, 8 + 2 * 6 = 20 bits.
+    # At or below lam * 20 no block can pay for itself, and the payload
+    # is empty without a tile search or a fit
+    calls = []
+
+    def record(real):
+        def wrapped(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapped
+
+    for name in ("subdivide_by_error", "solve_block_coefficients_batch"):
+        monkeypatch.setattr(codec, name, record(getattr(codec, name)))
+    planes = [np.zeros((12, 20), dtype=np.int64) for _ in range(3)]
+    planes[0][5, 9] = 2
+    assert codec._block_bits(1, 1, 63) == 20
+    payload = codec._encode_residual(planes, 4, 63, lam)
+    assert sorted(set(calls)) == (["solve_block_coefficients_batch", "subdivide_by_error"] if planned else [])
+    if not planned:
+        assert payload == b"\x00"
 
 
 def test_keep_decision_counts_only_the_pixels_of_an_edge_tile():
